@@ -23,7 +23,6 @@ from .dynamics import (
     Forcing,
     NudgingConfig,
     SolverOptions,
-    Timeline,
     Viscosity,
     integrate,
     make_synchronized_initial,

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .config import ExperimentConfig, SWEEP_AXES, load_config
-from .errors import BlowUpError, CapacityError, ConfigError, VacuumError
+from .errors import BlowUpError, ConfigError, VacuumError
 from .field import save_trajectory
 from .harness import audit_twin, run_observed, run_sweep, run_twin, validate_solver
 
@@ -179,7 +179,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (VacuumError, BlowUpError, CapacityError, OSError, ValueError) as err:
+    except (VacuumError, BlowUpError, OSError, ValueError) as err:
         print(f"run failure: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_RUN_FAILURE
 

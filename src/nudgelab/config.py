@@ -1,19 +1,31 @@
-"""Experiment configuration: nested dataclasses with a strict JSON file form.
+"""Experiment configuration: nested dataclasses with a strict JSON file form,
+and the ``build_*`` constructors that turn a config into the run's objects.
 
 The file form is plain JSON mirroring the dataclass tree.  Unknown keys are
 rejected, every float round-trips bit-exactly through the file (json emits
-repr-precision floats), and semantic validation happens eagerly on load so
-that a bad file fails before any run starts.
+repr-precision floats), and validation happens eagerly on load so that a bad
+file fails before any run starts.  Validation runs the same constructors the
+run uses, so a config is valid exactly when the run would accept it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
-from dataclasses import dataclass, field, fields
+import math
+import numbers
+import typing
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError
+import numpy as np
+
+from .dynamics import Forcing, NudgingConfig, SolverOptions, Viscosity
+from .eos import EquationOfState
+from .errors import ConfigError, VacuumError
+from .field import FluidState, Grid1D
+from .sampler import tiling_breaks
 
 __all__ = [
     "GridConfig",
@@ -30,6 +42,13 @@ __all__ = [
     "ExperimentConfig",
     "load_config",
     "save_config",
+    "build_grid",
+    "build_eos",
+    "build_viscosity",
+    "build_forcing",
+    "build_initial_state",
+    "build_nudging",
+    "build_solver_options",
     "SWEEP_AXES",
 ]
 
@@ -152,43 +171,58 @@ class ExperimentConfig:
         return _build(cls, data, path="")
 
     def validate(self) -> None:
-        """Semantic validation beyond types; raises ConfigError."""
-        problems = []
-        if self.grid.n_cells < 8:
-            problems.append("grid.n_cells must be >= 8")
-        if self.grid.length <= 0:
-            problems.append("grid.length must be > 0")
-        if self.eos.gamma <= 1.0:
-            problems.append("eos.gamma must be > 1")
-        if self.eos.kappa <= 0.0:
-            problems.append("eos.kappa must be > 0")
-        if self.eos.a is not None and not (0.0 < self.eos.a < 0.5):
-            problems.append("eos.a must lie in (0, 1/2)")
-        if self.viscosity.mu <= 0.0:
-            problems.append("viscosity.mu must be > 0")
-        if self.viscosity.mu + self.viscosity.lambda_bulk < 0.0:
-            problems.append("viscosity.mu + lambda_bulk must be >= 0")
-        tl = self.timeline
-        if not (tl.t_minus < 0.0 < tl.t_assim_end < tl.t_plus):
-            problems.append("timeline must satisfy t_minus < 0 < t_assim_end < t_plus")
-        if self.forcing.kind not in FORCING_KINDS:
-            problems.append(f"forcing.kind must be one of {FORCING_KINDS}")
-        if self.initial.kind not in INITIAL_KINDS:
-            problems.append(f"initial.kind must be one of {INITIAL_KINDS}")
+        """Raise ConfigError unless every phase of a run accepts this config.
+
+        Leaf types come from the dataclass annotations and value ranges from
+        the run's own constructors; only the rules that no constructor owns
+        are spelled out here.
+        """
+        problems = _type_problems(self, "")
+        if problems:
+            raise ConfigError("; ".join(problems))
+
+        def attempt(section, build):
+            try:
+                return build()
+            except (ValueError, VacuumError) as err:
+                problems.append(f"{section}: {err}")
+                return None
+
+        tl, sampler, solver = self.timeline, self.sampler, self.solver
+        grid = attempt("grid", lambda: build_grid(self))
+        attempt("eos", lambda: build_eos(self))
+        attempt("viscosity", lambda: build_viscosity(self))
+        attempt("forcing", lambda: build_forcing(self))
+        attempt(
+            "solver",
+            lambda: build_solver_options(self, solver.report_interval, (tl.t_assim_end,)),
+        )
         if self.initial.base_density - abs(self.initial.amplitude) <= 0.0:
             problems.append("initial profile must stay strictly positive")
-        if self.sampler.delta <= 0.0:
-            problems.append("sampler.delta must be > 0")
-        if self.sampler.placement not in ("center", "jittered"):
-            problems.append("sampler.placement must be 'center' or 'jittered'")
-        if self.nudging.lambda_rho < 0.0 or self.nudging.lambda_u < 0.0:
-            problems.append("nudging gains must be nonnegative")
-        if not (0.0 < self.solver.safety <= 1.0):
-            problems.append("solver.safety must lie in (0, 1]")
-        if self.solver.rho_floor <= 0.0:
-            problems.append("solver.rho_floor must be > 0")
-        if self.solver.report_interval <= 0.0:
+        elif grid is not None:
+            attempt("initial", lambda: build_initial_state(self, grid))
+        if not (tl.t_minus < 0.0 < tl.t_assim_end < tl.t_plus):
+            problems.append("timeline must satisfy t_minus < 0 < t_assim_end < t_plus")
+        else:
+            attempt("nudging", lambda: build_nudging(self))
+            if grid is not None:
+                attempt(
+                    "sampler",
+                    lambda: tiling_breaks(
+                        sampler.delta, tl.t_assim_end, grid.length,
+                        sampler.placement, sampler.cell_cap,
+                    ),
+                )
+        if solver.report_interval <= 0.0:
             problems.append("solver.report_interval must be > 0")
+        if solver.max_steps < 1:
+            problems.append("solver.max_steps must be >= 1")
+        if solver.snapshot_budget < 1:
+            problems.append("solver.snapshot_budget must be >= 1")
+        if sampler.cell_cap < 1:
+            problems.append("sampler.cell_cap must be >= 1")
+        if sampler.seed < 0:
+            problems.append("sampler.seed must be >= 0")
         if self.calibration.gamma_cal < 1.0:
             problems.append("calibration.gamma_cal must be >= 1")
         if self.outputs.format not in ("csv", "json"):
@@ -199,59 +233,136 @@ class ExperimentConfig:
             raise ConfigError("; ".join(problems))
 
 
-_INT_FIELDS = {"n_cells", "seed", "cell_cap", "snapshot_budget", "max_steps"}
+# -- leaf types ------------------------------------------------------------------
+
+_EXPECTED = {float: "a finite number", int: "an integer", bool: "true or false", str: "a string"}
+
+
+@functools.cache
+def _hints(cls) -> dict:
+    return typing.get_type_hints(cls)
+
+
+def _leaf_type(hint):
+    """(base type, nullable) of a leaf annotation such as ``float | None``."""
+    args = [a for a in typing.get_args(hint) if a is not type(None)]
+    return (args[0], True) if args else (hint, False)
+
+
+def _type_problems(obj, path: str) -> list:
+    problems = []
+    for name, hint in _hints(type(obj)).items():
+        value = getattr(obj, name)
+        sub = f"{path}.{name}" if path else name
+        if dataclasses.is_dataclass(hint):
+            problems += _type_problems(value, sub)
+            continue
+        base, nullable = _leaf_type(hint)
+        if value is None:
+            ok = nullable
+        elif isinstance(value, bool) or base is bool:
+            ok = isinstance(value, bool) and base is bool
+        elif base is float:
+            ok = isinstance(value, numbers.Real) and math.isfinite(value)
+        elif base is int:
+            ok = isinstance(value, numbers.Integral)
+        else:
+            ok = isinstance(value, base)
+        if not ok:
+            problems.append(f"{sub}: expected {_EXPECTED[base]}, got {value!r}")
+    return problems
 
 
 def _build(cls, data, path: str):
+    """Dataclass tree from its JSON form; types are checked by validate()."""
+    where = path or "config"
     if not isinstance(data, dict):
-        raise ConfigError(f"{path or 'config'}: expected an object")
-    known = {f.name: f for f in fields(cls)}
-    unknown = set(data) - set(known)
+        raise ConfigError(f"{where}: expected an object")
+    hints = _hints(cls)
+    unknown = set(data) - set(hints)
     if unknown:
-        where = path or "config"
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
     kwargs = {}
-    for name, f in known.items():
-        if name not in data:
-            continue
-        value = data[name]
+    for name, value in data.items():
+        hint = hints[name]
         sub = f"{path}.{name}" if path else name
-        if dataclasses.is_dataclass(f.type) or (
-            isinstance(f.type, str) and f.type in _SECTION_TYPES
-        ):
-            section_cls = _SECTION_TYPES[f.type] if isinstance(f.type, str) else f.type
-            kwargs[name] = _build(section_cls, value, sub)
-        elif value is None:
-            kwargs[name] = None
-        elif name in _INT_FIELDS:
-            if isinstance(value, bool) or int(value) != value:
-                raise ConfigError(f"{sub}: expected an integer")
-            kwargs[name] = int(value)
-        elif isinstance(value, bool):
-            kwargs[name] = value
-        elif isinstance(value, (int, float)):
-            kwargs[name] = float(value)
-        else:
-            kwargs[name] = value
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{path or 'config'}: {err}") from err
+        base = _leaf_type(hint)[0]
+        if dataclasses.is_dataclass(hint):
+            value = _build(hint, value, sub)
+        elif base is float and type(value) is int:  # bool stays a type error
+            try:
+                value = float(value)  # the config echo then prints 1.0, not 1
+            except OverflowError as err:
+                raise ConfigError(f"{sub}: expected {_EXPECTED[float]}") from err
+        elif base is int and isinstance(value, float) and value.is_integer():
+            value = int(value)
+        kwargs[name] = value
+    return cls(**kwargs)
 
 
-_SECTION_TYPES = {
-    "GridConfig": GridConfig,
-    "EosConfig": EosConfig,
-    "ViscosityConfig": ViscosityConfig,
-    "TimelineConfig": TimelineConfig,
-    "ForcingConfig": ForcingConfig,
-    "InitialConfig": InitialConfig,
-    "SamplerConfig": SamplerConfig,
-    "NudgingGains": NudgingGains,
-    "SolverConfig": SolverConfig,
-    "CalibrationConfig": CalibrationConfig,
-    "OutputConfig": OutputConfig,
-}
+# -- run objects from config ------------------------------------------------------
+
+
+def build_grid(cfg: ExperimentConfig) -> Grid1D:
+    return Grid1D(cfg.grid.n_cells, cfg.grid.length)
+
+
+def build_eos(cfg: ExperimentConfig) -> EquationOfState:
+    return EquationOfState(cfg.eos.gamma, cfg.eos.kappa, cfg.eos.a)
+
+
+def build_viscosity(cfg: ExperimentConfig) -> Viscosity:
+    return Viscosity(cfg.viscosity.mu, cfg.viscosity.lambda_bulk)
+
+
+def build_forcing(cfg: ExperimentConfig) -> Forcing:
+    f = cfg.forcing
+    if f.kind not in FORCING_KINDS:
+        raise ValueError(f"unknown forcing kind {f.kind!r}; expected one of {FORCING_KINDS}")
+    if f.kind == "none" or f.amplitude == 0.0:
+        return Forcing.zero()
+    length = cfg.grid.length
+    amp = f.amplitude
+
+    def fn(t, x, amp=amp, length=length):
+        return amp * np.sin(2.0 * np.pi * x / length) * np.cos(t)
+
+    return Forcing(fn=fn, bound=abs(amp))
+
+
+def build_initial_state(cfg: ExperimentConfig, grid: Grid1D) -> FluidState:
+    """Observed initial profile at the start of the observation window."""
+    ic = cfg.initial
+    x = grid.cell_centers()
+    if ic.kind == "uniform":
+        rho = np.full(grid.n_cells, ic.base_density)
+    elif ic.kind == "cosine":
+        rho = ic.base_density + ic.amplitude * np.cos(2.0 * np.pi * x / grid.length)
+    elif ic.kind == "sine":
+        rho = ic.base_density + ic.amplitude * np.sin(2.0 * np.pi * x / grid.length)
+    else:
+        raise ValueError(f"unknown initial profile {ic.kind!r}; expected one of {INITIAL_KINDS}")
+    return FluidState(cfg.timeline.t_minus, rho, np.zeros(grid.n_cells))
+
+
+def build_nudging(cfg: ExperimentConfig) -> NudgingConfig:
+    return NudgingConfig(
+        lambda_rho=cfg.nudging.lambda_rho,
+        lambda_u=cfg.nudging.lambda_u,
+        window=(0.0, cfg.timeline.t_assim_end),
+    )
+
+
+def build_solver_options(
+    cfg: ExperimentConfig, snapshot_every: float, forced_times: tuple
+) -> SolverOptions:
+    return SolverOptions(
+        safety=cfg.solver.safety,
+        rho_floor=cfg.solver.rho_floor,
+        max_steps=cfg.solver.max_steps,
+        snapshot_every=snapshot_every,
+        forced_times=forced_times,
+    )
 
 
 def load_config(path) -> ExperimentConfig:

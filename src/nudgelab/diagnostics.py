@@ -254,7 +254,7 @@ def _log_linear_fit(t: np.ndarray, y: np.ndarray, floor: float, min_keep: int):
     return float(np.mean(resid**2)), slope, tk, zk
 
 
-def fit_decay(times, rel_energy, lambda_rho: float | None = None) -> DecayFit:
+def fit_decay(times, rel_energy) -> DecayFit:
     """Fit log(RE - floor) linear in t, the floor found by golden-section
     search on the fit error.
 
@@ -264,8 +264,7 @@ def fit_decay(times, rel_energy, lambda_rho: float | None = None) -> DecayFit:
     while real plateaus that dip arbitrarily close to the truth keep a
     well-defined level.  Needs at least 10 strictly positive samples; a
     non-decaying series still returns a fit, with r_squared reporting how
-    poor it is.  ``lambda_rho`` is accepted for provenance only; the fit is
-    purely empirical.
+    poor it is.
     """
     t = np.asarray(times, dtype=float)
     raw = np.asarray(rel_energy, dtype=float)

@@ -32,7 +32,6 @@ from .sampler import MeasurementSet
 __all__ = [
     "Viscosity",
     "NudgingConfig",
-    "Timeline",
     "Forcing",
     "SolverOptions",
     "IntegrationStats",
@@ -80,7 +79,7 @@ class NudgingConfig:
     window: tuple[float, float]
 
     def __post_init__(self):
-        if self.lambda_rho < 0.0 or self.lambda_u < 0.0:
+        if not (self.lambda_rho >= 0.0 and self.lambda_u >= 0.0):
             raise ValueError("gains must be nonnegative")
         w0, w1 = self.window
         if not (np.isfinite(w0) and np.isfinite(w1) and w0 < w1):
@@ -90,19 +89,6 @@ class NudgingConfig:
     def active(self, t: float) -> bool:
         w0, w1 = self.window
         return w0 <= t < w1
-
-
-@dataclass(frozen=True)
-class Timeline:
-    """Observation start, assimilation end, and forecast end."""
-
-    t_minus: float
-    t_assim_end: float
-    t_plus: float
-
-    def __post_init__(self):
-        if not (self.t_minus < 0.0 < self.t_assim_end < self.t_plus):
-            raise ValueError("timeline must satisfy t_minus < 0 < t_assim_end < t_plus")
 
 
 @dataclass(frozen=True)

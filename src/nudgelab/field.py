@@ -1,5 +1,5 @@
 """Discrete 1D fields: grid geometry, flow states, trajectories, norms, and
-snapshot persistence.
+trajectory persistence.
 
 The domain is an interval [0, length] split into n_cells uniform cells with
 centers x_j = (j + 1/2) * dx and no-slip walls at both ends.  Wall treatment
@@ -28,8 +28,6 @@ __all__ = [
     "norms",
     "initial_regularity_norm",
     "data_norm",
-    "save_state",
-    "load_state",
     "save_trajectory",
     "load_trajectory",
 ]
@@ -305,59 +303,13 @@ def data_norm(traj: Trajectory) -> float:
     return initial_regularity_norm(traj) + b.rho_max + b.speed_max + b.forcing_max + span
 
 
-# -- snapshot and trajectory persistence ------------------------------------
+# -- trajectory persistence ------------------------------------
 
-_STATE_MAGIC = b"NLS1"
 _TRAJ_MAGIC = b"NLT1"
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
-
-
-def save_state(path, state: FluidState, grid: Grid1D) -> None:
-    """Persist one snapshot; CSV (x, rho, mom rows) or little-endian binary
-    selected by the file extension (.csv is text, anything else binary)."""
-    path = Path(path)
-    if path.suffix.lower() == ".csv":
-        x = grid.cell_centers()
-        with open(path, "w", newline="") as fh:
-            fh.write(f"# time={_fmt(state.time)} length={_fmt(grid.length)}\n")
-            fh.write("x,rho,mom\n")
-            for j in range(grid.n_cells):
-                fh.write(f"{_fmt(x[j])},{_fmt(state.rho[j])},{_fmt(state.mom[j])}\n")
-    else:
-        with open(path, "wb") as fh:
-            fh.write(_STATE_MAGIC)
-            fh.write(struct.pack("<qdd", grid.n_cells, state.time, grid.length))
-            fh.write(state.rho.astype("<f8").tobytes())
-            fh.write(state.mom.astype("<f8").tobytes())
-
-
-def load_state(path):
-    """Inverse of save_state; returns (state, grid)."""
-    path = Path(path)
-    if path.suffix.lower() == ".csv":
-        with open(path) as fh:
-            meta = fh.readline()
-            if not meta.startswith("# time="):
-                raise ValueError(f"{path}: missing snapshot metadata line")
-            parts = dict(p.split("=") for p in meta[2:].split())
-            time = float(parts["time"])
-            length = float(parts["length"])
-            header = fh.readline().strip()
-            if header != "x,rho,mom":
-                raise ValueError(f"{path}: unexpected header {header!r}")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        grid = Grid1D(data.shape[0], length)
-        return FluidState(time, data[:, 1], data[:, 2]), grid
-    with open(path, "rb") as fh:
-        if fh.read(4) != _STATE_MAGIC:
-            raise ValueError(f"{path}: not a snapshot file")
-        n, time, length = struct.unpack("<qdd", fh.read(24))
-        rho = np.frombuffer(fh.read(8 * n), dtype="<f8")
-        mom = np.frombuffer(fh.read(8 * n), dtype="<f8")
-    return FluidState(time, rho, mom), Grid1D(n, length)
 
 
 def save_trajectory(path, traj: Trajectory) -> None:

@@ -19,7 +19,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, SWEEP_AXES, load_config
+from .config import (
+    ExperimentConfig,
+    SWEEP_AXES,
+    build_eos,
+    build_forcing,
+    build_grid,
+    build_initial_state,
+    build_nudging,
+    build_solver_options,
+    build_viscosity,
+    load_config,
+)
 from .diagnostics import (
     DecayFit,
     EnergyReport,
@@ -37,7 +48,6 @@ from .dynamics import (
     Forcing,
     NudgingConfig,
     SolverOptions,
-    Timeline,
     Viscosity,
     integrate,
     make_synchronized_initial,
@@ -56,13 +66,6 @@ from .sampler import (
 )
 
 __all__ = [
-    "build_grid",
-    "build_eos",
-    "build_viscosity",
-    "build_timeline",
-    "build_forcing",
-    "build_initial_state",
-    "build_nudging",
     "run_observed",
     "run_twin",
     "run_sweep",
@@ -76,62 +79,6 @@ __all__ = [
     "clear_observed_cache",
     "manufactured_case",
 ]
-
-
-# -- constructors from config -------------------------------------------------
-
-
-def build_grid(cfg: ExperimentConfig) -> Grid1D:
-    return Grid1D(cfg.grid.n_cells, cfg.grid.length)
-
-
-def build_eos(cfg: ExperimentConfig) -> EquationOfState:
-    return EquationOfState(cfg.eos.gamma, cfg.eos.kappa, cfg.eos.a)
-
-
-def build_viscosity(cfg: ExperimentConfig) -> Viscosity:
-    return Viscosity(cfg.viscosity.mu, cfg.viscosity.lambda_bulk)
-
-
-def build_timeline(cfg: ExperimentConfig) -> Timeline:
-    tl = cfg.timeline
-    return Timeline(tl.t_minus, tl.t_assim_end, tl.t_plus)
-
-
-def build_forcing(cfg: ExperimentConfig) -> Forcing:
-    f = cfg.forcing
-    if f.kind == "none" or f.amplitude == 0.0:
-        return Forcing.zero()
-    length = cfg.grid.length
-    amp = f.amplitude
-
-    def fn(t, x, amp=amp, length=length):
-        return amp * np.sin(2.0 * np.pi * x / length) * np.cos(t)
-
-    return Forcing(fn=fn, bound=abs(amp))
-
-
-def build_initial_state(cfg: ExperimentConfig, grid: Grid1D) -> FluidState:
-    """Observed initial profile at the start of the observation window."""
-    ic = cfg.initial
-    x = grid.cell_centers()
-    if ic.kind == "uniform":
-        rho = np.full(grid.n_cells, ic.base_density)
-    elif ic.kind == "cosine":
-        rho = ic.base_density + ic.amplitude * np.cos(2.0 * np.pi * x / grid.length)
-    elif ic.kind == "sine":
-        rho = ic.base_density + ic.amplitude * np.sin(2.0 * np.pi * x / grid.length)
-    else:
-        raise ConfigError(f"unknown initial profile {ic.kind!r}")
-    return FluidState(cfg.timeline.t_minus, rho, np.zeros(grid.n_cells))
-
-
-def build_nudging(cfg: ExperimentConfig) -> NudgingConfig:
-    return NudgingConfig(
-        lambda_rho=cfg.nudging.lambda_rho,
-        lambda_u=cfg.nudging.lambda_u,
-        window=(0.0, cfg.timeline.t_assim_end),
-    )
 
 
 # -- observed (truth) runs ----------------------------------------------------
@@ -162,25 +109,19 @@ def clear_observed_cache() -> None:
     _OBSERVED_CACHE.clear()
 
 
-def _observed_options(cfg: ExperimentConfig) -> SolverOptions:
-    span = cfg.timeline.t_plus - cfg.timeline.t_minus
-    n_snaps = max(2, cfg.solver.snapshot_budget // cfg.grid.n_cells)
-    return SolverOptions(
-        safety=cfg.solver.safety,
-        rho_floor=cfg.solver.rho_floor,
-        max_steps=cfg.solver.max_steps,
-        snapshot_every=span / n_snaps,
-        forced_times=(0.0,),
-    )
-
-
 def run_observed(cfg: ExperimentConfig, use_cache: bool = True) -> Trajectory:
     """Integrate the truth run over the whole observation window with the
-    relaxation terms off, recording sup bounds and snapshots."""
+    relaxation terms off, recording sup bounds and snapshots.
+
+    The cache keeps only the most recent truth run, so a sweep that varies
+    the observed run holds one trajectory at a time.
+    """
     key = observed_signature(cfg)
     if use_cache and key in _OBSERVED_CACHE:
         return _OBSERVED_CACHE[key][0]
     grid = build_grid(cfg)
+    span = cfg.timeline.t_plus - cfg.timeline.t_minus
+    n_snaps = max(2, cfg.solver.snapshot_budget // cfg.grid.n_cells)
     traj, stats = integrate(
         grid,
         build_initial_state(cfg, grid),
@@ -188,9 +129,10 @@ def run_observed(cfg: ExperimentConfig, use_cache: bool = True) -> Trajectory:
         build_eos(cfg),
         build_viscosity(cfg),
         build_forcing(cfg),
-        options=_observed_options(cfg),
+        options=build_solver_options(cfg, span / n_snaps, (0.0,)),
     )
     if use_cache:
+        _OBSERVED_CACHE.clear()
         _OBSERVED_CACHE[key] = (traj, stats.n_steps)
     return traj
 
@@ -237,12 +179,10 @@ def _derive_diagnostics(cfg: ExperimentConfig, times, re_series, chi_times, chi_
     mask = (times <= times[idx_T]) & (re_series > 0.0)
     decay = None
     if int(np.sum(mask)) >= 10:
-        decay = fit_decay(times[mask], re_series[mask], cfg.nudging.lambda_rho)
+        decay = fit_decay(times[mask], re_series[mask])
 
     gains = check_gain_conditions(
-        NudgingConfig(
-            cfg.nudging.lambda_rho, cfg.nudging.lambda_u, (0.0, t_end)
-        ),
+        build_nudging(cfg),
         cfg.sampler.delta,
         cfg.calibration.gamma_cal,
         epsilon=cfg.calibration.epsilon_target,
@@ -296,13 +236,13 @@ def run_twin(cfg: ExperimentConfig, out_dir=None) -> TwinReport:
     eos = build_eos(cfg)
     visc = build_viscosity(cfg)
     forcing = build_forcing(cfg)
-    timeline = build_timeline(cfg)
     nudging = build_nudging(cfg)
+    tl = cfg.timeline
 
     observed = run_observed(cfg)
     dec = build_decomposition(
         cfg.sampler.delta,
-        timeline.t_assim_end,
+        tl.t_assim_end,
         grid.length,
         placement=cfg.sampler.placement,
         seed=cfg.sampler.seed,
@@ -315,16 +255,10 @@ def run_twin(cfg: ExperimentConfig, out_dir=None) -> TwinReport:
     else:  # truth_at_start: identical twin control
         initial = observed.state_at(0.0)
 
-    options = SolverOptions(
-        safety=cfg.solver.safety,
-        rho_floor=cfg.solver.rho_floor,
-        max_steps=cfg.solver.max_steps,
-        snapshot_every=cfg.solver.report_interval,
-        forced_times=(timeline.t_assim_end,),
-    )
+    options = build_solver_options(cfg, cfg.solver.report_interval, (tl.t_assim_end,))
     try:
         sync_traj, sync_stats = integrate(
-            grid, initial, timeline.t_plus, eos, visc, forcing, ms, nudging, options
+            grid, initial, tl.t_plus, eos, visc, forcing, ms, nudging, options
         )
     except (VacuumError, BlowUpError) as err:
         if out_dir is not None and err.partial is not None:
@@ -341,7 +275,7 @@ def run_twin(cfg: ExperimentConfig, out_dir=None) -> TwinReport:
     times = sync_traj.times
     re_series = np.array([r.rel_energy for r in reports])
 
-    fc_mask = times >= timeline.t_assim_end
+    fc_mask = times >= tl.t_assim_end
     forecast_times = times[fc_mask]
     chi_base = forecast_chi_base(grid, visc, observed, forcing, forecast_times)
 

@@ -30,6 +30,7 @@ __all__ = [
     "MeasurementSet",
     "Sample",
     "InterpolationError",
+    "tiling_breaks",
     "build_decomposition",
     "sample",
     "interpolation_error",
@@ -107,20 +108,20 @@ class SpaceTimeDecomposition:
         return _cell_index(self.space_breaks, x, "position")
 
 
-def build_decomposition(
+def tiling_breaks(
     delta: float,
     duration: float,
     length: float,
     placement: str = "center",
-    seed: int | None = None,
     cell_cap: int = 5_000_000,
-) -> SpaceTimeDecomposition:
-    """Uniform tensor decomposition with cell diameter at most delta.
+):
+    """Time and space breakpoints of the tiling ``build_decomposition``
+    produces, found without its (K, M) control-point arrays.
 
     Slab and block widths target delta/sqrt(2) each; the counts are bumped
     if floating-point breakpoints would overshoot the diameter bound.  When
     delta already covers the whole cylinder a single cell is produced.
-    ``placement`` selects cell centers or a seeded uniform jitter.
+    Raises CapacityError when the tiling needs more than ``cell_cap`` cells.
     """
     if not (delta > 0.0 and duration > 0.0 and length > 0.0):
         raise ValueError("delta, duration, and length must be positive")
@@ -132,24 +133,36 @@ def build_decomposition(
         half = delta / math.sqrt(2.0)
         k = max(1, math.ceil(duration / half))
         m = max(1, math.ceil(length / half))
-    if k * m > cell_cap:
-        raise CapacityError(
-            f"decomposition needs {k * m} cells, exceeding the cap {cell_cap}"
-        )
     while True:
-        tb = np.linspace(0.0, duration, k + 1)
-        xb = np.linspace(0.0, length, m + 1)
-        diam = math.hypot(float(np.max(np.diff(tb))), float(np.max(np.diff(xb))))
-        if diam <= delta or (k == 1 and m == 1):
-            break
-        if np.max(np.diff(tb)) >= np.max(np.diff(xb)):
-            k += 1
-        else:
-            m += 1
         if k * m > cell_cap:
             raise CapacityError(
                 f"decomposition needs {k * m} cells, exceeding the cap {cell_cap}"
             )
+        tb = np.linspace(0.0, duration, k + 1)
+        xb = np.linspace(0.0, length, m + 1)
+        diam = math.hypot(float(np.max(np.diff(tb))), float(np.max(np.diff(xb))))
+        if diam <= delta or (k == 1 and m == 1):
+            return tb, xb
+        if np.max(np.diff(tb)) >= np.max(np.diff(xb)):
+            k += 1
+        else:
+            m += 1
+
+
+def build_decomposition(
+    delta: float,
+    duration: float,
+    length: float,
+    placement: str = "center",
+    seed: int | None = None,
+    cell_cap: int = 5_000_000,
+) -> SpaceTimeDecomposition:
+    """Uniform tensor decomposition with cell diameter at most delta, on the
+    breakpoints of ``tiling_breaks``.  ``placement`` selects cell centers or
+    a seeded uniform jitter.
+    """
+    tb, xb = tiling_breaks(delta, duration, length, placement, cell_cap)
+    k, m = tb.size - 1, xb.size - 1
     t_mid = 0.5 * (tb[:-1] + tb[1:])
     x_mid = 0.5 * (xb[:-1] + xb[1:])
     if placement == "center":

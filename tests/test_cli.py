@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from nudgelab import harness
 from nudgelab.cli import main
 from nudgelab.config import save_config
 from nudgelab.field import load_trajectory
@@ -33,6 +36,20 @@ def test_invalid_config_exits_3(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"grid": {"n_cells": 4}}))
     assert main(["observe", "--config", str(path)]) == 3
+
+
+@pytest.mark.parametrize(
+    "mutation", [{"eos": {"gamma": 4, "a": 0.45}}, {"grid": {"length": "1"}}]
+)
+def test_invalid_config_exits_3_before_any_run(tmp_path, monkeypatch, capsys, mutation):
+    def no_run(*args, **kwargs):
+        raise AssertionError("integrate called for an invalid config")
+
+    monkeypatch.setattr(harness, "integrate", no_run)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(mutation))
+    assert main(["observe", "--config", str(path), "--out", str(tmp_path / "obs")]) == 3
+    assert "config error:" in capsys.readouterr().err
 
 
 def test_observe_writes_trajectory(tmp_path, determinism_config):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -12,6 +13,9 @@ from nudgelab.config import (
     save_config,
 )
 from nudgelab.errors import ConfigError
+
+NAN = float("nan")
+INF = float("inf")
 
 
 def test_round_trip_is_bit_exact(tmp_path):
@@ -73,6 +77,35 @@ def test_bad_json_and_missing_file(tmp_path):
         {"solver": {"safety": 1.5}},
         {"outputs": {"format": "xml"}},
         {"sync_init": "random"},
+        # constraints only a domain constructor knew about
+        {"eos": {"gamma": 4, "a": 0.45}},
+        # non-finite numbers
+        {"grid": {"length": NAN}},
+        {"eos": {"gamma": NAN}},
+        {"viscosity": {"mu": NAN}},
+        {"viscosity": {"lambda_bulk": NAN}},
+        {"nudging": {"lambda_rho": NAN}},
+        {"sampler": {"delta": NAN}},
+        {"calibration": {"epsilon_target": NAN}},
+        {"timeline": {"t_plus": INF}},
+        {"solver": {"report_interval": INF}},
+        # counts and sizes
+        {"solver": {"max_steps": 0}},
+        {"sampler": {"cell_cap": 0}},
+        {"solver": {"snapshot_budget": -5}},
+        {"sampler": {"delta": 1e-5}},  # tiling over the default cell_cap
+        {"sampler": {"placement": "jittered", "seed": -1}},
+        # leaf types
+        {"grid": {"length": "1"}},
+        {"eos": {"gamma": "1.4"}},
+        {"sampler": {"delta": [1]}},
+        {"viscosity": {"mu": None}},
+        {"sampler": {"delta": True}},
+        {"outputs": {"write_measurements": "yes"}},
+        # timeline ordering
+        {"timeline": {"t_minus": 0.1}},
+        {"timeline": {"t_assim_end": 2.0, "t_plus": 1.0}},
+        {"timeline": {"t_assim_end": 2.0}},  # equal to the default t_plus
     ],
 )
 def test_semantic_validation(tmp_path, mutation):
@@ -80,6 +113,31 @@ def test_semantic_validation(tmp_path, mutation):
     path.write_text(json.dumps(mutation))
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "mutation, expected",
+    [
+        ({"eos": {"gamma": 4, "a": 0.45}}, "eos: a*(gamma-1) must not exceed 1"),
+        ({"grid": {"length": "1"}}, "grid.length: expected a finite number"),
+        ({"sampler": {"cell_cap": 1000}}, "sampler: decomposition needs"),
+        ({"forcing": {"kind": "gusts"}}, "forcing: unknown forcing kind"),
+    ],
+)
+def test_validation_names_the_section(tmp_path, mutation, expected):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(mutation))
+    with pytest.raises(ConfigError, match=re.escape(expected)):
+        load_config(path)
+
+
+def test_ints_widen_to_floats_and_null_only_where_optional(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"grid": {"length": 2}, "eos": {"a": None}}))
+    cfg = load_config(path)
+    assert cfg.grid.length == 2.0 and isinstance(cfg.grid.length, float)
+    assert cfg.eos.a is None
+    assert '"length": 2.0' in cfg.to_json()
 
 
 def test_integer_fields_rejected_on_floats(tmp_path):

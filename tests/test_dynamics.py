@@ -6,7 +6,6 @@ from nudgelab.dynamics import (
     Forcing,
     NudgingConfig,
     SolverOptions,
-    Timeline,
     Viscosity,
     integrate,
     make_synchronized_initial,
@@ -51,14 +50,6 @@ def test_nudging_config():
         NudgingConfig(-1.0, 0.0, (0.0, 1.0))
     with pytest.raises(ValueError):
         NudgingConfig(1.0, 1.0, (1.0, 0.0))
-
-
-def test_timeline():
-    Timeline(-0.5, 1.0, 2.0)
-    with pytest.raises(ValueError):
-        Timeline(0.1, 1.0, 2.0)
-    with pytest.raises(ValueError):
-        Timeline(-0.5, 2.0, 1.0)
 
 
 def test_rest_state_zero_tendency():

@@ -10,11 +10,9 @@ from nudgelab.field import (
     Trajectory,
     data_norm,
     initial_regularity_norm,
-    load_state,
     load_trajectory,
     noslip_seminorm_sq,
     norms,
-    save_state,
     save_trajectory,
 )
 
@@ -155,20 +153,6 @@ def test_data_norm_components():
     # |r| + 1/r + 0 + 0 + 0 = 2
     assert initial_regularity_norm(traj) == pytest.approx(2.0)
     assert data_norm(traj) == pytest.approx(2.0 + 1.2 + 0.4 + 0.0 + 1.0)
-
-
-@pytest.mark.parametrize("suffix", ["csv", "bin"])
-def test_state_round_trip(tmp_path, suffix):
-    g = Grid1D(16, 2.0)
-    rng = np.random.default_rng(5)
-    s = make_state(rng.uniform(0.5, 2.0, 16), rng.normal(0, 1, 16), t=0.375)
-    path = tmp_path / f"snap.{suffix}"
-    save_state(path, s, g)
-    loaded, g2 = load_state(path)
-    assert g2 == g
-    assert loaded.time == s.time
-    assert np.array_equal(loaded.rho, s.rho)
-    assert np.array_equal(loaded.mom, s.mom)
 
 
 @pytest.mark.parametrize("suffix", ["csv", "bin"])

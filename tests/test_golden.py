@@ -1,0 +1,29 @@
+"""Golden behaviour lock.
+
+``data/golden.json`` freezes the twin ``values`` of the baseline and lite
+configs and the SHA-256 of the lite run's persisted ``energy_series.csv``.
+A pure refactor must reproduce them bit for bit; a numerics change must
+regenerate the file and declare its tolerance.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from nudgelab.harness import persist_twin
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "golden.json").read_text())
+
+
+@pytest.mark.parametrize("name", ["baseline", "lite"])
+def test_twin_values_match_golden(request, name):
+    report = request.getfixturevalue(f"{name}_twin")
+    assert report.values == GOLDEN[name]["values"]
+
+
+def test_lite_energy_series_matches_golden(tmp_path, lite_twin):
+    persist_twin(lite_twin, tmp_path)
+    digest = hashlib.sha256((tmp_path / "energy_series.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN["lite"]["energy_series_sha256"]

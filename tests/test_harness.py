@@ -57,6 +57,10 @@ def test_run_observed_cache(lite_config):
         lite_config, grid=dataclasses.replace(lite_config.grid, n_cells=72)
     )
     assert observed_signature(regrid) != observed_signature(lite_config)
+    # only the most recent truth run is kept, and it still hits
+    c = run_observed(regrid)
+    assert len(harness._OBSERVED_CACHE) == 1
+    assert run_observed(regrid) is c
 
 
 def test_twin_identical_initial_data_stays_synchronized(lite_config):
@@ -161,6 +165,14 @@ def test_sweep_delta_interpolation_error_non_increasing(lite_config):
 def test_sweep_records_per_point_failures(lite_config):
     sweep = run_sweep(lite_config, "n_cells", [4, 64])
     assert sweep.errors[0] is not None and "ConfigError" in sweep.errors[0]
+    assert sweep.errors[1] is None
+    assert sweep.points[0] is None and sweep.points[1] is not None
+
+
+def test_sweep_records_over_cap_delta_and_continues(lite_config):
+    # delta 1e-4 tiles the lite cylinder with ~1e8 cells, over the default cap
+    sweep = run_sweep(lite_config, "delta", [1e-4, lite_config.sampler.delta])
+    assert sweep.errors[0].startswith("ConfigError: sampler: decomposition needs")
     assert sweep.errors[1] is None
     assert sweep.points[0] is None and sweep.points[1] is not None
 
