@@ -84,7 +84,7 @@ def _cmd_observe(args) -> int:
     cfg = _load(args)
     out = _out_dir(args, cfg, "observe")
     out.mkdir(parents=True, exist_ok=True)
-    traj = run_observed(cfg, use_cache=False)
+    traj, _ = run_observed(cfg, use_cache=False)
     suffix = "csv" if cfg.outputs.format == "csv" else "bin"
     save_trajectory(out / f"trajectory.{suffix}", traj)
     meta = {

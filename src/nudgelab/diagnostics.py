@@ -133,7 +133,7 @@ def make_energy_report(
     nrm = norms(grid, state, observed)
     npr = npu = 0.0
     if ms is not None and nudging is not None and nudging.active(t):
-        r_obs, u_obs = ms.values_on_grid(t, grid.cell_centers())
+        r_obs, u_obs = ms.values_on_grid(t, grid)
         npr = -nudging.lambda_rho * grid.dx * float(
             np.sum((eos.dpotential(state.rho) - 0.5 * u**2) * (state.rho - r_obs))
         )
@@ -170,11 +170,10 @@ def _budget_rate(
     u = state.velocity()
     d_self = visc.nu_eff * noslip_seminorm_sq(grid, u)
     rate = d_self
-    x = grid.cell_centers()
-    rate -= dx * float(np.sum(rho * forcing(t, x) * u))
+    rate -= dx * float(np.sum(rho * forcing(t, grid.cell_centers()) * u))
     if ms is not None and nudging is not None and nudging.active(t):
         lr, lu = nudging.lambda_rho, nudging.lambda_u
-        r_obs, u_obs = ms.values_on_grid(t, x)
+        r_obs, u_obs = ms.values_on_grid(t, grid)
         rate += lu * dx * float(np.sum(u**2))
         rate += (lu - lr) * dx * float(np.sum(rho * u**2))
         rate += 0.5 * lr * dx * float(np.sum(r_obs * u**2))

@@ -162,7 +162,7 @@ def nudging_sources(
     if not cfg.active(t):
         z = np.zeros(grid.n_cells)
         return z, z.copy()
-    r_obs, u_obs = ms.values_on_grid(t, grid.cell_centers())
+    r_obs, u_obs = ms.values_on_grid(t, grid)
     s_rho = -cfg.lambda_rho * (state.rho - r_obs)
     s_mom = -cfg.lambda_u * (1.0 + state.rho) * (state.velocity() - u_obs)
     return s_rho, s_mom
@@ -186,10 +186,10 @@ def stable_dt(
 
 
 def _check_stage(rho, mom, t, rho_floor):
-    if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(mom))):
+    if not (np.isfinite(rho).all() and np.isfinite(mom).all()):
         raise BlowUpError(f"non-finite value at t={t:g}", time=t)
-    if np.min(rho) < rho_floor:
-        cell = int(np.argmin(rho))
+    if rho.min() < rho_floor:
+        cell = int(rho.argmin())
         raise VacuumError(
             f"density {rho[cell]:g} below floor {rho_floor:g} in cell {cell} at t={t:g}",
             cell=cell,
@@ -209,7 +209,6 @@ def step(
     *,
     rho_floor: float = 1e-8,
     extra_sources: Callable | None = None,
-    block_idx: np.ndarray | None = None,
     end_time: float | None = None,
 ) -> FluidState:
     """Advance one step of size dt: SSP-RK2 transport stage followed by the
@@ -219,6 +218,15 @@ def step(
     for steps not straddling the window boundary (the integrator lands on
     it exactly).  ``end_time`` overrides the accumulated time, which lets
     the integrator hit breakpoints without roundoff drift.
+
+    Each of the two RK stages, and the relaxed state when nudging acts, is
+    checked once: a non-finite value raises BlowUpError, and otherwise a
+    density below ``rho_floor`` raises VacuumError.  The returned FluidState
+    checks finiteness and positivity again, as every state does.  What does
+    not change during a run is computed once and reused: the grid's cell
+    centers, the space-block index of the observations on the grid (in
+    ``MeasurementSet.values_on_grid``) and, for the configured sine forcing,
+    its spatial profile.
     """
     t = state.time
     rho0, mom0 = state.rho, state.mom
@@ -241,11 +249,7 @@ def step(
         and (nudging.lambda_rho > 0.0 or nudging.lambda_u > 0.0)
     )
     if nudge:
-        t_mid = t + 0.5 * dt
-        if block_idx is None:
-            r_obs, u_obs = ms.values_on_grid(t_mid, grid.cell_centers())
-        else:
-            r_obs, u_obs = ms.values_at_time(t_mid, block_idx)
+        r_obs, u_obs = ms.values_on_grid(t + 0.5 * dt, grid)
         rho_n = (rho_s + dt * nudging.lambda_rho * r_obs) / (1.0 + dt * nudging.lambda_rho)
         c = nudging.lambda_u * (1.0 + rho_n) / rho_n
         u_n = (mom_s / rho_s + dt * c * u_obs) / (1.0 + dt * c)
@@ -275,8 +279,14 @@ class SolverOptions:
     def __post_init__(self):
         if not (0.0 < self.safety <= 1.0):
             raise ValueError("safety must lie in (0, 1]")
-        if self.rho_floor <= 0.0:
-            raise ValueError("rho_floor must be positive")
+        if not (np.isfinite(self.rho_floor) and self.rho_floor > 0.0):
+            raise ValueError("rho_floor must be finite and positive")
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be >= 1")
+        for name in ("snapshot_every", "fixed_dt"):
+            value = getattr(self, name)
+            if value is not None and not (np.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -317,22 +327,32 @@ def integrate(
     """Integrate from ``initial`` to ``t_end``; returns (Trajectory, stats).
 
     Steps use the stability-bounded dt, capped so the run lands exactly on
-    the end time, the nudging window boundary, and the snapshot grid.  On a
-    vacuum or blow-up failure the trajectory collected so far is attached
-    to the raised error as ``.partial``.
+    the end time, the nudging window boundary, and the snapshot grid.  Each
+    step is one call of ``step``, with ``end_time`` set only on the step
+    that lands on a breakpoint; ``step`` documents the checks made per
+    stage.  The trajectory carries the running sup bounds over every
+    accepted step.  On a vacuum or blow-up failure the trajectory collected
+    so far is attached to the raised error as ``.partial``.
     """
     options = options or SolverOptions()
     t0 = initial.time
     if t_end < t0:
         raise ValueError("t_end must not precede the initial time")
     snaps = [initial]
-    if t_end == t0:
-        traj = Trajectory.from_states(grid, snaps, forcing.bound)
-        return traj, IntegrationStats(0, 0.0, 0.0, 0.0)
+    rho_max = float(initial.rho.max())
+    speed_max = float(np.abs(initial.velocity()).max())
 
-    block_idx = None
-    if ms is not None:
-        block_idx = ms.decomposition.space_block_index(grid.cell_centers())
+    def trajectory():
+        return Trajectory(
+            grid,
+            [s.time for s in snaps],
+            np.stack([s.rho for s in snaps]),
+            np.stack([s.mom for s in snaps]),
+            SupBounds(rho_max, speed_max, forcing.bound),
+        )
+
+    if t_end == t0:
+        return trajectory(), IntegrationStats(0, 0.0, 0.0, 0.0)
 
     start = _time.perf_counter()
     record_every_step = options.snapshot_every is None
@@ -340,8 +360,6 @@ def integrate(
     state = initial
     n_steps = 0
     dt_min, dt_max = np.inf, 0.0
-    rho_max = float(np.max(initial.rho))
-    speed_max = float(np.max(np.abs(initial.velocity())))
     try:
         for target in targets:
             while state.time < target:
@@ -369,30 +387,21 @@ def integrate(
                     nudging,
                     rho_floor=options.rho_floor,
                     extra_sources=extra_sources,
-                    block_idx=block_idx,
                     end_time=target if landing else None,
                 )
                 dt_min = min(dt_min, dt)
                 dt_max = max(dt_max, dt)
-                rho_max = max(rho_max, float(np.max(state.rho)))
-                speed_max = max(speed_max, float(np.max(np.abs(state.velocity()))))
+                rho_max = max(rho_max, float(state.rho.max()))
+                speed_max = max(speed_max, float(np.abs(state.velocity()).max()))
                 if record_every_step:
                     snaps.append(state)
             if not record_every_step:
                 snaps.append(state)
     except (VacuumError, BlowUpError) as err:
-        err.partial = Trajectory.from_states(grid, snaps, forcing.bound)
+        err.partial = trajectory()
         raise
     wall = _time.perf_counter() - start
-    traj = Trajectory(
-        grid,
-        [s.time for s in snaps],
-        np.stack([s.rho for s in snaps]),
-        np.stack([s.mom for s in snaps]),
-        SupBounds(rho_max, speed_max, forcing.bound),
-    )
-    stats = IntegrationStats(n_steps, float(dt_min), float(dt_max), wall)
-    return traj, stats
+    return trajectory(), IntegrationStats(n_steps, float(dt_min), float(dt_max), wall)
 
 
 def make_synchronized_initial(traj: Trajectory) -> FluidState:

@@ -37,12 +37,12 @@ def default_convexity_constant(gamma: float) -> float:
 def _as_density(rho, *, name: str = "rho", positive: bool = False):
     """Validate a density argument; returns a float or float array."""
     arr = np.asarray(rho, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     if positive:
-        if np.any(arr <= 0.0):
+        if (arr <= 0.0).any():
             raise ValueError(f"{name} must be strictly positive")
-    elif np.any(arr < 0.0):
+    elif (arr < 0.0).any():
         raise ValueError(f"{name} must be nonnegative")
     return arr if arr.ndim else float(arr)
 
@@ -90,7 +90,7 @@ class EquationOfState:
     def sound_speed(self, rho):
         """c(rho) = sqrt(p'(rho)), defined for rho > 0."""
         rho = _as_density(rho, positive=True)
-        return np.sqrt(self.dpressure(rho))
+        return np.sqrt(self.kappa * self.gamma * rho ** (self.gamma - 1.0))
 
     def pressure_potential(self, rho):
         """P(rho) = kappa * rho**gamma / (gamma - 1).

@@ -51,13 +51,17 @@ class Grid1D:
             raise ValueError("length must be finite and > 0")
         if self.boundary != _NO_SLIP:
             raise ValueError(f"unsupported boundary {self.boundary!r}")
+        centers = (np.arange(self.n_cells) + 0.5) * self.dx
+        centers.setflags(write=False)
+        object.__setattr__(self, "_centers", centers)
 
     @property
     def dx(self) -> float:
         return self.length / self.n_cells
 
     def cell_centers(self) -> np.ndarray:
-        return (np.arange(self.n_cells) + 0.5) * self.dx
+        """x_j = (j + 1/2) * dx, computed once per grid; shared and read-only."""
+        return self._centers
 
 
 def _frozen_array(values, n: int | None = None) -> np.ndarray:
@@ -86,10 +90,10 @@ class FluidState:
     def __post_init__(self):
         rho = _frozen_array(self.rho)
         mom = _frozen_array(self.mom, rho.shape[0])
-        if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(mom))):
+        if not (np.isfinite(rho).all() and np.isfinite(mom).all()):
             raise ValueError("state fields must be finite")
-        if np.any(rho <= 0.0):
-            cell = int(np.argmin(rho))
+        if (rho <= 0.0).any():
+            cell = int(rho.argmin())
             raise VacuumError(
                 f"nonpositive density {rho[cell]:g} in cell {cell}",
                 cell=cell,
@@ -210,14 +214,6 @@ class Trajectory:
         self.rho = rho
         self.mom = mom
         self.sup_bounds = sup_bounds
-
-    @classmethod
-    def from_states(cls, grid: Grid1D, states, forcing_max: float = 0.0) -> "Trajectory":
-        rho = np.stack([s.rho for s in states])
-        mom = np.stack([s.mom for s in states])
-        speed = np.max(np.abs(mom / rho)) if rho.size else 0.0
-        bounds = SupBounds(float(np.max(rho)), float(speed), float(forcing_max))
-        return cls(grid, [s.time for s in states], rho, mom, bounds)
 
     @property
     def n_snapshots(self) -> int:

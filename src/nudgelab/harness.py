@@ -46,6 +46,7 @@ from .diagnostics import (
 )
 from .dynamics import (
     Forcing,
+    IntegrationStats,
     NudgingConfig,
     SolverOptions,
     Viscosity,
@@ -83,7 +84,7 @@ __all__ = [
 
 # -- observed (truth) runs ----------------------------------------------------
 
-_OBSERVED_CACHE: dict[str, tuple[Trajectory, int]] = {}
+_OBSERVED_CACHE: dict[str, tuple[Trajectory, IntegrationStats]] = {}
 
 
 def observed_signature(cfg: ExperimentConfig) -> str:
@@ -109,16 +110,20 @@ def clear_observed_cache() -> None:
     _OBSERVED_CACHE.clear()
 
 
-def run_observed(cfg: ExperimentConfig, use_cache: bool = True) -> Trajectory:
+def run_observed(
+    cfg: ExperimentConfig, use_cache: bool = True
+) -> tuple[Trajectory, IntegrationStats]:
     """Integrate the truth run over the whole observation window with the
-    relaxation terms off, recording sup bounds and snapshots.
+    relaxation terms off, recording sup bounds and snapshots; returns the
+    trajectory and the run's step statistics.
 
     The cache keeps only the most recent truth run, so a sweep that varies
-    the observed run holds one trajectory at a time.
+    the observed run holds one trajectory at a time.  A cache hit returns
+    the statistics of the run that filled it.
     """
     key = observed_signature(cfg)
     if use_cache and key in _OBSERVED_CACHE:
-        return _OBSERVED_CACHE[key][0]
+        return _OBSERVED_CACHE[key]
     grid = build_grid(cfg)
     span = cfg.timeline.t_plus - cfg.timeline.t_minus
     n_snaps = max(2, cfg.solver.snapshot_budget // cfg.grid.n_cells)
@@ -133,8 +138,8 @@ def run_observed(cfg: ExperimentConfig, use_cache: bool = True) -> Trajectory:
     )
     if use_cache:
         _OBSERVED_CACHE.clear()
-        _OBSERVED_CACHE[key] = (traj, stats.n_steps)
-    return traj
+        _OBSERVED_CACHE[key] = (traj, stats)
+    return traj, stats
 
 
 # -- twin experiment ----------------------------------------------------------
@@ -239,7 +244,7 @@ def run_twin(cfg: ExperimentConfig, out_dir=None) -> TwinReport:
     nudging = build_nudging(cfg)
     tl = cfg.timeline
 
-    observed = run_observed(cfg)
+    observed, observed_stats = run_observed(cfg)
     dec = build_decomposition(
         cfg.sampler.delta,
         tl.t_assim_end,
@@ -291,6 +296,9 @@ def run_twin(cfg: ExperimentConfig, out_dir=None) -> TwinReport:
         "nudged_steps": sync_stats.n_steps,
         "nudged_dt_min": sync_stats.dt_min,
         "nudged_dt_max": sync_stats.dt_max,
+        "observed_steps": observed_stats.n_steps,
+        "observed_dt_min": observed_stats.dt_min,
+        "observed_dt_max": observed_stats.dt_max,
         "observed_snapshots": observed.n_snapshots,
         "wall_time": _time.perf_counter() - wall_start,
     }
@@ -445,11 +453,12 @@ def audit_twin(out_dir) -> AuditResult:
         if stored["verdicts"].get(k) != v
     ]
     for k, v in values.items():
-        sv = stored["values"].get(k)
-        if v is None or sv is None:
-            if v != sv:
+        # persist_twin stored each value through _jsonable (non-finite -> null)
+        sv, jv = stored["values"].get(k), _jsonable(v)
+        if jv is None or sv is None:
+            if jv != sv:
                 mismatches.append(f"value {k!r}: stored {sv} recomputed {v}")
-        elif not np.isclose(sv, v, rtol=1e-12, atol=1e-300, equal_nan=True):
+        elif not np.isclose(sv, jv, rtol=1e-12, atol=1e-300, equal_nan=True):
             mismatches.append(f"value {k!r}: stored {sv} recomputed {v}")
     return AuditResult(
         ok=not mismatches,

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError
-from .field import Trajectory
+from .field import Grid1D, Trajectory
 
 __all__ = [
     "SpaceTimeDecomposition",
@@ -44,7 +44,7 @@ PLACEMENTS = ("center", "jittered")
 def _cell_index(breaks: np.ndarray, values, label: str):
     """Index of the containing cell per the right-closed convention."""
     values = np.asarray(values, dtype=float)
-    if np.any(values < breaks[0]) or np.any(values > breaks[-1]):
+    if (values < breaks[0]).any() or (values > breaks[-1]).any():
         raise ValueError(f"{label} outside [{breaks[0]:g}, {breaks[-1]:g}]")
     idx = np.searchsorted(breaks, values, side="right") - 1
     return np.minimum(idx, breaks.size - 2)
@@ -212,6 +212,7 @@ class MeasurementSet:
         u.setflags(write=False)
         object.__setattr__(self, "r_sample", r)
         object.__setattr__(self, "U_sample", u)
+        object.__setattr__(self, "_grid_blocks", {})
 
     def interpolant_value(self, t: float, x: float) -> Sample:
         """Piecewise-constant field value at (t, x): the stored sample of
@@ -226,9 +227,13 @@ class MeasurementSet:
         k = int(self.decomposition.time_slab_index(t))
         return self.r_sample[k, block_idx], self.U_sample[k, block_idx]
 
-    def values_on_grid(self, t: float, xs: np.ndarray):
-        block_idx = self.decomposition.space_block_index(xs)
-        return self.values_at_time(t, block_idx)
+    def values_on_grid(self, t: float, grid: Grid1D):
+        """Values at time t on the cell centers, block-indexed once per grid."""
+        blocks = self._grid_blocks.get(grid)
+        if blocks is None:
+            blocks = self.decomposition.space_block_index(grid.cell_centers())
+            self._grid_blocks[grid] = blocks
+        return self.values_at_time(t, blocks)
 
 
 def sample(traj: Trajectory, dec: SpaceTimeDecomposition) -> MeasurementSet:

@@ -56,7 +56,7 @@ def determinism_config():
 
 @pytest.fixture(scope="session")
 def lite_observed(lite_config):
-    return harness.run_observed(lite_config)
+    return harness.run_observed(lite_config)[0]
 
 
 @pytest.fixture(scope="session")

@@ -106,6 +106,8 @@ def test_bad_json_and_missing_file(tmp_path):
         {"timeline": {"t_minus": 0.1}},
         {"timeline": {"t_assim_end": 2.0, "t_plus": 1.0}},
         {"timeline": {"t_assim_end": 2.0}},  # equal to the default t_plus
+        # a range only SolverOptions checks
+        {"solver": {"report_interval": 0.0}},
     ],
 )
 def test_semantic_validation(tmp_path, mutation):

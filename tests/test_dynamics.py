@@ -183,6 +183,15 @@ def test_step_blowup_detection():
         step(g, s, 1e-3, EOS, VISC, bad)
     assert exc.value.time is not None
 
+    # a NaN density is a blow-up even when another cell falls below the floor
+    def sources(t, x):
+        s_rho = np.zeros_like(x)
+        s_rho[0], s_rho[1] = np.nan, -1e6
+        return s_rho, np.zeros_like(x)
+
+    with pytest.raises(BlowUpError):
+        step(g, s, 1e-3, EOS, VISC, Forcing.zero(), extra_sources=sources)
+
 
 def test_stable_dt_formula():
     g = Grid1D(64, 1.0)
@@ -193,6 +202,51 @@ def test_stable_dt_formula():
     hyper = g.dx / (0.3 + cs)
     diff = g.dx**2 * 2.0 / (2.0 * VISC.nu_eff)
     assert dt == pytest.approx(0.4 * min(hyper, diff), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"fixed_dt": 0.0},
+        {"fixed_dt": -1e-3},
+        {"fixed_dt": np.nan},
+        {"fixed_dt": np.inf},
+        {"snapshot_every": 0.0},
+        {"snapshot_every": -0.1},
+        {"snapshot_every": np.nan},
+        {"snapshot_every": np.inf},
+        {"max_steps": 0},
+        {"max_steps": -1},
+        {"rho_floor": np.nan},
+        {"rho_floor": np.inf},
+        {"rho_floor": 0.0},
+        {"safety": 0.0},
+    ],
+)
+def test_solver_options_reject_out_of_range(kwargs):
+    with pytest.raises(ValueError):
+        SolverOptions(**kwargs)
+
+
+def test_integrate_calls_step_once_per_step(monkeypatch):
+    import nudgelab.dynamics as dynamics
+
+    calls = []
+    real_step = dynamics.step
+
+    def counting_step(*args, **kwargs):
+        calls.append(kwargs)
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "step", counting_step)
+    g = Grid1D(64, 1.0)
+    x = g.cell_centers()
+    s = FluidState(0.0, 1.0 + 0.1 * np.cos(2 * np.pi * x), np.zeros(64))
+    options = SolverOptions(snapshot_every=0.005, forced_times=(0.0123,))
+    traj, stats = integrate(g, s, 0.02, EOS, VISC, Forcing.zero(), options=options)
+    assert len(calls) == stats.n_steps > traj.n_snapshots
+    landings = [kw["end_time"] for kw in calls if kw["end_time"] is not None]
+    assert landings == list(traj.times[1:])
 
 
 def test_integrate_zero_span():

@@ -29,6 +29,8 @@ def test_pressure_domain_errors():
         eos.pressure(np.nan)
     with pytest.raises(ValueError):
         eos.pressure(np.inf)
+    with pytest.raises(ValueError, match="must be finite"):
+        eos.pressure([1.0, -np.inf])
 
 
 def test_potential_closed_form_against_quadrature():
@@ -161,3 +163,5 @@ def test_sound_speed():
     assert eos.sound_speed(2.0) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         eos.sound_speed(0.0)
+    empty = eos.sound_speed(np.array([]))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)

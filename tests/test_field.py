@@ -27,6 +27,10 @@ def test_grid_basics():
     centers = g.cell_centers()
     assert centers[0] == pytest.approx(0.1)
     assert centers[-1] == pytest.approx(1.9)
+    assert np.array_equal(centers, (np.arange(10) + 0.5) * g.dx)
+    assert g.cell_centers() is centers
+    with pytest.raises(ValueError):
+        centers[0] = 0.0
     with pytest.raises(ValueError):
         Grid1D(4, 1.0)
     with pytest.raises(ValueError):
@@ -51,6 +55,16 @@ def test_state_validation_and_immutability():
     s = make_state([1.0, 2.0], [0.5, -0.5])
     with pytest.raises(ValueError):
         s.rho[0] = 3.0
+
+
+@pytest.mark.parametrize("field", ["rho", "mom"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_state_non_finite_is_not_vacuum(field, bad):
+    # the finiteness check comes first, even with a vacuum cell present
+    rho, mom = [1.0, 0.0], [0.0, 0.0]
+    (rho if field == "rho" else mom)[0] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        make_state(rho, mom)
 
 
 def test_norms_zero_and_mass():

@@ -6,6 +6,7 @@ import pytest
 
 from nudgelab import harness
 from nudgelab.config import ExperimentConfig, InitialConfig, ForcingConfig, NudgingGains
+from nudgelab.diagnostics import load_energy_series, save_energy_series
 from nudgelab.errors import ConfigError, VacuumError
 from nudgelab.field import Trajectory
 from nudgelab.harness import (
@@ -14,6 +15,7 @@ from nudgelab.harness import (
     build_grid,
     manufactured_case,
     observed_signature,
+    persist_twin,
     run_observed,
     run_sweep,
     run_twin,
@@ -29,7 +31,7 @@ def test_run_observed_rest_state_is_constant(lite_config):
         forcing=ForcingConfig(kind="none", amplitude=0.0),
         initial=InitialConfig(kind="uniform", amplitude=0.0),
     )
-    traj = run_observed(cfg, use_cache=False)
+    traj, _ = run_observed(cfg, use_cache=False)
     assert np.all(traj.rho == 1.0)
     assert np.all(traj.mom == 0.0)
 
@@ -47,9 +49,9 @@ def test_run_observed_baseline_lite(lite_observed, lite_config):
 
 
 def test_run_observed_cache(lite_config):
-    a = run_observed(lite_config)
-    b = run_observed(lite_config)
-    assert a is b
+    a, a_stats = run_observed(lite_config)
+    b, b_stats = run_observed(lite_config)
+    assert a is b and b_stats is a_stats
     # the signature tracks only observed-relevant fields
     changed = dataclasses.replace(lite_config, nudging=NudgingGains(1.0, 2.0))
     assert observed_signature(changed) == observed_signature(lite_config)
@@ -60,7 +62,19 @@ def test_run_observed_cache(lite_config):
     # only the most recent truth run is kept, and it still hits
     c = run_observed(regrid)
     assert len(harness._OBSERVED_CACHE) == 1
-    assert run_observed(regrid) is c
+    assert run_observed(regrid)[0] is c[0]
+
+
+def test_twin_reports_truth_run_statistics(lite_twin, lite_config):
+    stats = lite_twin.stats
+    assert stats["observed_steps"] > 0
+    assert 0.0 < stats["observed_dt_min"] <= stats["observed_dt_max"]
+    _, first = run_observed(lite_config)
+    _, hit = run_observed(lite_config)
+    assert hit is first
+    assert (hit.n_steps, hit.dt_min, hit.dt_max) == (
+        stats["observed_steps"], stats["observed_dt_min"], stats["observed_dt_max"]
+    )
 
 
 def test_twin_identical_initial_data_stays_synchronized(lite_config):
@@ -99,7 +113,7 @@ def test_observed_data_firewall(lite_config):
     from nudgelab.dynamics import NudgingConfig, SolverOptions, integrate
     from nudgelab.harness import build_eos, build_forcing, build_viscosity
 
-    traj = run_observed(lite_config)
+    traj, _ = run_observed(lite_config)
     dec = build_decomposition(0.3, lite_config.timeline.t_assim_end, 1.0)
     ms = sample(traj, dec)
 
@@ -220,6 +234,29 @@ def test_audit_detects_tampered_verdicts(tmp_path, determinism_config):
     result = audit_twin(out)
     assert not result.ok
     assert any("synchronized" in m for m in result.mismatches)
+
+
+def test_audit_accepts_non_finite_values(tmp_path, lite_twin):
+    # zero relative energy at t_assim_end makes growth_ratio infinite, which
+    # report.json stores as null
+    out = persist_twin(lite_twin, tmp_path / "twin")
+    cfg = lite_twin.config
+    reports = load_energy_series(out / "energy_series.csv")
+    times = np.array([r.time for r in reports])
+    i = int(np.argmin(np.abs(times - cfg.timeline.t_assim_end)))
+    reports[i] = dataclasses.replace(reports[i], rel_energy=0.0)
+    save_energy_series(out / "energy_series.csv", reports)
+    re_series = np.array([r.rel_energy for r in reports])
+    _, _, _, values, verdicts = harness._derive_diagnostics(
+        cfg, times, re_series, lite_twin.forecast_times, lite_twin.chi_base
+    )
+    assert values["growth_ratio"] == np.inf
+    body = json.loads((out / "report.json").read_text())
+    body["values"].update(harness._jsonable(values))
+    body["verdicts"] = harness._jsonable(verdicts)
+    (out / "report.json").write_text(json.dumps(body))
+    result = audit_twin(out)
+    assert result.ok, result.mismatches
 
 
 def test_json_format_persistence_and_audit(tmp_path, determinism_config):
