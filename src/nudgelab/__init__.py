@@ -32,7 +32,7 @@ from .dynamics import (
     step,
 )
 from .eos import EquationOfState
-from .errors import BlowUpError, CapacityError, ConfigError, VacuumError
+from .errors import BlowUpError, ConfigError, VacuumError
 from .field import FluidState, Grid1D, Trajectory, data_norm, norms
 from .harness import (
     run_observed,

@@ -25,7 +25,7 @@ from .dynamics import Forcing, NudgingConfig, SolverOptions, Viscosity
 from .eos import EquationOfState
 from .errors import ConfigError, VacuumError
 from .field import FluidState, Grid1D
-from .sampler import tiling_breaks
+from .sampler import build_decomposition, sampled_blocks
 
 __all__ = [
     "GridConfig",
@@ -104,7 +104,6 @@ class SamplerConfig:
     delta: float = 1e-3
     placement: str = "center"
     seed: int = 0
-    cell_cap: int = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -208,15 +207,16 @@ class ExperimentConfig:
             if grid is not None:
                 attempt(
                     "sampler",
-                    lambda: tiling_breaks(
-                        sampler.delta, tl.t_assim_end, grid.length,
-                        sampler.placement, sampler.cell_cap,
+                    lambda: sampled_blocks(
+                        build_decomposition(
+                            sampler.delta, tl.t_assim_end, grid.length,
+                            sampler.placement, sampler.seed,
+                        ),
+                        grid,
                     ),
                 )
         if solver.snapshot_budget < 1:
             problems.append("solver.snapshot_budget must be >= 1")
-        if sampler.cell_cap < 1:
-            problems.append("sampler.cell_cap must be >= 1")
         if sampler.seed < 0:
             problems.append("sampler.seed must be >= 0")
         if self.calibration.gamma_cal < 1.0:

@@ -26,9 +26,5 @@ class BlowUpError(NudgeLabError):
         self.partial = None
 
 
-class CapacityError(NudgeLabError, ValueError):
-    """A requested discretization exceeds a configured size cap."""
-
-
 class ConfigError(NudgeLabError, ValueError):
     """A configuration file or value is invalid."""

@@ -251,7 +251,6 @@ def run_twin(cfg: ExperimentConfig, out_dir=None) -> TwinReport:
         grid.length,
         placement=cfg.sampler.placement,
         seed=cfg.sampler.seed,
-        cell_cap=cfg.sampler.cell_cap,
     )
     ms = sample(observed, dec)
 
@@ -501,9 +500,11 @@ def _apply_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
             cfg, timeline=dataclasses.replace(cfg.timeline, t_assim_end=float(value))
         )
     if axis == "n_cells":
-        return dataclasses.replace(
-            cfg, grid=dataclasses.replace(cfg.grid, n_cells=int(value))
-        )
+        # the config file's rule: an integral float becomes an int, and any
+        # other value fails validation as this point's ConfigError
+        data = cfg.to_dict()
+        data["grid"]["n_cells"] = value.item() if isinstance(value, np.generic) else value
+        return ExperimentConfig.from_dict(data)
     raise ConfigError(f"unknown sweep axis {axis!r}; valid axes: {SWEEP_AXES}")
 
 

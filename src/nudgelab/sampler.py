@@ -4,9 +4,11 @@ the piecewise-constant interpolation of sampled observations.
 The cylinder [0, T] x [0, length] is tiled by a uniform tensor product of
 time slabs and space blocks whose space-time diameter is at most delta.  One
 control point per cell is chosen (cell centers, or uniformly jittered from a
-seeded generator), the observed trajectory is read off at the control points
-only, and the stored samples define a piecewise-constant field.  The nudged
-run sees observations exclusively through the resulting MeasurementSet.
+seeded generator).  The nudged run reads the field only on the grid's cell
+centers, so only the space blocks that hold a center are sampled: the
+observed trajectory is read off at their control points, and the stored
+samples define a piecewise-constant field on those blocks.  The nudged run
+sees observations exclusively through the resulting MeasurementSet.
 
 Membership convention: points lying on an internal breakpoint belong to the
 cell on the right/above, and the final breakpoint belongs to the last cell,
@@ -16,13 +18,11 @@ so the tiling is an exact partition in floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError
 from .field import Grid1D, Trajectory
 
 __all__ = [
@@ -30,15 +30,17 @@ __all__ = [
     "MeasurementSet",
     "Sample",
     "InterpolationError",
-    "tiling_breaks",
+    "MAX_STORED_CELLS",
     "build_decomposition",
+    "sampled_blocks",
     "sample",
     "interpolation_error",
     "save_measurements",
-    "load_measurements",
 ]
 
 PLACEMENTS = ("center", "jittered")
+# Memory guard: the most (slab, block) cells one measurement set may store.
+MAX_STORED_CELLS = 5_000_000
 
 
 def _cell_index(breaks: np.ndarray, values, label: str):
@@ -52,54 +54,54 @@ def _cell_index(breaks: np.ndarray, values, label: str):
 
 @dataclass(frozen=True)
 class SpaceTimeDecomposition:
-    """Tensor tiling of [0, T] x [0, length] with one control point per cell.
+    """Uniform tensor tiling of [0, duration] x [0, length] into
+    n_time_slabs x n_space_blocks cells, with one control point per cell.
 
-    time_breaks and space_breaks hold the K+1 and M+1 breakpoints; t_star
-    and x_star are (K, M) arrays of control-point coordinates, each lying in
-    its own cell.
+    time_breaks and space_breaks are the np.linspace breakpoints of the two
+    axes.  Control points are computed on request, for the blocks asked for
+    only.  Jittered points of block i come from one generator keyed
+    SeedSequence(seed, spawn_key=(i,)), so any subset of blocks gets the
+    values of the full tiling.
     """
 
     delta: float
-    time_breaks: np.ndarray
-    space_breaks: np.ndarray
-    t_star: np.ndarray
-    x_star: np.ndarray
+    duration: float
+    length: float
+    n_time_slabs: int
+    n_space_blocks: int
+    placement: str = "center"
+    seed: int | None = None  # jittered and None: fresh entropy, drawn once
+    time_breaks: np.ndarray = field(init=False, repr=False, compare=False)
+    space_breaks: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        tb = np.asarray(self.time_breaks, dtype=float)
-        xb = np.asarray(self.space_breaks, dtype=float)
-        if np.any(np.diff(tb) <= 0.0) or np.any(np.diff(xb) <= 0.0):
-            raise ValueError("breakpoints must be strictly increasing")
-        k, m = tb.size - 1, xb.size - 1
-        ts = np.asarray(self.t_star, dtype=float)
-        xs = np.asarray(self.x_star, dtype=float)
-        if ts.shape != (k, m) or xs.shape != (k, m):
-            raise ValueError("control point arrays must be (K, M)")
-        diam = math.hypot(float(np.max(np.diff(tb))), float(np.max(np.diff(xb))))
-        if diam > self.delta:
-            raise ValueError(f"cell diameter {diam:g} exceeds delta {self.delta:g}")
-        if np.any(_cell_index(tb, ts, "control time") != np.arange(k)[:, None]):
-            raise ValueError("a control time lies outside its slab")
-        if np.any(_cell_index(xb, xs, "control position") != np.arange(m)[None, :]):
-            raise ValueError("a control position lies outside its block")
-        for arr in (tb, xb, ts, xs):
-            arr.setflags(write=False)
-        object.__setattr__(self, "time_breaks", tb)
-        object.__setattr__(self, "space_breaks", xb)
-        object.__setattr__(self, "t_star", ts)
-        object.__setattr__(self, "x_star", xs)
-
-    @property
-    def n_time_slabs(self) -> int:
-        return self.time_breaks.size - 1
-
-    @property
-    def n_space_blocks(self) -> int:
-        return self.space_breaks.size - 1
+        if self.placement not in PLACEMENTS:
+            raise ValueError(f"placement must be one of {PLACEMENTS}")
+        if min(self.n_time_slabs, self.n_space_blocks) < 1:
+            raise ValueError("slab and block counts must be >= 1")
+        if self.placement == "jittered" and self.seed is None:
+            object.__setattr__(self, "seed", np.random.SeedSequence().entropy)
+        for name, extent, count in (
+            ("time_breaks", self.duration, self.n_time_slabs),
+            ("space_breaks", self.length, self.n_space_blocks),
+        ):
+            breaks = np.linspace(0.0, extent, count + 1)
+            breaks.setflags(write=False)
+            object.__setattr__(self, name, breaks)
 
     @property
     def n_cells(self) -> int:
         return self.n_time_slabs * self.n_space_blocks
+
+    @property
+    def t_star(self) -> np.ndarray:
+        """(K, M) control times of the whole tiling."""
+        return self.control_points(np.arange(self.n_space_blocks))[0]
+
+    @property
+    def x_star(self) -> np.ndarray:
+        """(K, M) control positions of the whole tiling."""
+        return self.control_points(np.arange(self.n_space_blocks))[1]
 
     def time_slab_index(self, t):
         return _cell_index(self.time_breaks, t, "time")
@@ -107,43 +109,65 @@ class SpaceTimeDecomposition:
     def space_block_index(self, x):
         return _cell_index(self.space_breaks, x, "position")
 
+    def slab_at(self, t: float) -> int:
+        """``time_slab_index`` of one time, by arithmetic on the uniform
+        breaks and one comparison with each neighbouring break."""
+        tb, last = self.time_breaks, self.n_time_slabs - 1
+        if not 0.0 <= t <= self.duration:
+            raise ValueError(f"time outside [0, {self.duration:g}]")
+        k = min(int(t * self.n_time_slabs / self.duration), last)
+        if t < tb[k]:
+            return k - 1
+        if k < last and t >= tb[k + 1]:
+            return k + 1
+        return k
 
-def tiling_breaks(
-    delta: float,
-    duration: float,
-    length: float,
-    placement: str = "center",
-    cell_cap: int = 5_000_000,
-):
-    """Time and space breakpoints of the tiling ``build_decomposition``
-    produces, found without its (K, M) control-point arrays.
+    def control_points(self, blocks) -> tuple[np.ndarray, np.ndarray]:
+        """Control times and positions of every slab over the given space
+        blocks: two (K, len(blocks)) arrays, column j for block blocks[j]."""
+        blocks = np.asarray(blocks, dtype=int)
+        tb, xb = self.time_breaks, self.space_breaks
+        shape = (self.n_time_slabs, blocks.size)
+        if self.placement == "center":
+            t_mid = 0.5 * (tb[:-1] + tb[1:])
+            x_mid = 0.5 * (xb[blocks] + xb[blocks + 1])
+            return np.broadcast_to(t_mid[:, None], shape), np.broadcast_to(x_mid, shape)
+        draws = np.empty((2,) + shape)  # per block: K time draws, then K position draws
+        for j, i in enumerate(blocks.tolist()):
+            key = np.random.SeedSequence(self.seed, spawn_key=(i,))
+            draws[:, :, j] = np.random.default_rng(key).uniform(size=(2, self.n_time_slabs))
+        t_star = tb[:-1, None] + draws[0] * np.diff(tb)[:, None]
+        x_star = xb[blocks] + draws[1] * (xb[blocks + 1] - xb[blocks])
+        return t_star, x_star
+
+
+def _tiling_counts(delta: float, duration: float, length: float) -> tuple[int, int]:
+    """Slab and block counts of the tiling with cell diameter at most delta.
 
     Slab and block widths target delta/sqrt(2) each; the counts are bumped
     if floating-point breakpoints would overshoot the diameter bound.  When
     delta already covers the whole cylinder a single cell is produced.
-    Raises CapacityError when the tiling needs more than ``cell_cap`` cells.
     """
     if not (delta > 0.0 and duration > 0.0 and length > 0.0):
         raise ValueError("delta, duration, and length must be positive")
-    if placement not in PLACEMENTS:
-        raise ValueError(f"placement must be one of {PLACEMENTS}")
     if math.hypot(duration, length) <= delta:
         k, m = 1, 1
     else:
         half = delta / math.sqrt(2.0)
-        k = max(1, math.ceil(duration / half))
-        m = max(1, math.ceil(length / half))
+        # capped so that a ratio that overflows still reaches the guard below
+        k = max(1, math.ceil(min(duration / half, MAX_STORED_CELLS + 1)))
+        m = max(1, math.ceil(min(length / half, MAX_STORED_CELLS + 1)))
     while True:
-        if k * m > cell_cap:
-            raise CapacityError(
-                f"decomposition needs {k * m} cells, exceeding the cap {cell_cap}"
+        if max(k, m) > MAX_STORED_CELLS:
+            raise ValueError(
+                f"tiling needs over {MAX_STORED_CELLS} slabs or blocks, more "
+                "breakpoints than a measurement set may store cells"
             )
-        tb = np.linspace(0.0, duration, k + 1)
-        xb = np.linspace(0.0, length, m + 1)
-        diam = math.hypot(float(np.max(np.diff(tb))), float(np.max(np.diff(xb))))
-        if diam <= delta or (k == 1 and m == 1):
-            return tb, xb
-        if np.max(np.diff(tb)) >= np.max(np.diff(xb)):
+        wt = float(np.max(np.diff(np.linspace(0.0, duration, k + 1))))
+        wx = float(np.max(np.diff(np.linspace(0.0, length, m + 1))))
+        if math.hypot(wt, wx) <= delta or (k == 1 and m == 1):
+            return k, m
+        if wt >= wx:
             k += 1
         else:
             m += 1
@@ -155,24 +179,30 @@ def build_decomposition(
     length: float,
     placement: str = "center",
     seed: int | None = None,
-    cell_cap: int = 5_000_000,
 ) -> SpaceTimeDecomposition:
-    """Uniform tensor decomposition with cell diameter at most delta, on the
-    breakpoints of ``tiling_breaks``.  ``placement`` selects cell centers or
-    a seeded uniform jitter.
+    """Uniform tensor decomposition with cell diameter at most delta.
+    ``placement`` selects cell centers or a seeded uniform jitter.
     """
-    tb, xb = tiling_breaks(delta, duration, length, placement, cell_cap)
-    k, m = tb.size - 1, xb.size - 1
-    t_mid = 0.5 * (tb[:-1] + tb[1:])
-    x_mid = 0.5 * (xb[:-1] + xb[1:])
-    if placement == "center":
-        t_star = np.broadcast_to(t_mid[:, None], (k, m)).copy()
-        x_star = np.broadcast_to(x_mid[None, :], (k, m)).copy()
-    else:
-        rng = np.random.default_rng(seed)
-        t_star = tb[:-1, None] + rng.uniform(size=(k, m)) * np.diff(tb)[:, None]
-        x_star = xb[None, :-1] + rng.uniform(size=(k, m)) * np.diff(xb)[None, :]
-    return SpaceTimeDecomposition(delta, tb, xb, t_star, x_star)
+    k, m = _tiling_counts(delta, duration, length)
+    return SpaceTimeDecomposition(delta, duration, length, k, m, placement, seed)
+
+
+def sampled_blocks(dec: SpaceTimeDecomposition, grid: Grid1D) -> np.ndarray:
+    """The space blocks that hold ``grid``'s cell centers, in increasing
+    order: the blocks ``sample`` stores.
+
+    Raises ValueError, before any sample array exists, when storing them
+    over every time slab would take more than MAX_STORED_CELLS cells.
+    """
+    idx = dec.space_block_index(grid.cell_centers())  # sorted, as the centers are
+    blocks = idx[np.diff(idx, prepend=-1) > 0]
+    stored = dec.n_time_slabs * blocks.size
+    if stored > MAX_STORED_CELLS:
+        raise ValueError(
+            f"sampling stores {stored} cells ({dec.n_time_slabs} slabs x "
+            f"{blocks.size} blocks), exceeding {MAX_STORED_CELLS}"
+        )
+    return blocks
 
 
 class Sample(NamedTuple):
@@ -188,18 +218,31 @@ class InterpolationError:
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """Sampled observed values, one (density, velocity) pair per cell.
+    """Sampled observed values, one (density, velocity) pair per stored cell.
 
+    r_sample and U_sample are (K, len(blocks)) arrays whose column j holds
+    the cells of space block blocks[j]; by default every block is stored.
     This is the only observed data the nudged run may read.
     """
 
     decomposition: SpaceTimeDecomposition
     r_sample: np.ndarray
     U_sample: np.ndarray
+    blocks: np.ndarray | None = None
 
     def __post_init__(self):
         dec = self.decomposition
-        shape = (dec.n_time_slabs, dec.n_space_blocks)
+        n_blocks = dec.n_space_blocks
+        blocks = np.arange(n_blocks) if self.blocks is None else np.asarray(self.blocks, dtype=int)
+        if (
+            blocks.ndim != 1
+            or blocks.size == 0
+            or (np.diff(blocks) <= 0).any()
+            or blocks[0] < 0
+            or blocks[-1] >= n_blocks
+        ):
+            raise ValueError(f"blocks must be increasing indices below {n_blocks}")
+        shape = (dec.n_time_slabs, blocks.size)
         r = np.asarray(self.r_sample, dtype=float)
         u = np.asarray(self.U_sample, dtype=float)
         if r.shape != shape or u.shape != shape:
@@ -208,66 +251,78 @@ class MeasurementSet:
             raise ValueError("samples must be finite")
         if np.any(r <= 0.0):
             raise ValueError("sampled densities must be positive")
-        r.setflags(write=False)
-        u.setflags(write=False)
+        for arr in (r, u, blocks):
+            arr.setflags(write=False)
         object.__setattr__(self, "r_sample", r)
         object.__setattr__(self, "U_sample", u)
-        object.__setattr__(self, "_grid_blocks", {})
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "_grid_columns", {})
+
+    def _columns(self, x):
+        """Stored column of the space block that holds each position."""
+        block = self.decomposition.space_block_index(x)
+        col = np.minimum(np.searchsorted(self.blocks, block), self.blocks.size - 1)
+        if (self.blocks[col] != block).any():
+            raise ValueError("a position lies in a space block that was not sampled")
+        return col
+
+    def _columns_on_grid(self, grid: Grid1D):
+        """``_columns`` of the cell centers, looked up once per grid."""
+        cols = self._grid_columns.get(grid)
+        if cols is None:
+            cols = self._grid_columns[grid] = self._columns(grid.cell_centers())
+        return cols
 
     def interpolant_value(self, t: float, x: float) -> Sample:
         """Piecewise-constant field value at (t, x): the stored sample of
         the unique containing cell."""
-        k = int(self.decomposition.time_slab_index(t))
-        i = int(self.decomposition.space_block_index(x))
-        return Sample(float(self.r_sample[k, i]), float(self.U_sample[k, i]))
+        k = self.decomposition.slab_at(t)
+        j = int(self._columns(x))
+        return Sample(float(self.r_sample[k, j]), float(self.U_sample[k, j]))
 
-    def values_at_time(self, t: float, block_idx: np.ndarray):
+    def values_at_time(self, t: float, columns: np.ndarray):
         """Row of interpolant values at time t gathered onto precomputed
-        space-block indices (the fast path used by the integrator)."""
-        k = int(self.decomposition.time_slab_index(t))
-        return self.r_sample[k, block_idx], self.U_sample[k, block_idx]
+        stored columns (the fast path used by the integrator)."""
+        k = self.decomposition.slab_at(t)
+        return self.r_sample[k, columns], self.U_sample[k, columns]
 
     def values_on_grid(self, t: float, grid: Grid1D):
-        """Values at time t on the cell centers, block-indexed once per grid."""
-        blocks = self._grid_blocks.get(grid)
-        if blocks is None:
-            blocks = self.decomposition.space_block_index(grid.cell_centers())
-            self._grid_blocks[grid] = blocks
-        return self.values_at_time(t, blocks)
+        """Values at time t on the cell centers."""
+        return self.values_at_time(t, self._columns_on_grid(grid))
 
 
 def sample(traj: Trajectory, dec: SpaceTimeDecomposition) -> MeasurementSet:
-    """Read the observed trajectory at every control point.
+    """Read the observed trajectory at the control points of the blocks
+    that hold ``traj.grid``'s cell centers (``sampled_blocks``).
 
     Space is resolved to the nearest grid cell, time by linear interpolation
     between adjacent snapshots.
     """
-    if not traj.covers(float(dec.time_breaks[0]), float(dec.time_breaks[-1])):
+    if not traj.covers(0.0, dec.duration):
         raise ValueError("decomposition time range not covered by trajectory")
     grid = traj.grid
+    blocks = sampled_blocks(dec, grid)
+    t_star, x_star = dec.control_points(blocks)
     cells = np.clip(
-        np.round(dec.x_star.ravel() / grid.dx - 0.5).astype(int), 0, grid.n_cells - 1
+        np.round(x_star.ravel() / grid.dx - 0.5).astype(int), 0, grid.n_cells - 1
     )
-    ts = np.clip(dec.t_star.ravel(), traj.times[0], traj.times[-1])
+    ts = np.clip(t_star.ravel(), traj.times[0], traj.times[-1])
     r, u = traj.point_values(ts, cells)
-    shape = dec.t_star.shape
-    return MeasurementSet(dec, r.reshape(shape), u.reshape(shape))
+    return MeasurementSet(dec, r.reshape(t_star.shape), u.reshape(t_star.shape), blocks)
 
 
 def interpolation_error(ms: MeasurementSet, traj: Trajectory) -> InterpolationError:
     """Sup-norm gap between the piecewise-constant field and the trajectory,
     evaluated on the lattice of snapshot times inside the assimilation
     window times all grid cells."""
-    dec = ms.decomposition
-    t0, t1 = float(dec.time_breaks[0]), float(dec.time_breaks[-1])
-    mask = (traj.times >= t0) & (traj.times <= t1)
+    mask = (traj.times >= 0.0) & (traj.times <= ms.decomposition.duration)
     times = traj.times[mask]
     if times.size == 0:
         raise ValueError("no snapshot times inside the decomposition window")
-    slab = dec.time_slab_index(times)
-    block = dec.space_block_index(traj.grid.cell_centers())
-    r_interp = ms.r_sample[slab[:, None], block[None, :]]
-    u_interp = ms.U_sample[slab[:, None], block[None, :]]
+    slab = ms.decomposition.time_slab_index(times)
+    cols = ms._columns_on_grid(traj.grid)
+    r_interp = ms.r_sample[slab[:, None], cols[None, :]]
+    u_interp = ms.U_sample[slab[:, None], cols[None, :]]
     rho = traj.rho[mask]
     vel = traj.mom[mask] / rho
     return InterpolationError(
@@ -276,61 +331,19 @@ def interpolation_error(ms: MeasurementSet, traj: Trajectory) -> InterpolationEr
     )
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def save_measurements(path, ms: MeasurementSet) -> None:
-    """CSV export, one row per cell in (slab, block) row-major order."""
-    dec = ms.decomposition
-    path = Path(path)
+    """CSV export, one row per stored cell in (slab, block) row-major order:
+    K x len(ms.blocks) rows."""
+    dec, blocks = ms.decomposition, ms.blocks
+    tb, xb = dec.time_breaks, dec.space_breaks
+    t_star, x_star = dec.control_points(blocks)
     with open(path, "w", newline="") as fh:
-        fh.write(f"# delta={_fmt(dec.delta)}\n")
+        fh.write(f"# delta={dec.delta:.17g}\n")
         fh.write("t_lo,t_hi,x_lo,x_hi,t_star,x_star,r_sample,U_sample\n")
         for k in range(dec.n_time_slabs):
-            t_lo, t_hi = dec.time_breaks[k], dec.time_breaks[k + 1]
-            for i in range(dec.n_space_blocks):
-                fh.write(
-                    ",".join(
-                        _fmt(v)
-                        for v in (
-                            t_lo,
-                            t_hi,
-                            dec.space_breaks[i],
-                            dec.space_breaks[i + 1],
-                            dec.t_star[k, i],
-                            dec.x_star[k, i],
-                            ms.r_sample[k, i],
-                            ms.U_sample[k, i],
-                        )
-                    )
-                    + "\n"
-                )
-
-
-def load_measurements(path) -> MeasurementSet:
-    path = Path(path)
-    with open(path) as fh:
-        meta = fh.readline()
-        if not meta.startswith("# delta="):
-            raise ValueError(f"{path}: missing measurement metadata line")
-        delta = float(meta.split("=", 1)[1])
-        header = fh.readline().strip()
-        if header != "t_lo,t_hi,x_lo,x_hi,t_star,x_star,r_sample,U_sample":
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    t_lo = np.unique(data[:, 0])
-    x_lo = np.unique(data[:, 2])
-    k, m = t_lo.size, x_lo.size
-    if k * m != data.shape[0]:
-        raise ValueError(f"{path}: rows do not form a tensor decomposition")
-    tb = np.concatenate([t_lo, [data[:, 1].max()]])
-    xb = np.concatenate([x_lo, [data[:, 3].max()]])
-    dec = SpaceTimeDecomposition(
-        delta,
-        tb,
-        xb,
-        data[:, 4].reshape(k, m),
-        data[:, 5].reshape(k, m),
-    )
-    return MeasurementSet(dec, data[:, 6].reshape(k, m), data[:, 7].reshape(k, m))
+            rows = np.column_stack((
+                np.full(blocks.size, tb[k]), np.full(blocks.size, tb[k + 1]),
+                xb[blocks], xb[blocks + 1], t_star[k], x_star[k],
+                ms.r_sample[k], ms.U_sample[k],
+            ))
+            np.savetxt(fh, rows, fmt="%.17g", delimiter=",")

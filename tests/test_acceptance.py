@@ -99,7 +99,7 @@ def test_acceptance_3_sampler_partition():
         length = float(rng.uniform(0.1, 3.0))
         placement = "jittered" if i % 2 else "center"
         dec = build_decomposition(
-            delta, duration, length, placement=placement, seed=i, cell_cap=500_000
+            delta, duration, length, placement=placement, seed=i
         )
         # exact cover on breakpoint arithmetic
         assert dec.time_breaks[0] == 0.0 and dec.time_breaks[-1] == duration

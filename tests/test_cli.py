@@ -39,7 +39,12 @@ def test_invalid_config_exits_3(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "mutation", [{"eos": {"gamma": 4, "a": 0.45}}, {"grid": {"length": "1"}}]
+    "mutation",
+    [
+        {"eos": {"gamma": 4, "a": 0.45}},
+        {"grid": {"length": "1"}},
+        {"sampler": {"cell_cap": 5_000_000}},  # no longer a key
+    ],
 )
 def test_invalid_config_exits_3_before_any_run(tmp_path, monkeypatch, capsys, mutation):
     def no_run(*args, **kwargs):

@@ -6,6 +6,7 @@ import pytest
 
 from nudgelab.config import (
     ExperimentConfig,
+    build_grid,
     NudgingGains,
     SamplerConfig,
     TimelineConfig,
@@ -13,6 +14,7 @@ from nudgelab.config import (
     save_config,
 )
 from nudgelab.errors import ConfigError
+from nudgelab.sampler import build_decomposition, sampled_blocks
 
 NAN = float("nan")
 INF = float("inf")
@@ -91,9 +93,9 @@ def test_bad_json_and_missing_file(tmp_path):
         {"solver": {"report_interval": INF}},
         # counts and sizes
         {"solver": {"max_steps": 0}},
-        {"sampler": {"cell_cap": 0}},
+        {"sampler": {"cell_cap": 0}},  # no longer a key
         {"solver": {"snapshot_budget": -5}},
-        {"sampler": {"delta": 1e-5}},  # tiling over the default cell_cap
+        {"sampler": {"delta": 1e-5}},  # stores more cells than the memory guard
         {"sampler": {"placement": "jittered", "seed": -1}},
         # leaf types
         {"grid": {"length": "1"}},
@@ -108,6 +110,8 @@ def test_bad_json_and_missing_file(tmp_path):
         {"timeline": {"t_assim_end": 2.0}},  # equal to the default t_plus
         # a range only SolverOptions checks
         {"solver": {"report_interval": 0.0}},
+        # a delta whose slab count overflows a float
+        {"sampler": {"delta": 5e-324}},
     ],
 )
 def test_semantic_validation(tmp_path, mutation):
@@ -122,7 +126,7 @@ def test_semantic_validation(tmp_path, mutation):
     [
         ({"eos": {"gamma": 4, "a": 0.45}}, "eos: a*(gamma-1) must not exceed 1"),
         ({"grid": {"length": "1"}}, "grid.length: expected a finite number"),
-        ({"sampler": {"cell_cap": 1000}}, "sampler: decomposition needs"),
+        ({"sampler": {"cell_cap": 1000}}, "sampler: unknown keys ['cell_cap']"),
         ({"forcing": {"kind": "gusts"}}, "forcing: unknown forcing kind"),
     ],
 )
@@ -147,6 +151,19 @@ def test_integer_fields_rejected_on_floats(tmp_path):
     path.write_text(json.dumps({"grid": {"n_cells": 64.5}}))
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def test_high_gain_config_is_valid():
+    # the gain condition delta * lambda_u * gamma_cal <= 1 at lambda_u = 2000:
+    # 128,006,596 cells, of which the 256 grid cells read 2,896,384
+    cfg = ExperimentConfig(
+        sampler=SamplerConfig(delta=1.25e-4),
+        nudging=NudgingGains(lambda_rho=500.0, lambda_u=2000.0),
+    )
+    cfg.validate()
+    dec = build_decomposition(1.25e-4, 1.0, 1.0)
+    assert dec.n_cells == 128_006_596
+    assert dec.n_time_slabs * sampled_blocks(dec, build_grid(cfg)).size == 2_896_384
 
 
 def test_replace_keeps_validity():

@@ -184,11 +184,22 @@ def test_sweep_records_per_point_failures(lite_config):
 
 
 def test_sweep_records_over_cap_delta_and_continues(lite_config):
-    # delta 1e-4 tiles the lite cylinder with ~1e8 cells, over the default cap
-    sweep = run_sweep(lite_config, "delta", [1e-4, lite_config.sampler.delta])
-    assert sweep.errors[0].startswith("ConfigError: sampler: decomposition needs")
+    # delta 1e-6 would store 707,107 slabs x 64 read blocks (~45M cells) on
+    # the lite cylinder, over the memory guard
+    sweep = run_sweep(lite_config, "delta", [1e-6, lite_config.sampler.delta])
+    assert sweep.errors[0].startswith("ConfigError: sampler: sampling stores 45254848 cells")
     assert sweep.errors[1] is None
     assert sweep.points[0] is None and sweep.points[1] is not None
+
+
+def test_sweep_n_cells_follows_the_config_file_rule(lite_config):
+    # an integral float becomes an int; any other value is a per-point error
+    for value in (32.0, np.int64(32), np.float64(32.0)):
+        cfg = harness._apply_axis(lite_config, "n_cells", value)
+        assert cfg.grid.n_cells == 32 and type(cfg.grid.n_cells) is int
+    sweep = run_sweep(lite_config, "n_cells", [64.5])
+    assert sweep.points == [None]
+    assert sweep.errors[0] == "ConfigError: grid.n_cells: expected an integer, got 64.5"
 
 
 def test_sweep_rejects_unknown_axis(lite_config):
@@ -234,6 +245,22 @@ def test_audit_detects_tampered_verdicts(tmp_path, determinism_config):
     result = audit_twin(out)
     assert not result.ok
     assert any("synchronized" in m for m in result.mismatches)
+
+
+def test_twin_writes_the_stored_measurements(tmp_path, lite_config):
+    cfg = dataclasses.replace(
+        lite_config, outputs=dataclasses.replace(lite_config.outputs, write_measurements=True)
+    )
+    out = tmp_path / "twin"
+    run_twin(cfg, out_dir=out)
+    with open(out / "measurements.csv") as fh:
+        assert fh.readline().startswith("# delta=")
+        assert fh.readline() == "t_lo,t_hi,x_lo,x_hi,t_star,x_star,r_sample,U_sample\n"
+        rows = fh.read().splitlines()
+    dec = build_decomposition(cfg.sampler.delta, cfg.timeline.t_assim_end, cfg.grid.length)
+    n_ref = np.unique(dec.space_block_index(build_grid(cfg).cell_centers())).size
+    assert n_ref == 64 < dec.n_space_blocks
+    assert len(rows) == dec.n_time_slabs * n_ref
 
 
 def test_audit_accepts_non_finite_values(tmp_path, lite_twin):

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nudgelab.errors import CapacityError
 from nudgelab.field import Grid1D, SupBounds, Trajectory
 from nudgelab.sampler import (
+    MAX_STORED_CELLS,
     MeasurementSet,
     SpaceTimeDecomposition,
     build_decomposition,
     interpolation_error,
-    load_measurements,
     sample,
+    sampled_blocks,
     save_measurements,
 )
 
@@ -48,8 +48,21 @@ def test_cover_is_exact_partition():
 
 
 def test_capacity_error():
-    with pytest.raises(CapacityError):
-        build_decomposition(1e-5, 1.0, 1.0, cell_cap=1000)
+    # 141,422 slabs x 64 read blocks: over the guard, refused before sampling
+    dec = build_decomposition(1e-5, 1.0, 1.0)
+    assert dec.n_time_slabs * 64 > MAX_STORED_CELLS
+    traj = constant_trajectory(n=64)
+    with pytest.raises(ValueError, match="sampling stores 9051008 cells"):
+        sampled_blocks(dec, traj.grid)
+    with pytest.raises(ValueError, match="sampling stores"):
+        sample(traj, dec)
+    # 2,829 x 141,422 cells, far over the guard, of which 32 blocks are read
+    dec = build_decomposition(1e-5, 0.02, 1.0)
+    assert dec.n_cells > MAX_STORED_CELLS
+    assert sampled_blocks(dec, Grid1D(32, 1.0)).size == 32
+    # breakpoints alone beyond the guard
+    with pytest.raises(ValueError, match="breakpoints"):
+        build_decomposition(1e-7, 1e-6, 1.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -61,9 +74,7 @@ def test_capacity_error():
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_partition_properties(delta, duration, length, placement, seed):
-    dec = build_decomposition(
-        delta, duration, length, placement=placement, seed=seed, cell_cap=500_000
-    )
+    dec = build_decomposition(delta, duration, length, placement=placement, seed=seed)
     diam = math.hypot(
         float(np.max(np.diff(dec.time_breaks))),
         float(np.max(np.diff(dec.space_breaks))),
@@ -102,18 +113,16 @@ def test_sample_constant_field():
 
 def test_sample_exact_hit():
     # control point at a snapshot time and a cell center reads the stored value
-    g = Grid1D(8, 1.0)
-    rho = np.linspace(1.0, 2.0, 8)
+    g = Grid1D(9, 1.0)
+    rho = np.linspace(1.0, 2.0, 9)
     traj = Trajectory(
-        g, [0.0, 1.0], np.stack([rho, rho + 1.0]), np.zeros((2, 8)), SupBounds(3.0, 0.0, 0.0)
+        g, [0.0, 0.5, 1.0], np.stack([rho, rho + 1.0, rho]), np.zeros((3, 9)),
+        SupBounds(3.0, 0.0, 0.0),
     )
-    tb = np.array([0.0, 1.0])
-    xb = np.array([0.0, 1.0])
-    t_star = np.array([[0.0]])
-    x_star = np.array([[g.cell_centers()[3]]])
-    dec = SpaceTimeDecomposition(math.hypot(1, 1), tb, xb, t_star, x_star)
+    dec = SpaceTimeDecomposition(math.hypot(1, 1), 1.0, 1.0, 1, 1)
+    assert dec.t_star[0, 0] == 0.5 and dec.x_star[0, 0] == g.cell_centers()[4]
     ms = sample(traj, dec)
-    assert ms.r_sample[0, 0] == rho[3]
+    assert ms.r_sample[0, 0] == rho[4] + 1.0
 
 
 def test_sample_linear_field_midpoints():
@@ -218,17 +227,106 @@ def test_interpolation_error_halves_with_delta(lite_observed):
 
 
 def test_measurements_round_trip(tmp_path):
-    traj = constant_trajectory(rho_fn=lambda x: 1.0 + 0.3 * np.cos(2 * np.pi * x))
-    dec = build_decomposition(0.21, 1.0, 1.0, placement="jittered", seed=42)
+    # 8 cells read 8 of the 15 blocks; the export holds exactly their cells
+    traj = constant_trajectory(n=8, rho_fn=lambda x: 1.0 + 0.3 * np.cos(2 * np.pi * x))
+    dec = build_decomposition(0.1, 1.0, 1.0, placement="jittered", seed=42)
     ms = sample(traj, dec)
+    assert ms.blocks.size == 8 and dec.n_space_blocks == 15
     path = tmp_path / "measurements.csv"
     save_measurements(path, ms)
-    loaded = load_measurements(path)
-    assert np.array_equal(loaded.r_sample, ms.r_sample)
-    assert np.array_equal(loaded.U_sample, ms.U_sample)
-    assert np.array_equal(loaded.decomposition.time_breaks, dec.time_breaks)
-    assert np.array_equal(loaded.decomposition.x_star, dec.x_star)
-    assert loaded.decomposition.delta == dec.delta
-    # interpolant values agree everywhere
-    for t, x in [(0.0, 0.0), (0.7, 0.3), (1.0, 0.99)]:
-        assert loaded.interpolant_value(t, x) == ms.interpolant_value(t, x)
+    with open(path) as fh:
+        assert fh.readline() == f"# delta={dec.delta:.17g}\n"
+        assert fh.readline() == "t_lo,t_hi,x_lo,x_hi,t_star,x_star,r_sample,U_sample\n"
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    shape = (dec.n_time_slabs, ms.blocks.size)
+    assert data.shape == (dec.n_time_slabs * ms.blocks.size, 8)
+    t_lo, t_hi, x_lo, x_hi, t_star, x_star, r, u = (c.reshape(shape) for c in data.T)
+    assert np.array_equal(t_lo[:, 0], dec.time_breaks[:-1])
+    assert np.array_equal(t_hi[:, 0], dec.time_breaks[1:])
+    assert np.array_equal(x_lo[0], dec.space_breaks[ms.blocks])
+    assert np.array_equal(x_hi[0], dec.space_breaks[ms.blocks + 1])
+    assert np.array_equal(t_star, dec.t_star[:, ms.blocks])
+    assert np.array_equal(x_star, dec.x_star[:, ms.blocks])
+    assert np.array_equal(r, ms.r_sample) and np.array_equal(u, ms.U_sample)
+
+
+def test_stored_columns_are_the_blocks_holding_grid_centers():
+    dec = build_decomposition(0.1, 1.0, 1.0)  # 15 blocks of width 1/15
+    for n, expected in [
+        (8, [0, 2, 4, 6, 8, 10, 12, 14]),
+        (9, [0, 2, 4, 5, 7, 9, 10, 12, 14]),
+        (72, list(range(15))),
+    ]:
+        ms = sample(constant_trajectory(n=n), dec)
+        centers = Grid1D(n, 1.0).cell_centers()
+        assert ms.blocks.tolist() == expected
+        assert ms.blocks.tolist() == sorted(set(dec.space_block_index(centers).tolist()))
+        assert ms.r_sample.shape == (dec.n_time_slabs, len(expected))
+
+
+@pytest.mark.parametrize("placement", ["center", "jittered"])
+def test_sample_matches_dense_reference_when_every_block_is_read(placement):
+    times = tuple(np.linspace(0.0, 1.0, 7))
+    traj = constant_trajectory(
+        n=72, rho_fn=lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x), u=0.25, times=times
+    )
+    dec = build_decomposition(0.2, 1.0, 1.0, placement=placement, seed=3)
+    ms = sample(traj, dec)
+    assert ms.blocks.tolist() == list(range(dec.n_space_blocks))
+    # the dense tiling: every control point read off the trajectory
+    cells = np.clip(np.round(dec.x_star / traj.grid.dx - 0.5).astype(int), 0, 71)
+    r_ref, u_ref = traj.point_values(dec.t_star.ravel(), cells.ravel())
+    assert np.array_equal(ms.r_sample, r_ref.reshape(cells.shape))
+    assert np.array_equal(ms.U_sample, u_ref.reshape(cells.shape))
+
+
+def test_jittered_subset_matches_full_tiling():
+    dec = build_decomposition(0.1, 1.0, 1.0, placement="jittered", seed=2024)
+    subset = [0, 3, 4, dec.n_space_blocks - 1]
+    t_sub, x_sub = dec.control_points(subset)
+    assert np.array_equal(t_sub, dec.t_star[:, subset])
+    assert np.array_equal(x_sub, dec.x_star[:, subset])
+    # block i draws from SeedSequence(seed).spawn(M)[i]
+    child = np.random.SeedSequence(2024).spawn(dec.n_space_blocks)[3]
+    u_t, u_x = np.random.default_rng(child).uniform(size=(2, dec.n_time_slabs))
+    tb, xb = dec.time_breaks, dec.space_breaks
+    assert np.array_equal(t_sub[:, 1], tb[:-1] + u_t * np.diff(tb))
+    assert np.array_equal(x_sub[:, 1], xb[3] + u_x * (xb[4] - xb[3]))
+    other = build_decomposition(0.1, 1.0, 1.0, placement="jittered", seed=2025)
+    assert not np.array_equal(other.t_star, dec.t_star)
+
+
+def test_unsampled_block_raises():
+    dec = build_decomposition(0.1, 1.0, 1.0)  # 15 blocks of width 1/15
+    ms = sample(constant_trajectory(n=8), dec)  # the even blocks
+    assert ms.interpolant_value(0.5, 0.05).r == 1.0
+    with pytest.raises(ValueError, match="not sampled"):
+        ms.interpolant_value(0.5, 0.1)
+    with pytest.raises(ValueError, match="not sampled"):
+        ms.values_on_grid(0.5, Grid1D(72, 1.0))
+    r, _ = ms.values_on_grid(0.5, Grid1D(8, 1.0))
+    assert r.tolist() == [1.0] * 8
+    ones = np.ones((dec.n_time_slabs, 2))
+    for blocks in ([3, 1], [2, 2], [-1, 0], [14, 15]):
+        with pytest.raises(ValueError, match="blocks must be increasing"):
+            MeasurementSet(dec, ones, ones, blocks)
+
+
+def test_slab_at_matches_time_slab_index():
+    rng = np.random.default_rng(5)
+    probes = 0
+    for k, duration in [(1, 1.0), (2, 0.3), (3, 1.0), (7, 0.7), (64, 1.0), (1415, 1.0),
+                        (2176, 1.0), (3001, 0.123), (11314, 1.0)]:
+        dec = SpaceTimeDecomposition(1e9, duration, 1.0, k, 1)
+        tb = dec.time_breaks
+        ts = np.concatenate([
+            tb, np.nextafter(tb, -np.inf)[1:], np.nextafter(tb, np.inf)[:-1],
+            rng.uniform(0.0, duration, 500),
+        ])
+        expected = dec.time_slab_index(ts)
+        assert [dec.slab_at(float(t)) for t in ts] == expected.tolist()
+        probes += ts.size
+        for t in (np.nextafter(0.0, -1.0), -1.0, np.nextafter(duration, np.inf), np.nan):
+            with pytest.raises(ValueError, match="time outside"):
+                dec.slab_at(t)
+    assert probes > 50_000
