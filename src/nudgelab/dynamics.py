@@ -199,7 +199,7 @@ def _check_stage(rho, mom, t, rho_floor):
 
 def step(
     grid: Grid1D,
-    state: FluidState,
+    state: tuple[float, np.ndarray, np.ndarray],
     dt: float,
     eos: EquationOfState,
     visc: Viscosity,
@@ -210,26 +210,26 @@ def step(
     rho_floor: float = 1e-8,
     extra_sources: Callable | None = None,
     end_time: float | None = None,
-) -> FluidState:
-    """Advance one step of size dt: SSP-RK2 transport stage followed by the
-    exact implicit relaxation when the step lies inside the nudging window.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance ``state = (t, rho, mom)`` by dt and return the new (rho, mom):
+    an SSP-RK2 transport stage followed by the exact implicit relaxation
+    when the step lies inside the nudging window.
 
-    The caller is responsible for dt satisfying the stability contract and
-    for steps not straddling the window boundary (the integrator lands on
-    it exactly).  ``end_time`` overrides the accumulated time, which lets
-    the integrator hit breakpoints without roundoff drift.
+    The caller is responsible for dt satisfying the stability contract, for
+    steps not straddling the window boundary (the integrator lands on it
+    exactly) and for the time bookkeeping.  ``end_time`` is the time stamp
+    the checks of the new state report; it defaults to t + dt.
 
     Each of the two RK stages, and the relaxed state when nudging acts, is
     checked once: a non-finite value raises BlowUpError, and otherwise a
-    density below ``rho_floor`` raises VacuumError.  The returned FluidState
-    checks finiteness and positivity again, as every state does.  What does
-    not change during a run is computed once and reused: the grid's cell
-    centers, the space-block index of the observations on the grid (in
+    density below ``rho_floor`` raises VacuumError.  These are the only
+    checks of a step; no FluidState is built.  What does not change during
+    a run is computed once and reused: the grid's cell centers, the
+    space-block index of the observations on the grid (in
     ``MeasurementSet.values_on_grid``) and, for the configured sine forcing,
     its spatial profile.
     """
-    t = state.time
-    rho0, mom0 = state.rho, state.mom
+    t, rho0, mom0 = state
 
     d_rho, d_mom = rhs(grid, rho0, mom0, eos, visc, forcing, t, extra_sources)
     rho1 = rho0 + dt * d_rho
@@ -257,7 +257,7 @@ def step(
         mom_s = rho_n * u_n
         _check_stage(rho_s, mom_s, t_new, rho_floor)
 
-    return FluidState(t_new, rho_s, mom_s)
+    return rho_s, mom_s
 
 
 @dataclass(frozen=True)
@@ -327,58 +327,55 @@ def integrate(
     """Integrate from ``initial`` to ``t_end``; returns (Trajectory, stats).
 
     Steps use the stability-bounded dt, capped so the run lands exactly on
-    the end time, the nudging window boundary, and the snapshot grid.  Each
-    step is one call of ``step``, with ``end_time`` set only on the step
-    that lands on a breakpoint; ``step`` documents the checks made per
-    stage.  The trajectory carries the running sup bounds over every
-    accepted step.  On a vacuum or blow-up failure the trajectory collected
-    so far is attached to the raised error as ``.partial``.
+    the end time, the nudging window boundary, and the snapshot grid.  The
+    loop carries plain (t, rho, mom) arrays: each step is one call of
+    ``step``, which makes the only per-step checks, with ``end_time`` set
+    only on the step that lands on a breakpoint.  Recorded snapshots are
+    stacked once, by the Trajectory.  The trajectory carries the running
+    sup bounds over every accepted step.  On a vacuum or blow-up failure
+    the trajectory recorded so far is attached to the raised error as
+    ``.partial``.
     """
     options = options or SolverOptions()
-    t0 = initial.time
-    if t_end < t0:
+    t = initial.time
+    if t_end < t:
         raise ValueError("t_end must not precede the initial time")
-    snaps = [initial]
-    rho_max = float(initial.rho.max())
-    speed_max = float(np.abs(initial.velocity()).max())
+    rho, mom = initial.rho, initial.mom
+    times, rhos, moms = [t], [rho], [mom]
+    rho_max = float(rho.max())
+    speed_max = float(np.abs(mom / rho).max())
 
     def trajectory():
         return Trajectory(
-            grid,
-            [s.time for s in snaps],
-            np.stack([s.rho for s in snaps]),
-            np.stack([s.mom for s in snaps]),
-            SupBounds(rho_max, speed_max, forcing.bound),
+            grid, times, rhos, moms, SupBounds(rho_max, speed_max, forcing.bound)
         )
 
-    if t_end == t0:
+    if t_end == t:
         return trajectory(), IntegrationStats(0, 0.0, 0.0, 0.0)
 
     start = _time.perf_counter()
-    record_every_step = options.snapshot_every is None
-    targets = _breakpoints(t0, t_end, options, nudging)
-    state = initial
+    every_step = options.snapshot_every is None
+    targets = _breakpoints(t, t_end, options, nudging)
     n_steps = 0
     dt_min, dt_max = np.inf, 0.0
     try:
         for target in targets:
-            while state.time < target:
+            while t < target:
                 if options.fixed_dt is not None:
                     dt = options.fixed_dt
                 else:
-                    dt = stable_dt(grid, state.rho, state.mom, eos, visc, options.safety)
-                landing = state.time + dt >= target
+                    dt = stable_dt(grid, rho, mom, eos, visc, options.safety)
+                landing = t + dt >= target
                 if landing:
-                    dt = target - state.time
+                    dt = target - t
                 n_steps += 1
                 if n_steps > options.max_steps:
                     raise BlowUpError(
-                        f"exceeded max_steps={options.max_steps} at t={state.time:g}",
-                        time=state.time,
+                        f"exceeded max_steps={options.max_steps} at t={t:g}", time=t
                     )
-                state = step(
+                rho, mom = step(
                     grid,
-                    state,
+                    (t, rho, mom),
                     dt,
                     eos,
                     visc,
@@ -389,14 +386,15 @@ def integrate(
                     extra_sources=extra_sources,
                     end_time=target if landing else None,
                 )
+                t = target if landing else t + dt
                 dt_min = min(dt_min, dt)
                 dt_max = max(dt_max, dt)
-                rho_max = max(rho_max, float(state.rho.max()))
-                speed_max = max(speed_max, float(np.abs(state.velocity()).max()))
-                if record_every_step:
-                    snaps.append(state)
-            if not record_every_step:
-                snaps.append(state)
+                rho_max = max(rho_max, float(rho.max()))
+                speed_max = max(speed_max, float(np.abs(mom / rho).max()))
+                if every_step or landing:
+                    times.append(t)
+                    rhos.append(rho)
+                    moms.append(mom)
     except (VacuumError, BlowUpError) as err:
         err.partial = trajectory()
         raise

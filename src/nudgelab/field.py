@@ -199,6 +199,8 @@ class Trajectory:
         mom = np.array(mom, dtype=float)
         if times.ndim != 1 or times.size < 1:
             raise ValueError("need at least one snapshot")
+        if not np.isfinite(times).all():
+            raise ValueError("snapshot times must be finite")
         if np.any(np.diff(times) <= 0.0):
             raise ValueError("snapshot times must be strictly increasing")
         if rho.shape != (times.size, grid.n_cells) or mom.shape != rho.shape:

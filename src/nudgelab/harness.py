@@ -298,6 +298,8 @@ def run_twin(cfg: ExperimentConfig, out_dir=None) -> TwinReport:
         "observed_steps": observed_stats.n_steps,
         "observed_dt_min": observed_stats.dt_min,
         "observed_dt_max": observed_stats.dt_max,
+        "observed_wall_time": observed_stats.wall_time,
+        "nudged_wall_time": sync_stats.wall_time,
         "observed_snapshots": observed.n_snapshots,
         "wall_time": _time.perf_counter() - wall_start,
     }

@@ -314,21 +314,18 @@ def sample(traj: Trajectory, dec: SpaceTimeDecomposition) -> MeasurementSet:
 def interpolation_error(ms: MeasurementSet, traj: Trajectory) -> InterpolationError:
     """Sup-norm gap between the piecewise-constant field and the trajectory,
     evaluated on the lattice of snapshot times inside the assimilation
-    window times all grid cells."""
-    mask = (traj.times >= 0.0) & (traj.times <= ms.decomposition.duration)
-    times = traj.times[mask]
-    if times.size == 0:
+    window times all grid cells.  Each snapshot is compared with the row
+    that ``values_on_grid``, the nudged run's own lookup, returns."""
+    inside = np.flatnonzero((traj.times >= 0.0) & (traj.times <= ms.decomposition.duration))
+    if inside.size == 0:
         raise ValueError("no snapshot times inside the decomposition window")
-    slab = ms.decomposition.time_slab_index(times)
-    cols = ms._columns_on_grid(traj.grid)
-    r_interp = ms.r_sample[slab[:, None], cols[None, :]]
-    u_interp = ms.U_sample[slab[:, None], cols[None, :]]
-    rho = traj.rho[mask]
-    vel = traj.mom[mask] / rho
-    return InterpolationError(
-        sup_err_r=float(np.max(np.abs(r_interp - rho))),
-        sup_err_U=float(np.max(np.abs(u_interp - vel))),
-    )
+    err_r = err_u = 0.0
+    for i in inside.tolist():
+        r_interp, u_interp = ms.values_on_grid(float(traj.times[i]), traj.grid)
+        rho = traj.rho[i]
+        err_r = max(err_r, float(np.abs(r_interp - rho).max()))
+        err_u = max(err_u, float(np.abs(u_interp - traj.mom[i] / rho).max()))
+    return InterpolationError(sup_err_r=err_r, sup_err_U=err_u)
 
 
 def save_measurements(path, ms: MeasurementSet) -> None:

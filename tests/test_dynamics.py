@@ -125,10 +125,9 @@ def test_nudging_sources_substitution():
 def test_step_rest_state_unchanged():
     g = Grid1D(16, 1.0)
     s = uniform_state(16, rho=1.2)
-    out = step(g, s, 1e-3, EOS, VISC, Forcing.zero())
-    assert np.array_equal(out.rho, s.rho)
-    assert np.array_equal(out.mom, s.mom)
-    assert out.time == pytest.approx(1e-3)
+    rho, mom = step(g, (s.time, s.rho, s.mom), 1e-3, EOS, VISC, Forcing.zero())
+    assert np.array_equal(rho, s.rho)
+    assert np.array_equal(mom, s.mom)
 
 
 def test_step_relaxation_halfway_example():
@@ -137,8 +136,8 @@ def test_step_relaxation_halfway_example():
     s = uniform_state(16, rho=2.0)
     ms = constant_measurements(r=1.0, u=0.0)
     cfg = NudgingConfig(10.0, 0.0, (0.0, 1.0))
-    out = step(g, s, 0.1, EOS, VISC, Forcing.zero(), ms, cfg)
-    assert np.allclose(out.rho, 1.5, rtol=1e-14)
+    rho, _ = step(g, (s.time, s.rho, s.mom), 0.1, EOS, VISC, Forcing.zero(), ms, cfg)
+    assert np.allclose(rho, 1.5, rtol=1e-14)
 
 
 @pytest.mark.parametrize("dt_lambda", [0.1, 1.0, 10.0, 1000.0])
@@ -150,8 +149,8 @@ def test_step_relaxation_contraction_factor(dt_lambda):
     dt = dt_lambda / lam
     ms = constant_measurements(r=1.0, u=0.0, duration=2.0 * dt + 1.0)
     cfg = NudgingConfig(lam, 0.0, (0.0, 2 * dt + 1.0))
-    out = step(g, s, dt, EOS, VISC, Forcing.zero(), ms, cfg)
-    gap_before, gap_after = 1.0, out.rho[0] - 1.0
+    rho, _ = step(g, (s.time, s.rho, s.mom), dt, EOS, VISC, Forcing.zero(), ms, cfg)
+    gap_before, gap_after = 1.0, rho[0] - 1.0
     assert gap_after == pytest.approx(gap_before / (1.0 + dt_lambda), rel=1e-12)
 
 
@@ -161,16 +160,16 @@ def test_step_synchronized_fixed_point():
     s = uniform_state(16, rho=1.0)
     ms = constant_measurements(r=1.0, u=0.0)
     cfg = NudgingConfig(50.0, 200.0, (0.0, 1.0))
-    out = step(g, s, 1e-3, EOS, VISC, Forcing.zero(), ms, cfg)
-    assert np.array_equal(out.rho, s.rho)
-    assert np.array_equal(out.mom, s.mom)
+    rho, mom = step(g, (s.time, s.rho, s.mom), 1e-3, EOS, VISC, Forcing.zero(), ms, cfg)
+    assert np.array_equal(rho, s.rho)
+    assert np.array_equal(mom, s.mom)
 
 
 def test_step_vacuum_error_carries_cell():
     g = Grid1D(16, 1.0)
     s = uniform_state(16, rho=1.0)
     with pytest.raises(VacuumError) as exc:
-        step(g, s, 1e-3, EOS, VISC, Forcing.zero(), rho_floor=2.0)
+        step(g, (s.time, s.rho, s.mom), 1e-3, EOS, VISC, Forcing.zero(), rho_floor=2.0)
     assert exc.value.cell is not None
     assert exc.value.time is not None
 
@@ -180,7 +179,7 @@ def test_step_blowup_detection():
     s = uniform_state(16, rho=1.0)
     bad = Forcing(lambda t, x: np.full_like(x, np.nan), 0.0)
     with pytest.raises(BlowUpError) as exc:
-        step(g, s, 1e-3, EOS, VISC, bad)
+        step(g, (s.time, s.rho, s.mom), 1e-3, EOS, VISC, bad)
     assert exc.value.time is not None
 
     # a NaN density is a blow-up even when another cell falls below the floor
@@ -190,7 +189,9 @@ def test_step_blowup_detection():
         return s_rho, np.zeros_like(x)
 
     with pytest.raises(BlowUpError):
-        step(g, s, 1e-3, EOS, VISC, Forcing.zero(), extra_sources=sources)
+        step(
+            g, (s.time, s.rho, s.mom), 1e-3, EOS, VISC, Forcing.zero(), extra_sources=sources
+        )
 
 
 def test_stable_dt_formula():
@@ -247,6 +248,59 @@ def test_integrate_calls_step_once_per_step(monkeypatch):
     assert len(calls) == stats.n_steps > traj.n_snapshots
     landings = [kw["end_time"] for kw in calls if kw["end_time"] is not None]
     assert landings == list(traj.times[1:])
+
+
+def test_integrate_builds_no_state_per_step(monkeypatch):
+    g = Grid1D(16, 1.0)
+    x = g.cell_centers()
+    s = FluidState(0.0, 1.0 + 0.1 * np.cos(2 * np.pi * x), np.zeros(16))
+    built = []
+    real_post_init = FluidState.__post_init__
+
+    def counting_post_init(self):
+        built.append(self.time)
+        real_post_init(self)
+
+    monkeypatch.setattr(FluidState, "__post_init__", counting_post_init)
+    options = SolverOptions(fixed_dt=1e-4, snapshot_every=None)
+    traj, stats = integrate(g, s, 0.0125, EOS, VISC, Forcing.zero(), options=options)
+    assert stats.n_steps >= 100
+    assert traj.n_snapshots == stats.n_steps + 1
+    assert built == []
+
+
+def test_integrate_landing_step_ends_on_its_target():
+    g = Grid1D(16, 1.0)
+    s = uniform_state(16, rho=1.2)
+    traj, stats = integrate(
+        g, s, 1e-3, EOS, VISC, Forcing.zero(), options=SolverOptions(fixed_dt=1e-3)
+    )
+    assert stats.n_steps == 1
+    assert list(traj.times) == [0.0, 1e-3]
+    assert np.array_equal(traj.rho[1], s.rho)
+    assert np.array_equal(traj.mom[1], s.mom)
+
+
+def test_vacuum_partial_holds_the_landings_before_the_failure():
+    # a density sink switched on after t = 0.03 empties the cells on the
+    # step after the landing at 0.03
+    g = Grid1D(16, 1.0)
+    x = g.cell_centers()
+    s = FluidState(0.0, 1.0 + 0.1 * np.cos(2 * np.pi * x), np.zeros(16))
+    options = SolverOptions(snapshot_every=0.01)
+
+    def sink(t, x):
+        return np.full_like(x, -1e6 if t > 0.03 else 0.0), np.zeros_like(x)
+
+    with pytest.raises(VacuumError) as exc:
+        integrate(g, s, 0.1, EOS, VISC, Forcing.zero(), options=options, extra_sources=sink)
+    partial = exc.value.partial
+    assert exc.value.time > 0.03
+    clean, _ = integrate(g, s, 0.1, EOS, VISC, Forcing.zero(), options=options)
+    assert list(partial.times) == list(clean.times[:4])
+    assert partial.times[-1] == pytest.approx(0.03, abs=1e-15)
+    assert np.array_equal(partial.rho, clean.rho[:4])
+    assert np.array_equal(partial.mom, clean.mom[:4])
 
 
 def test_integrate_zero_span():

@@ -140,6 +140,24 @@ def test_trajectory_validation():
         Trajectory(g, [0.0], np.zeros((1, 8)), np.zeros((1, 8)), SupBounds(1, 0, 0))
 
 
+@pytest.mark.parametrize("times", [[0.0, np.nan], [0.0, np.inf], [-np.inf, 0.0]])
+def test_trajectory_rejects_non_finite_times(times):
+    g = Grid1D(8, 1.0)
+    with pytest.raises(ValueError, match="snapshot times must be finite"):
+        Trajectory(g, times, np.ones((2, 8)), np.zeros((2, 8)), SupBounds(1, 0, 0))
+
+
+def test_load_trajectory_rejects_a_nan_time_row(tmp_path):
+    x = Grid1D(8, 1.0).cell_centers()
+    path = tmp_path / "traj.csv"
+    with open(path, "w") as fh:
+        fh.write("# length=1 forcing_max=0\nt,x,rho,mom\n")
+        for t in ("0", "nan"):
+            fh.writelines(f"{t},{xj:.17g},1,0\n" for xj in x)
+    with pytest.raises(ValueError, match="snapshot times must be finite"):
+        load_trajectory(path)
+
+
 def test_trajectory_state_at():
     traj = make_traj()
     # exact hits reproduce stored rows bitwise

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,29 @@ def test_twin_reports_truth_run_statistics(lite_twin, lite_config):
     assert (hit.n_steps, hit.dt_min, hit.dt_max) == (
         stats["observed_steps"], stats["observed_dt_min"], stats["observed_dt_max"]
     )
+
+
+def test_twin_reports_each_runs_wall_time(lite_config):
+    first = run_twin(lite_config).stats
+    _, filled = run_observed(lite_config)
+    second = run_twin(lite_config).stats
+    # a cache hit reports the wall time of the truth run that filled the cache
+    assert first["observed_wall_time"] == filled.wall_time == second["observed_wall_time"]
+    assert filled.wall_time > 0.0
+    for stats in (first, second):
+        assert 0.0 < stats["nudged_wall_time"] < stats["wall_time"]
+
+
+def test_truth_run_peak_memory_is_bounded_by_its_trajectory(lite_config):
+    # the recorded rows plus the one stacked copy, with room for temporaries
+    tracemalloc.start()
+    try:
+        traj, _ = run_observed(lite_config, use_cache=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    traj_bytes = traj.times.nbytes + traj.rho.nbytes + traj.mom.nbytes
+    assert peak <= 2.5 * traj_bytes
 
 
 def test_twin_identical_initial_data_stays_synchronized(lite_config):

@@ -226,6 +226,30 @@ def test_interpolation_error_halves_with_delta(lite_observed):
     assert errs[0.02] <= 0.6 * errs[0.04]
 
 
+@pytest.mark.parametrize("placement", ["center", "jittered"])
+def test_interpolation_error_matches_dense_reference(placement):
+    # snapshots before, inside and after the window, one exactly at t = T
+    g = Grid1D(24, 1.0)
+    x = g.cell_centers()
+    times = np.array([-0.1, 0.0, 0.07, 0.13, 0.25, 0.31, 0.4, 0.5, 0.62])
+    rho = 1.0 + 0.2 * np.sin(2 * np.pi * (x[None, :] + times[:, None]))
+    rho += 0.05 * np.random.default_rng(3).random(rho.shape)
+    mom = rho * np.cos(3.0 * x[None, :] - times[:, None])
+    traj = Trajectory(g, times, rho, mom, SupBounds(float(rho.max()), 1.0, 0.0))
+    dec = build_decomposition(0.08, 0.5, 1.0, placement=placement, seed=11)
+    ms = sample(traj, dec)
+    err = interpolation_error(ms, traj)
+
+    inside = (times >= 0.0) & (times <= 0.5)
+    slab = dec.time_slab_index(times[inside])
+    cols = np.searchsorted(ms.blocks, dec.space_block_index(x))
+    r_ref = ms.r_sample[slab[:, None], cols[None, :]]
+    u_ref = ms.U_sample[slab[:, None], cols[None, :]]
+    assert err.sup_err_r == np.max(np.abs(r_ref - rho[inside]))
+    assert err.sup_err_U == np.max(np.abs(u_ref - mom[inside] / rho[inside]))
+    assert err.sup_err_r > 0.0 and err.sup_err_U > 0.0
+
+
 def test_measurements_round_trip(tmp_path):
     # 8 cells read 8 of the 15 blocks; the export holds exactly their cells
     traj = constant_trajectory(n=8, rho_fn=lambda x: 1.0 + 0.3 * np.cos(2 * np.pi * x))
