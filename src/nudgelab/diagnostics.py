@@ -15,14 +15,14 @@ Gronwall growth afterwards.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .dynamics import Forcing, NudgingConfig, Viscosity
 from .eos import EquationOfState
-from .field import FluidState, Grid1D, Trajectory, ghost_pad, noslip_seminorm_sq, norms
+from .field import FluidState, Grid1D, Trajectory, ghost_pad, noslip_seminorm_sq
 from .sampler import MeasurementSet
 
 __all__ = [
@@ -45,6 +45,33 @@ __all__ = [
 ]
 
 
+# trajectory rows evaluated together, which bounds the (rows, n_cells)
+# temporaries: with 128 rows the gain sweep's peak RSS rose by 0.5 MiB
+ROW_BLOCK = 64
+
+
+def _row_blocks(n: int) -> list[slice]:
+    return [slice(lo, lo + ROW_BLOCK) for lo in range(0, n, ROW_BLOCK)]
+
+
+def _integral(grid: Grid1D, density):
+    """dx * sum over the cells (the last axis)."""
+    return grid.dx * np.sum(density, axis=-1)
+
+
+def _relative_energy_density(eos: EquationOfState, rho, du, r):
+    """Pointwise relative energy 1/2 rho |u - U|^2 + P(rho) - P'(r)(rho - r)
+    - P(r), given the velocity mismatch du = u - U."""
+    return 0.5 * rho * du**2 + eos.potential_bregman(rho, r)
+
+
+def _observed_rows(ms: MeasurementSet, grid: Grid1D, ts):
+    """Interpolant rows (r, U) at each time, read through the nudged run's
+    own lookup."""
+    rows = [ms.values_on_grid(float(t), grid) for t in ts]
+    return np.array([r for r, _ in rows]), np.array([u for _, u in rows])
+
+
 def total_energy_density(eos: EquationOfState, rho, mom):
     """Pointwise total energy: 1/2 m^2/rho + P(rho) for rho > 0, zero for
     the zero state, and an infinity sentinel otherwise (negative or
@@ -64,7 +91,7 @@ def total_energy_density(eos: EquationOfState, rho, mom):
 
 def total_energy(eos: EquationOfState, grid: Grid1D, state: FluidState) -> float:
     """dx * sum of the total energy density over the grid."""
-    return float(grid.dx * np.sum(total_energy_density(eos, state.rho, state.mom)))
+    return float(_integral(grid, total_energy_density(eos, state.rho, state.mom)))
 
 
 def relative_energy(
@@ -81,36 +108,33 @@ def relative_energy(
     if state.n_cells != grid.n_cells or observed.n_cells != grid.n_cells:
         raise ValueError("states do not match the grid")
     du = state.velocity() - observed.velocity()
-    dens = 0.5 * state.rho * du**2 + eos.potential_bregman(state.rho, observed.rho)
-    return float(grid.dx * np.sum(dens))
+    return float(_integral(grid, _relative_energy_density(eos, state.rho, du, observed.rho)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnergyReport:
-    """One diagnostic time slice of a synchronized run against the truth."""
+    """Diagnostics of a synchronized run against the truth: one read-only
+    column per quantity, one row per report time."""
 
-    time: float
-    total_energy: float
-    rel_energy: float
-    dissipation: float
-    l2_u_diff: float
-    mass: float
-    nudge_power_rho: float
-    nudge_power_u: float
+    time: np.ndarray
+    total_energy: np.ndarray
+    rel_energy: np.ndarray
+    dissipation: np.ndarray
+    l2_u_diff: np.ndarray
+    mass: np.ndarray
+    nudge_power_rho: np.ndarray
+    nudge_power_u: np.ndarray
 
     def __post_init__(self):
-        values = [
-            self.total_energy,
-            self.rel_energy,
-            self.dissipation,
-            self.l2_u_diff,
-            self.mass,
-            self.nudge_power_rho,
-            self.nudge_power_u,
-        ]
-        if not all(np.isfinite(v) for v in values):
+        columns = [np.array(getattr(self, f.name), dtype=float) for f in fields(self)]
+        if any(c.ndim != 1 or c.shape != columns[0].shape for c in columns):
+            raise ValueError("energy report columns must be 1D and of one length")
+        if not all(np.isfinite(c).all() for c in columns[1:]):
             raise ValueError("energy report entries must be finite")
-        if self.rel_energy < 0.0 or self.total_energy < 0.0:
+        for f, c in zip(fields(self), columns):
+            c.setflags(write=False)
+            object.__setattr__(self, f.name, c)
+        if (self.rel_energy < 0.0).any() or (self.total_energy < 0.0).any():
             raise ValueError("energies must be nonnegative")
 
 
@@ -118,76 +142,87 @@ def make_energy_report(
     eos: EquationOfState,
     visc: Viscosity,
     grid: Grid1D,
-    state: FluidState,
-    observed: FluidState,
+    traj: Trajectory,
+    observed: Trajectory,
     ms: MeasurementSet | None = None,
     nudging: NudgingConfig | None = None,
 ) -> EnergyReport:
-    """Assemble the per-instant diagnostics.  Dissipation is the effective
-    viscosity times the squared no-slip seminorm of the velocity mismatch;
-    the nudging powers are the instantaneous energy sources contributed by
-    the relaxation terms (negative values are sinks)."""
-    t = state.time
-    u = state.velocity()
-    du = u - observed.velocity()
-    nrm = norms(grid, state, observed)
-    npr = npu = 0.0
-    if ms is not None and nudging is not None and nudging.active(t):
-        r_obs, u_obs = ms.values_on_grid(t, grid)
-        npr = -nudging.lambda_rho * grid.dx * float(
-            np.sum((eos.dpotential(state.rho) - 0.5 * u**2) * (state.rho - r_obs))
-        )
-        npu = -nudging.lambda_u * grid.dx * float(
-            np.sum((1.0 + state.rho) * u * (u - u_obs))
-        )
-    return EnergyReport(
-        time=t,
-        total_energy=total_energy(eos, grid, state),
-        rel_energy=relative_energy(eos, grid, state, observed),
-        dissipation=visc.nu_eff * noslip_seminorm_sq(grid, du),
-        l2_u_diff=nrm.l2_u_diff,
-        mass=nrm.mass,
-        nudge_power_rho=npr,
-        nudge_power_u=npu,
-    )
+    """Diagnostics of ``traj`` at each of its snapshots, against the truth
+    ``observed`` interpolated to the same times.  Dissipation is the
+    effective viscosity times the squared no-slip seminorm of the velocity
+    mismatch; the nudging powers are the instantaneous energy sources
+    contributed by the relaxation terms (negative values are sinks), zero
+    where the relaxation is off."""
+    if traj.grid.n_cells != grid.n_cells or observed.grid.n_cells != grid.n_cells:
+        raise ValueError("trajectories do not match the grid")
+    n = traj.n_snapshots
+    energy, rel, dissipation, l2, mass, power_rho, power_u = np.zeros((7, n))
+    for rows in _row_blocks(n):
+        t, rho, mom = traj.times[rows], traj.rho[rows], traj.mom[rows]
+        r, m = observed.fields_at(t)
+        u = mom / rho
+        du = u - m / r
+        energy[rows] = _integral(grid, total_energy_density(eos, rho, mom))
+        rel[rows] = _integral(grid, _relative_energy_density(eos, rho, du, r))
+        dissipation[rows] = visc.nu_eff * noslip_seminorm_sq(grid, du)
+        l2[rows] = np.sqrt(_integral(grid, du**2))
+        mass[rows] = _integral(grid, rho)
+        if ms is None or nudging is None:
+            continue
+        on = np.flatnonzero(nudging.active(t))
+        if on.size:
+            r_obs, u_obs = _observed_rows(ms, grid, t[on])
+            rho_on, u_on = rho[on], u[on]
+            power_rho[rows.start + on] = -nudging.lambda_rho * grid.dx * np.sum(
+                (eos.dpotential(rho_on) - 0.5 * u_on**2) * (rho_on - r_obs), axis=-1
+            )
+            power_u[rows.start + on] = -nudging.lambda_u * grid.dx * np.sum(
+                (1.0 + rho_on) * u_on * (u_on - u_obs), axis=-1
+            )
+    return EnergyReport(traj.times, energy, rel, dissipation, l2, mass, power_rho, power_u)
 
 
 def _budget_rate(
     eos: EquationOfState,
     visc: Viscosity,
     grid: Grid1D,
-    state: FluidState,
+    ts: np.ndarray,
+    rho: np.ndarray,
+    mom: np.ndarray,
     forcing: Forcing,
     ms: MeasurementSet | None,
     nudging: NudgingConfig | None,
-) -> float:
+) -> np.ndarray:
     """Instantaneous (dissipation + nudging sinks - sources) rate entering
-    the energy budget; the budget predicts dE/dt + rate <= 0 up to
-    discretization error, with the Fenchel-Young slack as margin."""
+    the energy budget, one per row of (rho, mom) at times ts; the budget
+    predicts dE/dt + rate <= 0 up to discretization error, with the
+    Fenchel-Young slack as margin."""
     dx = grid.dx
-    t = state.time
-    rho = state.rho
-    u = state.velocity()
-    d_self = visc.nu_eff * noslip_seminorm_sq(grid, u)
-    rate = d_self
-    rate -= dx * float(np.sum(rho * forcing(t, grid.cell_centers()) * u))
-    if ms is not None and nudging is not None and nudging.active(t):
-        lr, lu = nudging.lambda_rho, nudging.lambda_u
-        r_obs, u_obs = ms.values_on_grid(t, grid)
-        rate += lu * dx * float(np.sum(u**2))
-        rate += (lu - lr) * dx * float(np.sum(rho * u**2))
-        rate += 0.5 * lr * dx * float(np.sum(r_obs * u**2))
-        rate += 0.5 * lr * dx * float(np.sum(rho * u**2))
-        rate += lr * dx * float(
-            np.sum(eos.pressure_potential(rho) - eos.pressure_potential(r_obs))
-        )
-        rate -= lu * dx * float(np.sum((1.0 + rho) * u_obs * u))
+    x = grid.cell_centers()
+    u = mom / rho
+    rate = visc.nu_eff * noslip_seminorm_sq(grid, u)
+    rate -= dx * np.sum(rho * np.array([forcing(float(t), x) for t in ts]) * u, axis=-1)
+    if ms is not None and nudging is not None:
+        on = nudging.active(ts)
+        if on.any():
+            lr, lu = nudging.lambda_rho, nudging.lambda_u
+            r_obs, u_obs = _observed_rows(ms, grid, ts[on])
+            rho, u, part = rho[on], u[on], rate[on]
+            part += lu * dx * np.sum(u**2, axis=-1)
+            part += (lu - lr) * dx * np.sum(rho * u**2, axis=-1)
+            part += 0.5 * lr * dx * np.sum(r_obs * u**2, axis=-1)
+            part += 0.5 * lr * dx * np.sum(rho * u**2, axis=-1)
+            part += lr * dx * np.sum(
+                eos.pressure_potential(rho) - eos.pressure_potential(r_obs), axis=-1
+            )
+            part -= lu * dx * np.sum((1.0 + rho) * u_obs * u, axis=-1)
+            rate[on] = part
     return rate
 
 
 def energy_balance_residual(
-    reports: list[EnergyReport],
-    states: list[FluidState],
+    report: EnergyReport,
+    traj: Trajectory,
     eos: EquationOfState,
     visc: Viscosity,
     forcing: Forcing,
@@ -195,7 +230,8 @@ def energy_balance_residual(
     ms: MeasurementSet | None = None,
     nudging: NudgingConfig | None = None,
 ) -> np.ndarray:
-    """Per-interval energy budget residual rates.
+    """Per-interval energy budget residual rates of ``traj``, whose energy
+    series is ``report``.
 
     residual_k = (E_{k+1} - E_k) / dt + trapezoidal average of the
     dissipation-plus-sinks-minus-sources rate.  The budget inequality
@@ -203,17 +239,15 @@ def energy_balance_residual(
     smooth runs; for unforced, un-nudged runs the residual reduces to the
     defect in the plain energy balance.
     """
-    if len(reports) != len(states) or len(reports) < 2:
-        raise ValueError("need matching reports and states, at least two slices")
-    times = np.array([r.time for r in reports])
-    if np.any(np.diff(times) <= 0.0):
-        raise ValueError("report times must be increasing")
-    rates = np.array(
-        [_budget_rate(eos, visc, grid, s, forcing, ms, nudging) for s in states]
-    )
-    energies = np.array([r.total_energy for r in reports])
-    dts = np.diff(times)
-    return np.diff(energies) / dts + 0.5 * (rates[:-1] + rates[1:])
+    times = report.time
+    if times.size < 2 or not np.array_equal(times, traj.times):
+        raise ValueError("need the report of the trajectory's snapshots, at least two")
+    rates = np.empty(times.size)
+    for rows in _row_blocks(times.size):
+        rates[rows] = _budget_rate(
+            eos, visc, grid, times[rows], traj.rho[rows], traj.mom[rows], forcing, ms, nudging
+        )
+    return np.diff(report.total_energy) / np.diff(times) + 0.5 * (rates[:-1] + rates[1:])
 
 
 @dataclass(frozen=True)
@@ -457,19 +491,24 @@ def forecast_chi_base(
     """
     dx = grid.dx
     x = grid.cell_centers()
-    out = np.empty(len(times))
-    for i, t in enumerate(times):
-        s = traj.state_at(float(t))
-        u = s.velocity()
-        rp, mp = ghost_pad(s.rho, s.mom)
+    times = np.asarray(times, dtype=float)
+    out = np.empty(times.size)
+    for rows in _row_blocks(times.size):
+        ts = times[rows]
+        rho, mom = traj.fields_at(ts)
+        u = mom / rho
+        rp, mp = ghost_pad(rho, mom)
         up = mp / rp
-        grad = np.abs(np.diff(u)) / dx
-        sup_grad = float(np.max(grad)) if grad.size else 0.0
-        sup_grad = max(sup_grad, abs(2.0 * u[0] / dx), abs(2.0 * u[-1] / dx))
-        div_stress = visc.nu_eff * (up[2:] - 2.0 * up[1:-1] + up[:-2]) / dx**2
-        drive = div_stress / s.rho + forcing(float(t), x)
-        l3 = (dx * np.sum(np.abs(drive) ** 3)) ** (1.0 / 3.0)
-        out[i] = 1.0 + sup_grad + l3**2
+        sup_grad = np.maximum(
+            np.max(np.abs(np.diff(u)) / dx, axis=-1),
+            np.maximum(np.abs(2.0 * u[:, 0] / dx), np.abs(2.0 * u[:, -1] / dx)),
+        )
+        div_stress = visc.nu_eff * (up[:, 2:] - 2.0 * up[:, 1:-1] + up[:, :-2]) / dx**2
+        drive = div_stress / rho + np.array([forcing(float(t), x) for t in ts])
+        cube = _integral(grid, np.abs(drive) ** 3)
+        # the cube root and the square stay scalar: their array forms can
+        # differ from the scalar ones in the last bit
+        out[rows] = [1.0 + g + (c ** (1.0 / 3.0)) ** 2 for g, c in zip(sup_grad, cube)]
     return out
 
 
@@ -487,41 +526,18 @@ ENERGY_SERIES_COLUMNS = (
 )
 
 
-def save_energy_series(path, reports: list[EnergyReport]) -> None:
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
+def save_energy_series(path, report: EnergyReport) -> None:
+    with open(Path(path), "w", newline="") as fh:
         fh.write(",".join(ENERGY_SERIES_COLUMNS) + "\n")
-        for r in reports:
-            row = (
-                r.time,
-                r.total_energy,
-                r.rel_energy,
-                r.dissipation,
-                r.l2_u_diff,
-                r.mass,
-                r.nudge_power_rho,
-                r.nudge_power_u,
-            )
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        columns = [getattr(report, f.name) for f in fields(report)]
+        np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=",")
 
 
-def load_energy_series(path) -> list[EnergyReport]:
+def load_energy_series(path) -> EnergyReport:
     path = Path(path)
     with open(path) as fh:
         header = fh.readline().strip()
         if header != ",".join(ENERGY_SERIES_COLUMNS):
             raise ValueError(f"{path}: unexpected header {header!r}")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return [
-        EnergyReport(
-            time=row[0],
-            total_energy=row[1],
-            rel_energy=row[2],
-            dissipation=row[3],
-            l2_u_diff=row[4],
-            mass=row[5],
-            nudge_power_rho=row[6],
-            nudge_power_u=row[7],
-        )
-        for row in data
-    ]
+    return EnergyReport(*data.T)

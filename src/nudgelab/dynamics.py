@@ -86,9 +86,10 @@ class NudgingConfig:
             raise ValueError("window must be an increasing pair")
         object.__setattr__(self, "window", (float(w0), float(w1)))
 
-    def active(self, t: float) -> bool:
+    def active(self, t):
+        """Whether the relaxation acts at t (elementwise for an array)."""
         w0, w1 = self.window
-        return w0 <= t < w1
+        return (w0 <= t) & (t < w1)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""Discrete 1D fields: grid geometry, flow states, trajectories, norms, and
-trajectory persistence.
+"""Discrete 1D fields: grid geometry, flow states, trajectories, the no-slip
+seminorm, and trajectory persistence.
 
 The domain is an interval [0, length] split into n_cells uniform cells with
 centers x_j = (j + 1/2) * dx and no-slip walls at both ends.  Wall treatment
@@ -20,12 +20,10 @@ from .errors import VacuumError
 __all__ = [
     "Grid1D",
     "FluidState",
-    "FieldNorms",
     "SupBounds",
     "Trajectory",
     "ghost_pad",
     "noslip_seminorm_sq",
-    "norms",
     "initial_regularity_norm",
     "data_norm",
     "save_trajectory",
@@ -112,62 +110,34 @@ class FluidState:
 
 
 def ghost_pad(rho: np.ndarray, mom: np.ndarray):
-    """Extend (rho, mom) by one ghost cell per wall.
+    """Extend (rho, mom) by one ghost cell per wall on the last axis.
 
     Density is reflected evenly (zero normal gradient), momentum oddly, so
     that the interpolated wall velocity vanishes exactly.
     """
-    n = rho.shape[0]
-    rp = np.empty(n + 2)
-    mp = np.empty(n + 2)
-    rp[1:-1] = rho
-    mp[1:-1] = mom
-    rp[0] = rho[0]
-    rp[-1] = rho[-1]
-    mp[0] = -mom[0]
-    mp[-1] = -mom[-1]
+    rp = np.empty(rho.shape[:-1] + (rho.shape[-1] + 2,))
+    mp = np.empty(rp.shape)
+    # the transposed views put the cells first, so a 1D call (the step's)
+    # indexes with plain integers rather than the slower rp[..., 0]
+    r, m, rt, mt = rho.T, mom.T, rp.T, mp.T
+    rt[1:-1] = r
+    mt[1:-1] = m
+    rt[0] = r[0]
+    rt[-1] = r[-1]
+    mt[0] = -m[0]
+    mt[-1] = -m[-1]
     return rp, mp
 
 
-def noslip_seminorm_sq(grid: Grid1D, u: np.ndarray) -> float:
-    """Squared discrete H^1_0 seminorm: dx * sum of one-sided difference
-    quotients, including the wall quotients 2*u/dx implied by odd ghosts."""
+def noslip_seminorm_sq(grid: Grid1D, u: np.ndarray):
+    """Squared discrete H^1_0 seminorm over the last axis: dx * sum of
+    one-sided difference quotients, including the wall quotients 2*u/dx
+    implied by odd ghosts."""
     dx = grid.dx
     interior = np.diff(u) / dx
-    left = 2.0 * u[0] / dx
-    right = 2.0 * u[-1] / dx
-    return dx * (np.sum(interior**2) + left**2 + right**2)
-
-
-@dataclass(frozen=True)
-class FieldNorms:
-    l2_u_diff: float
-    linf_u_diff: float
-    h1_u_diff: float
-    l2_rho_diff: float
-    mass: float
-
-
-def norms(grid: Grid1D, state: FluidState, reference: FluidState) -> FieldNorms:
-    """Discrete distance norms between two states on the same grid.
-
-    l2/linf act on the velocity difference, h1 adds the squared one-sided
-    difference quotients with no-slip ghosts, and mass is dx * sum(rho) of
-    ``state``.
-    """
-    if state.n_cells != grid.n_cells or reference.n_cells != grid.n_cells:
-        raise ValueError("states do not match the grid")
-    dx = grid.dx
-    du = state.velocity() - reference.velocity()
-    drho = state.rho - reference.rho
-    l2u = float(np.sqrt(dx * np.sum(du**2)))
-    return FieldNorms(
-        l2_u_diff=l2u,
-        linf_u_diff=float(np.max(np.abs(du))),
-        h1_u_diff=float(np.sqrt(l2u**2 + noslip_seminorm_sq(grid, du))),
-        l2_rho_diff=float(np.sqrt(dx * np.sum(drho**2))),
-        mass=float(dx * np.sum(state.rho)),
-    )
+    left = 2.0 * u[..., 0] / dx
+    right = 2.0 * u[..., -1] / dx
+    return dx * (np.sum(interior**2, axis=-1) + left**2 + right**2)
 
 
 @dataclass(frozen=True)
@@ -230,28 +200,36 @@ class Trajectory:
     def _weights(self, ts):
         """Bracketing indices and weights; exact snapshot hits produce
         weights of exactly 0 or 1, so interpolation reproduces stored rows
-        bit-for-bit."""
+        bit-for-bit.  A one-snapshot trajectory reads its only row."""
+        if self.n_snapshots == 1:
+            lo = np.zeros(np.shape(ts), dtype=int)
+            return lo, lo, np.zeros(np.shape(ts))
         hi = np.searchsorted(self.times, ts)
         hi = np.clip(hi, 1, self.n_snapshots - 1)
         lo = hi - 1
         w = (ts - self.times[lo]) / (self.times[hi] - self.times[lo])
         return lo, hi, w
 
-    def state_at(self, t: float) -> FluidState:
-        """Snapshot at time t, linearly interpolated between stored ones."""
-        if self.n_snapshots == 1:
-            if t != self.times[0]:
-                raise ValueError(f"time {t:g} outside trajectory range")
-            return self.snapshot(0)
-        if t < self.times[0] or t > self.times[-1]:
+    def fields_at(self, ts):
+        """(rho, mom) at times ts, linearly interpolated between stored
+        snapshots: one row per time, or one field for a scalar time.
+        Times outside [times[0], times[-1]], NaN included, raise."""
+        ts = np.asarray(ts, dtype=float)
+        outside = ~((ts >= self.times[0]) & (ts <= self.times[-1]))
+        if outside.any():
             raise ValueError(
-                f"time {t:g} outside trajectory range "
+                f"time {ts[outside][0]:g} outside trajectory range "
                 f"[{self.times[0]:g}, {self.times[-1]:g}]"
             )
-        lo, hi, w = self._weights(t)
+        lo, hi, w = self._weights(ts)
+        w = w[..., None]
         rho = (1.0 - w) * self.rho[lo] + w * self.rho[hi]
         mom = (1.0 - w) * self.mom[lo] + w * self.mom[hi]
-        return FluidState(t, rho, mom)
+        return rho, mom
+
+    def state_at(self, t: float) -> FluidState:
+        """Snapshot at time t, linearly interpolated between stored ones."""
+        return FluidState(t, *self.fields_at(t))
 
     def point_values(self, ts: np.ndarray, cells: np.ndarray):
         """Vectorized (rho, velocity) at times ts and cell indices cells.
@@ -263,9 +241,6 @@ class Trajectory:
         cells = np.asarray(cells, dtype=int)
         if ts.size and (ts.min() < self.times[0] or ts.max() > self.times[-1]):
             raise ValueError("sample times outside trajectory range")
-        if self.n_snapshots == 1:
-            rho = self.rho[0, cells]
-            return rho, self.mom[0, cells] / rho
         lo, hi, w = self._weights(ts)
         rho = (1.0 - w) * self.rho[lo, cells] + w * self.rho[hi, cells]
         mom = (1.0 - w) * self.mom[lo, cells] + w * self.mom[hi, cells]

@@ -37,6 +37,7 @@ from .diagnostics import (
     EnvelopeReport,
     GainConditionReport,
     check_gain_conditions,
+    energy_balance_residual,
     fit_decay,
     forecast_chi_base,
     forecast_envelope,
@@ -151,7 +152,8 @@ class TwinReport:
     persisted series plus the config echo."""
 
     config: ExperimentConfig
-    reports: list[EnergyReport]
+    energy: EnergyReport
+    budget_residual_max: float
     forecast_times: np.ndarray
     chi_base: np.ndarray
     decay: DecayFit | None
@@ -245,6 +247,7 @@ def run_twin(cfg: ExperimentConfig, out_dir=None) -> TwinReport:
     tl = cfg.timeline
 
     observed, observed_stats = run_observed(cfg)
+    sample_start = _time.perf_counter()
     dec = build_decomposition(
         cfg.sampler.delta,
         tl.t_assim_end,
@@ -253,6 +256,7 @@ def run_twin(cfg: ExperimentConfig, out_dir=None) -> TwinReport:
         seed=cfg.sampler.seed,
     )
     ms = sample(observed, dec)
+    sample_wall_time = _time.perf_counter() - sample_start
 
     if cfg.sync_init == "mean_rest":
         initial = make_synchronized_initial(observed)
@@ -269,27 +273,20 @@ def run_twin(cfg: ExperimentConfig, out_dir=None) -> TwinReport:
             _persist_failure(cfg, err, observed, eos, visc, grid, ms, nudging, out_dir)
         raise
 
-    reports = [
-        make_energy_report(
-            eos, visc, grid, sync_traj.snapshot(i),
-            observed.state_at(float(t)), ms, nudging,
-        )
-        for i, t in enumerate(sync_traj.times)
-    ]
-    times = sync_traj.times
-    re_series = np.array([r.rel_energy for r in reports])
-
-    fc_mask = times >= tl.t_assim_end
-    forecast_times = times[fc_mask]
+    diagnostics_start = _time.perf_counter()
+    energy = make_energy_report(eos, visc, grid, sync_traj, observed, ms, nudging)
+    budget = energy_balance_residual(energy, sync_traj, eos, visc, forcing, grid, ms, nudging)
+    forecast_times = energy.time[energy.time >= tl.t_assim_end]
     chi_base = forecast_chi_base(grid, visc, observed, forcing, forecast_times)
 
     decay, gains, envelope, values, verdicts = _derive_diagnostics(
-        cfg, times, re_series, forecast_times, chi_base
+        cfg, energy.time, energy.rel_energy, forecast_times, chi_base
     )
     interp = interpolation_error(ms, observed)
     values["interp_sup_err_r"] = interp.sup_err_r
     values["interp_sup_err_U"] = interp.sup_err_U
     values["data_norm"] = data_norm(observed)
+    diagnostics_wall_time = _time.perf_counter() - diagnostics_start
 
     stats = {
         "nudged_steps": sync_stats.n_steps,
@@ -300,12 +297,15 @@ def run_twin(cfg: ExperimentConfig, out_dir=None) -> TwinReport:
         "observed_dt_max": observed_stats.dt_max,
         "observed_wall_time": observed_stats.wall_time,
         "nudged_wall_time": sync_stats.wall_time,
+        "sample_wall_time": sample_wall_time,
+        "diagnostics_wall_time": diagnostics_wall_time,
         "observed_snapshots": observed.n_snapshots,
         "wall_time": _time.perf_counter() - wall_start,
     }
     report = TwinReport(
         config=cfg,
-        reports=reports,
+        energy=energy,
+        budget_residual_max=float(np.max(budget)),
         forecast_times=forecast_times,
         chi_base=chi_base,
         decay=decay,
@@ -325,16 +325,10 @@ def _persist_failure(cfg, err, observed, eos, visc, grid, ms, nudging, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(cfg.to_json() + "\n")
-    partial = err.partial
-    reports = []
-    for i, t in enumerate(partial.times):
-        try:
-            obs = observed.state_at(float(t))
-        except ValueError:
-            break
-        reports.append(make_energy_report(eos, visc, grid, partial.snapshot(i), obs, ms, nudging))
-    if reports:
-        save_energy_series(out / "energy_series.csv", reports)
+    save_energy_series(
+        out / "energy_series.csv",
+        make_energy_report(eos, visc, grid, err.partial, observed, ms, nudging),
+    )
     (out / "error.json").write_text(
         json.dumps(
             {
@@ -384,6 +378,7 @@ def persist_twin(report: TwinReport, out_dir, measurements: MeasurementSet | Non
     (out / "config.json").write_text(cfg.to_json() + "\n")
 
     body = {
+        "budget_residual_max": _jsonable(report.budget_residual_max),
         "decay": _jsonable(report.decay),
         "gains": _jsonable(report.gains),
         "envelope": _jsonable(report.envelope),
@@ -395,16 +390,16 @@ def persist_twin(report: TwinReport, out_dir, measurements: MeasurementSet | Non
     }
     if cfg.outputs.format == "json":
         body["series"] = {
-            "t": _jsonable(np.array([r.time for r in report.reports])),
-            "rel_energy": _jsonable(np.array([r.rel_energy for r in report.reports])),
-            "total_energy": _jsonable(np.array([r.total_energy for r in report.reports])),
+            "t": _jsonable(report.energy.time),
+            "rel_energy": _jsonable(report.energy.rel_energy),
+            "total_energy": _jsonable(report.energy.total_energy),
         }
         body["forecast_chi"] = {
             "t": _jsonable(report.forecast_times),
             "chi_base": _jsonable(report.chi_base),
         }
     else:
-        save_energy_series(out / "energy_series.csv", report.reports)
+        save_energy_series(out / "energy_series.csv", report.energy)
         with open(out / "forecast_chi.csv", "w", newline="") as fh:
             fh.write("t,chi_base\n")
             for t, c in zip(report.forecast_times, report.chi_base):
@@ -435,9 +430,8 @@ def audit_twin(out_dir) -> AuditResult:
         chi_times = np.array(stored["forecast_chi"]["t"], dtype=float)
         chi_base = np.array(stored["forecast_chi"]["chi_base"], dtype=float)
     else:
-        reports = load_energy_series(out / "energy_series.csv")
-        times = np.array([r.time for r in reports])
-        re_series = np.array([r.rel_energy for r in reports])
+        energy = load_energy_series(out / "energy_series.csv")
+        times, re_series = energy.time, energy.rel_energy
         with open(out / "forecast_chi.csv") as fh:
             header = fh.readline().strip()
             if header != "t,chi_base":

@@ -1,7 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from nudgelab import harness
+from nudgelab.config import build_eos, build_nudging, build_viscosity
 from nudgelab.diagnostics import (
+    EnergyReport,
     check_gain_conditions,
     energy_balance_residual,
     fit_decay,
@@ -22,7 +27,9 @@ from nudgelab.dynamics import (
     stable_dt,
 )
 from nudgelab.eos import EquationOfState
-from nudgelab.field import FluidState, Grid1D
+from nudgelab.errors import VacuumError
+from nudgelab.field import FluidState, Grid1D, SupBounds, Trajectory, noslip_seminorm_sq
+from nudgelab.sampler import build_decomposition, sample
 
 EOS = EquationOfState(1.4, 1.0)
 KEOS = EquationOfState(2.0, 1.0)
@@ -89,30 +96,28 @@ def test_relative_energy_positive_definite():
     assert relative_energy(EOS, g, a, b) > 0.0
 
 
+def rest_trajectory(g, times):
+    n_t = len(times)
+    return Trajectory(
+        g, times, np.ones((n_t, g.n_cells)), np.zeros((n_t, g.n_cells)), SupBounds(1.0, 0.0, 0.0)
+    )
+
+
 def decaying_run(n=48, t_end=0.2, fixed_dt=None):
     g = Grid1D(n, 1.0)
     x = g.cell_centers()
     initial = FluidState(0.0, 1.0 + 0.3 * np.cos(2 * np.pi * x), np.zeros(n))
     options = SolverOptions(snapshot_every=None, fixed_dt=fixed_dt)
     traj, _ = integrate(g, initial, t_end, EOS, VISC, Forcing.zero(), options=options)
-    rest = lambda t: FluidState(t, np.ones(n), np.zeros(n))
-    reports = [
-        make_energy_report(EOS, VISC, g, traj.snapshot(i), rest(float(t)))
-        for i, t in enumerate(traj.times)
-    ]
-    states = [traj.snapshot(i) for i in range(traj.n_snapshots)]
-    return g, reports, states, traj
+    report = make_energy_report(EOS, VISC, g, traj, rest_trajectory(g, traj.times))
+    return g, report, traj
 
 
 def test_energy_balance_residual_rest_state():
     g = Grid1D(16, 1.0)
-    rest = FluidState(0.0, np.ones(16), np.zeros(16))
-    reports = [
-        make_energy_report(EOS, VISC, g, FluidState(t, np.ones(16), np.zeros(16)), rest)
-        for t in (0.0, 0.1, 0.2)
-    ]
-    states = [FluidState(t, np.ones(16), np.zeros(16)) for t in (0.0, 0.1, 0.2)]
-    res = energy_balance_residual(reports, states, EOS, VISC, Forcing.zero(), g)
+    rest = rest_trajectory(g, [0.0, 0.1, 0.2])
+    report = make_energy_report(EOS, VISC, g, rest, rest)
+    res = energy_balance_residual(report, rest, EOS, VISC, Forcing.zero(), g)
     assert np.all(res == 0.0)
 
 
@@ -124,8 +129,8 @@ def test_energy_balance_residual_refines():
     dt = stable_dt(g_fine, rho, np.zeros(96), EOS, VISC, safety=0.8)
 
     def max_step_residual(n, dt):
-        g, reports, states, traj = decaying_run(n=n, fixed_dt=dt)
-        res = energy_balance_residual(reports, states, EOS, VISC, Forcing.zero(), g)
+        g, report, traj = decaying_run(n=n, fixed_dt=dt)
+        res = energy_balance_residual(report, traj, EOS, VISC, Forcing.zero(), g)
         return np.max(np.abs(res * np.diff(traj.times)))
 
     coarse = max_step_residual(48, dt)
@@ -134,10 +139,10 @@ def test_energy_balance_residual_refines():
 
 
 def test_fenchel_young_slack_nonnegative_along_run():
-    g, reports, states, traj = decaying_run(n=32, t_end=0.05)
+    g, _, traj = decaying_run(n=32, t_end=0.05)
     r_obs = np.full(32, 1.1)
-    for s in states[:: max(1, len(states) // 20)]:
-        gap = g.dx * np.sum(EOS.fenchel_young_gap(s.rho, r_obs))
+    for rho in traj.rho[:: max(1, traj.n_snapshots // 20)]:
+        gap = g.dx * np.sum(EOS.fenchel_young_gap(rho, r_obs))
         assert gap >= -1e-12
 
 
@@ -145,9 +150,6 @@ def test_energy_budget_inequality_on_nudged_run():
     # with relaxation active the full budget residual (dissipation, nudging
     # sinks, potential-difference sink, sources) must stay nonpositive: the
     # Fenchel-Young slack provides the margin
-    from nudgelab.field import SupBounds, Trajectory
-    from nudgelab.sampler import build_decomposition, sample
-
     g = Grid1D(48, 1.0)
     x = g.cell_centers()
     obs_rho = 1.0 + 0.25 * np.cos(2 * np.pi * x)
@@ -162,12 +164,8 @@ def test_energy_budget_inequality_on_nudged_run():
         g, initial, 0.2, EOS, VISC, Forcing.zero(), ms, cfg,
         SolverOptions(snapshot_every=None),
     )
-    reports = [
-        make_energy_report(EOS, VISC, g, traj.snapshot(i), obs.state_at(float(t)), ms, cfg)
-        for i, t in enumerate(traj.times)
-    ]
-    states = [traj.snapshot(i) for i in range(traj.n_snapshots)]
-    res = energy_balance_residual(reports, states, EOS, VISC, Forcing.zero(), g, ms, cfg)
+    report = make_energy_report(EOS, VISC, g, traj, obs, ms, cfg)
+    res = energy_balance_residual(report, traj, EOS, VISC, Forcing.zero(), g, ms, cfg)
     assert np.max(res) <= 0.0
 
 
@@ -247,18 +245,19 @@ def test_forecast_envelope_zero_start_trivial():
 
 
 def test_energy_series_round_trip(tmp_path):
-    g, reports, _, _ = decaying_run(n=32, t_end=0.02)
+    g, report, _ = decaying_run(n=32, t_end=0.02)
     path = tmp_path / "series.csv"
-    save_energy_series(path, reports)
+    save_energy_series(path, report)
     loaded = load_energy_series(path)
-    assert len(loaded) == len(reports)
-    for a, b in zip(loaded, reports):
-        assert a == b  # float round trip is exact at 17 significant digits
+    for f in fields(EnergyReport):
+        # float round trip is exact at 17 significant digits
+        assert np.array_equal(getattr(loaded, f.name), getattr(report, f.name)), f.name
+    save_energy_series(tmp_path / "again.csv", loaded)
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
 def test_forecast_chi_base_rest_state():
     from nudgelab.diagnostics import forecast_chi_base
-    from nudgelab.field import SupBounds, Trajectory
 
     g = Grid1D(16, 1.0)
     traj = Trajectory(
@@ -274,3 +273,126 @@ def test_total_energy_matches_density_sum():
     s = FluidState(0.0, rng.uniform(0.5, 2.0, 16), rng.normal(0, 1, 16))
     direct = g.dx * np.sum(total_energy_density(EOS, s.rho, s.mom))
     assert total_energy(EOS, g, s) == pytest.approx(direct, rel=1e-14)
+
+
+def one_snapshot(g, rho, mom, t=0.0):
+    return Trajectory(g, [t], np.array([rho]), np.array([mom]), SupBounds(1.0, 0.0, 0.0))
+
+
+def test_series_norms_zero_and_mass():
+    g = Grid1D(16, 1.0)
+    s = one_snapshot(g, np.full(16, 2.5), np.zeros(16))
+    report = make_energy_report(EOS, VISC, g, s, s)
+    assert report.l2_u_diff[0] == 0.0
+    assert report.mass[0] == pytest.approx(2.5 * 1.0, rel=1e-14)
+
+
+def test_series_norms_constant_velocity_difference():
+    g = Grid1D(32, 2.0)
+    c = 0.7
+    a = one_snapshot(g, np.ones(32), np.full(32, c))
+    b = one_snapshot(g, np.ones(32), np.zeros(32))
+    report = make_energy_report(EOS, VISC, g, a, b)
+    assert report.l2_u_diff[0] == pytest.approx(c * np.sqrt(g.length), rel=1e-14)
+
+
+def test_energy_report_checks_its_columns():
+    cols = [np.zeros(3) for _ in fields(EnergyReport)]
+    report = EnergyReport(*cols)
+    with pytest.raises(ValueError):
+        report.mass[0] = 1.0
+    cols[3] = np.array([0.0, np.nan, 0.0])
+    with pytest.raises(ValueError, match="energy report entries must be finite"):
+        EnergyReport(*cols)
+    cols[3], cols[2] = np.zeros(3), np.array([0.0, -1e-300, 0.0])
+    with pytest.raises(ValueError, match="energies must be nonnegative"):
+        EnergyReport(*cols)
+    cols[2] = np.zeros(2)
+    with pytest.raises(ValueError, match="of one length"):
+        EnergyReport(*cols)
+
+
+def assert_series_is_per_snapshot(report, traj, observed, eos, visc, ms=None, nudging=None):
+    """Every column of ``report`` equals the single-state functions applied
+    to each snapshot of ``traj`` and the truth at its time, bit for bit."""
+    g = traj.grid
+    assert np.array_equal(report.time, traj.times)
+    for i, t in enumerate(traj.times):
+        s, o = traj.snapshot(i), observed.state_at(float(t))
+        du = s.velocity() - o.velocity()
+        assert report.total_energy[i] == total_energy(eos, g, s)
+        assert report.rel_energy[i] == relative_energy(eos, g, s, o)
+        assert report.dissipation[i] == visc.nu_eff * noslip_seminorm_sq(g, du)
+        assert report.l2_u_diff[i] == np.sqrt(g.dx * np.sum(du**2))
+        assert report.mass[i] == g.dx * np.sum(s.rho)
+        npr = npu = 0.0
+        if ms is not None and nudging.active(float(t)):
+            r_obs, u_obs = ms.values_on_grid(float(t), g)
+            u = s.velocity()
+            npr = -nudging.lambda_rho * g.dx * float(
+                np.sum((eos.dpotential(s.rho) - 0.5 * u**2) * (s.rho - r_obs))
+            )
+            npu = -nudging.lambda_u * g.dx * float(np.sum((1.0 + s.rho) * u * (u - u_obs)))
+        assert report.nudge_power_rho[i] == npr and report.nudge_power_u[i] == npu
+
+
+def random_trajectory(rng, g, times):
+    shape = (len(times), g.n_cells)
+    return Trajectory(
+        g, times, rng.uniform(0.5, 2.0, shape), rng.normal(0.0, 1.0, shape),
+        SupBounds(2.0, 1.0, 0.0),
+    )
+
+
+def test_series_columns_equal_the_per_snapshot_functions():
+    # 300 rows span several row blocks; the relaxation is on for part of them
+    rng = np.random.default_rng(21)
+    g = Grid1D(32, 1.0)
+    traj = random_trajectory(rng, g, np.sort(rng.uniform(0.0, 1.0, 300)))
+    observed = random_trajectory(rng, g, np.linspace(-0.1, 1.0, 57))
+    ms = sample(observed, build_decomposition(0.1, 0.7, 1.0))
+    nudging = NudgingConfig(15.0, 60.0, (0.2, 0.7))
+    report = make_energy_report(EOS, VISC, g, traj, observed, ms, nudging)
+    assert 0 < np.count_nonzero(report.nudge_power_u) < 300
+    assert_series_is_per_snapshot(report, traj, observed, EOS, VISC, ms, nudging)
+
+
+def test_series_of_one_snapshot_trajectories():
+    rng = np.random.default_rng(22)
+    g = Grid1D(16, 1.0)
+    traj = random_trajectory(rng, g, [0.3])
+    observed = random_trajectory(rng, g, [0.3])
+    report = make_energy_report(EOS, VISC, g, traj, observed)
+    assert report.time.shape == (1,)
+    assert_series_is_per_snapshot(report, traj, observed, EOS, VISC)
+    with pytest.raises(ValueError, match="do not match the grid"):
+        make_energy_report(EOS, VISC, Grid1D(8, 1.0), traj, observed)
+
+
+def test_partial_series_equals_the_per_snapshot_functions(tmp_path, lite_config, monkeypatch):
+    # with the truth run cached, run_twin's only integrate call is the nudged run
+    observed, _ = harness.run_observed(lite_config)
+    real_integrate = harness.integrate
+    failed = {}
+
+    def failing_integrate(grid, initial, t_end, *args, **kwargs):
+        traj, _ = real_integrate(grid, initial, 0.01, *args, **kwargs)
+        err = VacuumError("synthetic failure", cell=3, time=0.01)
+        err.partial = failed["partial"] = traj
+        raise err
+
+    monkeypatch.setattr(harness, "integrate", failing_integrate)
+    with pytest.raises(VacuumError):
+        harness.run_twin(lite_config, out_dir=tmp_path)
+    partial = failed["partial"]
+    assert partial.n_snapshots > 1
+    cfg = lite_config
+    dec = build_decomposition(
+        cfg.sampler.delta, cfg.timeline.t_assim_end, cfg.grid.length,
+        placement=cfg.sampler.placement, seed=cfg.sampler.seed,
+    )
+    ms = sample(observed, dec)
+    report = load_energy_series(tmp_path / "energy_series.csv")
+    assert_series_is_per_snapshot(
+        report, partial, observed, build_eos(cfg), build_viscosity(cfg), ms, build_nudging(cfg)
+    )

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from nudgelab.errors import VacuumError
 from nudgelab.field import (
@@ -9,10 +8,10 @@ from nudgelab.field import (
     SupBounds,
     Trajectory,
     data_norm,
+    ghost_pad,
     initial_regularity_norm,
     load_trajectory,
     noslip_seminorm_sq,
-    norms,
     save_trajectory,
 )
 
@@ -65,44 +64,6 @@ def test_state_non_finite_is_not_vacuum(field, bad):
     (rho if field == "rho" else mom)[0] = bad
     with pytest.raises(ValueError, match="must be finite"):
         make_state(rho, mom)
-
-
-def test_norms_zero_and_mass():
-    g = Grid1D(16, 1.0)
-    s = make_state(np.full(16, 2.5), np.zeros(16))
-    n = norms(g, s, s)
-    assert n.l2_u_diff == n.linf_u_diff == n.h1_u_diff == n.l2_rho_diff == 0.0
-    assert n.mass == pytest.approx(2.5 * 1.0, rel=1e-14)
-
-
-def test_norms_constant_velocity_difference():
-    g = Grid1D(32, 2.0)
-    c = 0.7
-    a = make_state(np.ones(32), np.full(32, c))
-    b = make_state(np.ones(32), np.zeros(32))
-    n = norms(g, a, b)
-    assert n.l2_u_diff == pytest.approx(c * np.sqrt(g.length), rel=1e-14)
-    assert n.linf_u_diff == pytest.approx(c)
-
-
-def test_norms_shape_error():
-    g = Grid1D(16, 1.0)
-    with pytest.raises(ValueError):
-        norms(g, make_state(np.ones(8), np.zeros(8)), make_state(np.ones(8), np.zeros(8)))
-
-
-@settings(max_examples=50)
-@given(data=st.lists(st.floats(-5, 5), min_size=16, max_size=16))
-def test_norms_difference_symmetry(data):
-    g = Grid1D(16, 1.0)
-    u = np.array(data)
-    a = make_state(np.ones(16), u)
-    b = make_state(np.ones(16), np.zeros(16))
-    nab, nba = norms(g, a, b), norms(g, b, a)
-    assert nab.l2_u_diff == pytest.approx(nba.l2_u_diff, abs=1e-14)
-    assert nab.linf_u_diff == pytest.approx(nba.linf_u_diff, abs=1e-14)
-    assert nab.h1_u_diff == pytest.approx(nba.h1_u_diff, abs=1e-14)
-    assert nab.l2_rho_diff == pytest.approx(nba.l2_rho_diff, abs=1e-14)
 
 
 def test_seminorm_hand_value():
@@ -168,8 +129,40 @@ def test_trajectory_state_at():
     assert np.allclose(mid.mom, 0.1)
     with pytest.raises(ValueError):
         traj.state_at(1.5)
+    # NaN is outside the range, not a non-finite state, with one snapshot or many
+    one = Trajectory(traj.grid, [0.5], traj.rho[1:2], traj.mom[1:2], traj.sup_bounds)
+    for t in (traj, one):
+        with pytest.raises(ValueError, match="outside trajectory range"):
+            t.state_at(np.nan)
+    assert np.array_equal(one.state_at(0.5).mom, traj.mom[1])
     assert traj.covers(0.0, 1.0)
     assert not traj.covers(-0.5, 1.0)
+
+
+def test_trajectory_fields_at_rows_match_state_at():
+    traj = make_traj()
+    ts = [0.0, 0.25, 0.5, 0.8, 1.0]
+    rho, mom = traj.fields_at(ts)
+    assert rho.shape == mom.shape == (5, 8)
+    for row, t in enumerate(ts):
+        state = traj.state_at(t)
+        assert np.array_equal(rho[row], state.rho) and np.array_equal(mom[row], state.mom)
+    with pytest.raises(ValueError, match=r"time 1\.5 outside trajectory range \[0, 1\]"):
+        traj.fields_at([0.5, 1.5])
+
+
+def test_ghost_pad_and_seminorm_act_on_the_last_axis():
+    g = Grid1D(16, 1.0)
+    rng = np.random.default_rng(3)
+    rho, u = rng.uniform(0.5, 2.0, (4, 16)), rng.normal(size=(4, 16))
+    rows = noslip_seminorm_sq(g, u)
+    rp, mp = ghost_pad(rho, u)
+    assert rows.shape == (4,) and rp.shape == mp.shape == (4, 18)
+    for i in range(4):
+        assert rows[i] == noslip_seminorm_sq(g, u[i])
+        rp_i, mp_i = ghost_pad(rho[i], u[i])
+        assert np.array_equal(rp[i], rp_i) and np.array_equal(mp[i], mp_i)
+    assert np.array_equal(mp[:, 0], -u[:, 0]) and np.array_equal(rp[:, -1], rho[:, -1])
 
 
 def test_trajectory_point_values():

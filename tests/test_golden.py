@@ -1,7 +1,9 @@
 """Golden behaviour lock.
 
 ``data/golden.json`` freezes the twin ``values`` of the baseline and lite
-configs and the SHA-256 of the lite run's persisted ``energy_series.csv``.
+configs and the SHA-256 of the lite run's persisted ``energy_series.csv`` and
+``forecast_chi.csv`` (no golden value reads chi: ``envelope_required`` is 0 on
+both configs, so only the hash locks it).
 A pure refactor must reproduce them bit for bit; a numerics change must
 regenerate the file and declare its tolerance.
 """
@@ -23,7 +25,16 @@ def test_twin_values_match_golden(request, name):
     assert report.values == GOLDEN[name]["values"]
 
 
-def test_lite_energy_series_matches_golden(tmp_path, lite_twin):
+def _lite_digest(tmp_path, lite_twin, name):
     persist_twin(lite_twin, tmp_path)
-    digest = hashlib.sha256((tmp_path / "energy_series.csv").read_bytes()).hexdigest()
+    return hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+
+
+def test_lite_energy_series_matches_golden(tmp_path, lite_twin):
+    digest = _lite_digest(tmp_path, lite_twin, "energy_series.csv")
     assert digest == GOLDEN["lite"]["energy_series_sha256"]
+
+
+def test_lite_forecast_chi_matches_golden(tmp_path, lite_twin):
+    digest = _lite_digest(tmp_path, lite_twin, "forecast_chi.csv")
+    assert digest == GOLDEN["lite"]["forecast_chi_sha256"]

@@ -9,7 +9,7 @@ from nudgelab import harness
 from nudgelab.config import ExperimentConfig, InitialConfig, ForcingConfig, NudgingGains
 from nudgelab.diagnostics import load_energy_series, save_energy_series
 from nudgelab.errors import ConfigError, VacuumError
-from nudgelab.field import Trajectory
+from nudgelab.field import FluidState, Trajectory
 from nudgelab.harness import (
     audit_twin,
     build_initial_state,
@@ -87,6 +87,44 @@ def test_twin_reports_each_runs_wall_time(lite_config):
     assert filled.wall_time > 0.0
     for stats in (first, second):
         assert 0.0 < stats["nudged_wall_time"] < stats["wall_time"]
+
+
+def test_twin_reports_phase_wall_times(lite_twin):
+    stats = lite_twin.stats
+    for phase in ("sample_wall_time", "diagnostics_wall_time"):
+        assert 0.0 < stats[phase] < stats["wall_time"]
+
+
+def test_twin_records_the_budget_residual_outside_the_verdicts(tmp_path, lite_twin):
+    out = persist_twin(lite_twin, tmp_path / "twin")
+    body = json.loads((out / "report.json").read_text())
+    assert body["budget_residual_max"] == lite_twin.budget_residual_max
+    assert np.isfinite(lite_twin.budget_residual_max)
+    assert "budget_residual_max" not in body["values"]
+    assert "budget_residual_max" not in body["verdicts"]
+
+
+def test_twin_diagnostics_build_no_state_per_row(monkeypatch, lite_config):
+    # count the FluidStates built after the last integrate call returns:
+    # the energy series, chi, decay fit and verdicts of the twin
+    built = []
+    post_init = FluidState.__post_init__
+    real_integrate = harness.integrate
+
+    def counting_post_init(self):
+        built.append(self.time)
+        post_init(self)
+
+    def integrate_then_reset(*args, **kwargs):
+        result = real_integrate(*args, **kwargs)
+        built.clear()
+        return result
+
+    monkeypatch.setattr(FluidState, "__post_init__", counting_post_init)
+    monkeypatch.setattr(harness, "integrate", integrate_then_reset)
+    report = run_twin(lite_config)
+    assert report.energy.time.size == 401
+    assert built == []
 
 
 def test_truth_run_peak_memory_is_bounded_by_its_trajectory(lite_config):
@@ -292,12 +330,14 @@ def test_audit_accepts_non_finite_values(tmp_path, lite_twin):
     # report.json stores as null
     out = persist_twin(lite_twin, tmp_path / "twin")
     cfg = lite_twin.config
-    reports = load_energy_series(out / "energy_series.csv")
-    times = np.array([r.time for r in reports])
+    energy = load_energy_series(out / "energy_series.csv")
+    times = energy.time
     i = int(np.argmin(np.abs(times - cfg.timeline.t_assim_end)))
-    reports[i] = dataclasses.replace(reports[i], rel_energy=0.0)
-    save_energy_series(out / "energy_series.csv", reports)
-    re_series = np.array([r.rel_energy for r in reports])
+    re_series = energy.rel_energy.copy()
+    re_series[i] = 0.0
+    save_energy_series(
+        out / "energy_series.csv", dataclasses.replace(energy, rel_energy=re_series)
+    )
     _, _, _, values, verdicts = harness._derive_diagnostics(
         cfg, times, re_series, lite_twin.forecast_times, lite_twin.chi_base
     )
