@@ -26,7 +26,6 @@ from .dynamics import (
     Viscosity,
     integrate,
     make_synchronized_initial,
-    nudging_sources,
     rhs,
     stable_dt,
     step,

@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ExperimentConfig, SWEEP_AXES, load_config
+from .config import ExperimentConfig, SWEEP_AXES, load_config, save_config
 from .errors import BlowUpError, ConfigError, VacuumError
 from .field import save_trajectory
 from .harness import audit_twin, run_observed, run_sweep, run_twin, validate_solver
@@ -97,7 +97,7 @@ def _cmd_observe(args) -> int:
         "mass": float(traj.grid.dx * traj.rho[0].sum()),
     }
     (out / "observed_meta.json").write_text(json.dumps(meta, indent=2) + "\n")
-    (out / "config.json").write_text(cfg.to_json() + "\n")
+    save_config(out / "config.json", cfg)
     print(f"observed run complete: {traj.n_snapshots} snapshots -> {out}")
     return EXIT_PASS
 

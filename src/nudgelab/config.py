@@ -25,7 +25,7 @@ from .dynamics import Forcing, NudgingConfig, SolverOptions, Viscosity
 from .eos import EquationOfState
 from .errors import ConfigError, VacuumError
 from .field import FluidState, Grid1D
-from .sampler import build_decomposition, sampled_blocks
+from .sampler import SpaceTimeDecomposition, build_decomposition, sampled_blocks
 
 __all__ = [
     "GridConfig",
@@ -49,6 +49,7 @@ __all__ = [
     "build_initial_state",
     "build_nudging",
     "build_solver_options",
+    "build_tiling",
     "SWEEP_AXES",
 ]
 
@@ -205,16 +206,7 @@ class ExperimentConfig:
         else:
             attempt("nudging", lambda: build_nudging(self))
             if grid is not None:
-                attempt(
-                    "sampler",
-                    lambda: sampled_blocks(
-                        build_decomposition(
-                            sampler.delta, tl.t_assim_end, grid.length,
-                            sampler.placement, sampler.seed,
-                        ),
-                        grid,
-                    ),
-                )
+                attempt("sampler", lambda: sampled_blocks(build_tiling(self), grid))
         if solver.snapshot_budget < 1:
             problems.append("solver.snapshot_budget must be >= 1")
         if sampler.seed < 0:
@@ -351,6 +343,14 @@ def build_nudging(cfg: ExperimentConfig) -> NudgingConfig:
         lambda_rho=cfg.nudging.lambda_rho,
         lambda_u=cfg.nudging.lambda_u,
         window=(0.0, cfg.timeline.t_assim_end),
+    )
+
+
+def build_tiling(cfg: ExperimentConfig) -> SpaceTimeDecomposition:
+    """Space-time decomposition of the assimilation window [0, t_assim_end]."""
+    s = cfg.sampler
+    return build_decomposition(
+        s.delta, cfg.timeline.t_assim_end, cfg.grid.length, s.placement, s.seed
     )
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -39,9 +38,12 @@ __all__ = [
     "check_gain_conditions",
     "forecast_envelope",
     "forecast_chi_base",
+    "save_series",
+    "load_series",
     "save_energy_series",
     "load_energy_series",
     "ENERGY_SERIES_COLUMNS",
+    "CHI_SERIES_COLUMNS",
 ]
 
 
@@ -238,6 +240,13 @@ def energy_balance_residual(
     predicts residual <= tol(dx, dt) with tol vanishing under refinement on
     smooth runs; for unforced, un-nudged runs the residual reduces to the
     defect in the plain energy balance.
+
+    The residual lives on the report grid, the snapshots of ``traj``.  When
+    ``report_interval * lambda_u`` is not small, the first intervals do not
+    resolve the relaxation transient and the trapezoid rule there dominates
+    the maximum: on the lite twin it is 0.768, on [0, 0.002], against a
+    relaxation time 1/lambda_u = 0.005.  The inequality at step resolution
+    holds on a run that records every step.
     """
     times = report.time
     if times.size < 2 or not np.array_equal(times, traj.times):
@@ -372,12 +381,6 @@ class GainConditionReport:
     delta: float
     gamma_cal: float
 
-    def all_ok(self) -> bool:
-        checks = [self.gain_ratio_ok, self.gain_ordering_ok, self.delta_smallness_ok]
-        if self.floor_ok is not None:
-            checks.append(self.floor_ok)
-        return all(checks)
-
 
 def check_gain_conditions(
     nudging: NudgingConfig,
@@ -496,13 +499,10 @@ def forecast_chi_base(
     for rows in _row_blocks(times.size):
         ts = times[rows]
         rho, mom = traj.fields_at(ts)
-        u = mom / rho
         rp, mp = ghost_pad(rho, mom)
         up = mp / rp
-        sup_grad = np.maximum(
-            np.max(np.abs(np.diff(u)) / dx, axis=-1),
-            np.maximum(np.abs(2.0 * u[:, 0] / dx), np.abs(2.0 * u[:, -1] / dx)),
-        )
+        # the odd ghosts make the wall differences 2u, as in noslip_seminorm_sq
+        sup_grad = np.max(np.abs(np.diff(up)), axis=-1) / dx
         div_stress = visc.nu_eff * (up[:, 2:] - 2.0 * up[:, 1:-1] + up[:, :-2]) / dx**2
         drive = div_stress / rho + np.array([forcing(float(t), x) for t in ts])
         cube = _integral(grid, np.abs(drive) ** 3)
@@ -524,20 +524,30 @@ ENERGY_SERIES_COLUMNS = (
     "nudge_power_rho",
     "nudge_power_u",
 )
+CHI_SERIES_COLUMNS = ("t", "chi_base")
 
 
-def save_energy_series(path, report: EnergyReport) -> None:
-    with open(Path(path), "w", newline="") as fh:
-        fh.write(",".join(ENERGY_SERIES_COLUMNS) + "\n")
-        columns = [getattr(report, f.name) for f in fields(report)]
+def save_series(path, header, columns) -> None:
+    """CSV of equal-length columns under a one-line header; every float is
+    written with 17 significant digits, so it reads back bit for bit."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
         np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=",")
 
 
-def load_energy_series(path) -> EnergyReport:
-    path = Path(path)
+def load_series(path, header) -> np.ndarray:
+    """The columns ``save_series`` wrote, as the rows of one array; the
+    header must match."""
     with open(path) as fh:
-        header = fh.readline().strip()
-        if header != ",".join(ENERGY_SERIES_COLUMNS):
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return EnergyReport(*data.T)
+        found = fh.readline().strip()
+        if found != ",".join(header):
+            raise ValueError(f"{path}: unexpected header {found!r}")
+        return np.loadtxt(fh, delimiter=",", ndmin=2).T
+
+
+def save_energy_series(path, report: EnergyReport) -> None:
+    save_series(path, ENERGY_SERIES_COLUMNS, [getattr(report, f.name) for f in fields(report)])
+
+
+def load_energy_series(path) -> EnergyReport:
+    return EnergyReport(*load_series(path, ENERGY_SERIES_COLUMNS))

@@ -5,8 +5,10 @@ Spatial discretization is second-order central differencing of the
 conservative fluxes with ghost-cell wall treatment (density even, momentum
 odd).  Time stepping is two-stage strong-stability-preserving RK2 for the
 transport/pressure/viscous/forcing part, followed by a pointwise implicit
-relaxation for the nudging terms.  The relaxation solve is closed form and
-unconditionally stable, so gains far above the explicit CFL scale are fine:
+relaxation for the nudging sources -lambda_rho (rho - Ir) on the density
+and -lambda_u (1 + rho) (u - IU) on the momentum, which act only inside the
+nudging window.  The relaxation solve is closed form and unconditionally
+stable, so gains far above the explicit CFL scale are fine:
 
     rho+ = (rho* + dt * lam_rho * Ir) / (1 + dt * lam_rho)
     u+   = (u*   + dt * c * IU)       / (1 + dt * c),   c = lam_u (1 + rho+) / rho+
@@ -36,7 +38,6 @@ __all__ = [
     "SolverOptions",
     "IntegrationStats",
     "rhs",
-    "nudging_sources",
     "stable_dt",
     "step",
     "integrate",
@@ -144,29 +145,6 @@ def rhs(
         d_rho = d_rho + s_rho
         d_mom = d_mom + s_mom
     return d_rho, d_mom
-
-
-def nudging_sources(
-    grid: Grid1D,
-    state: FluidState,
-    ms: MeasurementSet,
-    cfg: NudgingConfig,
-    t: float,
-):
-    """Instantaneous relaxation sources at time t:
-
-        s_rho = -lambda_rho * (rho - Ir)
-        s_mom = -lambda_u * (1 + rho) * (u - IU)
-
-    inside the window, identically zero outside.
-    """
-    if not cfg.active(t):
-        z = np.zeros(grid.n_cells)
-        return z, z.copy()
-    r_obs, u_obs = ms.values_on_grid(t, grid)
-    s_rho = -cfg.lambda_rho * (state.rho - r_obs)
-    s_mom = -cfg.lambda_u * (1.0 + state.rho) * (state.velocity() - u_obs)
-    return s_rho, s_mom
 
 
 def stable_dt(

@@ -82,11 +82,6 @@ class EquationOfState:
         rho = _as_density(rho)
         return self.kappa * rho**self.gamma
 
-    def dpressure(self, rho):
-        """p'(rho) = kappa * gamma * rho**(gamma-1)."""
-        rho = _as_density(rho)
-        return self.kappa * self.gamma * rho ** (self.gamma - 1.0)
-
     def sound_speed(self, rho):
         """c(rho) = sqrt(p'(rho)), defined for rho > 0."""
         rho = _as_density(rho, positive=True)

@@ -200,7 +200,13 @@ class Trajectory:
     def _weights(self, ts):
         """Bracketing indices and weights; exact snapshot hits produce
         weights of exactly 0 or 1, so interpolation reproduces stored rows
-        bit-for-bit.  A one-snapshot trajectory reads its only row."""
+        bit-for-bit.  A one-snapshot trajectory reads its only row.
+        Times outside [times[0], times[-1]], NaN included, raise."""
+        t0, t1 = self.times[0], self.times[-1]
+        # min and max propagate NaN, which fails both comparisons
+        if ts.size and not (t0 <= ts.min() and ts.max() <= t1):
+            bad = ts[~((ts >= t0) & (ts <= t1))].flat[0]
+            raise ValueError(f"time {bad:g} outside trajectory range [{t0:g}, {t1:g}]")
         if self.n_snapshots == 1:
             lo = np.zeros(np.shape(ts), dtype=int)
             return lo, lo, np.zeros(np.shape(ts))
@@ -213,15 +219,8 @@ class Trajectory:
     def fields_at(self, ts):
         """(rho, mom) at times ts, linearly interpolated between stored
         snapshots: one row per time, or one field for a scalar time.
-        Times outside [times[0], times[-1]], NaN included, raise."""
-        ts = np.asarray(ts, dtype=float)
-        outside = ~((ts >= self.times[0]) & (ts <= self.times[-1]))
-        if outside.any():
-            raise ValueError(
-                f"time {ts[outside][0]:g} outside trajectory range "
-                f"[{self.times[0]:g}, {self.times[-1]:g}]"
-            )
-        lo, hi, w = self._weights(ts)
+        Times outside the stored range, NaN included, raise."""
+        lo, hi, w = self._weights(np.asarray(ts, dtype=float))
         w = w[..., None]
         rho = (1.0 - w) * self.rho[lo] + w * self.rho[hi]
         mom = (1.0 - w) * self.mom[lo] + w * self.mom[hi]
@@ -234,14 +233,12 @@ class Trajectory:
     def point_values(self, ts: np.ndarray, cells: np.ndarray):
         """Vectorized (rho, velocity) at times ts and cell indices cells.
 
-        Times are linearly interpolated between snapshots; velocity is
-        formed from the interpolated conserved fields.
+        Times are linearly interpolated between snapshots, with the range
+        rule of ``fields_at``; velocity is formed from the interpolated
+        conserved fields.
         """
-        ts = np.asarray(ts, dtype=float)
         cells = np.asarray(cells, dtype=int)
-        if ts.size and (ts.min() < self.times[0] or ts.max() > self.times[-1]):
-            raise ValueError("sample times outside trajectory range")
-        lo, hi, w = self._weights(ts)
+        lo, hi, w = self._weights(np.asarray(ts, dtype=float))
         rho = (1.0 - w) * self.rho[lo, cells] + w * self.rho[hi, cells]
         mom = (1.0 - w) * self.mom[lo, cells] + w * self.mom[hi, cells]
         return rho, mom / rho

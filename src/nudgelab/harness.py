@@ -28,10 +28,13 @@ from .config import (
     build_initial_state,
     build_nudging,
     build_solver_options,
+    build_tiling,
     build_viscosity,
     load_config,
+    save_config,
 )
 from .diagnostics import (
+    CHI_SERIES_COLUMNS,
     DecayFit,
     EnergyReport,
     EnvelopeReport,
@@ -42,8 +45,10 @@ from .diagnostics import (
     forecast_chi_base,
     forecast_envelope,
     load_energy_series,
+    load_series,
     make_energy_report,
     save_energy_series,
+    save_series,
 )
 from .dynamics import (
     Forcing,
@@ -248,14 +253,7 @@ def run_twin(cfg: ExperimentConfig, out_dir=None) -> TwinReport:
 
     observed, observed_stats = run_observed(cfg)
     sample_start = _time.perf_counter()
-    dec = build_decomposition(
-        cfg.sampler.delta,
-        tl.t_assim_end,
-        grid.length,
-        placement=cfg.sampler.placement,
-        seed=cfg.sampler.seed,
-    )
-    ms = sample(observed, dec)
+    ms = sample(observed, build_tiling(cfg))
     sample_wall_time = _time.perf_counter() - sample_start
 
     if cfg.sync_init == "mean_rest":
@@ -324,7 +322,7 @@ def run_twin(cfg: ExperimentConfig, out_dir=None) -> TwinReport:
 def _persist_failure(cfg, err, observed, eos, visc, grid, ms, nudging, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(cfg.to_json() + "\n")
+    save_config(out / "config.json", cfg)
     save_energy_series(
         out / "energy_series.csv",
         make_energy_report(eos, visc, grid, err.partial, observed, ms, nudging),
@@ -375,7 +373,7 @@ def persist_twin(report: TwinReport, out_dir, measurements: MeasurementSet | Non
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg = report.config
-    (out / "config.json").write_text(cfg.to_json() + "\n")
+    save_config(out / "config.json", cfg)
 
     body = {
         "budget_residual_max": _jsonable(report.budget_residual_max),
@@ -400,10 +398,9 @@ def persist_twin(report: TwinReport, out_dir, measurements: MeasurementSet | Non
         }
     else:
         save_energy_series(out / "energy_series.csv", report.energy)
-        with open(out / "forecast_chi.csv", "w", newline="") as fh:
-            fh.write("t,chi_base\n")
-            for t, c in zip(report.forecast_times, report.chi_base):
-                fh.write(f"{t:.17g},{c:.17g}\n")
+        save_series(
+            out / "forecast_chi.csv", CHI_SERIES_COLUMNS, (report.forecast_times, report.chi_base)
+        )
     (out / "report.json").write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
     if measurements is not None:
         save_measurements(out / "measurements.csv", measurements)
@@ -432,12 +429,7 @@ def audit_twin(out_dir) -> AuditResult:
     else:
         energy = load_energy_series(out / "energy_series.csv")
         times, re_series = energy.time, energy.rel_energy
-        with open(out / "forecast_chi.csv") as fh:
-            header = fh.readline().strip()
-            if header != "t,chi_base":
-                raise ValueError(f"unexpected chi header {header!r}")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        chi_times, chi_base = data[:, 0], data[:, 1]
+        chi_times, chi_base = load_series(out / "forecast_chi.csv", CHI_SERIES_COLUMNS)
 
     _, _, _, values, verdicts = _derive_diagnostics(
         cfg, times, re_series, chi_times, chi_base
@@ -597,13 +589,10 @@ class ManufacturedCase:
     """Closed-form fields with compensating sources for solver verification."""
 
     rho: callable
-    velocity: callable
     momentum: callable
     sources: callable  # (t, x) -> (s_rho, s_mom)
     d_rho_dt: callable
     d_mom_dt: callable
-    rho_amplitude: float
-    u_amplitude: float
 
 
 def manufactured_case(
@@ -636,18 +625,13 @@ def manufactured_case(
 
         return wrapped
 
-    fr, fu, fm = lam(r), lam(U), lam(m)
     fsr, fsm = lam(s_rho), lam(s_mom)
-    fdr, fdm = lam(sp.diff(r, t)), lam(sp.diff(m, t))
     return ManufacturedCase(
-        rho=fr,
-        velocity=fu,
-        momentum=fm,
+        rho=lam(r),
+        momentum=lam(m),
         sources=lambda tv, xv: (fsr(tv, xv), fsm(tv, xv)),
-        d_rho_dt=fdr,
-        d_mom_dt=fdm,
-        rho_amplitude=rho_amplitude,
-        u_amplitude=u_amplitude,
+        d_rho_dt=lam(sp.diff(r, t)),
+        d_mom_dt=lam(sp.diff(m, t)),
     )
 
 

@@ -9,7 +9,6 @@ from nudgelab.dynamics import (
     Viscosity,
     integrate,
     make_synchronized_initial,
-    nudging_sources,
     rhs,
     stable_dt,
     step,
@@ -87,7 +86,7 @@ def test_hydrostatic_balance_second_order():
 
         def force(t, xx):
             r = 1.0 + 0.3 * np.cos(2 * np.pi * xx)
-            return EOS.dpressure(r) * (-0.3 * 2 * np.pi * np.sin(2 * np.pi * xx)) / r
+            return EOS.sound_speed(r) ** 2 * (-0.3 * 2 * np.pi * np.sin(2 * np.pi * xx)) / r
 
         _, d_mom = rhs(g, rho, np.zeros(n), EOS, VISC, Forcing(force, 10.0), 0.0)
         return np.max(np.abs(d_mom))
@@ -95,31 +94,20 @@ def test_hydrostatic_balance_second_order():
     assert resid(64) / resid(128) >= 3.5
 
 
-def test_nudging_sources_fixed_point_and_window():
+def test_step_relaxes_only_inside_the_window():
+    # the relaxation pulls (rho, u) = (2, 0.5) toward the samples (1, 0) on
+    # [0, 1) and leaves the step bit for bit un-nudged from the window end on
     g = Grid1D(8, 1.0)
+    s = uniform_state(8, rho=2.0, u=0.5)
     ms = constant_measurements(r=1.0, u=0.0)
     cfg = NudgingConfig(10.0, 40.0, (0.0, 1.0))
-    s = uniform_state(8, rho=1.0)
-    s_rho, s_mom = nudging_sources(g, s, ms, cfg, 0.5)
-    assert np.all(s_rho == 0.0) and np.all(s_mom == 0.0)
-    # outside the window everything is off regardless of the state
-    s2 = uniform_state(8, rho=2.0, t=1.5)
-    s_rho, s_mom = nudging_sources(g, s2, ms, cfg, 1.5)
-    assert np.all(s_rho == 0.0) and np.all(s_mom == 0.0)
-
-
-def test_nudging_sources_substitution():
-    g = Grid1D(8, 1.0)
-    ms = constant_measurements(r=1.0, u=0.0)
-    cfg = NudgingConfig(10.0, 0.0, (0.0, 1.0))
-    s = uniform_state(8, rho=2.0)
-    s_rho, _ = nudging_sources(g, s, ms, cfg, 0.5)
-    assert np.allclose(s_rho, -10.0)
-    # momentum term: -lambda_u (1 + rho) (u - IU)
-    cfg_u = NudgingConfig(0.0, 10.0, (0.0, 1.0))
-    moving = uniform_state(8, rho=1.0, u=1.0)
-    _, s_mom = nudging_sources(g, moving, ms, cfg_u, 0.5)
-    assert np.allclose(s_mom, -10.0 * 2.0 * 1.0)
+    for t in (0.5, 1.0, 1.5):
+        free = step(g, (t, s.rho, s.mom), 1e-3, EOS, VISC, Forcing.zero())
+        nudged = step(g, (t, s.rho, s.mom), 1e-3, EOS, VISC, Forcing.zero(), ms, cfg)
+        if t < 1.0:
+            assert np.all(nudged[0] < free[0]) and np.all(nudged[1] < free[1])
+        else:
+            assert np.array_equal(nudged[0], free[0]) and np.array_equal(nudged[1], free[1])
 
 
 def test_step_rest_state_unchanged():

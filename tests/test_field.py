@@ -170,6 +170,10 @@ def test_trajectory_point_values():
     r, u = traj.point_values(np.array([0.0, 0.25, 1.0]), np.array([0, 3, 7]))
     assert r[0] == 1.0 and r[2] == pytest.approx(1.2)
     assert u[1] == pytest.approx(0.1 / 1.05)
+    # the range rule of fields_at: a NaN time raises like a time past the end
+    for ts in ([np.nan, 0.5], [0.5, 1.5]):
+        with pytest.raises(ValueError, match="outside trajectory range"):
+            traj.point_values(np.array(ts), np.array([0, 3]))
 
 
 def test_data_norm_components():
