@@ -40,13 +40,16 @@ def _build_parser() -> _Parser:
     def common(p):
         p.add_argument("--config", type=Path, help="experiment config (JSON)")
         p.add_argument("--out", type=Path, help="output directory")
-        p.add_argument("--seed", type=int, help="override the sampler seed")
-        p.add_argument("--format", choices=("csv", "json"), help="series output format")
+        return p
+
+    def sampled(p):
+        # observe and validate read no sampler, so only these take --seed
+        common(p).add_argument("--seed", type=int, help="override the sampler seed")
+        return p
 
     common(sub.add_parser("observe", help="run and persist the truth trajectory"))
-    common(sub.add_parser("twin", help="run the full twin experiment"))
-    p_sweep = sub.add_parser("sweep", help="twin runs along one parameter axis")
-    common(p_sweep)
+    sampled(sub.add_parser("twin", help="run the full twin experiment"))
+    p_sweep = sampled(sub.add_parser("sweep", help="twin runs along one parameter axis"))
     p_sweep.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p_sweep.add_argument(
         "--values", required=True, help="comma-separated list of axis values"
@@ -59,13 +62,9 @@ def _build_parser() -> _Parser:
 
 def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         cfg = dataclasses.replace(
             cfg, sampler=dataclasses.replace(cfg.sampler, seed=args.seed)
-        )
-    if getattr(args, "format", None):
-        cfg = dataclasses.replace(
-            cfg, outputs=dataclasses.replace(cfg.outputs, format=args.format)
         )
     cfg.validate()
     return cfg
@@ -85,8 +84,7 @@ def _cmd_observe(args) -> int:
     out = _out_dir(args, cfg, "observe")
     out.mkdir(parents=True, exist_ok=True)
     traj, _ = run_observed(cfg, use_cache=False)
-    suffix = "csv" if cfg.outputs.format == "csv" else "bin"
-    save_trajectory(out / f"trajectory.{suffix}", traj)
+    save_trajectory(out / "trajectory.csv", traj)
     meta = {
         "n_snapshots": traj.n_snapshots,
         "t_first": float(traj.times[0]),

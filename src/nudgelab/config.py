@@ -141,7 +141,6 @@ class CalibrationConfig:
 @dataclass(frozen=True)
 class OutputConfig:
     directory: str | None = None
-    format: str = "csv"  # csv | json
     write_measurements: bool = False
 
 
@@ -213,8 +212,6 @@ class ExperimentConfig:
             problems.append("sampler.seed must be >= 0")
         if self.calibration.gamma_cal < 1.0:
             problems.append("calibration.gamma_cal must be >= 1")
-        if self.outputs.format not in ("csv", "json"):
-            problems.append("outputs.format must be 'csv' or 'json'")
         if self.sync_init not in SYNC_INITS:
             problems.append(f"sync_init must be one of {SYNC_INITS}")
         if problems:

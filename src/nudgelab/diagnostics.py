@@ -21,7 +21,10 @@ import numpy as np
 
 from .dynamics import Forcing, NudgingConfig, Viscosity
 from .eos import EquationOfState
-from .field import FluidState, Grid1D, Trajectory, ghost_pad, noslip_seminorm_sq
+from .field import (
+    FluidState, Grid1D, Trajectory, ghost_pad, noslip_seminorm_sq,
+    load_series, row_blocks, save_series,
+)
 from .sampler import MeasurementSet
 
 __all__ = [
@@ -38,22 +41,11 @@ __all__ = [
     "check_gain_conditions",
     "forecast_envelope",
     "forecast_chi_base",
-    "save_series",
-    "load_series",
     "save_energy_series",
     "load_energy_series",
     "ENERGY_SERIES_COLUMNS",
     "CHI_SERIES_COLUMNS",
 ]
-
-
-# trajectory rows evaluated together, which bounds the (rows, n_cells)
-# temporaries: with 128 rows the gain sweep's peak RSS rose by 0.5 MiB
-ROW_BLOCK = 64
-
-
-def _row_blocks(n: int) -> list[slice]:
-    return [slice(lo, lo + ROW_BLOCK) for lo in range(0, n, ROW_BLOCK)]
 
 
 def _integral(grid: Grid1D, density):
@@ -159,7 +151,7 @@ def make_energy_report(
         raise ValueError("trajectories do not match the grid")
     n = traj.n_snapshots
     energy, rel, dissipation, l2, mass, power_rho, power_u = np.zeros((7, n))
-    for rows in _row_blocks(n):
+    for rows in row_blocks(n):
         t, rho, mom = traj.times[rows], traj.rho[rows], traj.mom[rows]
         r, m = observed.fields_at(t)
         u = mom / rho
@@ -252,7 +244,7 @@ def energy_balance_residual(
     if times.size < 2 or not np.array_equal(times, traj.times):
         raise ValueError("need the report of the trajectory's snapshots, at least two")
     rates = np.empty(times.size)
-    for rows in _row_blocks(times.size):
+    for rows in row_blocks(times.size):
         rates[rows] = _budget_rate(
             eos, visc, grid, times[rows], traj.rho[rows], traj.mom[rows], forcing, ms, nudging
         )
@@ -496,7 +488,7 @@ def forecast_chi_base(
     x = grid.cell_centers()
     times = np.asarray(times, dtype=float)
     out = np.empty(times.size)
-    for rows in _row_blocks(times.size):
+    for rows in row_blocks(times.size):
         ts = times[rows]
         rho, mom = traj.fields_at(ts)
         rp, mp = ghost_pad(rho, mom)
@@ -527,27 +519,10 @@ ENERGY_SERIES_COLUMNS = (
 CHI_SERIES_COLUMNS = ("t", "chi_base")
 
 
-def save_series(path, header, columns) -> None:
-    """CSV of equal-length columns under a one-line header; every float is
-    written with 17 significant digits, so it reads back bit for bit."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=",")
-
-
-def load_series(path, header) -> np.ndarray:
-    """The columns ``save_series`` wrote, as the rows of one array; the
-    header must match."""
-    with open(path) as fh:
-        found = fh.readline().strip()
-        if found != ",".join(header):
-            raise ValueError(f"{path}: unexpected header {found!r}")
-        return np.loadtxt(fh, delimiter=",", ndmin=2).T
-
-
 def save_energy_series(path, report: EnergyReport) -> None:
-    save_series(path, ENERGY_SERIES_COLUMNS, [getattr(report, f.name) for f in fields(report)])
+    columns = [getattr(report, f.name) for f in fields(report)]
+    save_series(path, ENERGY_SERIES_COLUMNS, [np.column_stack(columns)])
 
 
 def load_energy_series(path) -> EnergyReport:
-    return EnergyReport(*load_series(path, ENERGY_SERIES_COLUMNS))
+    return EnergyReport(*load_series(path, ENERGY_SERIES_COLUMNS)[1])

@@ -45,10 +45,8 @@ from .diagnostics import (
     forecast_chi_base,
     forecast_envelope,
     load_energy_series,
-    load_series,
     make_energy_report,
     save_energy_series,
-    save_series,
 )
 from .dynamics import (
     Forcing,
@@ -62,7 +60,7 @@ from .dynamics import (
 )
 from .eos import EquationOfState
 from .errors import BlowUpError, ConfigError, VacuumError
-from .field import FluidState, Grid1D, Trajectory, data_norm
+from .field import FluidState, Grid1D, Trajectory, data_norm, load_series, save_series
 from .sampler import (
     InterpolationError,
     MeasurementSet,
@@ -367,9 +365,8 @@ def _jsonable(obj):
 
 
 def persist_twin(report: TwinReport, out_dir, measurements: MeasurementSet | None = None) -> Path:
-    """Write config echo, energy series, forecast chi series, and the
-    derived report; series go to CSV unless the configured format is json,
-    in which case they are embedded in report.json."""
+    """Write the config echo, the energy and forecast chi series as CSV,
+    the derived report, and optionally the measurements."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg = report.config
@@ -386,21 +383,9 @@ def persist_twin(report: TwinReport, out_dir, measurements: MeasurementSet | Non
         "verdicts": _jsonable(report.verdicts),
         "passed": report.passed,
     }
-    if cfg.outputs.format == "json":
-        body["series"] = {
-            "t": _jsonable(report.energy.time),
-            "rel_energy": _jsonable(report.energy.rel_energy),
-            "total_energy": _jsonable(report.energy.total_energy),
-        }
-        body["forecast_chi"] = {
-            "t": _jsonable(report.forecast_times),
-            "chi_base": _jsonable(report.chi_base),
-        }
-    else:
-        save_energy_series(out / "energy_series.csv", report.energy)
-        save_series(
-            out / "forecast_chi.csv", CHI_SERIES_COLUMNS, (report.forecast_times, report.chi_base)
-        )
+    save_energy_series(out / "energy_series.csv", report.energy)
+    chi = np.column_stack((report.forecast_times, report.chi_base))
+    save_series(out / "forecast_chi.csv", CHI_SERIES_COLUMNS, [chi])
     (out / "report.json").write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
     if measurements is not None:
         save_measurements(out / "measurements.csv", measurements)
@@ -417,36 +402,27 @@ class AuditResult:
 
 def audit_twin(out_dir) -> AuditResult:
     """Recompute the verdicts of a persisted twin run from its series and
-    config echo, and compare them with the stored report."""
+    config echo, and compare them with the stored report.  The series read
+    back bit for bit, so every value must match exactly (non-finite values
+    are stored as null)."""
     out = Path(out_dir)
     cfg = load_config(out / "config.json")
     stored = json.loads((out / "report.json").read_text())
-    if cfg.outputs.format == "json" and "series" in stored:
-        times = np.array(stored["series"]["t"], dtype=float)
-        re_series = np.array(stored["series"]["rel_energy"], dtype=float)
-        chi_times = np.array(stored["forecast_chi"]["t"], dtype=float)
-        chi_base = np.array(stored["forecast_chi"]["chi_base"], dtype=float)
-    else:
-        energy = load_energy_series(out / "energy_series.csv")
-        times, re_series = energy.time, energy.rel_energy
-        chi_times, chi_base = load_series(out / "forecast_chi.csv", CHI_SERIES_COLUMNS)
+    energy = load_energy_series(out / "energy_series.csv")
+    _, (chi_times, chi_base) = load_series(out / "forecast_chi.csv", CHI_SERIES_COLUMNS)
 
     _, _, _, values, verdicts = _derive_diagnostics(
-        cfg, times, re_series, chi_times, chi_base
+        cfg, energy.time, energy.rel_energy, chi_times, chi_base
     )
     mismatches = [
         f"verdict {k!r}: stored {stored['verdicts'].get(k)} recomputed {v}"
         for k, v in verdicts.items()
         if stored["verdicts"].get(k) != v
+    ] + [
+        f"value {k!r}: stored {stored['values'].get(k)} recomputed {v}"
+        for k, v in values.items()
+        if stored["values"].get(k) != _jsonable(v)
     ]
-    for k, v in values.items():
-        # persist_twin stored each value through _jsonable (non-finite -> null)
-        sv, jv = stored["values"].get(k), _jsonable(v)
-        if jv is None or sv is None:
-            if jv != sv:
-                mismatches.append(f"value {k!r}: stored {sv} recomputed {v}")
-        elif not np.isclose(sv, jv, rtol=1e-12, atol=1e-300, equal_nan=True):
-            mismatches.append(f"value {k!r}: stored {sv} recomputed {v}")
     return AuditResult(
         ok=not mismatches,
         passed=all(verdicts.values()),
@@ -604,35 +580,42 @@ def manufactured_case(
 ) -> ManufacturedCase:
     """Smooth space-time fields compatible with the wall treatment (even
     density, odd velocity at both walls) and the sources that make them an
-    exact solution.  Derived symbolically and lambdified."""
-    import sympy as sp
+    exact solution:
 
-    t, x = sp.symbols("t x", real=True)
-    r = 1 + rho_amplitude * sp.cos(2 * sp.pi * x / length) * sp.cos(t)
-    U = u_amplitude * sp.sin(sp.pi * x / length) * sp.cos(t)
-    m = r * U
-    p = eos.kappa * r**eos.gamma
-    s_rho = sp.diff(r, t) + sp.diff(m, x)
-    s_mom = sp.diff(m, t) + sp.diff(m * U + p, x) - visc.nu_eff * sp.diff(U, x, 2)
+        r = 1 + a cos(k x) cos t,   U = b sin(q x) cos t,   m = r U,
+        s_rho = r_t + m_x,   s_mom = m_t + (m U + p(r))_x - nu_eff U_xx,
 
-    def lam(expr):
-        f = sp.lambdify((t, x), expr, modules="numpy")
+    with k = 2 pi / length and q = pi / length, differentiated by hand."""
+    a, b = rho_amplitude, u_amplitude
+    k, q = 2.0 * np.pi / length, np.pi / length
+    kappa, gamma, nu = eos.kappa, eos.gamma, visc.nu_eff
 
-        def wrapped(tv, xv, f=f):
-            out = np.empty_like(np.asarray(xv, dtype=float))
-            out[...] = f(tv, xv)
-            return out
+    def rho(t, x):
+        return 1.0 + a * np.cos(k * x) * np.cos(t)
 
-        return wrapped
+    def velocity(t, x):
+        return b * np.sin(q * x) * np.cos(t)
 
-    fsr, fsm = lam(s_rho), lam(s_mom)
-    return ManufacturedCase(
-        rho=lam(r),
-        momentum=lam(m),
-        sources=lambda tv, xv: (fsr(tv, xv), fsm(tv, xv)),
-        d_rho_dt=lam(sp.diff(r, t)),
-        d_mom_dt=lam(sp.diff(m, t)),
-    )
+    def momentum(t, x):
+        return rho(t, x) * velocity(t, x)
+
+    def d_rho_dt(t, x):
+        return -a * np.cos(k * x) * np.sin(t)
+
+    def d_mom_dt(t, x):
+        return d_rho_dt(t, x) * velocity(t, x) - rho(t, x) * b * np.sin(q * x) * np.sin(t)
+
+    def sources(t, x):
+        r, U = rho(t, x), velocity(t, x)
+        r_x = -a * k * np.sin(k * x) * np.cos(t)
+        U_x = b * q * np.cos(q * x) * np.cos(t)
+        U_xx = -q * q * U
+        s_rho = d_rho_dt(t, x) + r_x * U + r * U_x
+        # (m U + p)_x = r_x U^2 + 2 r U U_x + p'(r) r_x
+        flux_x = r_x * U * U + 2.0 * r * U * U_x + kappa * gamma * r ** (gamma - 1.0) * r_x
+        return s_rho, d_mom_dt(t, x) + flux_x - nu * U_xx
+
+    return ManufacturedCase(rho, momentum, sources, d_rho_dt, d_mom_dt)
 
 
 @dataclass(frozen=True)

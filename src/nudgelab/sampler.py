@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .field import Grid1D, Trajectory
+from .field import Grid1D, Trajectory, save_series
 
 __all__ = [
     "SpaceTimeDecomposition",
@@ -330,17 +330,18 @@ def interpolation_error(ms: MeasurementSet, traj: Trajectory) -> InterpolationEr
 
 def save_measurements(path, ms: MeasurementSet) -> None:
     """CSV export, one row per stored cell in (slab, block) row-major order:
-    K x len(ms.blocks) rows."""
+    K x len(ms.blocks) rows, under a ``# delta=`` comment line; written one
+    slab at a time."""
     dec, blocks = ms.decomposition, ms.blocks
     tb, xb = dec.time_breaks, dec.space_breaks
     t_star, x_star = dec.control_points(blocks)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# delta={dec.delta:.17g}\n")
-        fh.write("t_lo,t_hi,x_lo,x_hi,t_star,x_star,r_sample,U_sample\n")
-        for k in range(dec.n_time_slabs):
-            rows = np.column_stack((
-                np.full(blocks.size, tb[k]), np.full(blocks.size, tb[k + 1]),
-                xb[blocks], xb[blocks + 1], t_star[k], x_star[k],
-                ms.r_sample[k], ms.U_sample[k],
-            ))
-            np.savetxt(fh, rows, fmt="%.17g", delimiter=",")
+    slabs = (
+        np.column_stack((
+            np.full(blocks.size, tb[k]), np.full(blocks.size, tb[k + 1]),
+            xb[blocks], xb[blocks + 1], t_star[k], x_star[k],
+            ms.r_sample[k], ms.U_sample[k],
+        ))
+        for k in range(dec.n_time_slabs)
+    )
+    header = ("t_lo", "t_hi", "x_lo", "x_hi", "t_star", "x_star", "r_sample", "U_sample")
+    save_series(path, header, slabs, {"delta": dec.delta})

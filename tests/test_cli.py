@@ -22,6 +22,10 @@ def test_missing_config_file_exits_3(tmp_path):
 def test_bad_flags_exit_3():
     assert main(["sweep", "--axis", "nonsense", "--values", "1"]) == 3
     assert main(["twin", "--frobnicate"]) == 3
+    assert main(["twin", "--format", "csv"]) == 3
+    # the truth run and the solver validation read no sampler
+    assert main(["observe", "--seed", "1"]) == 3
+    assert main(["validate", "--seed", "1"]) == 3
 
 
 def test_bad_values_list_exits_3(tmp_path, determinism_config):
@@ -44,6 +48,7 @@ def test_invalid_config_exits_3(tmp_path):
         {"eos": {"gamma": 4, "a": 0.45}},
         {"grid": {"length": "1"}},
         {"sampler": {"cell_cap": 5_000_000}},  # no longer a key
+        {"outputs": {"format": "csv"}},  # no longer a key
     ],
 )
 def test_invalid_config_exits_3_before_any_run(tmp_path, monkeypatch, capsys, mutation):

@@ -128,6 +128,7 @@ def test_semantic_validation(tmp_path, mutation):
         ({"grid": {"length": "1"}}, "grid.length: expected a finite number"),
         ({"sampler": {"cell_cap": 1000}}, "sampler: unknown keys ['cell_cap']"),
         ({"forcing": {"kind": "gusts"}}, "forcing: unknown forcing kind"),
+        ({"outputs": {"format": "csv"}}, "outputs: unknown keys ['format']"),
     ],
 )
 def test_validation_names_the_section(tmp_path, mutation, expected):

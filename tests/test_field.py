@@ -112,7 +112,7 @@ def test_load_trajectory_rejects_a_nan_time_row(tmp_path):
     x = Grid1D(8, 1.0).cell_centers()
     path = tmp_path / "traj.csv"
     with open(path, "w") as fh:
-        fh.write("# length=1 forcing_max=0\nt,x,rho,mom\n")
+        fh.write("# length=1 forcing_max=0 rho_max=1 speed_max=0\nt,x,rho,mom\n")
         for t in ("0", "nan"):
             fh.writelines(f"{t},{xj:.17g},1,0\n" for xj in x)
     with pytest.raises(ValueError, match="snapshot times must be finite"):
@@ -184,14 +184,17 @@ def test_data_norm_components():
     assert data_norm(traj) == pytest.approx(2.0 + 1.2 + 0.4 + 0.0 + 1.0)
 
 
-@pytest.mark.parametrize("suffix", ["csv", "bin"])
-def test_trajectory_round_trip(tmp_path, suffix):
-    traj = make_traj()
-    path = tmp_path / f"traj.{suffix}"
+def test_trajectory_round_trip(tmp_path):
+    # the run's sup bounds cover every step, not only the stored snapshots,
+    # so they exceed the snapshot maxima (1.2 and 1/3) and must be stored
+    base = make_traj()
+    traj = Trajectory(base.grid, base.times, base.rho, base.mom, SupBounds(1.25, 0.4, 0.3))
+    path = tmp_path / "traj.csv"
     save_trajectory(path, traj)
     loaded = load_trajectory(path)
     assert np.array_equal(loaded.times, traj.times)
     assert np.array_equal(loaded.rho, traj.rho)
     assert np.array_equal(loaded.mom, traj.mom)
     assert loaded.grid == traj.grid
-    assert loaded.sup_bounds.forcing_max == traj.sup_bounds.forcing_max
+    assert loaded.sup_bounds == traj.sup_bounds
+    assert data_norm(loaded) == data_norm(traj)

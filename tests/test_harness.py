@@ -278,6 +278,36 @@ def test_manufactured_zero_perturbation_is_exact():
     assert err <= 1e-13
 
 
+def test_manufactured_fields_match_a_symbolic_derivation():
+    import sympy as sp
+
+    cfg = ExperimentConfig()
+    eos = harness.build_eos(cfg)
+    visc = harness.build_viscosity(cfg)
+    case = manufactured_case(eos, visc, 1.0)
+    t, x = sp.symbols("t x", real=True)
+    r = 1 + 0.2 * sp.cos(2 * sp.pi * x) * sp.cos(t)
+    U = 0.1 * sp.sin(sp.pi * x) * sp.cos(t)
+    m = r * U
+    p = eos.kappa * r**eos.gamma
+    exprs = [
+        r, m, sp.diff(r, t), sp.diff(m, t),
+        sp.diff(r, t) + sp.diff(m, x),
+        sp.diff(m, t) + sp.diff(m * U + p, x) - visc.nu_eff * sp.diff(U, x, 2),
+    ]
+    xs = np.linspace(0.0, 1.0, 257)
+    for tv in (0.0, 0.37, 1.3):
+        got = [
+            case.rho(tv, xs), case.momentum(tv, xs),
+            case.d_rho_dt(tv, xs), case.d_mom_dt(tv, xs), *case.sources(tv, xs),
+        ]
+        for value, expr in zip(got, exprs):
+            ref = np.broadcast_to(sp.lambdify((t, x), expr, "numpy")(tv, xs), xs.shape)
+            # the two forms group the terms differently: a few ulps apart
+            tol = 8 * np.finfo(float).eps * max(1.0, np.max(np.abs(ref)))
+            assert np.max(np.abs(value - ref)) <= tol, (tv, expr)
+
+
 def test_validate_solver_passes():
     rep = validate_solver()
     assert all(1.8 <= o <= 2.2 for o in rep.orders)
@@ -350,18 +380,14 @@ def test_audit_accepts_non_finite_values(tmp_path, lite_twin):
     assert result.ok, result.mismatches
 
 
-def test_json_format_persistence_and_audit(tmp_path, determinism_config):
-    cfg = dataclasses.replace(
-        determinism_config,
-        outputs=dataclasses.replace(determinism_config.outputs, format="json"),
-    )
-    out = tmp_path / "twin_json"
-    run_twin(cfg, out_dir=out)
-    assert not (out / "energy_series.csv").exists()
+def test_audit_reports_a_value_one_ulp_off(tmp_path, lite_twin):
+    out = persist_twin(lite_twin, tmp_path / "twin")
     body = json.loads((out / "report.json").read_text())
-    assert "series" in body and "forecast_chi" in body
+    body["values"]["re_assim_end"] = float(np.nextafter(body["values"]["re_assim_end"], np.inf))
+    (out / "report.json").write_text(json.dumps(body))
     result = audit_twin(out)
-    assert result.ok, result.mismatches
+    assert not result.ok
+    assert [m.split(":")[0] for m in result.mismatches] == ["value 're_assim_end'"]
 
 
 def test_partial_series_persisted_on_nudged_failure(tmp_path, lite_config, monkeypatch):
