@@ -152,6 +152,7 @@ def _cmd_audit(args) -> int:
     result = audit_twin(args.out)
     for name, ok in result.verdicts.items():
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
+    print(f"audit: not recomputed (need the trajectories): {', '.join(result.unchecked)}")
     if not result.ok:
         for m in result.mismatches:
             print(f"MISMATCH  {m}")

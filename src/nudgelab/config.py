@@ -53,8 +53,6 @@ __all__ = [
     "SWEEP_AXES",
 ]
 
-FORCING_KINDS = ("none", "sine")
-INITIAL_KINDS = ("uniform", "cosine", "sine")
 SYNC_INITS = ("mean_rest", "truth_at_start")
 SWEEP_AXES = ("lambda_rho", "lambda_u", "delta", "T", "n_cells")
 
@@ -69,7 +67,6 @@ class GridConfig:
 class EosConfig:
     gamma: float = 1.4
     kappa: float = 1.0
-    a: float | None = None  # None -> default convexity constant
 
 
 @dataclass(frozen=True)
@@ -87,16 +84,14 @@ class TimelineConfig:
 
 @dataclass(frozen=True)
 class ForcingConfig:
-    kind: str = "sine"  # g = amplitude * sin(2 pi x / L) * cos(t)
-    amplitude: float = 0.5
+    amplitude: float = 0.5  # g = amplitude * sin(2 pi x / L) * cos(t)
 
 
 @dataclass(frozen=True)
 class InitialConfig:
     """Observed initial profile at the start of the observation window."""
 
-    kind: str = "cosine"  # r = base + amplitude * cos(2 pi x / L), U = 0
-    amplitude: float = 0.3
+    amplitude: float = 0.3  # r = base + amplitude * cos(2 pi x / L), U = 0
     base_density: float = 1.0
 
 
@@ -191,11 +186,7 @@ class ExperimentConfig:
         grid = attempt("grid", lambda: build_grid(self))
         attempt("eos", lambda: build_eos(self))
         attempt("viscosity", lambda: build_viscosity(self))
-        attempt("forcing", lambda: build_forcing(self))
-        attempt(
-            "solver",
-            lambda: build_solver_options(self, solver.report_interval, (tl.t_assim_end,)),
-        )
+        attempt("solver", lambda: build_solver_options(self, solver.report_interval))
         if self.initial.base_density - abs(self.initial.amplitude) <= 0.0:
             problems.append("initial profile must stay strictly positive")
         elif grid is not None:
@@ -293,7 +284,7 @@ def build_grid(cfg: ExperimentConfig) -> Grid1D:
 
 
 def build_eos(cfg: ExperimentConfig) -> EquationOfState:
-    return EquationOfState(cfg.eos.gamma, cfg.eos.kappa, cfg.eos.a)
+    return EquationOfState(cfg.eos.gamma, cfg.eos.kappa)
 
 
 def build_viscosity(cfg: ExperimentConfig) -> Viscosity:
@@ -301,13 +292,10 @@ def build_viscosity(cfg: ExperimentConfig) -> Viscosity:
 
 
 def build_forcing(cfg: ExperimentConfig) -> Forcing:
-    f = cfg.forcing
-    if f.kind not in FORCING_KINDS:
-        raise ValueError(f"unknown forcing kind {f.kind!r}; expected one of {FORCING_KINDS}")
-    if f.kind == "none" or f.amplitude == 0.0:
+    amp = cfg.forcing.amplitude
+    if amp == 0.0:
         return Forcing.zero()
     length = cfg.grid.length
-    amp = f.amplitude
     last = [None, None]  # a run passes the same x every call: one sine per grid
 
     def fn(t, x):
@@ -324,14 +312,7 @@ def build_initial_state(cfg: ExperimentConfig, grid: Grid1D) -> FluidState:
     """Observed initial profile at the start of the observation window."""
     ic = cfg.initial
     x = grid.cell_centers()
-    if ic.kind == "uniform":
-        rho = np.full(grid.n_cells, ic.base_density)
-    elif ic.kind == "cosine":
-        rho = ic.base_density + ic.amplitude * np.cos(2.0 * np.pi * x / grid.length)
-    elif ic.kind == "sine":
-        rho = ic.base_density + ic.amplitude * np.sin(2.0 * np.pi * x / grid.length)
-    else:
-        raise ValueError(f"unknown initial profile {ic.kind!r}; expected one of {INITIAL_KINDS}")
+    rho = ic.base_density + ic.amplitude * np.cos(2.0 * np.pi * x / grid.length)
     return FluidState(cfg.timeline.t_minus, rho, np.zeros(grid.n_cells))
 
 
@@ -352,7 +333,7 @@ def build_tiling(cfg: ExperimentConfig) -> SpaceTimeDecomposition:
 
 
 def build_solver_options(
-    cfg: ExperimentConfig, snapshot_every: float, forced_times: tuple
+    cfg: ExperimentConfig, snapshot_every: float, forced_times: tuple = ()
 ) -> SolverOptions:
     return SolverOptions(
         safety=cfg.solver.safety,

@@ -122,14 +122,9 @@ def rhs(
     visc: Viscosity,
     forcing: Forcing,
     t: float,
-    extra_sources: Callable | None = None,
 ):
     """Tendencies (d_rho, d_mom) of the transport/pressure/viscous/forcing
-    part on cell centers, using 3-point centered stencils with wall ghosts.
-
-    ``extra_sources(t, x) -> (s_rho, s_mom)`` injects manufactured-solution
-    source terms; it is verification plumbing, not physics.
-    """
+    part on cell centers, using 3-point centered stencils with wall ghosts."""
     dx = grid.dx
     rp, mp = ghost_pad(rho, mom)
     u = mp / rp
@@ -137,13 +132,8 @@ def rhs(
     d_rho = -(mp[2:] - mp[:-2]) / (2.0 * dx)
     d_mom = -(flux[2:] - flux[:-2]) / (2.0 * dx)
     d_mom += visc.nu_eff * (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx**2
-    x = grid.cell_centers()
     if forcing.fn is not None:
-        d_mom += rho * forcing(t, x)
-    if extra_sources is not None:
-        s_rho, s_mom = extra_sources(t, x)
-        d_rho = d_rho + s_rho
-        d_mom = d_mom + s_mom
+        d_mom += rho * forcing(t, grid.cell_centers())
     return d_rho, d_mom
 
 
@@ -187,7 +177,6 @@ def step(
     nudging: NudgingConfig | None = None,
     *,
     rho_floor: float = 1e-8,
-    extra_sources: Callable | None = None,
     end_time: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance ``state = (t, rho, mom)`` by dt and return the new (rho, mom):
@@ -210,12 +199,12 @@ def step(
     """
     t, rho0, mom0 = state
 
-    d_rho, d_mom = rhs(grid, rho0, mom0, eos, visc, forcing, t, extra_sources)
+    d_rho, d_mom = rhs(grid, rho0, mom0, eos, visc, forcing, t)
     rho1 = rho0 + dt * d_rho
     mom1 = mom0 + dt * d_mom
     _check_stage(rho1, mom1, t, rho_floor)
 
-    d_rho, d_mom = rhs(grid, rho1, mom1, eos, visc, forcing, t + dt, extra_sources)
+    d_rho, d_mom = rhs(grid, rho1, mom1, eos, visc, forcing, t + dt)
     rho_s = 0.5 * (rho0 + rho1 + dt * d_rho)
     mom_s = 0.5 * (mom0 + mom1 + dt * d_mom)
     t_new = (t + dt) if end_time is None else end_time
@@ -301,7 +290,6 @@ def integrate(
     ms: MeasurementSet | None = None,
     nudging: NudgingConfig | None = None,
     options: SolverOptions | None = None,
-    extra_sources: Callable | None = None,
 ):
     """Integrate from ``initial`` to ``t_end``; returns (Trajectory, stats).
 
@@ -362,7 +350,6 @@ def integrate(
                     ms,
                     nudging,
                     rho_floor=options.rho_floor,
-                    extra_sources=extra_sources,
                     end_time=target if landing else None,
                 )
                 t = target if landing else t + dt

@@ -8,8 +8,8 @@ Its pressure potential P is the primitive solving
 which for the power law is P(rho) = kappa * rho**gamma / (gamma - 1).  The
 convexity of P is what turns its Bregman divergence into a usable distance
 between density fields, so the constructor enforces the structural
-constraints (monotone pressure, convex P, convex P - a*p) up front rather
-than trusting callers.
+constraints (monotone pressure, convex P) up front rather than trusting
+callers; the constant a keeping P - a*p convex is derived from gamma.
 
 All value functions accept scalars or numpy arrays and broadcast.
 """
@@ -49,31 +49,26 @@ def _as_density(rho, *, name: str = "rho", positive: bool = False):
 
 @dataclass(frozen=True)
 class EquationOfState:
-    """Power-law pressure p = kappa * rho**gamma with convexity constant a.
+    """Power-law pressure p = kappa * rho**gamma.
 
     gamma must exceed 1 (and should exceed 6/5 for the synchronization
-    guarantees to apply), kappa is positive, and a lies in (0, 1/2) with
-    a * (gamma - 1) <= 1 so that P - a*p stays convex.  a defaults to
-    ``default_convexity_constant(gamma)``.
+    guarantees to apply) and kappa is positive.
     """
 
     gamma: float
     kappa: float = 1.0
-    a: float | None = None
 
     def __post_init__(self):
         if not (np.isfinite(self.gamma) and self.gamma > 1.0):
             raise ValueError("gamma must be finite and > 1")
         if not (np.isfinite(self.kappa) and self.kappa > 0.0):
             raise ValueError("kappa must be finite and > 0")
-        a = self.a
-        if a is None:
-            a = default_convexity_constant(self.gamma)
-            object.__setattr__(self, "a", a)
-        if not (0.0 < a < 0.5):
-            raise ValueError("a must lie in (0, 1/2)")
-        if a * (self.gamma - 1.0) > 1.0:
-            raise ValueError("a*(gamma-1) must not exceed 1 (P - a*p convexity)")
+
+    @property
+    def a(self) -> float:
+        """Convexity constant of P - a*p: ``default_convexity_constant(gamma)``,
+        which lies in (0, 1/2) with a * (gamma - 1) <= 1."""
+        return default_convexity_constant(self.gamma)
 
     # -- pressure and potential -------------------------------------------
 

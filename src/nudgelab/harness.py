@@ -236,9 +236,10 @@ def run_twin(cfg: ExperimentConfig, out_dir=None) -> TwinReport:
     Pipeline: truth run, decomposition + sampling on the assimilation
     window, synchronized restart (mean-density rest state by default),
     nudged integration to the assimilation end then free integration to the
-    forecast end, diagnostics, verdicts, optional persistence.  On an
-    integration failure the partial series is persisted before the error
-    propagates.
+    forecast end, diagnostics, verdicts, optional persistence.  When either
+    run fails, ``config.json`` and ``error.json`` (naming the failed run) are
+    written before the error propagates, and for the nudged run also the
+    energy series of its partial trajectory.
     """
     cfg.validate()
     wall_start = _time.perf_counter()
@@ -249,7 +250,12 @@ def run_twin(cfg: ExperimentConfig, out_dir=None) -> TwinReport:
     nudging = build_nudging(cfg)
     tl = cfg.timeline
 
-    observed, observed_stats = run_observed(cfg)
+    try:
+        observed, observed_stats = run_observed(cfg)
+    except (VacuumError, BlowUpError) as err:
+        if out_dir is not None:
+            _persist_failure(cfg, err, "truth", out_dir)
+        raise
     sample_start = _time.perf_counter()
     ms = sample(observed, build_tiling(cfg))
     sample_wall_time = _time.perf_counter() - sample_start
@@ -259,14 +265,18 @@ def run_twin(cfg: ExperimentConfig, out_dir=None) -> TwinReport:
     else:  # truth_at_start: identical twin control
         initial = observed.state_at(0.0)
 
-    options = build_solver_options(cfg, cfg.solver.report_interval, (tl.t_assim_end,))
+    options = build_solver_options(cfg, cfg.solver.report_interval)
     try:
         sync_traj, sync_stats = integrate(
             grid, initial, tl.t_plus, eos, visc, forcing, ms, nudging, options
         )
     except (VacuumError, BlowUpError) as err:
-        if out_dir is not None and err.partial is not None:
-            _persist_failure(cfg, err, observed, eos, visc, grid, ms, nudging, out_dir)
+        if out_dir is not None:
+            out = _persist_failure(cfg, err, "nudged", out_dir)
+            save_energy_series(
+                out / "energy_series.csv",
+                make_energy_report(eos, visc, grid, err.partial, observed, ms, nudging),
+            )
         raise
 
     diagnostics_start = _time.perf_counter()
@@ -317,26 +327,15 @@ def run_twin(cfg: ExperimentConfig, out_dir=None) -> TwinReport:
     return report
 
 
-def _persist_failure(cfg, err, observed, eos, visc, grid, ms, nudging, out_dir):
+def _persist_failure(cfg, err, run: str, out_dir) -> Path:
+    """Write the config echo and ``error.json`` of a failed run."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_config(out / "config.json", cfg)
-    save_energy_series(
-        out / "energy_series.csv",
-        make_energy_report(eos, visc, grid, err.partial, observed, ms, nudging),
-    )
-    (out / "error.json").write_text(
-        json.dumps(
-            {
-                "error": type(err).__name__,
-                "message": str(err),
-                "time": err.time,
-                "cell": getattr(err, "cell", None),
-            },
-            indent=2,
-        )
-        + "\n"
-    )
+    info = {"run": run, "error": type(err).__name__, "message": str(err),
+            "time": err.time, "cell": getattr(err, "cell", None)}
+    (out / "error.json").write_text(json.dumps(info, indent=2) + "\n")
+    return out
 
 
 # -- persistence and audit ----------------------------------------------------
@@ -392,43 +391,54 @@ def persist_twin(report: TwinReport, out_dir, measurements: MeasurementSet | Non
     return out
 
 
+# stored entries the audit does not recompute: they need the truth or the
+# nudged trajectory, which an output directory does not hold
+AUDIT_UNCHECKED = ("interp_error", "values.interp_sup_err_r", "values.interp_sup_err_U",
+                   "values.data_norm", "budget_residual_max")
+
+
 @dataclass(frozen=True)
 class AuditResult:
-    ok: bool  # recomputed verdicts match the stored ones
+    ok: bool  # every recomputed block matches the stored one
     passed: bool  # recomputed verdicts all hold
     verdicts: dict
     mismatches: list
+    unchecked: tuple = AUDIT_UNCHECKED
 
 
 def audit_twin(out_dir) -> AuditResult:
-    """Recompute the verdicts of a persisted twin run from its series and
-    config echo, and compare them with the stored report.  The series read
-    back bit for bit, so every value must match exactly (non-finite values
-    are stored as null)."""
+    """Recompute every block ``_derive_diagnostics`` derives (verdicts,
+    values, decay, gains, envelope) and ``passed`` from the persisted series
+    and config echo, and compare each with the stored report.  The series
+    read back bit for bit, so every entry must match exactly (non-finite
+    values are stored as null).  The entries of ``AUDIT_UNCHECKED`` are not
+    recomputed."""
     out = Path(out_dir)
     cfg = load_config(out / "config.json")
     stored = json.loads((out / "report.json").read_text())
     energy = load_energy_series(out / "energy_series.csv")
     _, (chi_times, chi_base) = load_series(out / "forecast_chi.csv", CHI_SERIES_COLUMNS)
 
-    _, _, _, values, verdicts = _derive_diagnostics(
-        cfg, energy.time, energy.rel_energy, chi_times, chi_base
-    )
-    mismatches = [
-        f"verdict {k!r}: stored {stored['verdicts'].get(k)} recomputed {v}"
-        for k, v in verdicts.items()
-        if stored["verdicts"].get(k) != v
-    ] + [
-        f"value {k!r}: stored {stored['values'].get(k)} recomputed {v}"
-        for k, v in values.items()
-        if stored["values"].get(k) != _jsonable(v)
-    ]
-    return AuditResult(
-        ok=not mismatches,
-        passed=all(verdicts.values()),
-        verdicts=verdicts,
-        mismatches=mismatches,
-    )
+    derived = _derive_diagnostics(cfg, energy.time, energy.rel_energy, chi_times, chi_base)
+    verdicts = derived[-1]
+    recomputed = dict(zip(("decay", "gains", "envelope", "values", "verdicts"), derived))
+    recomputed["passed"] = all(verdicts.values())
+    mismatches = []
+    for name, block in recomputed.items():
+        want, got = _jsonable(block), stored.get(name)
+        if isinstance(want, dict) and isinstance(got, dict):
+            noun = {"verdicts": "verdict", "values": "value"}.get(name, name)
+            keys = list(want) + [
+                k for k in got if k not in want and f"{name}.{k}" not in AUDIT_UNCHECKED
+            ]
+            mismatches += [
+                f"{noun} {k!r}: stored {got.get(k, 'missing')} recomputed {want.get(k, 'missing')}"
+                for k in keys
+                if got.get(k, "missing") != want.get(k, "missing")
+            ]
+        elif got != want:
+            mismatches.append(f"{name}: stored {got} recomputed {want}")
+    return AuditResult(not mismatches, recomputed["passed"], verdicts, mismatches)
 
 
 # -- parameter sweeps ----------------------------------------------------------
@@ -562,11 +572,11 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, out_dir=None) -> SweepRe
 
 @dataclass(frozen=True)
 class ManufacturedCase:
-    """Closed-form fields with compensating sources for solver verification."""
+    """Closed-form fields and the forcing that makes them an exact solution."""
 
     rho: callable
     momentum: callable
-    sources: callable  # (t, x) -> (s_rho, s_mom)
+    forcing: Forcing
     d_rho_dt: callable
     d_mom_dt: callable
 
@@ -576,46 +586,51 @@ def manufactured_case(
     visc: Viscosity,
     length: float,
     rho_amplitude: float = 0.2,
-    u_amplitude: float = 0.1,
 ) -> ManufacturedCase:
     """Smooth space-time fields compatible with the wall treatment (even
-    density, odd velocity at both walls) and the sources that make them an
-    exact solution:
+    density, odd momentum at both walls) and the model forcing g that makes
+    them an exact solution:
 
-        r = 1 + a cos(k x) cos t,   U = b sin(q x) cos t,   m = r U,
-        s_rho = r_t + m_x,   s_mom = m_t + (m U + p(r))_x - nu_eff U_xx,
+        r = 1 + a cos(k x) cos t,   m = (a / k) sin(k x) sin t,   U = m / r,
+        g = (m_t + (m U + p(r))_x - nu_eff U_xx) / r,
 
-    with k = 2 pi / length and q = pi / length, differentiated by hand."""
-    a, b = rho_amplitude, u_amplitude
-    k, q = 2.0 * np.pi / length, np.pi / length
+    with k = 2 pi / length.  r_t + m_x = 0 holds exactly, so no mass source
+    is needed, and rho g equals the momentum source at rho = r.  The
+    derivatives are written out by hand; the forcing's bound follows from
+    the triangle inequality with 1 - a <= r <= 1 + a, for 0 <= a < 1."""
+    a = rho_amplitude
+    k = 2.0 * np.pi / length
     kappa, gamma, nu = eos.kappa, eos.gamma, visc.nu_eff
 
     def rho(t, x):
         return 1.0 + a * np.cos(k * x) * np.cos(t)
 
-    def velocity(t, x):
-        return b * np.sin(q * x) * np.cos(t)
-
     def momentum(t, x):
-        return rho(t, x) * velocity(t, x)
+        return (a / k) * np.sin(k * x) * np.sin(t)
 
     def d_rho_dt(t, x):
         return -a * np.cos(k * x) * np.sin(t)
 
     def d_mom_dt(t, x):
-        return d_rho_dt(t, x) * velocity(t, x) - rho(t, x) * b * np.sin(q * x) * np.sin(t)
+        return (a / k) * np.sin(k * x) * np.cos(t)
 
-    def sources(t, x):
-        r, U = rho(t, x), velocity(t, x)
+    def g(t, x):
+        r, m = rho(t, x), momentum(t, x)
+        U = m / r
+        m_x = -d_rho_dt(t, x)
         r_x = -a * k * np.sin(k * x) * np.cos(t)
-        U_x = b * q * np.cos(q * x) * np.cos(t)
-        U_xx = -q * q * U
-        s_rho = d_rho_dt(t, x) + r_x * U + r * U_x
-        # (m U + p)_x = r_x U^2 + 2 r U U_x + p'(r) r_x
-        flux_x = r_x * U * U + 2.0 * r * U * U_x + kappa * gamma * r ** (gamma - 1.0) * r_x
-        return s_rho, d_mom_dt(t, x) + flux_x - nu * U_xx
+        U_x = (m_x - U * r_x) / r
+        U_xx = (-k * k * m - 2.0 * U_x * r_x + k * k * (r - 1.0) * U) / r
+        # (m U + p)_x = 2 U m_x - U^2 r_x + p'(r) r_x
+        flux_x = U * (2.0 * m_x - U * r_x) + kappa * gamma * r ** (gamma - 1.0) * r_x
+        return (d_mom_dt(t, x) + flux_x - nu * U_xx) / r
 
-    return ManufacturedCase(rho, momentum, sources, d_rho_dt, d_mom_dt)
+    lo = 1.0 - a  # |U| <= a / (k lo) and |U_x| <= a / lo^2
+    u_max = a / (k * lo)
+    flux_x_max = u_max * a * (2.0 + u_max * k) + kappa * gamma * (1.0 + a) ** (gamma - 1.0) * a * k
+    uxx_max = a * k * (1.0 + 2.0 * a / lo**2 + k * u_max) / lo
+    bound = (a / k + flux_x_max + nu * uxx_max) / lo
+    return ManufacturedCase(rho, momentum, Forcing(g, bound), d_rho_dt, d_mom_dt)
 
 
 @dataclass(frozen=True)
@@ -645,10 +660,7 @@ def _mms_error(cfg, case, n, t_final):
         rho_floor=cfg.solver.rho_floor,
         snapshot_every=t_final,
     )
-    traj, _ = integrate(
-        grid, initial, t_final, eos, visc, Forcing.zero(),
-        options=options, extra_sources=case.sources,
-    )
+    traj, _ = integrate(grid, initial, t_final, eos, visc, case.forcing, options=options)
     final = traj.snapshot(traj.n_snapshots - 1)
     dx = grid.dx
     e_rho = np.sqrt(dx * np.sum((final.rho - case.rho(t_final, x)) ** 2))
@@ -676,9 +688,7 @@ def _splitting_order(cfg) -> float:
     finals = []
     for dt in (dt0, dt0 / 2.0, dt0 / 4.0):
         options = SolverOptions(fixed_dt=dt, snapshot_every=0.25)
-        traj, _ = integrate(
-            grid, initial, 0.25, eos, visc, forcing, ms, nudging, options
-        )
+        traj, _ = integrate(grid, initial, 0.25, eos, visc, forcing, ms, nudging, options)
         finals.append(traj.snapshot(traj.n_snapshots - 1))
     d1 = np.sqrt(np.sum((finals[0].mom - finals[1].mom) ** 2) + np.sum((finals[0].rho - finals[1].rho) ** 2))
     d2 = np.sqrt(np.sum((finals[1].mom - finals[2].mom) ** 2) + np.sum((finals[1].rho - finals[2].rho) ** 2))
@@ -693,9 +703,8 @@ def validate_solver(
     """Manufactured-solution convergence study plus mass-conservation and
     splitting-order checks.  Spatial order must land in [1.8, 2.2]."""
     cfg = cfg or ExperimentConfig()
-    case = manufactured_case(
-        build_eos(cfg), build_viscosity(cfg), cfg.grid.length
-    )
+    eos, visc = build_eos(cfg), build_viscosity(cfg)
+    case = manufactured_case(eos, visc, cfg.grid.length)
     errors = tuple(_mms_error(cfg, case, n, t_final) for n in n_values)
     orders = tuple(
         float(np.log2(errors[i] / errors[i + 1])) for i in range(len(errors) - 1)
@@ -704,8 +713,6 @@ def validate_solver(
 
     # mass conservation over 1e4 fixed steps on a forced smooth run
     grid = Grid1D(64, cfg.grid.length)
-    eos = build_eos(cfg)
-    visc = build_viscosity(cfg)
     forcing = build_forcing(cfg)
     initial = build_initial_state(cfg, grid)
     dt = stable_dt(grid, initial.rho, initial.mom, eos, visc, safety=0.15)

@@ -62,6 +62,17 @@ def test_invalid_config_exits_3_before_any_run(tmp_path, monkeypatch, capsys, mu
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "mutation",
+    [{"eos": {"a": 0.4}}, {"forcing": {"kind": "none"}}, {"initial": {"kind": "uniform"}}],
+)
+def test_removed_model_keys_exit_3_as_unknown(tmp_path, capsys, mutation):
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(mutation))
+    assert main(["validate", "--config", str(path)]) == 3
+    assert "unknown keys" in capsys.readouterr().err
+
+
 def test_observe_writes_trajectory(tmp_path, determinism_config):
     cfg_path = write_config(tmp_path, determinism_config)
     out = tmp_path / "obs"

@@ -142,12 +142,6 @@ def test_constructor_invariants():
         EquationOfState(1.0, 1.0)
     with pytest.raises(ValueError):
         EquationOfState(1.4, 0.0)
-    with pytest.raises(ValueError):
-        EquationOfState(1.4, 1.0, a=0.5)
-    with pytest.raises(ValueError):
-        EquationOfState(1.4, 1.0, a=0.0)
-    with pytest.raises(ValueError):
-        EquationOfState(4.0, 1.0, a=0.4)  # violates a*(gamma-1) <= 1
 
 
 def test_default_convexity_constant():

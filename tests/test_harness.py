@@ -8,7 +8,7 @@ import pytest
 from nudgelab import harness
 from nudgelab.config import ExperimentConfig, InitialConfig, ForcingConfig, NudgingGains
 from nudgelab.diagnostics import load_energy_series, save_energy_series
-from nudgelab.errors import ConfigError, VacuumError
+from nudgelab.errors import BlowUpError, ConfigError, VacuumError
 from nudgelab.field import FluidState, Trajectory
 from nudgelab.harness import (
     audit_twin,
@@ -29,8 +29,8 @@ from nudgelab.sampler import build_decomposition, sample
 def test_run_observed_rest_state_is_constant(lite_config):
     cfg = dataclasses.replace(
         lite_config,
-        forcing=ForcingConfig(kind="none", amplitude=0.0),
-        initial=InitialConfig(kind="uniform", amplitude=0.0),
+        forcing=ForcingConfig(amplitude=0.0),
+        initial=InitialConfig(amplitude=0.0),
     )
     traj, _ = run_observed(cfg, use_cache=False)
     assert np.all(traj.rho == 1.0)
@@ -273,7 +273,7 @@ def test_manufactured_zero_perturbation_is_exact():
     cfg = ExperimentConfig()
     eos = harness.build_eos(cfg)
     visc = harness.build_viscosity(cfg)
-    case = manufactured_case(eos, visc, 1.0, rho_amplitude=0.0, u_amplitude=0.0)
+    case = manufactured_case(eos, visc, 1.0, rho_amplitude=0.0)
     err = _mms_error(cfg, case, 64, 0.05)
     assert err <= 1e-13
 
@@ -286,26 +286,27 @@ def test_manufactured_fields_match_a_symbolic_derivation():
     visc = harness.build_viscosity(cfg)
     case = manufactured_case(eos, visc, 1.0)
     t, x = sp.symbols("t x", real=True)
-    r = 1 + 0.2 * sp.cos(2 * sp.pi * x) * sp.cos(t)
-    U = 0.1 * sp.sin(sp.pi * x) * sp.cos(t)
-    m = r * U
+    a, k = sp.Rational(1, 5), 2 * sp.pi
+    r = 1 + a * sp.cos(k * x) * sp.cos(t)
+    m = a / k * sp.sin(k * x) * sp.sin(t)
+    U = m / r
     p = eos.kappa * r**eos.gamma
-    exprs = [
-        r, m, sp.diff(r, t), sp.diff(m, t),
-        sp.diff(r, t) + sp.diff(m, x),
-        sp.diff(m, t) + sp.diff(m * U + p, x) - visc.nu_eff * sp.diff(U, x, 2),
-    ]
+    # continuity holds exactly: the case needs no mass source
+    assert sp.simplify(sp.diff(r, t) + sp.diff(m, x)) == 0
+    g = (sp.diff(m, t) + sp.diff(m * U + p, x) - visc.nu_eff * sp.diff(U, x, 2)) / r
+    exprs = [r, m, sp.diff(r, t), sp.diff(m, t), g]
     xs = np.linspace(0.0, 1.0, 257)
     for tv in (0.0, 0.37, 1.3):
         got = [
             case.rho(tv, xs), case.momentum(tv, xs),
-            case.d_rho_dt(tv, xs), case.d_mom_dt(tv, xs), *case.sources(tv, xs),
+            case.d_rho_dt(tv, xs), case.d_mom_dt(tv, xs), case.forcing(tv, xs),
         ]
         for value, expr in zip(got, exprs):
             ref = np.broadcast_to(sp.lambdify((t, x), expr, "numpy")(tv, xs), xs.shape)
             # the two forms group the terms differently: a few ulps apart
             tol = 8 * np.finfo(float).eps * max(1.0, np.max(np.abs(ref)))
             assert np.max(np.abs(value - ref)) <= tol, (tv, expr)
+        assert np.max(np.abs(got[-1])) <= case.forcing.bound
 
 
 def test_validate_solver_passes():
@@ -368,13 +369,18 @@ def test_audit_accepts_non_finite_values(tmp_path, lite_twin):
     save_energy_series(
         out / "energy_series.csv", dataclasses.replace(energy, rel_energy=re_series)
     )
-    _, _, _, values, verdicts = harness._derive_diagnostics(
+    decay, gains, envelope, values, verdicts = harness._derive_diagnostics(
         cfg, times, re_series, lite_twin.forecast_times, lite_twin.chi_base
     )
     assert values["growth_ratio"] == np.inf
+    # the audit replays every derived block, so the edited report carries
+    # all of them as the edited series gives them
     body = json.loads((out / "report.json").read_text())
     body["values"].update(harness._jsonable(values))
-    body["verdicts"] = harness._jsonable(verdicts)
+    body.update(harness._jsonable(
+        {"decay": decay, "gains": gains, "envelope": envelope, "verdicts": verdicts}
+    ))
+    body["passed"] = all(verdicts.values())
     (out / "report.json").write_text(json.dumps(body))
     result = audit_twin(out)
     assert result.ok, result.mismatches
@@ -388,6 +394,37 @@ def test_audit_reports_a_value_one_ulp_off(tmp_path, lite_twin):
     result = audit_twin(out)
     assert not result.ok
     assert [m.split(":")[0] for m in result.mismatches] == ["value 're_assim_end'"]
+
+
+def _ulp_up(v):
+    return float(np.nextafter(v, np.inf))
+
+
+@pytest.mark.parametrize(
+    "block, key, tamper",
+    [
+        ("decay", "window_used", lambda w: [w[0], _ulp_up(w[1])]),
+        ("envelope", "max_ratio", _ulp_up),
+        ("gains", "floor_estimate", _ulp_up),
+        ("passed", None, lambda passed: not passed),
+    ],
+    ids=["decay", "envelope", "gains", "passed"],
+)
+def test_audit_replays_every_derived_block(tmp_path, lite_twin, block, key, tamper):
+    out = persist_twin(lite_twin, tmp_path / "twin")
+    body = json.loads((out / "report.json").read_text())
+    if key is None:
+        body[block] = tamper(body[block])
+    else:
+        body[block][key] = tamper(body[block][key])
+    (out / "report.json").write_text(json.dumps(body))
+    result = audit_twin(out)
+    assert not result.ok
+    label = block if key is None else f"{block} {key!r}"
+    assert [m.split(":")[0] for m in result.mismatches] == [label]
+    # what needs the trajectories is named, not silently passed over
+    assert "interp_error" in result.unchecked
+    assert "values.data_norm" in result.unchecked
 
 
 def test_partial_series_persisted_on_nudged_failure(tmp_path, lite_config, monkeypatch):
@@ -414,8 +451,24 @@ def test_partial_series_persisted_on_nudged_failure(tmp_path, lite_config, monke
     assert (out / "error.json").exists()
     assert (out / "energy_series.csv").exists()
     info = json.loads((out / "error.json").read_text())
+    assert info["run"] == "nudged"
     assert info["error"] == "VacuumError"
     assert info["cell"] == 3
+
+
+def test_truth_run_failure_leaves_config_and_error(tmp_path, lite_config):
+    cfg = dataclasses.replace(
+        lite_config, solver=dataclasses.replace(lite_config.solver, max_steps=100)
+    )
+    out = tmp_path / "failed"
+    with pytest.raises(BlowUpError, match="max_steps=100"):
+        run_twin(cfg, out_dir=out)
+    assert harness.load_config(out / "config.json") == cfg
+    info = json.loads((out / "error.json").read_text())
+    assert info["run"] == "truth"
+    assert info["error"] == "BlowUpError"
+    assert info["time"] < 0.0  # inside the truth run's lead-in
+    assert not (out / "energy_series.csv").exists()
 
 
 def test_mean_rest_initial_matches_observed_mass(lite_observed):
@@ -434,8 +487,5 @@ def test_build_initial_state_kinds():
     s = build_initial_state(cfg, grid)
     assert s.time == cfg.timeline.t_minus
     assert np.min(s.rho) >= 0.7 - 1e-12
-    uni = dataclasses.replace(cfg, initial=InitialConfig(kind="uniform"))
+    uni = dataclasses.replace(cfg, initial=InitialConfig(amplitude=0.0))
     assert np.all(build_initial_state(uni, grid).rho == 1.0)
-    sine = dataclasses.replace(cfg, initial=InitialConfig(kind="sine", amplitude=0.2))
-    s3 = build_initial_state(sine, grid)
-    assert np.mean(s3.rho) == pytest.approx(1.0, abs=1e-12)
