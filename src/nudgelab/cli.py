@@ -50,7 +50,7 @@ def _build_parser() -> _Parser:
     common(sub.add_parser("observe", help="run and persist the truth trajectory"))
     sampled(sub.add_parser("twin", help="run the full twin experiment"))
     p_sweep = sampled(sub.add_parser("sweep", help="twin runs along one parameter axis"))
-    p_sweep.add_argument("--axis", required=True, choices=SWEEP_AXES)
+    p_sweep.add_argument("--axis", required=True, choices=tuple(SWEEP_AXES))
     p_sweep.add_argument(
         "--values", required=True, help="comma-separated list of axis values"
     )

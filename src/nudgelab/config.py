@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .diagnostics import check_gain_conditions
 from .dynamics import Forcing, NudgingConfig, SolverOptions, Viscosity
 from .eos import EquationOfState
 from .errors import ConfigError, VacuumError
@@ -54,7 +55,14 @@ __all__ = [
 ]
 
 SYNC_INITS = ("mean_rest", "truth_at_start")
-SWEEP_AXES = ("lambda_rho", "lambda_u", "delta", "T", "n_cells")
+# sweep axis -> the (section, key) of the config it sets
+SWEEP_AXES = {
+    "lambda_rho": ("nudging", "lambda_rho"),
+    "lambda_u": ("nudging", "lambda_u"),
+    "delta": ("sampler", "delta"),
+    "T": ("timeline", "t_assim_end"),
+    "n_cells": ("grid", "n_cells"),
+}
 
 
 @dataclass(frozen=True)
@@ -182,7 +190,7 @@ class ExperimentConfig:
                 problems.append(f"{section}: {err}")
                 return None
 
-        tl, sampler, solver = self.timeline, self.sampler, self.solver
+        tl, sampler, solver, cal = self.timeline, self.sampler, self.solver, self.calibration
         grid = attempt("grid", lambda: build_grid(self))
         attempt("eos", lambda: build_eos(self))
         attempt("viscosity", lambda: build_viscosity(self))
@@ -194,15 +202,17 @@ class ExperimentConfig:
         if not (tl.t_minus < 0.0 < tl.t_assim_end < tl.t_plus):
             problems.append("timeline must satisfy t_minus < 0 < t_assim_end < t_plus")
         else:
-            attempt("nudging", lambda: build_nudging(self))
+            nudging = attempt("nudging", lambda: build_nudging(self))
+            if nudging is not None:
+                attempt("calibration", lambda: check_gain_conditions(
+                    nudging, sampler.delta, cal.gamma_cal, cal.epsilon_target
+                ))
             if grid is not None:
                 attempt("sampler", lambda: sampled_blocks(build_tiling(self), grid))
         if solver.snapshot_budget < 1:
             problems.append("solver.snapshot_budget must be >= 1")
         if sampler.seed < 0:
             problems.append("sampler.seed must be >= 0")
-        if self.calibration.gamma_cal < 1.0:
-            problems.append("calibration.gamma_cal must be >= 1")
         if self.sync_init not in SYNC_INITS:
             problems.append(f"sync_init must be one of {SYNC_INITS}")
         if problems:

@@ -191,7 +191,8 @@ def step(
     Each of the two RK stages, and the relaxed state when nudging acts, is
     checked once: a non-finite value raises BlowUpError, and otherwise a
     density below ``rho_floor`` raises VacuumError.  These are the only
-    checks of a step; no FluidState is built.  What does not change during
+    checks of a step: no FluidState is built, and the equation of state
+    does not re-check the densities it is given.  What does not change during
     a run is computed once and reused: the grid's cell centers, the
     space-block index of the observations on the grid (in
     ``MeasurementSet.values_on_grid``) and, for the configured sine forcing,

@@ -34,25 +34,24 @@ def default_convexity_constant(gamma: float) -> float:
     return min(0.4, 0.5 / (gamma - 1.0))
 
 
-def _as_density(rho, *, name: str = "rho", positive: bool = False):
-    """Validate a density argument; returns a float or float array."""
-    arr = np.asarray(rho, dtype=float)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} must be finite")
-    if positive:
-        if (arr <= 0.0).any():
-            raise ValueError(f"{name} must be strictly positive")
-    elif (arr < 0.0).any():
-        raise ValueError(f"{name} must be nonnegative")
-    return arr if arr.ndim else float(arr)
-
-
 @dataclass(frozen=True)
 class EquationOfState:
     """Power-law pressure p = kappa * rho**gamma.
 
     gamma must exceed 1 (and should exceed 6/5 for the synchronization
-    guarantees to apply) and kappa is positive.
+    guarantees to apply) and kappa is positive; the constructor checks both.
+
+    The value methods are their formulas alone: they do not inspect their
+    density arguments.  Densities must be finite and nonnegative, and
+    strictly positive for ``sound_speed``, for the reference ``rtilde`` of
+    ``potential_bregman`` and for the first argument of
+    ``fenchel_young_gap``; outside that domain the result is NaN, infinite
+    or complex.  The objects that hold densities enforce the domain where a
+    density enters: ``FluidState`` and ``Trajectory`` (every state a run
+    starts from or reads back, ``load_trajectory`` included),
+    ``MeasurementSet`` (the samples), the stage check of ``dynamics.step``
+    (every RK stage and relaxed state) and ``ExperimentConfig.validate``
+    (the initial profile).
     """
 
     gamma: float
@@ -74,12 +73,10 @@ class EquationOfState:
 
     def pressure(self, rho):
         """p(rho) = kappa * rho**gamma; strictly increasing, p(0) = 0."""
-        rho = _as_density(rho)
         return self.kappa * rho**self.gamma
 
     def sound_speed(self, rho):
         """c(rho) = sqrt(p'(rho)), defined for rho > 0."""
-        rho = _as_density(rho, positive=True)
         return np.sqrt(self.kappa * self.gamma * rho ** (self.gamma - 1.0))
 
     def pressure_potential(self, rho):
@@ -89,12 +86,10 @@ class EquationOfState:
         the test suite cross-checks this closed form against quadrature of
         the defining relation.
         """
-        rho = _as_density(rho)
         return self.kappa * rho**self.gamma / (self.gamma - 1.0)
 
     def dpotential(self, rho):
         """P'(rho) = kappa * gamma * rho**(gamma-1) / (gamma - 1)."""
-        rho = _as_density(rho)
         return self.kappa * self.gamma / (self.gamma - 1.0) * rho ** (self.gamma - 1.0)
 
     # -- convexity gaps ----------------------------------------------------
@@ -107,8 +102,6 @@ class EquationOfState:
         the curvature of P blows up at vacuum, so divergences from a
         vacuum reference are not meaningful.
         """
-        rho = _as_density(rho)
-        rtilde = _as_density(rtilde, name="rtilde", positive=True)
         return (
             self.pressure_potential(rho)
             - self.dpotential(rtilde) * (rho - rtilde)
@@ -121,7 +114,5 @@ class EquationOfState:
         This is the quantity that turns the density-nudging work term into
         a potential-difference sink in the energy budget.
         """
-        rho = _as_density(rho, positive=True)
-        s = _as_density(s, name="s")
         dP = self.dpotential(rho)
         return (dP * rho - dP * s) - (self.pressure_potential(rho) - self.pressure_potential(s))

@@ -30,8 +30,6 @@ __all__ = [
     "load_trajectory",
 ]
 
-_NO_SLIP = "no-slip"
-
 # trajectory rows evaluated or written together, which bounds the
 # (rows, n_cells) temporaries: with 128 rows the gain sweep's peak RSS rose
 # by 0.5 MiB
@@ -44,11 +42,11 @@ def row_blocks(n: int) -> list[slice]:
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform cell-centered grid on [0, length] with no-slip walls."""
+    """Uniform cell-centered grid on [0, length] with no-slip walls (the
+    ghost cells of ``ghost_pad``)."""
 
     n_cells: int
     length: float
-    boundary: str = _NO_SLIP
 
     def __post_init__(self):
         if int(self.n_cells) != self.n_cells or self.n_cells < 8:
@@ -56,8 +54,6 @@ class Grid1D:
         object.__setattr__(self, "n_cells", int(self.n_cells))
         if not (np.isfinite(self.length) and self.length > 0.0):
             raise ValueError("length must be finite and > 0")
-        if self.boundary != _NO_SLIP:
-            raise ValueError(f"unsupported boundary {self.boundary!r}")
         centers = (np.arange(self.n_cells) + 0.5) * self.dx
         centers.setflags(write=False)
         object.__setattr__(self, "_centers", centers)

@@ -445,41 +445,22 @@ def audit_twin(out_dir) -> AuditResult:
 
 
 def _apply_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
-    if axis == "lambda_rho":
+    """The sweep point with ``value`` at the axis's config key, built by the
+    config file's rule: an integer becomes a float where a float is due, an
+    integral float an int where an int is due, and any other value fails
+    validation as this point's ConfigError."""
+    value = value.item() if isinstance(value, np.generic) else value
+    section, key = SWEEP_AXES[axis]
+    data = cfg.to_dict()
+    data[section][key] = value
+    if axis == "lambda_rho" and isinstance(value, (int, float)):
         # preserve the template's gain ratio so the velocity gain keeps pace
-        # (the synchronization conditions couple the two gains)
-        ratio = (
-            cfg.nudging.lambda_u / cfg.nudging.lambda_rho
-            if cfg.nudging.lambda_rho > 0.0
-            else 4.0
-        )
-        return dataclasses.replace(
-            cfg,
-            nudging=dataclasses.replace(
-                cfg.nudging,
-                lambda_rho=float(value),
-                lambda_u=ratio * float(value),
-            ),
-        )
-    if axis == "lambda_u":
-        return dataclasses.replace(
-            cfg, nudging=dataclasses.replace(cfg.nudging, lambda_u=float(value))
-        )
-    if axis == "delta":
-        return dataclasses.replace(
-            cfg, sampler=dataclasses.replace(cfg.sampler, delta=float(value))
-        )
-    if axis == "T":
-        return dataclasses.replace(
-            cfg, timeline=dataclasses.replace(cfg.timeline, t_assim_end=float(value))
-        )
-    if axis == "n_cells":
-        # the config file's rule: an integral float becomes an int, and any
-        # other value fails validation as this point's ConfigError
-        data = cfg.to_dict()
-        data["grid"]["n_cells"] = value.item() if isinstance(value, np.generic) else value
-        return ExperimentConfig.from_dict(data)
-    raise ConfigError(f"unknown sweep axis {axis!r}; valid axes: {SWEEP_AXES}")
+        # (the synchronization conditions couple the two gains); a value
+        # that is no number fails validation as lambda_rho
+        gains = cfg.nudging
+        ratio = gains.lambda_u / gains.lambda_rho if gains.lambda_rho > 0.0 else 4.0
+        data["nudging"]["lambda_u"] = ratio * value
+    return ExperimentConfig.from_dict(data)
 
 
 def _band_monotone(values, direction: str, band: float = 0.10, atol: float = 0.0) -> bool:
@@ -518,7 +499,7 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, out_dir=None) -> SweepRe
     continues.
     """
     if axis not in SWEEP_AXES:
-        raise ConfigError(f"unknown sweep axis {axis!r}; valid axes: {SWEEP_AXES}")
+        raise ConfigError(f"unknown sweep axis {axis!r}; valid axes: {tuple(SWEEP_AXES)}")
     points, errors = [], []
     for i, value in enumerate(values):
         sub_cfg = _apply_axis(cfg, axis, value)

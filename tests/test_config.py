@@ -112,6 +112,7 @@ def test_bad_json_and_missing_file(tmp_path):
         {"solver": {"report_interval": 0.0}},
         # a delta whose slab count overflows a float
         {"sampler": {"delta": 5e-324}},
+        {"calibration": {"gamma_cal": 0.5}},
     ],
 )
 def test_semantic_validation(tmp_path, mutation):

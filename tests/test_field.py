@@ -34,8 +34,6 @@ def test_grid_basics():
         Grid1D(4, 1.0)
     with pytest.raises(ValueError):
         Grid1D(16, -1.0)
-    with pytest.raises(ValueError):
-        Grid1D(16, 1.0, boundary="periodic")
 
 
 def test_velocity_examples():
