@@ -21,7 +21,7 @@ never create vacuum.
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -233,17 +233,17 @@ def step(
 class SolverOptions:
     """Time-stepping controls.
 
-    snapshot_every selects the spacing of stored snapshots (None stores
-    every accepted step); fixed_dt bypasses the CFL estimate; forced_times
-    are landed on exactly and recorded.
+    landings are the times the run lands on exactly and records, besides
+    its end time and the ends of the nudging window; None lands on those
+    alone and records every accepted step.  fixed_dt bypasses the CFL
+    estimate.
     """
 
     safety: float = 0.4
     rho_floor: float = 1e-8
     max_steps: int = 5_000_000
-    snapshot_every: float | None = None
     fixed_dt: float | None = None
-    forced_times: Sequence[float] = dataclass_field(default_factory=tuple)
+    landings: Sequence[float] | None = None
 
     def __post_init__(self):
         if not (0.0 < self.safety <= 1.0):
@@ -252,10 +252,13 @@ class SolverOptions:
             raise ValueError("rho_floor must be finite and positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        for name in ("snapshot_every", "fixed_dt"):
-            value = getattr(self, name)
-            if value is not None and not (np.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and positive")
+        if self.fixed_dt is not None and not (np.isfinite(self.fixed_dt) and self.fixed_dt > 0.0):
+            raise ValueError("fixed_dt must be finite and positive")
+        if self.landings is not None:
+            landings = tuple(float(t) for t in self.landings)
+            if not np.isfinite(landings).all():
+                raise ValueError("landings must be finite")
+            object.__setattr__(self, "landings", landings)
 
 
 @dataclass(frozen=True)
@@ -268,16 +271,10 @@ class IntegrationStats:
 
 def _breakpoints(t0: float, t_end: float, options: SolverOptions, nudging):
     points = {t_end}
-    points.update(
-        float(t) for t in options.forced_times if t0 < t <= t_end
-    )
+    if options.landings is not None:
+        points.update(t for t in options.landings if t0 < t <= t_end)
     if nudging is not None:
-        for w in nudging.window:
-            if t0 < w < t_end:
-                points.add(float(w))
-    if options.snapshot_every is not None:
-        n = max(1, round((t_end - t0) / options.snapshot_every))
-        points.update(np.linspace(t0, t_end, n + 1)[1:].tolist())
+        points.update(w for w in nudging.window if t0 < w < t_end)
     return sorted(points)
 
 
@@ -295,7 +292,7 @@ def integrate(
     """Integrate from ``initial`` to ``t_end``; returns (Trajectory, stats).
 
     Steps use the stability-bounded dt, capped so the run lands exactly on
-    the end time, the nudging window boundary, and the snapshot grid.  The
+    the end time, the nudging window boundary, and ``options.landings``.  The
     loop carries plain (t, rho, mom) arrays: each step is one call of
     ``step``, which makes the only per-step checks, with ``end_time`` set
     only on the step that lands on a breakpoint.  Recorded snapshots are
@@ -322,7 +319,7 @@ def integrate(
         return trajectory(), IntegrationStats(0, 0.0, 0.0, 0.0)
 
     start = _time.perf_counter()
-    every_step = options.snapshot_every is None
+    every_step = options.landings is None
     targets = _breakpoints(t, t_end, options, nudging)
     n_steps = 0
     dt_min, dt_max = np.inf, 0.0

@@ -97,22 +97,34 @@ class EquationOfState:
     def potential_bregman(self, rho, rtilde):
         """Bregman divergence P(rho) - P'(rtilde)*(rho - rtilde) - P(rtilde).
 
-        Nonnegative by convexity of P, zero only at rho == rtilde.  The
-        reference density rtilde must be strictly positive; for gamma < 2
-        the curvature of P blows up at vacuum, so divergences from a
-        vacuum reference are not meaningful.
+        Written as P(rtilde) * phi(s) with the relative mismatch
+        s = (rho - rtilde) / rtilde and phi(s) = (1 + s)**gamma - 1 - gamma*s,
+        evaluated without cancellation: expm1(gamma * log1p(s)) - gamma*s for
+        |s| >= 1e-3, and the series through s**5 below that (truncation
+        below 1e-12 relative).  Both factors are nonnegative, so the result
+        is too, and it is zero at rho == rtilde.  The reference density
+        rtilde must be strictly positive; for gamma < 2 the curvature of P
+        blows up at vacuum, so divergences from a vacuum reference are not
+        meaningful.
         """
-        return (
-            self.pressure_potential(rho)
-            - self.dpotential(rtilde) * (rho - rtilde)
-            - self.pressure_potential(rtilde)
-        )
+        s = (rho - rtilde) / rtilde
+        g = self.gamma
+        with np.errstate(divide="ignore"):  # rho = 0: log1p(-1) = -inf, phi = g - 1
+            phi = np.where(
+                np.abs(s) >= 1e-3,
+                np.expm1(g * np.log1p(s)) - g * s,
+                s * s * g * (g - 1.0) / 2.0
+                * (1.0 + s * (g - 2.0) / 3.0
+                   * (1.0 + s * (g - 3.0) / 4.0 * (1.0 + s * (g - 4.0) / 5.0))),
+            )
+        return self.pressure_potential(rtilde) * phi[()]
 
     def fenchel_young_gap(self, rho, s):
         """Slack in P'(rho)*(rho - s) >= P(rho) - P(s); nonnegative.
 
-        This is the quantity that turns the density-nudging work term into
-        a potential-difference sink in the energy budget.
+        The slack is the Bregman divergence of P at s from rho, so it is
+        ``potential_bregman(s, rho)``.  This is the quantity that turns the
+        density-nudging work term into a potential-difference sink in the
+        energy budget.
         """
-        dP = self.dpotential(rho)
-        return (dP * rho - dP * s) - (self.pressure_potential(rho) - self.pressure_potential(s))
+        return self.potential_bregman(s, rho)

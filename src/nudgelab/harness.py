@@ -31,6 +31,7 @@ from .config import (
     build_tiling,
     build_viscosity,
     load_config,
+    report_times,
     save_config,
 )
 from .diagnostics import (
@@ -97,13 +98,13 @@ def observed_signature(cfg: ExperimentConfig) -> str:
         "grid": dataclasses.asdict(cfg.grid),
         "eos": dataclasses.asdict(cfg.eos),
         "viscosity": dataclasses.asdict(cfg.viscosity),
-        "span": [cfg.timeline.t_minus, cfg.timeline.t_plus],
+        "timeline": dataclasses.asdict(cfg.timeline),
         "forcing": dataclasses.asdict(cfg.forcing),
         "initial": dataclasses.asdict(cfg.initial),
         "solver": {
             "safety": cfg.solver.safety,
             "rho_floor": cfg.solver.rho_floor,
-            "snapshot_budget": cfg.solver.snapshot_budget,
+            "report_interval": cfg.solver.report_interval,
             "max_steps": cfg.solver.max_steps,
         },
     }
@@ -118,8 +119,15 @@ def run_observed(
     cfg: ExperimentConfig, use_cache: bool = True
 ) -> tuple[Trajectory, IntegrationStats]:
     """Integrate the truth run over the whole observation window with the
-    relaxation terms off, recording sup bounds and snapshots; returns the
-    trajectory and the run's step statistics.
+    relaxation terms off, recording sup bounds; returns the trajectory and
+    the run's step statistics.
+
+    The truth lands on, and records, t = 0 and the nudged run's own
+    landings (``report_times``: the report grid and the window end), so
+    its snapshot times are t_minus followed by the nudged run's.  Every
+    read of the truth falls on these times or between them: the report
+    grid, t = 0 and the first snapshot exactly, the slab control times by
+    linear interpolation.
 
     The cache keeps only the most recent truth run, so a sweep that varies
     the observed run holds one trajectory at a time.  A cache hit returns
@@ -129,8 +137,6 @@ def run_observed(
     if use_cache and key in _OBSERVED_CACHE:
         return _OBSERVED_CACHE[key]
     grid = build_grid(cfg)
-    span = cfg.timeline.t_plus - cfg.timeline.t_minus
-    n_snaps = max(2, cfg.solver.snapshot_budget // cfg.grid.n_cells)
     traj, stats = integrate(
         grid,
         build_initial_state(cfg, grid),
@@ -138,7 +144,7 @@ def run_observed(
         build_eos(cfg),
         build_viscosity(cfg),
         build_forcing(cfg),
-        options=build_solver_options(cfg, span / n_snaps, (0.0,)),
+        options=build_solver_options(cfg, (0.0, *report_times(cfg))),
     )
     if use_cache:
         _OBSERVED_CACHE.clear()
@@ -265,7 +271,7 @@ def run_twin(cfg: ExperimentConfig, out_dir=None) -> TwinReport:
     else:  # truth_at_start: identical twin control
         initial = observed.state_at(0.0)
 
-    options = build_solver_options(cfg, cfg.solver.report_interval)
+    options = build_solver_options(cfg, report_times(cfg))
     try:
         sync_traj, sync_stats = integrate(
             grid, initial, tl.t_plus, eos, visc, forcing, ms, nudging, options
@@ -636,11 +642,7 @@ def _mms_error(cfg, case, n, t_final):
     visc = build_viscosity(cfg)
     x = grid.cell_centers()
     initial = FluidState(0.0, case.rho(0.0, x), case.momentum(0.0, x))
-    options = SolverOptions(
-        safety=cfg.solver.safety,
-        rho_floor=cfg.solver.rho_floor,
-        snapshot_every=t_final,
-    )
+    options = SolverOptions(safety=cfg.solver.safety, rho_floor=cfg.solver.rho_floor, landings=())
     traj, _ = integrate(grid, initial, t_final, eos, visc, case.forcing, options=options)
     final = traj.snapshot(traj.n_snapshots - 1)
     dx = grid.dx
@@ -659,7 +661,7 @@ def _splitting_order(cfg) -> float:
     x = grid.cell_centers()
     rho0 = 1.0 + 0.2 * np.cos(2.0 * np.pi * x / grid.length)
     obs_initial = FluidState(-0.1, rho0, np.zeros_like(x))
-    obs_options = SolverOptions(snapshot_every=1e-3, forced_times=(0.0,))
+    obs_options = SolverOptions(landings=(0.0, *np.linspace(-0.1, 0.3, 401)))
     observed, _ = integrate(grid, obs_initial, 0.3, eos, visc, forcing, options=obs_options)
     dec = build_decomposition(0.05, 0.25, grid.length)
     ms = sample(observed, dec)
@@ -668,7 +670,7 @@ def _splitting_order(cfg) -> float:
     dt0 = 0.5 * stable_dt(grid, initial.rho, initial.mom, eos, visc, safety=1.0)
     finals = []
     for dt in (dt0, dt0 / 2.0, dt0 / 4.0):
-        options = SolverOptions(fixed_dt=dt, snapshot_every=0.25)
+        options = SolverOptions(fixed_dt=dt, landings=())
         traj, _ = integrate(grid, initial, 0.25, eos, visc, forcing, ms, nudging, options)
         finals.append(traj.snapshot(traj.n_snapshots - 1))
     d1 = np.sqrt(np.sum((finals[0].mom - finals[1].mom) ** 2) + np.sum((finals[0].rho - finals[1].rho) ** 2))
@@ -699,7 +701,9 @@ def validate_solver(
     dt = stable_dt(grid, initial.rho, initial.mom, eos, visc, safety=0.15)
     n_steps = 10_000
     span = n_steps * dt
-    options = SolverOptions(fixed_dt=dt, snapshot_every=span / 100.0)
+    options = SolverOptions(
+        fixed_dt=dt, landings=np.linspace(initial.time, initial.time + span, 101)
+    )
     traj, stats = integrate(
         grid, initial, initial.time + span, eos, visc, forcing, options=options
     )

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .field import Grid1D, Trajectory, save_series
+from .field import Grid1D, Trajectory, row_blocks, save_series
 
 __all__ = [
     "SpaceTimeDecomposition",
@@ -312,19 +312,24 @@ def sample(traj: Trajectory, dec: SpaceTimeDecomposition) -> MeasurementSet:
 
 
 def interpolation_error(ms: MeasurementSet, traj: Trajectory) -> InterpolationError:
-    """Sup-norm gap between the piecewise-constant field and the trajectory,
-    evaluated on the lattice of snapshot times inside the assimilation
-    window times all grid cells.  Each snapshot is compared with the row
-    that ``values_on_grid``, the nudged run's own lookup, returns."""
-    inside = np.flatnonzero((traj.times >= 0.0) & (traj.times <= ms.decomposition.duration))
-    if inside.size == 0:
-        raise ValueError("no snapshot times inside the decomposition window")
+    """Sup-norm gap between the piecewise-constant field and the trajectory
+    over all grid cells, at the snapshot times inside the assimilation
+    window and at the midpoint of every time slab, so a slab narrower than
+    the snapshot spacing is still checked.  The trajectory is read through
+    ``Trajectory.fields_at``; the field takes the stored columns of the
+    nudged run's own lookup, one slab row per time."""
+    dec = ms.decomposition
+    tb = dec.time_breaks
+    inside = traj.times[(traj.times >= 0.0) & (traj.times <= dec.duration)]
+    ts = np.concatenate((inside, 0.5 * (tb[:-1] + tb[1:])))
+    slabs = dec.time_slab_index(ts)
+    cols = ms._columns_on_grid(traj.grid)
     err_r = err_u = 0.0
-    for i in inside.tolist():
-        r_interp, u_interp = ms.values_on_grid(float(traj.times[i]), traj.grid)
-        rho = traj.rho[i]
-        err_r = max(err_r, float(np.abs(r_interp - rho).max()))
-        err_u = max(err_u, float(np.abs(u_interp - traj.mom[i] / rho).max()))
+    for rows in row_blocks(ts.size):
+        rho, mom = traj.fields_at(ts[rows])
+        k = slabs[rows, None]
+        err_r = max(err_r, float(np.abs(ms.r_sample[k, cols] - rho).max()))
+        err_u = max(err_u, float(np.abs(ms.U_sample[k, cols] - mom / rho).max()))
     return InterpolationError(sup_err_r=err_r, sup_err_U=err_u)
 
 

@@ -30,15 +30,19 @@ def baseline_config():
     return ExperimentConfig()
 
 
-@pytest.fixture(scope="session")
-def lite_config():
+def lite_experiment():
     """Coarse, short, cheap configuration for functional tests."""
     return ExperimentConfig(
         grid=GridConfig(n_cells=64),
         timeline=TimelineConfig(t_minus=-0.2, t_assim_end=0.5, t_plus=0.8),
         sampler=SamplerConfig(delta=0.02),
-        solver=SolverConfig(report_interval=2e-3, snapshot_budget=500_000),
+        solver=SolverConfig(report_interval=2e-3),
     )
+
+
+@pytest.fixture(scope="session")
+def lite_config():
+    return lite_experiment()
 
 
 @pytest.fixture(scope="session")
@@ -49,7 +53,7 @@ def determinism_config():
         timeline=TimelineConfig(t_minus=-0.2, t_assim_end=0.5, t_plus=0.8),
         sampler=SamplerConfig(delta=3e-3, placement="jittered", seed=7),
         nudging=NudgingGains(lambda_rho=20.0, lambda_u=80.0),
-        solver=SolverConfig(report_interval=2e-3, snapshot_budget=500_000),
+        solver=SolverConfig(report_interval=2e-3),
         calibration=CalibrationConfig(epsilon_target=0.25),
     )
 

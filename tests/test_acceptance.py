@@ -149,7 +149,7 @@ def test_acceptance_5_energy_budget():
         initial = FluidState(0.0, 1.0 + 0.3 * np.cos(2 * np.pi * x), np.zeros(n))
         traj, _ = integrate(
             grid, initial, 0.25, eos, visc, Forcing.zero(),
-            options=SolverOptions(fixed_dt=dt, snapshot_every=None),
+            options=SolverOptions(fixed_dt=dt),
         )
         E = np.array([total_energy(eos, grid, traj.snapshot(i)) for i in range(traj.n_snapshots)])
         D = np.array([

@@ -107,7 +107,7 @@ def decaying_run(n=48, t_end=0.2, fixed_dt=None):
     g = Grid1D(n, 1.0)
     x = g.cell_centers()
     initial = FluidState(0.0, 1.0 + 0.3 * np.cos(2 * np.pi * x), np.zeros(n))
-    options = SolverOptions(snapshot_every=None, fixed_dt=fixed_dt)
+    options = SolverOptions(fixed_dt=fixed_dt)
     traj, _ = integrate(g, initial, t_end, EOS, VISC, Forcing.zero(), options=options)
     report = make_energy_report(EOS, VISC, g, traj, rest_trajectory(g, traj.times))
     return g, report, traj
@@ -162,7 +162,7 @@ def test_energy_budget_inequality_on_nudged_run():
     initial = FluidState(0.0, np.full(48, float(np.mean(obs_rho))), np.zeros(48))
     traj, _ = integrate(
         g, initial, 0.2, EOS, VISC, Forcing.zero(), ms, cfg,
-        SolverOptions(snapshot_every=None),
+        SolverOptions(),
     )
     report = make_energy_report(EOS, VISC, g, traj, obs, ms, cfg)
     res = energy_balance_residual(report, traj, EOS, VISC, Forcing.zero(), g, ms, cfg)

@@ -196,10 +196,10 @@ def test_stable_dt_formula():
         {"fixed_dt": -1e-3},
         {"fixed_dt": np.nan},
         {"fixed_dt": np.inf},
-        {"snapshot_every": 0.0},
-        {"snapshot_every": -0.1},
-        {"snapshot_every": np.nan},
-        {"snapshot_every": np.inf},
+        {"landings": (np.nan,)},
+        {"landings": (0.1, np.inf)},
+        {"landings": [-np.inf]},
+        {"landings": np.array([0.1, np.nan])},
         {"max_steps": 0},
         {"max_steps": -1},
         {"rho_floor": np.nan},
@@ -227,7 +227,7 @@ def test_integrate_calls_step_once_per_step(monkeypatch):
     g = Grid1D(64, 1.0)
     x = g.cell_centers()
     s = FluidState(0.0, 1.0 + 0.1 * np.cos(2 * np.pi * x), np.zeros(64))
-    options = SolverOptions(snapshot_every=0.005, forced_times=(0.0123,))
+    options = SolverOptions(landings=(0.005, 0.01, 0.0123, 0.015))
     traj, stats = integrate(g, s, 0.02, EOS, VISC, Forcing.zero(), options=options)
     assert len(calls) == stats.n_steps > traj.n_snapshots
     landings = [kw["end_time"] for kw in calls if kw["end_time"] is not None]
@@ -246,7 +246,7 @@ def test_integrate_builds_no_state_per_step(monkeypatch):
         real_post_init(self)
 
     monkeypatch.setattr(FluidState, "__post_init__", counting_post_init)
-    options = SolverOptions(fixed_dt=1e-4, snapshot_every=None)
+    options = SolverOptions(fixed_dt=1e-4)
     traj, stats = integrate(g, s, 0.0125, EOS, VISC, Forcing.zero(), options=options)
     assert stats.n_steps >= 100
     assert traj.n_snapshots == stats.n_steps + 1
@@ -273,7 +273,7 @@ def test_vacuum_partial_holds_the_landings_before_the_failure():
     g = Grid1D(32, 1.0)
     x = g.cell_centers()
     s = FluidState(0.0, 1.0 + 0.1 * np.cos(2 * np.pi * x), np.zeros(32))
-    options = SolverOptions(snapshot_every=0.01)
+    options = SolverOptions(landings=np.linspace(0.0, 0.1, 11))
     gust = Forcing(lambda t, x: np.full_like(x, 1e6 if t > 0.03 else 0.0), 1e6)
 
     with pytest.raises(VacuumError) as exc:
@@ -299,7 +299,7 @@ def test_integrate_rest_trajectory_constant():
     g = Grid1D(16, 1.0)
     s = uniform_state(16, rho=1.5)
     traj, stats = integrate(
-        g, s, 0.05, EOS, VISC, Forcing.zero(), options=SolverOptions(snapshot_every=0.01)
+        g, s, 0.05, EOS, VISC, Forcing.zero(), options=SolverOptions(landings=(0.01, 0.03))
     )
     assert stats.n_steps > 0
     assert np.all(traj.rho == 1.5)
@@ -307,14 +307,15 @@ def test_integrate_rest_trajectory_constant():
 
 
 def test_integrate_lands_exactly_on_forced_times():
+    # the landings inside (t0, t_end] and the end are recorded, in order,
+    # and nothing else; the ones outside are ignored
     g = Grid1D(16, 1.0)
     x = g.cell_centers()
     s = FluidState(0.0, 1.0 + 0.1 * np.cos(2 * np.pi * x), np.zeros(16))
-    options = SolverOptions(snapshot_every=0.05, forced_times=(0.0123, 0.077))
-    traj, _ = integrate(g, s, 0.1, EOS, VISC, Forcing.zero(), options=options)
-    assert 0.0123 in traj.times
-    assert 0.077 in traj.times
-    assert traj.times[-1] == 0.1
+    options = SolverOptions(landings=(0.077, -0.5, 0.0, 0.0123, 0.25))
+    traj, stats = integrate(g, s, 0.1, EOS, VISC, Forcing.zero(), options=options)
+    assert list(traj.times) == [0.0, 0.0123, 0.077, 0.1]
+    assert stats.n_steps > 3
 
 
 def test_integrate_mass_conservation_unnudged():
@@ -322,7 +323,7 @@ def test_integrate_mass_conservation_unnudged():
     x = g.cell_centers()
     s = FluidState(0.0, 1.0 + 0.3 * np.cos(2 * np.pi * x), np.zeros(64))
     traj, stats = integrate(
-        g, s, 0.2, EOS, VISC, Forcing.zero(), options=SolverOptions(snapshot_every=0.02)
+        g, s, 0.2, EOS, VISC, Forcing.zero(), options=SolverOptions(landings=np.linspace(0.0, 0.2, 11))
     )
     masses = g.dx * traj.rho.sum(axis=1)
     assert np.max(np.abs(masses - masses[0])) <= 1e-12 * masses[0]
@@ -346,7 +347,7 @@ def test_integrate_nudged_mass_relaxation_identity():
     ms = sample(obs, dec)
     block = dec.space_block_index(x)
     traj, _ = integrate(
-        g, s, 0.01, EOS, VISC, Forcing.zero(), ms, cfg, SolverOptions(snapshot_every=None)
+        g, s, 0.01, EOS, VISC, Forcing.zero(), ms, cfg, SolverOptions()
     )
     for k in range(traj.n_snapshots - 1):
         dt = traj.times[k + 1] - traj.times[k]
@@ -363,7 +364,7 @@ def test_integrate_refinement_of_final_state():
         x = g.cell_centers()
         s = FluidState(0.0, 1.0 + 0.3 * np.cos(2 * np.pi * x), np.zeros(n))
         traj, _ = integrate(
-            g, s, 0.25, EOS, VISC, Forcing.zero(), options=SolverOptions(snapshot_every=0.25)
+            g, s, 0.25, EOS, VISC, Forcing.zero(), options=SolverOptions(landings=())
         )
         return traj.snapshot(traj.n_snapshots - 1)
 
@@ -394,7 +395,7 @@ def test_energy_decay_and_dt_order():
     def efinal(dt):
         traj, _ = integrate(
             g, initial, 0.2, EOS, VISC, Forcing.zero(),
-            options=SolverOptions(fixed_dt=dt, snapshot_every=0.2),
+            options=SolverOptions(fixed_dt=dt, landings=()),
         )
         return total_energy(EOS, g, traj.snapshot(traj.n_snapshots - 1))
 

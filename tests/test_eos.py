@@ -86,10 +86,33 @@ def test_bregman_zero_iff_equal():
     assert np.all(np.abs(eos.potential_bregman(rho, rho)) <= 1e-12)
 
 
+@pytest.mark.parametrize("gamma", [1.2, 1.4, 2.0, 3.0])
+@pytest.mark.parametrize("mismatch", [1e-3, 1e-5, 1e-8])
+def test_bregman_at_small_mismatch_matches_mpmath(gamma, mismatch):
+    # the subtraction form loses every digit here (and can go negative);
+    # the reference evaluates that form at 50 digits on the same floats
+    eos = EquationOfState(gamma, 1.7)
+    rtilde = np.array([0.3, 0.7, 1.0, 1.9, 42.0])
+    rho = np.concatenate((rtilde * (1.0 - mismatch), rtilde * (1.0 + mismatch)))
+    rtilde = np.concatenate((rtilde, rtilde))
+    with mpmath.workdps(50):
+        g, k = mpmath.mpf(gamma), mpmath.mpf(eos.kappa)
+
+        def bregman(r, rt):
+            r, rt = mpmath.mpf(float(r)), mpmath.mpf(float(rt))
+            return k / (g - 1) * (r**g - g * rt ** (g - 1) * (r - rt) - rt**g)
+
+        ref = np.array([float(bregman(r, rt)) for r, rt in zip(rho, rtilde)])
+    for got in (eos.potential_bregman(rho, rtilde), eos.fenchel_young_gap(rtilde, rho)):
+        assert np.all(got > 0.0)
+        assert np.max(np.abs(got - ref) / ref) <= 1e-11
+
+
 def test_fenchel_young_examples():
     eos = EquationOfState(2.0, 1.0)
     assert eos.fenchel_young_gap(1.0, 1.0) == 0.0
-    assert eos.fenchel_young_gap(1.0, 4.0) == 9.0
+    # expm1(gamma * log1p(3)) carries two ulp of 16
+    assert eos.fenchel_young_gap(1.0, 4.0) == pytest.approx(9.0, rel=1e-15, abs=0.0)
 
 
 def test_fenchel_young_nonnegative_bulk():

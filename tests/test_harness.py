@@ -60,10 +60,28 @@ def test_run_observed_cache(lite_config):
         lite_config, grid=dataclasses.replace(lite_config.grid, n_cells=72)
     )
     assert observed_signature(regrid) != observed_signature(lite_config)
+    # the truth lands on the report grid and the window end, not on a
+    # snapshot budget, which no run reads
+    for section, key, value in (("solver", "report_interval", 1e-3),
+                                ("timeline", "t_assim_end", 0.4),
+                                ("solver", "snapshot_budget", 1)):
+        other = dataclasses.replace(getattr(lite_config, section), **{key: value})
+        other = dataclasses.replace(lite_config, **{section: other})
+        assert (observed_signature(other) == observed_signature(lite_config)) == (
+            key == "snapshot_budget"
+        )
     # only the most recent truth run is kept, and it still hits
     c = run_observed(regrid)
     assert len(harness._OBSERVED_CACHE) == 1
     assert run_observed(regrid)[0] is c[0]
+
+
+def test_truth_records_t_minus_then_the_nudged_runs_times(lite_twin, lite_config):
+    # the nudged run's times are the energy report's
+    truth, _ = run_observed(lite_config)
+    nudged = lite_twin.energy.time
+    assert truth.times.tolist() == [lite_config.timeline.t_minus] + nudged.tolist()
+    assert lite_twin.stats["observed_snapshots"] == nudged.size + 1
 
 
 def test_twin_reports_truth_run_statistics(lite_twin, lite_config):
@@ -146,10 +164,10 @@ def test_twin_identical_initial_data_stays_synchronized(lite_config):
         sync_init="truth_at_start",
     )
     rep = run_twin(cfg)
-    assert rep.values["re_initial"] == 0.0
-    # the restarted run steps on its own dt sequence, so agreement is only
-    # up to accumulated time-discretization noise
-    assert rep.values["re_assim_end"] <= 1e-10
+    # the truth lands on the restarted run's own times, so from t = 0 the
+    # two runs take the same steps and agree bit for bit
+    assert np.all(rep.energy.rel_energy == 0.0)
+    assert rep.values["re_initial"] == rep.values["re_assim_end"] == 0.0
 
 
 def test_twin_uninformed_control_fails_without_nudging(lite_config):
@@ -200,7 +218,7 @@ def test_observed_data_firewall(lite_config):
     from nudgelab.dynamics import make_synchronized_initial
 
     nudging = NudgingConfig(20.0, 80.0, (0.0, lite_config.timeline.t_assim_end))
-    options = SolverOptions(snapshot_every=0.1)
+    options = SolverOptions(landings=(0.1, 0.2, 0.3, 0.4))
     args = (
         grid,
         make_synchronized_initial(traj),

@@ -240,14 +240,38 @@ def test_interpolation_error_matches_dense_reference(placement):
     ms = sample(traj, dec)
     err = interpolation_error(ms, traj)
 
-    inside = (times >= 0.0) & (times <= 0.5)
-    slab = dec.time_slab_index(times[inside])
+    # the snapshots inside [0, T] and every slab midpoint, each read by
+    # linear interpolation between the two snapshots around it
+    tb = dec.time_breaks
+    ts = np.concatenate((times[(times >= 0.0) & (times <= 0.5)], 0.5 * (tb[:-1] + tb[1:])))
+    assert dec.n_time_slabs > 4  # more slabs than snapshots in the window
+    hi = np.clip(np.searchsorted(times, ts), 1, times.size - 1)
+    w = ((ts - times[hi - 1]) / (times[hi] - times[hi - 1]))[:, None]
+    rho_ts = (1.0 - w) * rho[hi - 1] + w * rho[hi]
+    u_ts = ((1.0 - w) * mom[hi - 1] + w * mom[hi]) / rho_ts
+    slab = np.array([dec.slab_at(t) for t in ts])
     cols = np.searchsorted(ms.blocks, dec.space_block_index(x))
     r_ref = ms.r_sample[slab[:, None], cols[None, :]]
     u_ref = ms.U_sample[slab[:, None], cols[None, :]]
-    assert err.sup_err_r == np.max(np.abs(r_ref - rho[inside]))
-    assert err.sup_err_U == np.max(np.abs(u_ref - mom[inside] / rho[inside]))
+    assert err.sup_err_r == np.max(np.abs(r_ref - rho_ts))
+    assert err.sup_err_U == np.max(np.abs(u_ref - u_ts))
     assert err.sup_err_r > 0.0 and err.sup_err_U > 0.0
+
+
+def test_interpolation_error_checks_a_slab_between_snapshots():
+    # two snapshots, 0 and 1, around slabs of width 1/8: only the slab
+    # midpoints see the samples of the inner slabs
+    g = Grid1D(8, 1.0)
+    x = g.cell_centers()
+    rho = np.stack([np.full(8, 1.0), np.full(8, 2.0)])
+    traj = Trajectory(g, [0.0, 1.0], rho, np.zeros((2, 8)), SupBounds(2.0, 0.0, 0.0))
+    dec = build_decomposition(0.15, 1.0, 1.0)
+    ms = sample(traj, dec)
+    r_bad = ms.r_sample.copy()
+    r_bad[dec.n_time_slabs // 2] += 0.5  # corrupt an inner slab's samples
+    bad = MeasurementSet(dec, r_bad, ms.U_sample, ms.blocks)
+    assert interpolation_error(bad, traj).sup_err_r > 0.4
+    assert interpolation_error(ms, traj).sup_err_r <= 0.5 / dec.n_time_slabs + 1e-12
 
 
 def test_measurements_round_trip(tmp_path):
