@@ -20,6 +20,7 @@ from pathlib import Path
 from .config import ExperimentConfig, SWEEP_AXES, load_config, save_config
 from .errors import BlowUpError, ConfigError, VacuumError
 from .field import save_trajectory
+from .harness import MASS_DRIFT_MAX, MMS_ORDER_RANGE, SPLITTING_ORDER_RANGE
 from .harness import audit_twin, run_observed, run_sweep, run_twin, validate_solver
 
 EXIT_PASS = 0
@@ -70,18 +71,15 @@ def _load(args) -> ExperimentConfig:
     return cfg
 
 
-def _out_dir(args, cfg: ExperimentConfig, sub: str) -> Path:
+def _out_dir(args, sub: str) -> Path:
     if args.out is not None:
         return args.out
-    if cfg.outputs.directory:
-        return Path(cfg.outputs.directory)
-    root = os.environ.get("NUDGELAB_OUT", "out")
-    return Path(root) / sub
+    return Path(os.environ.get("NUDGELAB_OUT", "out")) / sub
 
 
 def _cmd_observe(args) -> int:
     cfg = _load(args)
-    out = _out_dir(args, cfg, "observe")
+    out = _out_dir(args, "observe")
     out.mkdir(parents=True, exist_ok=True)
     traj, _ = run_observed(cfg, use_cache=False)
     save_trajectory(out / "trajectory.csv", traj)
@@ -102,7 +100,7 @@ def _cmd_observe(args) -> int:
 
 def _cmd_twin(args) -> int:
     cfg = _load(args)
-    out = _out_dir(args, cfg, "twin")
+    out = _out_dir(args, "twin")
     report = run_twin(cfg, out_dir=out)
     for name, ok in report.verdicts.items():
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
@@ -118,7 +116,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"bad --values list: {err}") from err
     if not values:
         raise ConfigError("--values must name at least one value")
-    out = _out_dir(args, cfg, "sweep")
+    out = _out_dir(args, "sweep")
     report = run_sweep(cfg, args.axis, values, out_dir=out)
     for value, err in zip(report.values, report.errors):
         print(f"{args.axis}={value:g}: {'ok' if err is None else err}")
@@ -135,9 +133,9 @@ def _cmd_validate(args) -> int:
     cfg = _load(args)
     report = validate_solver(cfg)
     print(f"spatial errors: {['%.3e' % e for e in report.errors]}")
-    print(f"spatial orders: {['%.3f' % o for o in report.orders]} (need [1.8, 2.2])")
-    print(f"mass drift: {report.mass_drift:.3e} (need <= 1e-10)")
-    print(f"splitting order: {report.splitting_order:.3f} (need [0.6, 1.9])")
+    print(f"spatial orders: {['%.3f' % o for o in report.orders]} (need {list(MMS_ORDER_RANGE)})")
+    print(f"mass drift: {report.mass_drift:.3e} (need <= {MASS_DRIFT_MAX:g})")
+    print(f"splitting order: {report.splitting_order:.3f} (need {list(SPLITTING_ORDER_RANGE)})")
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
         (args.out / "validation.json").write_text(

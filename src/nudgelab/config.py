@@ -130,23 +130,15 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class CalibrationConfig:
-    """Calibrated constants and frozen acceptance thresholds.
-
-    gamma_cal stands in for the non-constructive data constant in the gain
-    conditions; envelope_gamma_max freezes the largest admissible forecast
-    calibration; the remaining entries are the twin-run pass thresholds.
-    """
+    """Gain-condition inputs: gamma_cal stands in for the non-constructive
+    data constant.  The acceptance thresholds live in ``harness``."""
 
     gamma_cal: float = 4.0
     epsilon_target: float = 0.1
-    sync_ratio_max: float = 1e-4
-    forecast_growth_max: float = 10.0
-    envelope_gamma_max: float = 1.0
 
 
 @dataclass(frozen=True)
 class OutputConfig:
-    directory: str | None = None
     write_measurements: bool = False
 
 
@@ -200,6 +192,9 @@ class ExperimentConfig:
         attempt("solver", lambda: build_solver_options(self))
         if solver.report_interval <= 0.0:
             problems.append("solver.report_interval must be positive")
+        elif not math.isfinite(n := tl.t_plus / solver.report_interval) or round(n) > solver.max_steps:
+            # each report time is a landing, and each landing costs a step
+            problems.append(f"solver.report_interval: more report times than max_steps={solver.max_steps}")
         if self.initial.base_density - abs(self.initial.amplitude) <= 0.0:
             problems.append("initial profile must stay strictly positive")
         elif grid is not None:
@@ -234,12 +229,6 @@ def _hints(cls) -> dict:
     return typing.get_type_hints(cls)
 
 
-def _leaf_type(hint):
-    """(base type, nullable) of a leaf annotation such as ``float | None``."""
-    args = [a for a in typing.get_args(hint) if a is not type(None)]
-    return (args[0], True) if args else (hint, False)
-
-
 def _type_problems(obj, path: str) -> list:
     problems = []
     for name, hint in _hints(type(obj)).items():
@@ -248,19 +237,16 @@ def _type_problems(obj, path: str) -> list:
         if dataclasses.is_dataclass(hint):
             problems += _type_problems(value, sub)
             continue
-        base, nullable = _leaf_type(hint)
-        if value is None:
-            ok = nullable
-        elif isinstance(value, bool) or base is bool:
-            ok = isinstance(value, bool) and base is bool
-        elif base is float:
+        if isinstance(value, bool) or hint is bool:
+            ok = isinstance(value, bool) and hint is bool
+        elif hint is float:
             ok = isinstance(value, numbers.Real) and math.isfinite(value)
-        elif base is int:
+        elif hint is int:
             ok = isinstance(value, numbers.Integral)
         else:
-            ok = isinstance(value, base)
+            ok = isinstance(value, hint)
         if not ok:
-            problems.append(f"{sub}: expected {_EXPECTED[base]}, got {value!r}")
+            problems.append(f"{sub}: expected {_EXPECTED[hint]}, got {value!r}")
     return problems
 
 
@@ -277,15 +263,14 @@ def _build(cls, data, path: str):
     for name, value in data.items():
         hint = hints[name]
         sub = f"{path}.{name}" if path else name
-        base = _leaf_type(hint)[0]
         if dataclasses.is_dataclass(hint):
             value = _build(hint, value, sub)
-        elif base is float and type(value) is int:  # bool stays a type error
+        elif hint is float and type(value) is int:  # bool stays a type error
             try:
                 value = float(value)  # the config echo then prints 1.0, not 1
             except OverflowError as err:
                 raise ConfigError(f"{sub}: expected {_EXPECTED[float]}") from err
-        elif base is int and isinstance(value, float) and value.is_integer():
+        elif hint is int and isinstance(value, float) and value.is_integer():
             value = int(value)
         kwargs[name] = value
     return cls(**kwargs)
@@ -350,12 +335,13 @@ def build_tiling(cfg: ExperimentConfig) -> SpaceTimeDecomposition:
 def report_times(cfg: ExperimentConfig) -> tuple:
     """The nudged run's landings after t = 0: the report grid
     ``linspace(0, t_plus, n + 1)[1:]``, n = round(t_plus / report_interval),
-    with the window end t_assim_end, in increasing order.  The truth lands
+    with the window end t_assim_end, which replaces a grid point within 4
+    ulps of it (no sliver landing), in increasing order.  The truth lands
     on 0 and on these, so both runs record the same float times."""
-    t_plus = cfg.timeline.t_plus
+    t_plus, t_end = cfg.timeline.t_plus, cfg.timeline.t_assim_end
     n = max(1, round(t_plus / cfg.solver.report_interval))
     grid = np.linspace(0.0, t_plus, n + 1)[1:].tolist()
-    return tuple(sorted({*grid, cfg.timeline.t_assim_end}))
+    return tuple(sorted({*(t for t in grid if abs(t - t_end) > 4 * math.ulp(t_end)), t_end}))
 
 
 def build_solver_options(cfg: ExperimentConfig, landings=None) -> SolverOptions:

@@ -152,6 +152,19 @@ def run_observed(
     return traj, stats
 
 
+# -- the acceptance gate ------------------------------------------------------
+
+# Frozen thresholds, calibrated on baseline runs (scripts/calibrate_thresholds.py
+# prints the margins); every verdict, the audit's included, reads them here.
+SYNC_RATIO_MAX = 1e-4  # RE(T) / RE(0) of a synchronized twin
+FORECAST_GROWTH_MAX = 10.0  # RE(t_plus) / RE(T)
+ENVELOPE_GAMMA_MAX = 1.0  # largest admissible forecast envelope calibration
+MMS_ORDER_RANGE = (1.8, 2.2)  # manufactured-solution spatial order
+MASS_DRIFT_MAX = 1e-10  # relative mass drift over 1e4 fixed steps
+SPLITTING_ORDER_RANGE = (0.6, 1.9)  # transport/relaxation splitting order in dt
+MONOTONE_BAND = 0.10  # acceptance 7: tolerance of the floor/rate monotonicity
+
+
 # -- twin experiment ----------------------------------------------------------
 
 
@@ -208,7 +221,7 @@ def _derive_diagnostics(cfg: ExperimentConfig, times, re_series, chi_times, chi_
         chi_times,
         re_series[np.searchsorted(times, chi_times)],
         chi_base,
-        calibration=cfg.calibration.envelope_gamma_max,
+        calibration=ENVELOPE_GAMMA_MAX,
     )
 
     sync_ratio = re_T / re0 if re0 > 0.0 else 0.0
@@ -229,8 +242,8 @@ def _derive_diagnostics(cfg: ExperimentConfig, times, re_series, chi_times, chi_
         "gain_ordering": gains.gain_ordering_ok,
         "delta_smallness": gains.delta_smallness_ok,
         "floor_estimate": bool(gains.floor_ok),
-        "synchronized": sync_ratio <= cfg.calibration.sync_ratio_max,
-        "forecast_growth": re_plus <= cfg.calibration.forecast_growth_max * re_T + 1e-300,
+        "synchronized": sync_ratio <= SYNC_RATIO_MAX,
+        "forecast_growth": re_plus <= FORECAST_GROWTH_MAX * re_T + 1e-300,
         "forecast_envelope": bool(envelope.holds),
     }
     return decay, gains, envelope, values, verdicts
@@ -469,7 +482,7 @@ def _apply_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
     return ExperimentConfig.from_dict(data)
 
 
-def _band_monotone(values, direction: str, band: float = 0.10, atol: float = 0.0) -> bool:
+def _band_monotone(values, direction: str, band: float = MONOTONE_BAND, atol: float = 0.0) -> bool:
     """Monotonicity within a multiplicative tolerance band; ``atol`` makes
     near-zero entries (fit resolution) compare as equal."""
     vals = [v for v in values if v is not None]
@@ -684,7 +697,8 @@ def validate_solver(
     t_final: float = 0.1,
 ) -> ValidationReport:
     """Manufactured-solution convergence study plus mass-conservation and
-    splitting-order checks.  Spatial order must land in [1.8, 2.2]."""
+    splitting-order checks, each against its frozen range (MMS_ORDER_RANGE,
+    MASS_DRIFT_MAX, SPLITTING_ORDER_RANGE)."""
     cfg = cfg or ExperimentConfig()
     eos, visc = build_eos(cfg), build_viscosity(cfg)
     case = manufactured_case(eos, visc, cfg.grid.length)
@@ -692,7 +706,7 @@ def validate_solver(
     orders = tuple(
         float(np.log2(errors[i] / errors[i + 1])) for i in range(len(errors) - 1)
     )
-    spatial_ok = all(1.8 <= o <= 2.2 for o in orders)
+    spatial_ok = all(MMS_ORDER_RANGE[0] <= o <= MMS_ORDER_RANGE[1] for o in orders)
 
     # mass conservation over 1e4 fixed steps on a forced smooth run
     grid = Grid1D(64, cfg.grid.length)
@@ -709,12 +723,12 @@ def validate_solver(
     )
     masses = grid.dx * np.sum(traj.rho, axis=1)
     mass_drift = float(np.max(np.abs(masses - masses[0])) / masses[0])
-    mass_ok = mass_drift <= 1e-10
+    mass_ok = mass_drift <= MASS_DRIFT_MAX
 
     # the midpoint evaluation of the relaxation targets cancels part of the
     # first-order splitting error, so the observed order sits between 1 and 2
     split_order = _splitting_order(cfg)
-    splitting_ok = 0.6 <= split_order <= 1.9
+    splitting_ok = SPLITTING_ORDER_RANGE[0] <= split_order <= SPLITTING_ORDER_RANGE[1]
 
     return ValidationReport(
         n_values=tuple(n_values),

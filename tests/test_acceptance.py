@@ -1,8 +1,11 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS line with its measured runtime (run with -s to see them inline).
 
-Thresholds marked as calibrated were frozen from baseline runs of this
-implementation; see the README for how to regenerate them.
+The thresholds were frozen from baseline runs of this implementation.
+Each test asserts the frozen literal and that the gate the program applies
+(the constants in ``nudgelab.harness``) still equals it, so a change that
+loosens the gate fails here; see the README for how to regenerate the
+measurements behind them.
 """
 
 import json
@@ -37,6 +40,7 @@ from nudgelab.dynamics import (
 )
 from nudgelab.eos import EquationOfState
 from nudgelab.field import FluidState, Grid1D, noslip_seminorm_sq
+from nudgelab import harness
 from nudgelab.harness import run_sweep, validate_solver
 from nudgelab.sampler import MeasurementSet, build_decomposition
 
@@ -131,9 +135,14 @@ def test_acceptance_3_sampler_partition():
 
 def test_acceptance_4_solver_verification():
     start = time.perf_counter()
+    assert harness.MMS_ORDER_RANGE == (1.8, 2.2)  # frozen
+    assert harness.MASS_DRIFT_MAX == 1e-10  # frozen
+    assert harness.SPLITTING_ORDER_RANGE == (0.6, 1.9)  # frozen
     rep = validate_solver()
     assert all(1.8 <= o <= 2.2 for o in rep.orders), rep.orders
     assert rep.mass_drift <= 1e-10
+    assert 0.6 <= rep.splitting_order <= 1.9, rep.splitting_order
+    assert rep.passed
     report(4, f"manufactured orders {tuple(round(o, 3) for o in rep.orders)}, "
               f"mass drift {rep.mass_drift:.2e} over 1e4 steps", start, 60.0)
 
@@ -176,10 +185,13 @@ def test_acceptance_5_energy_budget():
 
 def test_acceptance_6_synchronization(baseline_twin, control_twin):
     start = time.perf_counter()
-    sync_max = baseline_twin.config.calibration.sync_ratio_max  # frozen at 1e-4
+    sync_max = 1e-4  # frozen
+    assert harness.SYNC_RATIO_MAX == sync_max  # the gate the verdicts apply
     assert baseline_twin.gains.delta_smallness_ok  # delta chosen for the gate
     ratio = baseline_twin.values["sync_ratio"]
     assert ratio <= sync_max, f"baseline sync ratio {ratio:g}"
+    assert baseline_twin.verdicts["synchronized"]
+    assert not control_twin.verdicts["synchronized"]
     control_ratio = control_twin.values["sync_ratio"]
     assert control_ratio >= 100.0 * sync_max, (
         f"control run must miss the threshold by two orders, got {control_ratio:g}"
@@ -201,6 +213,7 @@ def test_acceptance_7_floor_rate_monotonicity():
         timeline=TimelineConfig(t_minus=-0.5, t_assim_end=0.06, t_plus=0.08),
         solver=SolverConfig(report_interval=2e-4),
     )
+    assert harness.MONOTONE_BAND == 0.10  # frozen
     sweep = run_sweep(cfg, "lambda_rho", [10.0, 25.0, 50.0, 100.0])
     assert sweep.errors == [None] * 4
     for point in sweep.points:
@@ -215,13 +228,16 @@ def test_acceptance_7_floor_rate_monotonicity():
 def test_acceptance_8_forecast_control(baseline_twin):
     start = time.perf_counter()
     env = baseline_twin.envelope
-    gamma_max = baseline_twin.config.calibration.envelope_gamma_max  # frozen at 1.0
+    gamma_max, growth_max = 1.0, 10.0  # frozen
+    assert harness.ENVELOPE_GAMMA_MAX == gamma_max  # the gate the verdicts apply
+    assert harness.FORECAST_GROWTH_MAX == growth_max
     assert env.calibration_required <= gamma_max
     assert env.holds
-    growth_max = baseline_twin.config.calibration.forecast_growth_max
     re_T = baseline_twin.values["re_assim_end"]
     re_plus = baseline_twin.values["re_forecast_end"]
     assert re_plus <= growth_max * re_T
+    assert baseline_twin.verdicts["forecast_envelope"]
+    assert baseline_twin.verdicts["forecast_growth"]
     elapsed = time.perf_counter() - start + BUILD_TIMES.get("baseline_twin", 0.0)
     print(f"ACCEPTANCE 8: PASS - envelope calibration {env.calibration_required:.3g} "
           f"<= {gamma_max}, growth {re_plus / re_T:.3g} <= {growth_max} [{elapsed:.1f}s]")

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import re
 
+import numpy as np
 import pytest
 
 from nudgelab.config import (
@@ -9,8 +10,10 @@ from nudgelab.config import (
     build_grid,
     NudgingGains,
     SamplerConfig,
+    SolverConfig,
     TimelineConfig,
     load_config,
+    report_times,
     save_config,
 )
 from nudgelab.errors import ConfigError
@@ -131,6 +134,13 @@ def test_semantic_validation(tmp_path, mutation):
         ({"forcing": {"kind": "gusts"}}, "forcing: unknown keys ['kind']"),
         ({"outputs": {"format": "csv"}}, "outputs: unknown keys ['format']"),
         ({"initial": {"kind": "sine"}}, "initial: unknown keys ['kind']"),
+        # the acceptance gate is not config (it lives in nudgelab.harness)
+        ({"calibration": {"sync_ratio_max": 1.0}}, "calibration: unknown keys ['sync_ratio_max']"),
+        ({"calibration": {"forecast_growth_max": 1e3}},
+         "calibration: unknown keys ['forecast_growth_max']"),
+        ({"calibration": {"envelope_gamma_max": 1e3}},
+         "calibration: unknown keys ['envelope_gamma_max']"),
+        ({"outputs": {"directory": "out"}}, "outputs: unknown keys ['directory']"),
     ],
 )
 def test_validation_names_the_section(tmp_path, mutation, expected):
@@ -140,13 +150,51 @@ def test_validation_names_the_section(tmp_path, mutation, expected):
         load_config(path)
 
 
-def test_ints_widen_to_floats_and_null_only_where_optional(tmp_path):
+def test_ints_widen_to_floats_and_null_is_rejected(tmp_path):
     path = tmp_path / "c.json"
-    path.write_text(json.dumps({"grid": {"length": 2}, "outputs": {"directory": None}}))
+    path.write_text(json.dumps({"grid": {"length": 2}}))
     cfg = load_config(path)
     assert cfg.grid.length == 2.0 and isinstance(cfg.grid.length, float)
-    assert cfg.outputs.directory is None
     assert '"length": 2.0' in cfg.to_json()
+    # no leaf is optional: null fails like any other wrong type, everywhere
+    leaves = [(section, key) for section, block in cfg.to_dict().items()
+              if isinstance(block, dict) for key in block] + [(None, "sync_init")]
+    assert len(leaves) == 26
+    for section, key in leaves:
+        path.write_text(json.dumps({section: {key: None}} if section else {key: None}))
+        name = f"{section}.{key}" if section else key
+        with pytest.raises(ConfigError, match=re.escape(f"{name}: expected")):
+            load_config(path)
+
+
+def test_report_interval_bounded_by_max_steps():
+    # each report time is a landing, and each landing costs a step; the
+    # check is arithmetic, so a 2e12-point grid is refused without building it
+    for interval in (1e-12, 5e-324):  # the second overflows t_plus / interval
+        cfg = ExperimentConfig(solver=SolverConfig(report_interval=interval))
+        with pytest.raises(ConfigError, match="solver.report_interval: more report times"):
+            cfg.validate()
+    ExperimentConfig(solver=SolverConfig(report_interval=2e-3, max_steps=1000)).validate()
+    with pytest.raises(ConfigError, match="than max_steps=999"):
+        ExperimentConfig(solver=SolverConfig(report_interval=2e-3, max_steps=999)).validate()
+
+
+def test_report_times_land_once_at_the_window_end():
+    # the acceptance-7 timeline: linspace(0, 0.08, 401)[300] is an ulp above
+    # t_assim_end = 0.06, and the window end takes its place
+    cfg = ExperimentConfig(
+        timeline=TimelineConfig(t_minus=-0.5, t_assim_end=0.06, t_plus=0.08),
+        solver=SolverConfig(report_interval=2e-4),
+    )
+    grid = np.linspace(0.0, 0.08, 401)[1:]
+    assert 0 < grid[299] - 0.06 < 1e-17
+    times = report_times(cfg)
+    assert len(times) == 400 and times[299] == 0.06
+    assert times[:299] + times[300:] == tuple(np.delete(grid, 299).tolist())
+    assert np.min(np.diff(times)) > 0.5 * 2e-4
+    # a grid that holds t_assim_end exactly is the report grid itself
+    base = ExperimentConfig()
+    assert report_times(base) == tuple(np.linspace(0.0, 2.0, 2001)[1:].tolist())
 
 
 def test_integer_fields_rejected_on_floats(tmp_path):

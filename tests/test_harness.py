@@ -475,8 +475,11 @@ def test_partial_series_persisted_on_nudged_failure(tmp_path, lite_config, monke
 
 
 def test_truth_run_failure_leaves_config_and_error(tmp_path, lite_config):
+    # 80 report times fit in 100 steps (validate() refuses more landings
+    # than steps); the lead-in alone takes more
     cfg = dataclasses.replace(
-        lite_config, solver=dataclasses.replace(lite_config.solver, max_steps=100)
+        lite_config,
+        solver=dataclasses.replace(lite_config.solver, report_interval=0.01, max_steps=100),
     )
     out = tmp_path / "failed"
     with pytest.raises(BlowUpError, match="max_steps=100"):
