@@ -342,7 +342,11 @@ def fit_decay(times, rel_energy) -> DecayFit:
                 lo, c, fc = c, d, fd
                 d = lo + inv_phi * (hi - lo)
                 fd = sse(d)
-        floor = 0.5 * (lo + hi)
+        # the better end of the final bracket, not its midpoint: the error
+        # jumps where a sample crosses twice the floor, and when the bracket
+        # closes on such a jump, its midpoint falls on either side of it with
+        # the last bits of the series
+        floor = lo if sse(lo) <= sse(hi) else hi
         if not np.isfinite(sse(floor)) or sse(0.0) <= sse(floor):
             floor = 0.0
 

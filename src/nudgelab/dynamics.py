@@ -1,14 +1,23 @@
 """Semi-discrete compressible barotropic flow in 1D with no-slip walls,
-relaxation (nudging) source terms, and the explicit time integrator.
+relaxation (nudging) source terms, and the IMEX time integrator.
 
 Spatial discretization is second-order central differencing of the
 conservative fluxes with ghost-cell wall treatment (density even, momentum
-odd).  Time stepping is two-stage strong-stability-preserving RK2 for the
-transport/pressure/viscous/forcing part, followed by a pointwise implicit
-relaxation for the nudging sources -lambda_rho (rho - Ir) on the density
-and -lambda_u (1 + rho) (u - IU) on the momentum, which act only inside the
-nudging window.  The relaxation solve is closed form and unconditionally
-stable, so gains far above the explicit CFL scale are fine:
+odd).  Time stepping is the IMEX Runge-Kutta scheme ARS(2,2,2) of Ascher,
+Ruuth & Spiteri (1997): transport, pressure and forcing are explicit, and
+the viscous term nu_eff u_xx is implicit (L-stable, second order), one
+tridiagonal solve in u per stage.  So dt is bounded by the acoustic limit
+alone.  Inside the nudging window, with positive gains, the step is also
+capped at dt * max(lambda_rho, lambda_u) <= NUDGING_STEP_CAP, an accuracy
+rule: the relaxation below is stable at any dt.  The run lands exactly on
+its breakpoints in equal steps: the steps to the next one are
+(target - t) / n with n = ceil((target - t) / dt), so no sliver step is
+left before a landing.
+
+The stage pair is followed by a pointwise implicit relaxation for the nudging
+sources -lambda_rho (rho - Ir) on the density and -lambda_u (1 + rho) (u - IU)
+on the momentum, which act only inside the nudging window.  The relaxation
+solve is closed form and unconditionally stable:
 
     rho+ = (rho* + dt * lam_rho * Ir) / (1 + dt * lam_rho)
     u+   = (u*   + dt * c * IU)       / (1 + dt * c),   c = lam_u (1 + rho+) / rho+
@@ -20,6 +29,7 @@ never create vacuum.
 
 from __future__ import annotations
 
+import math
 import time as _time
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -42,7 +52,21 @@ __all__ = [
     "step",
     "integrate",
     "make_synchronized_initial",
+    "NUDGING_STEP_CAP",
 ]
+
+# ARS(2,2,2): gamma is the implicit diagonal, delta the explicit weight of
+# the first stage in the second
+_ARS_GAMMA = 1.0 - 1.0 / math.sqrt(2.0)
+_ARS_DELTA = 1.0 - 1.0 / (2.0 * _ARS_GAMMA)
+# largest dt * max(lambda_rho, lambda_u) of a nudged step inside the window;
+# the lite twin's sync ratio reads 9.5e-5 with 0.1 and 1.02e-4 with 0.2,
+# against the frozen 1e-4
+NUDGING_STEP_CAP = 0.1
+# a gap to a landing at most this fraction of a step above n steps of dt
+# takes n steps: the rounding of the time, accumulated over the steps to a
+# landing, stays far below it (a few ulps of the time per step)
+_LANDING_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -119,19 +143,18 @@ def rhs(
     rho: np.ndarray,
     mom: np.ndarray,
     eos: EquationOfState,
-    visc: Viscosity,
     forcing: Forcing,
     t: float,
 ):
-    """Tendencies (d_rho, d_mom) of the transport/pressure/viscous/forcing
-    part on cell centers, using 3-point centered stencils with wall ghosts."""
+    """Tendencies (d_rho, d_mom) of the explicit transport/pressure/forcing
+    part on cell centers, using 3-point centered stencils with wall ghosts.
+    The viscous term is implicit, in ``step``."""
     dx = grid.dx
     rp, mp = ghost_pad(rho, mom)
     u = mp / rp
     flux = mp * u + eos.pressure(rp)
     d_rho = -(mp[2:] - mp[:-2]) / (2.0 * dx)
     d_mom = -(flux[2:] - flux[:-2]) / (2.0 * dx)
-    d_mom += visc.nu_eff * (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx**2
     if forcing.fn is not None:
         d_mom += rho * forcing(t, grid.cell_centers())
     return d_rho, d_mom
@@ -142,16 +165,40 @@ def stable_dt(
     rho: np.ndarray,
     mom: np.ndarray,
     eos: EquationOfState,
-    visc: Viscosity,
     safety: float = 0.4,
 ) -> float:
-    """Explicit stability bound: safety * min(acoustic, viscous) limits with
-    sound speed sqrt(p'(rho))."""
-    dx = grid.dx
-    speed = np.max(np.abs(mom / rho) + eos.sound_speed(rho))
-    hyper = dx / speed if speed > 0.0 else np.inf
-    diff = dx * dx * float(np.min(rho)) / (2.0 * visc.nu_eff)
-    return safety * min(hyper, diff)
+    """Acoustic stability bound safety * dx / max(|u| + c), with sound speed
+    c = sqrt(p'(rho)); the implicit viscous term sets no limit."""
+    speed = float(np.max(np.abs(mom / rho) + eos.sound_speed(rho)))
+    return safety * (grid.dx / speed) if speed > 0.0 else np.inf
+
+
+def _viscous_solve(rho: np.ndarray, rhs_m: np.ndarray, k: float) -> np.ndarray:
+    """Solve (rho_i + 2k) u_i - k (u_{i-1} + u_{i+1}) = rhs_m_i for u with
+    odd wall ghosts (u_{-1} = -u_0, u_n = -u_{n-1}), so the wall rows carry
+    another k on the diagonal.  A Thomas sweep over Python floats: for
+    rho >= 0 the matrix is diagonally dominant and needs no pivoting, and a
+    NaN or inf input propagates to the result (a zero pivot, possible only
+    at a density <= 0, gives NaN).  ``k`` must be a Python float, or every
+    operation of the loop becomes numpy scalar arithmetic."""
+    diag = (rho + 2.0 * k).tolist()
+    diag[0] += k
+    diag[-1] += k
+    ys, ws = [], []
+    y = w = 0.0
+    try:
+        for d, b in zip(diag, rhs_m.tolist()):
+            pivot = d - k * w
+            y = (b + k * y) / pivot
+            w = k / pivot
+            ys.append(y)
+            ws.append(w)
+    except ZeroDivisionError:
+        return np.full(len(diag), np.nan)
+    u = y
+    for i in range(len(ys) - 2, -1, -1):
+        u = ys[i] = ys[i] + ws[i] * u
+    return np.array(ys)
 
 
 def _check_stage(rho, mom, t, rho_floor):
@@ -180,34 +227,49 @@ def step(
     end_time: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance ``state = (t, rho, mom)`` by dt and return the new (rho, mom):
-    an SSP-RK2 transport stage followed by the exact implicit relaxation
-    when the step lies inside the nudging window.
+    an ARS(2,2,2) stage pair, explicit in transport, pressure and forcing
+    and implicit in the viscous term, followed by the exact implicit
+    relaxation when the step lies inside the nudging window.
 
-    The caller is responsible for dt satisfying the stability contract, for
-    steps not straddling the window boundary (the integrator lands on it
-    exactly) and for the time bookkeeping.  ``end_time`` is the time stamp
-    the checks of the new state report; it defaults to t + dt.
+    Each stage updates the density explicitly and then solves
+    (rho - gamma dt nu_eff D) u = m_explicit for the velocity, D the
+    discrete Laplacian with odd wall ghosts; the second stage adds the first
+    stage's viscous increment with weight (1 - gamma) / gamma.
 
-    Each of the two RK stages, and the relaxed state when nudging acts, is
-    checked once: a non-finite value raises BlowUpError, and otherwise a
-    density below ``rho_floor`` raises VacuumError.  These are the only
-    checks of a step: no FluidState is built, and the equation of state
-    does not re-check the densities it is given.  What does not change during
-    a run is computed once and reused: the grid's cell centers, the
-    space-block index of the observations on the grid (in
+    The caller is responsible for dt satisfying the acoustic stability
+    contract, for steps not straddling the window boundary (the integrator
+    lands on it exactly) and for the time bookkeeping.  ``end_time`` is the
+    time stamp the checks of the new state report; it defaults to t + dt.
+
+    Each of the two stages, and the relaxed state when nudging acts, is
+    checked once, after its solve: a non-finite value raises BlowUpError,
+    and otherwise a density below ``rho_floor`` raises VacuumError.  These
+    are the only checks of a step: no FluidState is built, and the equation
+    of state does not re-check the densities it is given.  What does not
+    change during a run is computed once and reused: the grid's cell
+    centers, the space-block index of the observations on the grid (in
     ``MeasurementSet.values_on_grid``) and, for the configured sine forcing,
     its spatial profile.
     """
     t, rho0, mom0 = state
+    gam, dlt = _ARS_GAMMA, _ARS_DELTA
+    k = float(gam * dt * visc.nu_eff / grid.dx**2)
 
-    d_rho, d_mom = rhs(grid, rho0, mom0, eos, visc, forcing, t)
-    rho1 = rho0 + dt * d_rho
-    mom1 = mom0 + dt * d_mom
+    d_rho0, d_mom0 = rhs(grid, rho0, mom0, eos, forcing, t)
+    rho1 = rho0 + gam * dt * d_rho0
+    mom_e1 = mom0 + gam * dt * d_mom0
+    mom1 = rho1 * _viscous_solve(rho1, mom_e1, k)
     _check_stage(rho1, mom1, t, rho_floor)
 
-    d_rho, d_mom = rhs(grid, rho1, mom1, eos, visc, forcing, t + dt)
-    rho_s = 0.5 * (rho0 + rho1 + dt * d_rho)
-    mom_s = 0.5 * (mom0 + mom1 + dt * d_mom)
+    d_rho1, d_mom1 = rhs(grid, rho1, mom1, eos, forcing, t + gam * dt)
+    rho_s = rho0 + dt * (dlt * d_rho0 + (1.0 - dlt) * d_rho1)
+    mom_e2 = (
+        mom0
+        + dt * (dlt * d_mom0 + (1.0 - dlt) * d_mom1)
+        + (1.0 - gam) / gam * (mom1 - mom_e1)
+    )
+    u_s = _viscous_solve(rho_s, mom_e2, k)
+    mom_s = rho_s * u_s
     t_new = (t + dt) if end_time is None else end_time
     _check_stage(rho_s, mom_s, t_new, rho_floor)
 
@@ -221,7 +283,7 @@ def step(
         r_obs, u_obs = ms.values_on_grid(t + 0.5 * dt, grid)
         rho_n = (rho_s + dt * nudging.lambda_rho * r_obs) / (1.0 + dt * nudging.lambda_rho)
         c = nudging.lambda_u * (1.0 + rho_n) / rho_n
-        u_n = (mom_s / rho_s + dt * c * u_obs) / (1.0 + dt * c)
+        u_n = (u_s + dt * c * u_obs) / (1.0 + dt * c)
         rho_s = rho_n
         mom_s = rho_n * u_n
         _check_stage(rho_s, mom_s, t_new, rho_floor)
@@ -235,8 +297,9 @@ class SolverOptions:
 
     landings are the times the run lands on exactly and records, besides
     its end time and the ends of the nudging window; None lands on those
-    alone and records every accepted step.  fixed_dt bypasses the CFL
-    estimate.
+    alone and records every accepted step.  fixed_dt bypasses the step-size
+    control (the acoustic limit and the nudging cap); the equal steps to
+    each landing still apply.
     """
 
     safety: float = 0.4
@@ -291,9 +354,15 @@ def integrate(
 ):
     """Integrate from ``initial`` to ``t_end``; returns (Trajectory, stats).
 
-    Steps use the stability-bounded dt, capped so the run lands exactly on
-    the end time, the nudging window boundary, and ``options.landings``.  The
-    loop carries plain (t, rho, mom) arrays: each step is one call of
+    Steps use the acoustic dt, capped inside the nudging window at
+    ``dt * max(lambda_rho, lambda_u) <= NUDGING_STEP_CAP`` when a gain is
+    positive.  The run lands exactly on the end time, the nudging window
+    boundaries and ``options.landings``: each step to the next one is
+    ``(target - t) / n`` with ``n = ceil((target - t) / dt)``, the ceiling
+    forgiving a gap a millionth of a step above a multiple of dt (rounding
+    of the time), so the steps before a landing are equal and none is a
+    sliver.  The loop
+    carries plain (t, rho, mom) arrays: each step is one call of
     ``step``, which makes the only per-step checks, with ``end_time`` set
     only on the step that lands on a breakpoint.  Recorded snapshots are
     stacked once, by the Trajectory.  The trajectory carries the running
@@ -318,6 +387,12 @@ def integrate(
     if t_end == t:
         return trajectory(), IntegrationStats(0, 0.0, 0.0, 0.0)
 
+    cap = np.inf
+    if nudging is not None and ms is not None:
+        gain = max(nudging.lambda_rho, nudging.lambda_u)
+        if gain > 0.0:
+            cap = NUDGING_STEP_CAP / gain
+
     start = _time.perf_counter()
     every_step = options.landings is None
     targets = _breakpoints(t, t_end, options, nudging)
@@ -329,10 +404,13 @@ def integrate(
                 if options.fixed_dt is not None:
                     dt = options.fixed_dt
                 else:
-                    dt = stable_dt(grid, rho, mom, eos, visc, options.safety)
-                landing = t + dt >= target
-                if landing:
-                    dt = target - t
+                    dt = stable_dt(grid, rho, mom, eos, options.safety)
+                    if cap < dt and nudging.active(t):
+                        dt = cap
+                gap = target - t
+                n = max(1, math.ceil(gap / dt - _LANDING_SLACK))
+                landing = n == 1
+                dt = gap / n
                 n_steps += 1
                 if n_steps > options.max_steps:
                     raise BlowUpError(

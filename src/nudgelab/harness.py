@@ -680,7 +680,7 @@ def _splitting_order(cfg) -> float:
     ms = sample(observed, dec)
     nudging = NudgingConfig(20.0, 80.0, (0.0, 0.25))
     initial = make_synchronized_initial(observed)
-    dt0 = 0.5 * stable_dt(grid, initial.rho, initial.mom, eos, visc, safety=1.0)
+    dt0 = 0.5 * stable_dt(grid, initial.rho, initial.mom, eos, safety=1.0)
     finals = []
     for dt in (dt0, dt0 / 2.0, dt0 / 4.0):
         options = SolverOptions(fixed_dt=dt, landings=())
@@ -712,7 +712,7 @@ def validate_solver(
     grid = Grid1D(64, cfg.grid.length)
     forcing = build_forcing(cfg)
     initial = build_initial_state(cfg, grid)
-    dt = stable_dt(grid, initial.rho, initial.mom, eos, visc, safety=0.15)
+    dt = stable_dt(grid, initial.rho, initial.mom, eos, safety=0.15)
     n_steps = 10_000
     span = n_steps * dt
     options = SolverOptions(

@@ -172,7 +172,7 @@ def test_acceptance_5_energy_budget():
 
     grid_f = Grid1D(128, 1.0)
     rho_f = 1.0 + 0.3 * np.cos(2 * np.pi * grid_f.cell_centers())
-    dt = stable_dt(grid_f, rho_f, np.zeros(128), eos, visc, safety=0.8)
+    dt = stable_dt(grid_f, rho_f, np.zeros(128), eos, safety=0.8)
     viol_coarse, raw_coarse, e0 = per_step_violation(64, dt)
     viol_fine, raw_fine, _ = per_step_violation(128, dt / 2.0)
     # the energy itself never increases on the smooth dissipative run, and

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nudgelab
 from nudgelab import harness
 from nudgelab.cli import main
 from nudgelab.config import save_config
@@ -144,3 +149,23 @@ def test_default_output_root_env(tmp_path, determinism_config, monkeypatch):
     monkeypatch.setenv("NUDGELAB_OUT", str(tmp_path / "root"))
     assert main(["observe", "--config", str(cfg_path)]) == 0
     assert (tmp_path / "root" / "observe" / "trajectory.csv").exists()
+
+
+def test_twin_loads_no_scipy(tmp_path, determinism_config):
+    # the runtime depends on numpy alone: a twin and its audit, in a fresh
+    # interpreter, import no scipy module
+    cfg_path, out = write_config(tmp_path, determinism_config), tmp_path / "twin"
+    script = (
+        "import sys\n"
+        "from nudgelab.cli import main\n"
+        f"codes = [main(['twin', '--config', {str(cfg_path)!r}, '--out', {str(out)!r}]),\n"
+        f"         main(['audit', '--out', {str(out)!r}])]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(nudgelab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] []"

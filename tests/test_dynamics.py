@@ -9,6 +9,7 @@ from nudgelab.dynamics import (
     Viscosity,
     integrate,
     make_synchronized_initial,
+    _viscous_solve,
     rhs,
     stable_dt,
     step,
@@ -54,27 +55,83 @@ def test_nudging_config():
 def test_rest_state_zero_tendency():
     g = Grid1D(32, 1.0)
     s = uniform_state(32, rho=1.3)
-    d_rho, d_mom = rhs(g, s.rho, s.mom, EOS, VISC, Forcing.zero(), 0.0)
+    d_rho, d_mom = rhs(g, s.rho, s.mom, EOS, Forcing.zero(), 0.0)
     assert np.all(d_rho == 0.0)
     assert np.all(d_mom == 0.0)
 
 
+def _manufactured_u_xx():
+    """U_xx(t, x) of the manufactured case (amplitude 0.2, length 1), from
+    a symbolic derivation independent of the case's hand-written forcing."""
+    import sympy as sp
+
+    t, x = sp.symbols("t x", real=True)
+    a, k = sp.Rational(1, 5), 2 * sp.pi
+    U = (a / k * sp.sin(k * x) * sp.sin(t)) / (1 + a * sp.cos(k * x) * sp.cos(t))
+    return sp.lambdify((t, x), sp.diff(U, x, 2), "numpy")
+
+
 def test_rhs_manufactured_residual_second_order():
+    # rhs is the explicit part alone: the exact tendencies less the viscous
+    # term nu_eff U_xx, which the step treats implicitly
     case = manufactured_case(EOS, VISC, 1.0)
+    u_xx = _manufactured_u_xx()
     t = 0.5  # a time at which the momentum is not zero
 
     def resid(n):
         g = Grid1D(n, 1.0)
         x = g.cell_centers()
-        d_rho, d_mom = rhs(
-            g, case.rho(t, x), case.momentum(t, x), EOS, VISC, case.forcing, t
-        )
+        d_rho, d_mom = rhs(g, case.rho(t, x), case.momentum(t, x), EOS, case.forcing, t)
         return max(
             np.max(np.abs(d_rho - case.d_rho_dt(t, x))),
-            np.max(np.abs(d_mom - case.d_mom_dt(t, x))),
+            np.max(np.abs(d_mom - (case.d_mom_dt(t, x) - VISC.nu_eff * u_xx(t, x)))),
         )
 
     assert resid(64) / resid(128) >= 3.5
+
+
+def test_viscous_operator_manufactured_residual_second_order():
+    # the implicit solve with k = nu_eff / dx^2, fed rho U - nu_eff U_xx,
+    # returns U up to the discrete Laplacian's truncation error (the wall
+    # rows included: U is odd about both walls)
+    case = manufactured_case(EOS, VISC, 1.0)
+    u_xx = _manufactured_u_xx()
+    t = 0.5
+
+    def resid(n):
+        g = Grid1D(n, 1.0)
+        x = g.cell_centers()
+        rho, u = case.rho(t, x), case.momentum(t, x) / case.rho(t, x)
+        k = VISC.nu_eff / g.dx**2
+        got = _viscous_solve(rho, rho * u - VISC.nu_eff * u_xx(t, x), k)
+        return np.max(np.abs(got - u))
+
+    assert resid(64) / resid(128) >= 3.5
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 256])
+def test_viscous_solve_matches_a_dense_solve(n):
+    # (rho_i + 2k) u_i - k (u_{i-1} + u_{i+1}) with odd wall ghosts: the
+    # wall rows carry another k on the diagonal
+    rng = np.random.default_rng(n)
+    rho = 0.5 + rng.random(n)
+    b = rng.standard_normal(n)
+    k = 3.7
+    diag = rho + 2.0 * k
+    diag[[0, -1]] += k
+    dense = np.diag(diag) - k * (np.eye(n, k=1) + np.eye(n, k=-1))
+    want = np.linalg.solve(dense, b)
+    got = _viscous_solve(rho, b, k)
+    assert isinstance(got, np.ndarray) and got.shape == (n,)
+    assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * np.max(np.abs(want))
+
+
+def test_viscous_solve_zero_pivot_gives_nan():
+    # a density of -3k in a wall cell zeroes the first pivot: the sweep
+    # returns NaN for the stage check to report, not a ZeroDivisionError
+    k = 0.5
+    got = _viscous_solve(np.array([-3.0 * k, 1.0, 1.0]), np.ones(3), k)
+    assert np.isnan(got).all()
 
 
 def test_hydrostatic_balance_second_order():
@@ -88,7 +145,7 @@ def test_hydrostatic_balance_second_order():
             r = 1.0 + 0.3 * np.cos(2 * np.pi * xx)
             return EOS.sound_speed(r) ** 2 * (-0.3 * 2 * np.pi * np.sin(2 * np.pi * xx)) / r
 
-        _, d_mom = rhs(g, rho, np.zeros(n), EOS, VISC, Forcing(force, 10.0), 0.0)
+        _, d_mom = rhs(g, rho, np.zeros(n), EOS, Forcing(force, 10.0), 0.0)
         return np.max(np.abs(d_mom))
 
     assert resid(64) / resid(128) >= 3.5
@@ -179,14 +236,13 @@ def test_step_blowup_detection():
 
 
 def test_stable_dt_formula():
+    # the acoustic limit alone: the viscous term is implicit
     g = Grid1D(64, 1.0)
     rho = np.full(64, 2.0)
     mom = np.full(64, 2.0 * 0.3)
-    dt = stable_dt(g, rho, mom, EOS, VISC, safety=0.4)
+    dt = stable_dt(g, rho, mom, EOS, safety=0.4)
     cs = float(EOS.sound_speed(2.0))
-    hyper = g.dx / (0.3 + cs)
-    diff = g.dx**2 * 2.0 / (2.0 * VISC.nu_eff)
-    assert dt == pytest.approx(0.4 * min(hyper, diff), rel=1e-12)
+    assert dt == pytest.approx(0.4 * g.dx / (0.3 + cs), rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -228,10 +284,50 @@ def test_integrate_calls_step_once_per_step(monkeypatch):
     x = g.cell_centers()
     s = FluidState(0.0, 1.0 + 0.1 * np.cos(2 * np.pi * x), np.zeros(64))
     options = SolverOptions(landings=(0.005, 0.01, 0.0123, 0.015))
-    traj, stats = integrate(g, s, 0.02, EOS, VISC, Forcing.zero(), options=options)
+    # the acoustic dt (about 5e-3) takes many steps from 0.015 to 0.1
+    traj, stats = integrate(g, s, 0.1, EOS, VISC, Forcing.zero(), options=options)
     assert len(calls) == stats.n_steps > traj.n_snapshots
     landings = [kw["end_time"] for kw in calls if kw["end_time"] is not None]
     assert landings == list(traj.times[1:])
+
+
+@pytest.mark.parametrize("fixed_dt", [None, 1e-3])
+def test_integrate_takes_no_sliver_step(monkeypatch, fixed_dt):
+    # landings at least a dt apart (the acoustic dt is about 5e-3) and no
+    # multiple of it: the steps to each one are equal, so none is below half
+    # the largest (fixed 1e-3 steps would leave a remainder of 1e-4 before
+    # 0.0061 and of 2e-4 before 0.0391)
+    import nudgelab.dynamics as dynamics
+
+    dts = []
+    real_step = dynamics.step
+
+    def recording_step(*args, **kwargs):
+        dts.append(args[2])
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "step", recording_step)
+    g = Grid1D(64, 1.0)
+    x = g.cell_centers()
+    s = FluidState(0.0, 1.0 + 0.1 * np.cos(2 * np.pi * x), np.zeros(64))
+    landings = (0.0061, 0.0172, 0.0233, 0.0391)
+    options = SolverOptions(fixed_dt=fixed_dt, landings=landings)
+    traj, stats = integrate(g, s, 0.05, EOS, VISC, Forcing.zero(), options=options)
+    assert list(traj.times) == [0.0, *landings, 0.05]
+    assert len(dts) == stats.n_steps > len(landings) + 1
+    assert min(dts) >= 0.5 * max(dts)
+
+
+def test_integrate_lands_in_equal_steps_despite_rounding():
+    # a gap an ulp above two steps takes two steps, not a third sliver
+    g = Grid1D(16, 1.0)
+    s = uniform_state(16, rho=1.2, t=0.1)
+    t_end = np.nextafter(0.1 + 1e-3, 1.0)
+    traj, stats = integrate(
+        g, s, t_end, EOS, VISC, Forcing.zero(), options=SolverOptions(fixed_dt=5e-4)
+    )
+    assert stats.n_steps == 2
+    assert traj.times[-1] == t_end
 
 
 def test_integrate_builds_no_state_per_step(monkeypatch):
@@ -269,10 +365,11 @@ def test_vacuum_partial_holds_the_landings_before_the_failure():
     # a forcing switched on after t = 0.03 drives the momentum so hard that
     # the wall cell empties on the second step after the landing at 0.03:
     # the density follows the momentum a step later, so the grid is fine
-    # enough (dt about 2.6e-3) that the next landing is further away
-    g = Grid1D(32, 1.0)
+    # enough (128 cells, acoustic dt about 2.6e-3) that the next landing is
+    # further away
+    g = Grid1D(128, 1.0)
     x = g.cell_centers()
-    s = FluidState(0.0, 1.0 + 0.1 * np.cos(2 * np.pi * x), np.zeros(32))
+    s = FluidState(0.0, 1.0 + 0.1 * np.cos(2 * np.pi * x), np.zeros(128))
     options = SolverOptions(landings=np.linspace(0.0, 0.1, 11))
     gust = Forcing(lambda t, x: np.full_like(x, 1e6 if t > 0.03 else 0.0), 1e6)
 
@@ -390,7 +487,7 @@ def test_energy_decay_and_dt_order():
     x = g.cell_centers()
     rho0 = 1.0 + 0.3 * np.cos(2 * np.pi * x)
     initial = FluidState(0.0, rho0, np.zeros(64))
-    dt0 = stable_dt(g, rho0, np.zeros(64), EOS, VISC, safety=0.5)
+    dt0 = stable_dt(g, rho0, np.zeros(64), EOS, safety=0.5)
 
     def efinal(dt):
         traj, _ = integrate(
