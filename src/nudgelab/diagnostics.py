@@ -59,13 +59,6 @@ def _relative_energy_density(eos: EquationOfState, rho, du, r):
     return 0.5 * rho * du**2 + eos.potential_bregman(rho, r)
 
 
-def _observed_rows(ms: MeasurementSet, grid: Grid1D, ts):
-    """Interpolant rows (r, U) at each time, read through the nudged run's
-    own lookup."""
-    rows = [ms.values_on_grid(float(t), grid) for t in ts]
-    return np.array([r for r, _ in rows]), np.array([u for _, u in rows])
-
-
 def total_energy_density(eos: EquationOfState, rho, mom):
     """Pointwise total energy: 1/2 m^2/rho + P(rho) for rho > 0, zero for
     the zero state, and an infinity sentinel otherwise (negative or
@@ -165,7 +158,7 @@ def make_energy_report(
             continue
         on = np.flatnonzero(nudging.active(t))
         if on.size:
-            r_obs, u_obs = _observed_rows(ms, grid, t[on])
+            r_obs, u_obs = ms.values_at_time(t[on], grid)
             rho_on, u_on = rho[on], u[on]
             power_rho[rows.start + on] = -nudging.lambda_rho * grid.dx * np.sum(
                 (eos.dpotential(rho_on) - 0.5 * u_on**2) * (rho_on - r_obs), axis=-1
@@ -195,12 +188,12 @@ def _budget_rate(
     x = grid.cell_centers()
     u = mom / rho
     rate = visc.nu_eff * noslip_seminorm_sq(grid, u)
-    rate -= dx * np.sum(rho * np.array([forcing(float(t), x) for t in ts]) * u, axis=-1)
+    rate -= dx * np.sum(rho * forcing(ts[:, None], x) * u, axis=-1)
     if ms is not None and nudging is not None:
         on = nudging.active(ts)
         if on.any():
             lr, lu = nudging.lambda_rho, nudging.lambda_u
-            r_obs, u_obs = _observed_rows(ms, grid, ts[on])
+            r_obs, u_obs = ms.values_at_time(ts[on], grid)
             rho, u, part = rho[on], u[on], rate[on]
             part += lu * dx * np.sum(u**2, axis=-1)
             part += (lu - lr) * dx * np.sum(rho * u**2, axis=-1)
@@ -500,7 +493,7 @@ def forecast_chi_base(
         # the odd ghosts make the wall differences 2u, as in noslip_seminorm_sq
         sup_grad = np.max(np.abs(np.diff(up)), axis=-1) / dx
         div_stress = visc.nu_eff * (up[:, 2:] - 2.0 * up[:, 1:-1] + up[:, :-2]) / dx**2
-        drive = div_stress / rho + np.array([forcing(float(t), x) for t in ts])
+        drive = div_stress / rho + forcing(ts[:, None], x)
         cube = _integral(grid, np.abs(drive) ** 3)
         # the cube root and the square stay scalar: their array forms can
         # differ from the scalar ones in the last bit

@@ -119,7 +119,11 @@ class NudgingConfig:
 
 @dataclass(frozen=True)
 class Forcing:
-    """Driving acceleration g(t, x) with a declared sup bound."""
+    """Driving acceleration g(t, x) with a declared sup bound.
+
+    ``fn`` broadcasts over t: a column of times ``ts[:, None]`` with the
+    cell centers x gives one row per time, each equal bit for bit to the
+    call at that scalar time."""
 
     fn: Callable[[float, np.ndarray], np.ndarray] | None
     bound: float = 0.0
@@ -245,11 +249,9 @@ def step(
     checked once, after its solve: a non-finite value raises BlowUpError,
     and otherwise a density below ``rho_floor`` raises VacuumError.  These
     are the only checks of a step: no FluidState is built, and the equation
-    of state does not re-check the densities it is given.  What does not
-    change during a run is computed once and reused: the grid's cell
-    centers, the space-block index of the observations on the grid (in
-    ``MeasurementSet.values_on_grid``) and, for the configured sine forcing,
-    its spatial profile.
+    of state does not re-check the densities it is given.  The grid's cell
+    centers and the stored observation column of each (looked up once per
+    grid by ``MeasurementSet.values_at_time``) do not change during a run.
     """
     t, rho0, mom0 = state
     gam, dlt = _ARS_GAMMA, _ARS_DELTA
@@ -280,7 +282,7 @@ def step(
         and (nudging.lambda_rho > 0.0 or nudging.lambda_u > 0.0)
     )
     if nudge:
-        r_obs, u_obs = ms.values_on_grid(t + 0.5 * dt, grid)
+        r_obs, u_obs = ms.values_at_time(t + 0.5 * dt, grid)
         rho_n = (rho_s + dt * nudging.lambda_rho * r_obs) / (1.0 + dt * nudging.lambda_rho)
         c = nudging.lambda_u * (1.0 + rho_n) / rho_n
         u_n = (u_s + dt * c * u_obs) / (1.0 + dt * c)
@@ -299,20 +301,15 @@ class SolverOptions:
     its end time and the ends of the nudging window; None lands on those
     alone and records every accepted step.  fixed_dt bypasses the step-size
     control (the acoustic limit and the nudging cap); the equal steps to
-    each landing still apply.
+    each landing still apply.  The acoustic safety factor and the density
+    floor are the defaults of ``stable_dt`` and ``step``.
     """
 
-    safety: float = 0.4
-    rho_floor: float = 1e-8
     max_steps: int = 5_000_000
     fixed_dt: float | None = None
     landings: Sequence[float] | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.safety <= 1.0):
-            raise ValueError("safety must lie in (0, 1]")
-        if not (np.isfinite(self.rho_floor) and self.rho_floor > 0.0):
-            raise ValueError("rho_floor must be finite and positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         if self.fixed_dt is not None and not (np.isfinite(self.fixed_dt) and self.fixed_dt > 0.0):
@@ -404,7 +401,7 @@ def integrate(
                 if options.fixed_dt is not None:
                     dt = options.fixed_dt
                 else:
-                    dt = stable_dt(grid, rho, mom, eos, options.safety)
+                    dt = stable_dt(grid, rho, mom, eos)
                     if cap < dt and nudging.active(t):
                         dt = cap
                 gap = target - t
@@ -425,7 +422,6 @@ def integrate(
                     forcing,
                     ms,
                     nudging,
-                    rho_floor=options.rho_floor,
                     end_time=target if landing else None,
                 )
                 t = target if landing else t + dt

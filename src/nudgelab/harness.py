@@ -102,8 +102,6 @@ def observed_signature(cfg: ExperimentConfig) -> str:
         "forcing": dataclasses.asdict(cfg.forcing),
         "initial": dataclasses.asdict(cfg.initial),
         "solver": {
-            "safety": cfg.solver.safety,
-            "rho_floor": cfg.solver.rho_floor,
             "report_interval": cfg.solver.report_interval,
             "max_steps": cfg.solver.max_steps,
         },
@@ -655,7 +653,7 @@ def _mms_error(cfg, case, n, t_final):
     visc = build_viscosity(cfg)
     x = grid.cell_centers()
     initial = FluidState(0.0, case.rho(0.0, x), case.momentum(0.0, x))
-    options = SolverOptions(safety=cfg.solver.safety, rho_floor=cfg.solver.rho_floor, landings=())
+    options = SolverOptions(landings=())
     traj, _ = integrate(grid, initial, t_final, eos, visc, case.forcing, options=options)
     final = traj.snapshot(traj.n_snapshots - 1)
     dx = grid.dx

@@ -46,7 +46,7 @@ MAX_STORED_CELLS = 5_000_000
 def _cell_index(breaks: np.ndarray, values, label: str):
     """Index of the containing cell per the right-closed convention."""
     values = np.asarray(values, dtype=float)
-    if (values < breaks[0]).any() or (values > breaks[-1]).any():
+    if not ((values >= breaks[0]) & (values <= breaks[-1])).all():  # NaN included
         raise ValueError(f"{label} outside [{breaks[0]:g}, {breaks[-1]:g}]")
     idx = np.searchsorted(breaks, values, side="right") - 1
     return np.minimum(idx, breaks.size - 2)
@@ -108,19 +108,6 @@ class SpaceTimeDecomposition:
 
     def space_block_index(self, x):
         return _cell_index(self.space_breaks, x, "position")
-
-    def slab_at(self, t: float) -> int:
-        """``time_slab_index`` of one time, by arithmetic on the uniform
-        breaks and one comparison with each neighbouring break."""
-        tb, last = self.time_breaks, self.n_time_slabs - 1
-        if not 0.0 <= t <= self.duration:
-            raise ValueError(f"time outside [0, {self.duration:g}]")
-        k = min(int(t * self.n_time_slabs / self.duration), last)
-        if t < tb[k]:
-            return k - 1
-        if k < last and t >= tb[k + 1]:
-            return k + 1
-        return k
 
     def control_points(self, blocks) -> tuple[np.ndarray, np.ndarray]:
         """Control times and positions of every slab over the given space
@@ -266,29 +253,22 @@ class MeasurementSet:
             raise ValueError("a position lies in a space block that was not sampled")
         return col
 
-    def _columns_on_grid(self, grid: Grid1D):
-        """``_columns`` of the cell centers, looked up once per grid."""
-        cols = self._grid_columns.get(grid)
-        if cols is None:
-            cols = self._grid_columns[grid] = self._columns(grid.cell_centers())
-        return cols
-
     def interpolant_value(self, t: float, x: float) -> Sample:
         """Piecewise-constant field value at (t, x): the stored sample of
         the unique containing cell."""
-        k = self.decomposition.slab_at(t)
+        k = int(self.decomposition.time_slab_index(t))
         j = int(self._columns(x))
         return Sample(float(self.r_sample[k, j]), float(self.U_sample[k, j]))
 
-    def values_at_time(self, t: float, columns: np.ndarray):
-        """Row of interpolant values at time t gathered onto precomputed
-        stored columns (the fast path used by the integrator)."""
-        k = self.decomposition.slab_at(t)
-        return self.r_sample[k, columns], self.U_sample[k, columns]
-
-    def values_on_grid(self, t: float, grid: Grid1D):
-        """Values at time t on the cell centers."""
-        return self.values_at_time(t, self._columns_on_grid(grid))
+    def values_at_time(self, t, grid: Grid1D):
+        """Interpolant values (r, U) on ``grid``'s cell centers: one row for
+        a scalar time t, one row per time for an array.  The stored column
+        of each center is looked up once per grid."""
+        cols = self._grid_columns.get(grid)
+        if cols is None:
+            cols = self._grid_columns[grid] = self._columns(grid.cell_centers())
+        k = self.decomposition.time_slab_index(t)[..., None]
+        return self.r_sample[k, cols], self.U_sample[k, cols]
 
 
 def sample(traj: Trajectory, dec: SpaceTimeDecomposition) -> MeasurementSet:
@@ -316,20 +296,18 @@ def interpolation_error(ms: MeasurementSet, traj: Trajectory) -> InterpolationEr
     over all grid cells, at the snapshot times inside the assimilation
     window and at the midpoint of every time slab, so a slab narrower than
     the snapshot spacing is still checked.  The trajectory is read through
-    ``Trajectory.fields_at``; the field takes the stored columns of the
-    nudged run's own lookup, one slab row per time."""
+    ``Trajectory.fields_at``, the field through ``values_at_time``, the
+    nudged run's own reader."""
     dec = ms.decomposition
     tb = dec.time_breaks
     inside = traj.times[(traj.times >= 0.0) & (traj.times <= dec.duration)]
     ts = np.concatenate((inside, 0.5 * (tb[:-1] + tb[1:])))
-    slabs = dec.time_slab_index(ts)
-    cols = ms._columns_on_grid(traj.grid)
     err_r = err_u = 0.0
     for rows in row_blocks(ts.size):
         rho, mom = traj.fields_at(ts[rows])
-        k = slabs[rows, None]
-        err_r = max(err_r, float(np.abs(ms.r_sample[k, cols] - rho).max()))
-        err_u = max(err_u, float(np.abs(ms.U_sample[k, cols] - mom / rho).max()))
+        r_obs, u_obs = ms.values_at_time(ts[rows], traj.grid)
+        err_r = max(err_r, float(np.abs(r_obs - rho).max()))
+        err_u = max(err_u, float(np.abs(u_obs - mom / rho).max()))
     return InterpolationError(sup_err_r=err_r, sup_err_U=err_u)
 
 

@@ -69,7 +69,10 @@ def test_invalid_config_exits_3_before_any_run(tmp_path, monkeypatch, capsys, mu
 
 @pytest.mark.parametrize(
     "mutation",
-    [{"eos": {"a": 0.4}}, {"forcing": {"kind": "none"}}, {"initial": {"kind": "uniform"}}],
+    [
+        {"eos": {"a": 0.4}}, {"forcing": {"kind": "none"}}, {"initial": {"kind": "uniform"}},
+        {"solver": {"safety": 0.4}}, {"solver": {"rho_floor": 1e-8}},
+    ],
 )
 def test_removed_model_keys_exit_3_as_unknown(tmp_path, capsys, mutation):
     path = tmp_path / "old.json"

@@ -7,6 +7,7 @@ import pytest
 
 from nudgelab.config import (
     ExperimentConfig,
+    build_forcing,
     build_grid,
     NudgingGains,
     SamplerConfig,
@@ -79,7 +80,7 @@ def test_bad_json_and_missing_file(tmp_path):
         {"sampler": {"delta": -1.0}},
         {"sampler": {"placement": "grid"}},
         {"nudging": {"lambda_rho": -1.0}},
-        {"solver": {"safety": 1.5}},
+        {"solver": {"safety": 1.5}},  # no longer a key
         {"outputs": {"format": "xml"}},
         {"sync_init": "random"},
         # constraints only a domain constructor knew about
@@ -159,7 +160,7 @@ def test_ints_widen_to_floats_and_null_is_rejected(tmp_path):
     # no leaf is optional: null fails like any other wrong type, everywhere
     leaves = [(section, key) for section, block in cfg.to_dict().items()
               if isinstance(block, dict) for key in block] + [(None, "sync_init")]
-    assert len(leaves) == 26
+    assert len(leaves) == 24
     for section, key in leaves:
         path.write_text(json.dumps({section: {key: None}} if section else {key: None}))
         name = f"{section}.{key}" if section else key
@@ -222,3 +223,17 @@ def test_replace_keeps_validity():
     cfg2 = dataclasses.replace(cfg, timeline=TimelineConfig(-0.1, 0.5, 1.0))
     cfg2.validate()
     assert cfg2.timeline.t_assim_end == 0.5
+
+
+def test_forcing_rows_are_the_scalar_calls():
+    # the sine forcing broadcasts over a column of times, bit for bit
+    cfg = ExperimentConfig()
+    x = build_grid(cfg).cell_centers()
+    ts = np.concatenate([
+        np.linspace(cfg.timeline.t_minus, cfg.timeline.t_plus, 301),
+        np.random.default_rng(4).uniform(-1.0, 3.0, 200),
+    ])
+    fn = build_forcing(cfg).fn
+    rows = fn(ts[:, None], x)
+    assert rows.shape == (ts.size, x.size)
+    assert np.array_equal(rows, np.stack([fn(t, x) for t in ts.tolist()]))

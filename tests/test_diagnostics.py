@@ -342,7 +342,7 @@ def assert_series_is_per_snapshot(report, traj, observed, eos, visc, ms=None, nu
         assert report.mass[i] == g.dx * np.sum(s.rho)
         npr = npu = 0.0
         if ms is not None and nudging.active(float(t)):
-            r_obs, u_obs = ms.values_on_grid(float(t), g)
+            r_obs, u_obs = ms.values_at_time(float(t), g)
             u = s.velocity()
             npr = -nudging.lambda_rho * g.dx * float(
                 np.sum((eos.dpotential(s.rho) - 0.5 * u**2) * (s.rho - r_obs))

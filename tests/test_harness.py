@@ -368,6 +368,16 @@ def test_manufactured_fields_match_a_symbolic_derivation():
         assert np.max(np.abs(got[-1])) <= case.forcing.bound
 
 
+def test_manufactured_forcing_rows_are_the_scalar_calls():
+    cfg = ExperimentConfig()
+    case = manufactured_case(harness.build_eos(cfg), harness.build_viscosity(cfg), 1.0)
+    x = build_grid(cfg).cell_centers()
+    ts = np.concatenate([np.linspace(0.0, 0.1, 101), np.random.default_rng(6).uniform(0.0, 2.0, 100)])
+    rows = case.forcing(ts[:, None], x)
+    assert rows.shape == (ts.size, x.size)
+    assert np.array_equal(rows, np.stack([case.forcing(t, x) for t in ts.tolist()]))
+
+
 def test_validate_solver_passes():
     rep = validate_solver()
     assert all(1.8 <= o <= 2.2 for o in rep.orders)

@@ -249,7 +249,7 @@ def test_interpolation_error_matches_dense_reference(placement):
     w = ((ts - times[hi - 1]) / (times[hi] - times[hi - 1]))[:, None]
     rho_ts = (1.0 - w) * rho[hi - 1] + w * rho[hi]
     u_ts = ((1.0 - w) * mom[hi - 1] + w * mom[hi]) / rho_ts
-    slab = np.array([dec.slab_at(t) for t in ts])
+    slab = dec.time_slab_index(ts)
     cols = np.searchsorted(ms.blocks, dec.space_block_index(x))
     r_ref = ms.r_sample[slab[:, None], cols[None, :]]
     u_ref = ms.U_sample[slab[:, None], cols[None, :]]
@@ -351,8 +351,8 @@ def test_unsampled_block_raises():
     with pytest.raises(ValueError, match="not sampled"):
         ms.interpolant_value(0.5, 0.1)
     with pytest.raises(ValueError, match="not sampled"):
-        ms.values_on_grid(0.5, Grid1D(72, 1.0))
-    r, _ = ms.values_on_grid(0.5, Grid1D(8, 1.0))
+        ms.values_at_time(0.5, Grid1D(72, 1.0))
+    r, _ = ms.values_at_time(0.5, Grid1D(8, 1.0))
     assert r.tolist() == [1.0] * 8
     ones = np.ones((dec.n_time_slabs, 2))
     for blocks in ([3, 1], [2, 2], [-1, 0], [14, 15]):
@@ -360,7 +360,8 @@ def test_unsampled_block_raises():
             MeasurementSet(dec, ones, ones, blocks)
 
 
-def test_slab_at_matches_time_slab_index():
+def test_time_slab_index_is_right_closed():
+    # tb[k] <= t < tb[k + 1], with t == duration in the last slab
     rng = np.random.default_rng(5)
     probes = 0
     for k, duration in [(1, 1.0), (2, 0.3), (3, 1.0), (7, 0.7), (64, 1.0), (1415, 1.0),
@@ -371,10 +372,50 @@ def test_slab_at_matches_time_slab_index():
             tb, np.nextafter(tb, -np.inf)[1:], np.nextafter(tb, np.inf)[:-1],
             rng.uniform(0.0, duration, 500),
         ])
-        expected = dec.time_slab_index(ts)
-        assert [dec.slab_at(float(t)) for t in ts] == expected.tolist()
+        slab = dec.time_slab_index(ts)
+        end = ts == duration
+        assert end.sum() == 1 and (slab[end] == k - 1).all()
+        inner, at = ts[~end], slab[~end]
+        assert ((tb[at] <= inner) & (inner < tb[at + 1])).all()
         probes += ts.size
         for t in (np.nextafter(0.0, -1.0), -1.0, np.nextafter(duration, np.inf), np.nan):
             with pytest.raises(ValueError, match="time outside"):
-                dec.slab_at(t)
+                dec.time_slab_index(t)
     assert probes > 50_000
+
+
+def test_nan_lies_outside_every_cell():
+    dec = build_decomposition(0.1, 1.0, 1.0)  # 15 slabs of 15 blocks
+    ms = sample(constant_trajectory(n=8), dec)
+    nan = float("nan")
+    calls = [
+        lambda: dec.time_slab_index(nan),
+        lambda: dec.space_block_index(nan),
+        lambda: dec.space_block_index(np.array([0.5, nan])),
+        lambda: ms.interpolant_value(nan, 0.5),
+        lambda: ms.interpolant_value(0.5, nan),
+        lambda: ms.values_at_time(np.array([0.2, nan, 0.7]), Grid1D(8, 1.0)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="outside"):
+            call()
+
+
+def test_values_at_time_rows_are_the_scalar_reads():
+    # the array form is the scalar form stacked, on every break and between
+    g = Grid1D(24, 1.0)
+    x = g.cell_centers()
+    times = np.linspace(0.0, 1.0, 9)
+    rho = 1.0 + 0.3 * np.cos(2 * np.pi * (x[None, :] - times[:, None]))
+    traj = Trajectory(g, times, rho, 0.1 * rho, SupBounds(float(rho.max()), 0.1, 0.0))
+    dec = build_decomposition(0.07, 1.0, 1.0, placement="jittered", seed=9)
+    ms = sample(traj, dec)
+    ts = np.concatenate([dec.time_breaks, np.random.default_rng(1).uniform(0.0, 1.0, 50)])
+    r, u = ms.values_at_time(ts, g)
+    rows = [ms.values_at_time(t, g) for t in ts.tolist()]
+    assert r.shape == u.shape == (ts.size, g.n_cells)
+    assert (r != r[0]).any()  # the rows differ from slab to slab
+    assert (r == np.stack([row[0] for row in rows])).all()
+    assert (u == np.stack([row[1] for row in rows])).all()
+    # a scalar time gives one row, the interpolant at each cell center
+    assert rows[3][0].tolist() == [ms.interpolant_value(ts[3], xi).r for xi in x]
