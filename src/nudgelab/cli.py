@@ -4,7 +4,8 @@ Subcommands: observe (truth run + trajectory persistence), twin (full twin
 experiment), sweep (one-axis parameter sweep), validate (manufactured-
 solution verification), audit (recompute verdicts from a persisted twin).
 
-Exit codes: 0 pass, 1 run failure, 2 acceptance failure, 3 config error.
+Exit codes: 0 pass, 1 run failure, 2 acceptance failure, 3 config error,
+4 audit mismatch (the stored report does not reproduce).
 The default output root is $NUDGELAB_OUT (falling back to ./out).
 """
 
@@ -27,6 +28,7 @@ EXIT_PASS = 0
 EXIT_RUN_FAILURE = 1
 EXIT_ACCEPTANCE_FAILURE = 2
 EXIT_CONFIG_ERROR = 3
+EXIT_AUDIT_MISMATCH = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -154,7 +156,7 @@ def _cmd_audit(args) -> int:
     if not result.ok:
         for m in result.mismatches:
             print(f"MISMATCH  {m}")
-        return EXIT_ACCEPTANCE_FAILURE
+        return EXIT_AUDIT_MISMATCH
     print("audit: stored verdicts reproduced")
     return EXIT_PASS if result.passed else EXIT_ACCEPTANCE_FAILURE
 

@@ -295,10 +295,12 @@ def build_forcing(cfg: ExperimentConfig) -> Forcing:
         return Forcing.zero()
     length = cfg.grid.length
 
-    def fn(t, x):
-        return amp * np.sin(2.0 * np.pi * x / length) * np.cos(t)
+    def bind(x):
+        # the spatial profile once per set of centers, then cos t per row
+        profile = amp * np.sin(2.0 * np.pi * x / length)
+        return lambda t: profile * np.cos(t)
 
-    return Forcing(fn=fn, bound=abs(amp))
+    return Forcing(fn=lambda t, x: bind(x)(t), bound=abs(amp), bind=bind)
 
 
 def build_initial_state(cfg: ExperimentConfig, grid: Grid1D) -> FluidState:

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import BlowUpError, VacuumError
 from .eos import EquationOfState
-from .field import FluidState, Grid1D, SupBounds, Trajectory, ghost_pad
+from .field import FluidState, Grid1D, SupBounds, Trajectory
 from .sampler import MeasurementSet
 
 __all__ = [
@@ -123,10 +123,14 @@ class Forcing:
 
     ``fn`` broadcasts over t: a column of times ``ts[:, None]`` with the
     cell centers x gives one row per time, each equal bit for bit to the
-    call at that scalar time."""
+    call at that scalar time.  ``bind``, when given, takes fixed centers x
+    and returns the row function t -> fn(t, x), equal to it bit for bit; a
+    separable forcing uses it to compute its spatial profile once per grid
+    rather than on every call.  ``on_grid`` returns that row function."""
 
     fn: Callable[[float, np.ndarray], np.ndarray] | None
     bound: float = 0.0
+    bind: Callable[[np.ndarray], Callable[[float], np.ndarray]] | None = None
 
     def __post_init__(self):
         if not (np.isfinite(self.bound) and self.bound >= 0.0):
@@ -136,6 +140,16 @@ class Forcing:
         if self.fn is None:
             return np.zeros_like(x)
         return np.asarray(self.fn(t, x), dtype=float)
+
+    def on_grid(self, grid: Grid1D) -> Callable[[float], np.ndarray] | None:
+        """The forcing on ``grid``'s cell centers as a function of t alone,
+        bound once per run; None for the zero forcing."""
+        if self.fn is None:
+            return None
+        x = grid.cell_centers()
+        if self.bind is not None:
+            return self.bind(x)
+        return lambda t: self(t, x)
 
     @classmethod
     def zero(cls) -> "Forcing":
@@ -147,20 +161,36 @@ def rhs(
     rho: np.ndarray,
     mom: np.ndarray,
     eos: EquationOfState,
-    forcing: Forcing,
+    forcing_at: Callable[[float], np.ndarray] | None,
     t: float,
 ):
     """Tendencies (d_rho, d_mom) of the explicit transport/pressure/forcing
-    part on cell centers, using 3-point centered stencils with wall ghosts.
-    The viscous term is implicit, in ``step``."""
-    dx = grid.dx
-    rp, mp = ghost_pad(rho, mom)
-    u = mp / rp
-    flux = mp * u + eos.pressure(rp)
-    d_rho = -(mp[2:] - mp[:-2]) / (2.0 * dx)
-    d_mom = -(flux[2:] - flux[:-2]) / (2.0 * dx)
-    if forcing.fn is not None:
-        d_mom += rho * forcing(t, grid.cell_centers())
+    part on cell centers, using 3-point centered stencils.  The viscous
+    term is implicit, in ``step``.
+
+    The wall rows read the ghost cells of ``ghost_pad`` (density even,
+    momentum odd) without building them: the mass flux of a ghost is minus
+    its wall cell's momentum, and the momentum flux of a ghost, m u + p(rho),
+    is its wall cell's own flux bit for bit.  Each difference is divided by
+    -2 dx, which equals the negated quotient by 2 dx exactly (signed zeros
+    included).  ``forcing_at`` is the forcing bound to the grid
+    (``Forcing.on_grid``), None for no forcing."""
+    h = -2.0 * grid.dx
+    flux = mom * (mom / rho) + eos.pressure(rho)
+    d_rho = np.empty_like(mom)
+    d_mom = np.empty_like(mom)
+    np.subtract(mom[2:], mom[:-2], out=d_rho[1:-1])
+    np.subtract(flux[2:], flux[:-2], out=d_mom[1:-1])
+    # the ghost momenta are -mom[0] and -mom[-1], the ghost fluxes the wall
+    # cells' own
+    d_rho[0] = mom[1] - -mom[0]
+    d_rho[-1] = -mom[-1] - mom[-2]
+    d_mom[0] = flux[1] - flux[0]
+    d_mom[-1] = flux[-1] - flux[-2]
+    d_rho /= h
+    d_mom /= h
+    if forcing_at is not None:
+        d_mom += rho * forcing_at(t)
     return d_rho, d_mom
 
 
@@ -173,7 +203,7 @@ def stable_dt(
 ) -> float:
     """Acoustic stability bound safety * dx / max(|u| + c), with sound speed
     c = sqrt(p'(rho)); the implicit viscous term sets no limit."""
-    speed = float(np.max(np.abs(mom / rho) + eos.sound_speed(rho)))
+    speed = float((np.abs(mom / rho) + eos.sound_speed(rho)).max())
     return safety * (grid.dx / speed) if speed > 0.0 else np.inf
 
 
@@ -202,10 +232,19 @@ def _viscous_solve(rho: np.ndarray, rhs_m: np.ndarray, k: float) -> np.ndarray:
     u = y
     for i in range(len(ys) - 2, -1, -1):
         u = ys[i] = ys[i] + ws[i] * u
-    return np.array(ys)
+    return np.array(ys, dtype=float)
 
 
 def _check_stage(rho, mom, t, rho_floor):
+    """Raise BlowUpError on a non-finite value, and otherwise VacuumError
+    on a density below ``rho_floor``, naming the (first) cell of the least
+    density.
+    One fused elementwise test passes a sound stage; only a failing stage
+    takes the exact checks, which order and word the errors.  No step of
+    the test reduces by a sum, so a finite but huge value cannot overflow."""
+    ok = np.isfinite(rho) & (rho >= rho_floor) & np.isfinite(mom)
+    if np.count_nonzero(ok) == ok.size:
+        return
     if not (np.isfinite(rho).all() and np.isfinite(mom).all()):
         raise BlowUpError(f"non-finite value at t={t:g}", time=t)
     if rho.min() < rho_floor:
@@ -223,7 +262,7 @@ def step(
     dt: float,
     eos: EquationOfState,
     visc: Viscosity,
-    forcing: Forcing,
+    forcing_at: Callable[[float], np.ndarray] | None,
     ms: MeasurementSet | None = None,
     nudging: NudgingConfig | None = None,
     *,
@@ -245,6 +284,11 @@ def step(
     lands on it exactly) and for the time bookkeeping.  ``end_time`` is the
     time stamp the checks of the new state report; it defaults to t + dt.
 
+    ``forcing_at`` is the forcing bound to the grid once per run
+    (``Forcing.on_grid``): a function of t alone, or None for no forcing.
+    The explicit part, ``rhs``, writes its two wall rows from the wall
+    cells' values, as the ghost cells would give them.
+
     Each of the two stages, and the relaxed state when nudging acts, is
     checked once, after its solve: a non-finite value raises BlowUpError,
     and otherwise a density below ``rho_floor`` raises VacuumError.  These
@@ -257,13 +301,13 @@ def step(
     gam, dlt = _ARS_GAMMA, _ARS_DELTA
     k = float(gam * dt * visc.nu_eff / grid.dx**2)
 
-    d_rho0, d_mom0 = rhs(grid, rho0, mom0, eos, forcing, t)
+    d_rho0, d_mom0 = rhs(grid, rho0, mom0, eos, forcing_at, t)
     rho1 = rho0 + gam * dt * d_rho0
     mom_e1 = mom0 + gam * dt * d_mom0
     mom1 = rho1 * _viscous_solve(rho1, mom_e1, k)
     _check_stage(rho1, mom1, t, rho_floor)
 
-    d_rho1, d_mom1 = rhs(grid, rho1, mom1, eos, forcing, t + gam * dt)
+    d_rho1, d_mom1 = rhs(grid, rho1, mom1, eos, forcing_at, t + gam * dt)
     rho_s = rho0 + dt * (dlt * d_rho0 + (1.0 - dlt) * d_rho1)
     mom_e2 = (
         mom0
@@ -284,8 +328,8 @@ def step(
     if nudge:
         r_obs, u_obs = ms.values_at_time(t + 0.5 * dt, grid)
         rho_n = (rho_s + dt * nudging.lambda_rho * r_obs) / (1.0 + dt * nudging.lambda_rho)
-        c = nudging.lambda_u * (1.0 + rho_n) / rho_n
-        u_n = (u_s + dt * c * u_obs) / (1.0 + dt * c)
+        dtc = dt * (nudging.lambda_u * (1.0 + rho_n) / rho_n)
+        u_n = (u_s + dtc * u_obs) / (1.0 + dtc)
         rho_s = rho_n
         mom_s = rho_n * u_n
         _check_stage(rho_s, mom_s, t_new, rho_floor)
@@ -365,7 +409,8 @@ def integrate(
     stacked once, by the Trajectory.  The trajectory carries the running
     sup bounds over every accepted step.  On a vacuum or blow-up failure
     the trajectory recorded so far is attached to the raised error as
-    ``.partial``.
+    ``.partial``.  The forcing is bound to the grid once per call
+    (``Forcing.on_grid``).
     """
     options = options or SolverOptions()
     t = initial.time
@@ -383,6 +428,8 @@ def integrate(
 
     if t_end == t:
         return trajectory(), IntegrationStats(0, 0.0, 0.0, 0.0)
+
+    forcing_at = forcing.on_grid(grid)
 
     cap = np.inf
     if nudging is not None and ms is not None:
@@ -419,7 +466,7 @@ def integrate(
                     dt,
                     eos,
                     visc,
-                    forcing,
+                    forcing_at,
                     ms,
                     nudging,
                     end_time=target if landing else None,

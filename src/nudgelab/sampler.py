@@ -44,12 +44,14 @@ MAX_STORED_CELLS = 5_000_000
 
 
 def _cell_index(breaks: np.ndarray, values, label: str):
-    """Index of the containing cell per the right-closed convention."""
+    """Index of the containing cell per the right-closed convention: a
+    search over the inner breaks, so the last break falls in the last cell.
+    A scalar gives a numpy integer, an array one index per value."""
     values = np.asarray(values, dtype=float)
-    if not ((values >= breaks[0]) & (values <= breaks[-1])).all():  # NaN included
+    inside = (values >= breaks[0]) & (values <= breaks[-1])  # False for NaN
+    if np.count_nonzero(inside) != inside.size:
         raise ValueError(f"{label} outside [{breaks[0]:g}, {breaks[-1]:g}]")
-    idx = np.searchsorted(breaks, values, side="right") - 1
-    return np.minimum(idx, breaks.size - 2)
+    return np.searchsorted(breaks[1:-1], values, side="right")
 
 
 @dataclass(frozen=True)
@@ -267,8 +269,8 @@ class MeasurementSet:
         cols = self._grid_columns.get(grid)
         if cols is None:
             cols = self._grid_columns[grid] = self._columns(grid.cell_centers())
-        k = self.decomposition.time_slab_index(t)[..., None]
-        return self.r_sample[k, cols], self.U_sample[k, cols]
+        k = self.decomposition.time_slab_index(t)
+        return self.r_sample[k].take(cols, axis=-1), self.U_sample[k].take(cols, axis=-1)
 
 
 def sample(traj: Trajectory, dec: SpaceTimeDecomposition) -> MeasurementSet:

@@ -98,18 +98,26 @@ def test_twin_and_audit_exit_codes(tmp_path, determinism_config):
     out = tmp_path / "twin"
     assert main(["twin", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert main(["audit", "--out", str(out)]) == 0
-    # tampering with a verdict makes the audit fail with the acceptance code
+    # a tampered verdict does not reproduce: the audit's own mismatch code
     body = json.loads((out / "report.json").read_text())
     body["verdicts"]["synchronized"] = False
     (out / "report.json").write_text(json.dumps(body))
-    assert main(["audit", "--out", str(out)]) == 2
+    assert main(["audit", "--out", str(out)]) == 4
 
 
-def test_twin_acceptance_failure_exit_code(tmp_path, lite_config):
+def test_twin_acceptance_failure_exit_code(tmp_path, capsys, lite_config):
     # the lite config violates the delta-smallness condition
     cfg_path = write_config(tmp_path, lite_config)
     out = tmp_path / "twin"
     assert main(["twin", "--config", str(cfg_path), "--out", str(out)]) == 2
+    # its audit reproduces every stored verdict, one of them false: the
+    # acceptance code, not the mismatch code
+    capsys.readouterr()
+    assert main(["audit", "--out", str(out)]) == 2
+    printed = capsys.readouterr().out.splitlines()
+    assert "audit: stored verdicts reproduced" in printed
+    assert "FAIL  delta_smallness" in printed
+    assert not any(line.startswith("MISMATCH") for line in printed)
 
 
 def test_seed_flag_changes_jittered_samples(tmp_path, determinism_config):

@@ -1,6 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import nudgelab.dynamics as dynamics
+from nudgelab.config import ExperimentConfig, GridConfig, build_forcing
 from nudgelab.diagnostics import total_energy
 from nudgelab.dynamics import (
     Forcing,
@@ -16,7 +20,7 @@ from nudgelab.dynamics import (
 )
 from nudgelab.eos import EquationOfState
 from nudgelab.errors import BlowUpError, VacuumError
-from nudgelab.field import FluidState, Grid1D, SupBounds, Trajectory
+from nudgelab.field import FluidState, Grid1D, SupBounds, Trajectory, ghost_pad
 from nudgelab.harness import manufactured_case
 from nudgelab.sampler import MeasurementSet, build_decomposition, sample
 
@@ -55,7 +59,7 @@ def test_nudging_config():
 def test_rest_state_zero_tendency():
     g = Grid1D(32, 1.0)
     s = uniform_state(32, rho=1.3)
-    d_rho, d_mom = rhs(g, s.rho, s.mom, EOS, Forcing.zero(), 0.0)
+    d_rho, d_mom = rhs(g, s.rho, s.mom, EOS, None, 0.0)
     assert np.all(d_rho == 0.0)
     assert np.all(d_mom == 0.0)
 
@@ -81,7 +85,7 @@ def test_rhs_manufactured_residual_second_order():
     def resid(n):
         g = Grid1D(n, 1.0)
         x = g.cell_centers()
-        d_rho, d_mom = rhs(g, case.rho(t, x), case.momentum(t, x), EOS, case.forcing, t)
+        d_rho, d_mom = rhs(g, case.rho(t, x), case.momentum(t, x), EOS, case.forcing.on_grid(g), t)
         return max(
             np.max(np.abs(d_rho - case.d_rho_dt(t, x))),
             np.max(np.abs(d_mom - (case.d_mom_dt(t, x) - VISC.nu_eff * u_xx(t, x)))),
@@ -145,7 +149,7 @@ def test_hydrostatic_balance_second_order():
             r = 1.0 + 0.3 * np.cos(2 * np.pi * xx)
             return EOS.sound_speed(r) ** 2 * (-0.3 * 2 * np.pi * np.sin(2 * np.pi * xx)) / r
 
-        _, d_mom = rhs(g, rho, np.zeros(n), EOS, Forcing(force, 10.0), 0.0)
+        _, d_mom = rhs(g, rho, np.zeros(n), EOS, Forcing(force, 10.0).on_grid(g), 0.0)
         return np.max(np.abs(d_mom))
 
     assert resid(64) / resid(128) >= 3.5
@@ -159,8 +163,8 @@ def test_step_relaxes_only_inside_the_window():
     ms = constant_measurements(r=1.0, u=0.0)
     cfg = NudgingConfig(10.0, 40.0, (0.0, 1.0))
     for t in (0.5, 1.0, 1.5):
-        free = step(g, (t, s.rho, s.mom), 1e-3, EOS, VISC, Forcing.zero())
-        nudged = step(g, (t, s.rho, s.mom), 1e-3, EOS, VISC, Forcing.zero(), ms, cfg)
+        free = step(g, (t, s.rho, s.mom), 1e-3, EOS, VISC, None)
+        nudged = step(g, (t, s.rho, s.mom), 1e-3, EOS, VISC, None, ms, cfg)
         if t < 1.0:
             assert np.all(nudged[0] < free[0]) and np.all(nudged[1] < free[1])
         else:
@@ -170,7 +174,7 @@ def test_step_relaxes_only_inside_the_window():
 def test_step_rest_state_unchanged():
     g = Grid1D(16, 1.0)
     s = uniform_state(16, rho=1.2)
-    rho, mom = step(g, (s.time, s.rho, s.mom), 1e-3, EOS, VISC, Forcing.zero())
+    rho, mom = step(g, (s.time, s.rho, s.mom), 1e-3, EOS, VISC, None)
     assert np.array_equal(rho, s.rho)
     assert np.array_equal(mom, s.mom)
 
@@ -181,7 +185,7 @@ def test_step_relaxation_halfway_example():
     s = uniform_state(16, rho=2.0)
     ms = constant_measurements(r=1.0, u=0.0)
     cfg = NudgingConfig(10.0, 0.0, (0.0, 1.0))
-    rho, _ = step(g, (s.time, s.rho, s.mom), 0.1, EOS, VISC, Forcing.zero(), ms, cfg)
+    rho, _ = step(g, (s.time, s.rho, s.mom), 0.1, EOS, VISC, None, ms, cfg)
     assert np.allclose(rho, 1.5, rtol=1e-14)
 
 
@@ -194,7 +198,7 @@ def test_step_relaxation_contraction_factor(dt_lambda):
     dt = dt_lambda / lam
     ms = constant_measurements(r=1.0, u=0.0, duration=2.0 * dt + 1.0)
     cfg = NudgingConfig(lam, 0.0, (0.0, 2 * dt + 1.0))
-    rho, _ = step(g, (s.time, s.rho, s.mom), dt, EOS, VISC, Forcing.zero(), ms, cfg)
+    rho, _ = step(g, (s.time, s.rho, s.mom), dt, EOS, VISC, None, ms, cfg)
     gap_before, gap_after = 1.0, rho[0] - 1.0
     assert gap_after == pytest.approx(gap_before / (1.0 + dt_lambda), rel=1e-12)
 
@@ -205,7 +209,7 @@ def test_step_synchronized_fixed_point():
     s = uniform_state(16, rho=1.0)
     ms = constant_measurements(r=1.0, u=0.0)
     cfg = NudgingConfig(50.0, 200.0, (0.0, 1.0))
-    rho, mom = step(g, (s.time, s.rho, s.mom), 1e-3, EOS, VISC, Forcing.zero(), ms, cfg)
+    rho, mom = step(g, (s.time, s.rho, s.mom), 1e-3, EOS, VISC, None, ms, cfg)
     assert np.array_equal(rho, s.rho)
     assert np.array_equal(mom, s.mom)
 
@@ -214,7 +218,7 @@ def test_step_vacuum_error_carries_cell():
     g = Grid1D(16, 1.0)
     s = uniform_state(16, rho=1.0)
     with pytest.raises(VacuumError) as exc:
-        step(g, (s.time, s.rho, s.mom), 1e-3, EOS, VISC, Forcing.zero(), rho_floor=2.0)
+        step(g, (s.time, s.rho, s.mom), 1e-3, EOS, VISC, None, rho_floor=2.0)
     assert exc.value.cell is not None
     assert exc.value.time is not None
 
@@ -224,7 +228,7 @@ def test_step_blowup_detection():
     s = uniform_state(16, rho=1.0)
     bad = Forcing(lambda t, x: np.full_like(x, np.nan), 0.0)
     with pytest.raises(BlowUpError) as exc:
-        step(g, (s.time, s.rho, s.mom), 1e-3, EOS, VISC, bad)
+        step(g, (s.time, s.rho, s.mom), 1e-3, EOS, VISC, bad.on_grid(g))
     assert exc.value.time is not None
 
     # a NaN density is a blow-up even when another cell falls below the
@@ -232,7 +236,7 @@ def test_step_blowup_detection():
     mom = np.zeros(16)
     mom[0], mom[3] = np.nan, 1e6
     with pytest.raises(BlowUpError):
-        step(g, (s.time, s.rho, mom), 1e-3, EOS, VISC, Forcing.zero())
+        step(g, (s.time, s.rho, mom), 1e-3, EOS, VISC, None)
 
 
 def test_stable_dt_formula():
@@ -526,3 +530,231 @@ def test_make_synchronized_initial():
     assert np.all(np.abs(s2.rho - 1.0) <= 1e-14)
     # total mass matches the observed snapshot
     assert g.dx * s2.rho.sum() == pytest.approx(g.dx * wavy.sum(), rel=1e-14)
+
+
+# -- the lean kernel against the kernel it replaced ----------------------------
+# The reference below keeps the earlier formulas: rhs through ghost_pad, the
+# forcing evaluated on every rhs call, and a stage check of five numpy calls.
+# Both sides run on the same host, so they must agree bit for bit anywhere,
+# not only on the golden record's host class.
+
+
+def _reference_rhs(grid, rho, mom, eos, forcing, t):
+    dx = grid.dx
+    rp, mp = ghost_pad(rho, mom)
+    u = mp / rp
+    flux = mp * u + eos.pressure(rp)
+    d_rho = -(mp[2:] - mp[:-2]) / (2.0 * dx)
+    d_mom = -(flux[2:] - flux[:-2]) / (2.0 * dx)
+    if forcing.fn is not None:
+        d_mom += rho * forcing(t, grid.cell_centers())
+    return d_rho, d_mom
+
+
+def _reference_check_stage(rho, mom, t, rho_floor):
+    if not (np.isfinite(rho).all() and np.isfinite(mom).all()):
+        raise BlowUpError(f"non-finite value at t={t:g}", time=t)
+    if rho.min() < rho_floor:
+        cell = int(rho.argmin())
+        raise VacuumError(
+            f"density {rho[cell]:g} below floor {rho_floor:g} in cell {cell} at t={t:g}",
+            cell=cell,
+            time=t,
+        )
+
+
+def _reference_step(grid, state, dt, eos, visc, forcing, ms=None, nudging=None, *, end_time=None):
+    rho_floor = 1e-8
+    t, rho0, mom0 = state
+    gam, dlt = dynamics._ARS_GAMMA, dynamics._ARS_DELTA
+    k = float(gam * dt * visc.nu_eff / grid.dx**2)
+    d_rho0, d_mom0 = _reference_rhs(grid, rho0, mom0, eos, forcing, t)
+    rho1 = rho0 + gam * dt * d_rho0
+    mom_e1 = mom0 + gam * dt * d_mom0
+    mom1 = rho1 * _viscous_solve(rho1, mom_e1, k)
+    _reference_check_stage(rho1, mom1, t, rho_floor)
+    d_rho1, d_mom1 = _reference_rhs(grid, rho1, mom1, eos, forcing, t + gam * dt)
+    rho_s = rho0 + dt * (dlt * d_rho0 + (1.0 - dlt) * d_rho1)
+    mom_e2 = (
+        mom0
+        + dt * (dlt * d_mom0 + (1.0 - dlt) * d_mom1)
+        + (1.0 - gam) / gam * (mom1 - mom_e1)
+    )
+    u_s = _viscous_solve(rho_s, mom_e2, k)
+    mom_s = rho_s * u_s
+    t_new = (t + dt) if end_time is None else end_time
+    _reference_check_stage(rho_s, mom_s, t_new, rho_floor)
+    if ms is not None and nudging.active(t):
+        r_obs, u_obs = ms.values_at_time(t + 0.5 * dt, grid)
+        rho_n = (rho_s + dt * nudging.lambda_rho * r_obs) / (1.0 + dt * nudging.lambda_rho)
+        c = nudging.lambda_u * (1.0 + rho_n) / rho_n
+        u_n = (u_s + dt * c * u_obs) / (1.0 + dt * c)
+        rho_s = rho_n
+        mom_s = rho_n * u_n
+        _reference_check_stage(rho_s, mom_s, t_new, rho_floor)
+    return rho_s, mom_s
+
+
+def _same_bits(a, b):
+    """Equal bit for bit: signed zeros and NaN payloads included."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _forcings(length):
+    return {
+        "off": Forcing.zero(),
+        "config": build_forcing(ExperimentConfig(grid=GridConfig(64, length))),
+        "manufactured": manufactured_case(EOS, VISC, length).forcing,
+    }
+
+
+def _wavy_state(g, seed):
+    # a smooth profile plus noise, with the wall values and a zero momentum
+    # pair chosen so that wall differences cancel to a signed zero
+    n, rng = g.n_cells, np.random.default_rng(seed)
+    x = g.cell_centers() / g.length
+    rho = 1.0 + 0.3 * np.cos(2 * np.pi * x) + 0.01 * rng.standard_normal(n)
+    mom = 0.2 * np.sin(2 * np.pi * x) + 0.01 * rng.standard_normal(n)
+    mom[0], mom[1] = 0.0, -0.0
+    mom[-1], mom[-2] = 0.125, -0.125
+    return rho, mom
+
+
+# a length of 1.3 makes dx no power of two, so a multiply by the reciprocal
+# of 2 dx would differ from the division in the last bit
+@pytest.mark.parametrize("length", [1.0, 1.3])
+@pytest.mark.parametrize("n", [8, 64, 256])
+@pytest.mark.parametrize("kind", ["off", "config", "manufactured"])
+def test_rhs_matches_the_ghost_padded_reference(length, n, kind):
+    g = Grid1D(n, length)
+    forcing = _forcings(length)[kind]
+    bound = forcing.on_grid(g)
+    for seed in range(5):
+        rho, mom = _wavy_state(g, seed)
+        for t in (0.0, 0.3, 2.5):
+            got = rhs(g, rho, mom, EOS, bound, t)
+            want = _reference_rhs(g, rho, mom, EOS, forcing, t)
+            assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+    rest = np.full(n, 1.3)  # every difference is a signed zero
+    got = rhs(g, rest, np.zeros(n), EOS, bound, 0.0)
+    want = _reference_rhs(g, rest, np.zeros(n), EOS, forcing, 0.0)
+    assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+
+
+@pytest.mark.parametrize("n", [8, 64, 256])
+@pytest.mark.parametrize("kind", ["off", "config"])
+@pytest.mark.parametrize("nudged", [False, True])
+def test_steps_match_the_reference_kernel(n, kind, nudged):
+    # a sequence of whole steps, each side carrying its own state, with a
+    # landing step (end_time set) every fifth step
+    g = Grid1D(n, 1.3)
+    forcing = _forcings(1.3)[kind]
+    bound = forcing.on_grid(g)
+    rho, mom = _wavy_state(g, 7)
+    ms = nudging = None
+    if nudged:
+        x = g.cell_centers() / g.length
+        obs = Trajectory(
+            g, [0.0, 1.0],
+            np.stack([1.0 + 0.2 * np.sin(2 * np.pi * x), 1.0 - 0.1 * np.cos(2 * np.pi * x)]),
+            np.stack([0.1 * np.sin(np.pi * x), np.zeros(n)]),
+            SupBounds(1.2, 0.2, 0.0),
+        )
+        ms = sample(obs, build_decomposition(0.05, 1.0, g.length, "jittered", 3))
+        nudging = NudgingConfig(20.0, 80.0, (0.0, 0.5))
+    new = ref = (rho, mom)
+    t = 0.0
+    for i in range(40):
+        dt = min(stable_dt(g, *new, EOS), 2e-3)
+        end_time = t + dt if i % 5 == 4 else None
+        new = step(g, (t, *new), dt, EOS, VISC, bound, ms, nudging, end_time=end_time)
+        ref = _reference_step(g, (t, *ref), dt, EOS, VISC, forcing, ms, nudging, end_time=end_time)
+        assert _same_bits(new[0], ref[0]) and _same_bits(new[1], ref[1]), f"step {i}"
+        t += dt
+    assert not np.array_equal(new[0], rho)  # the run moved
+
+
+def _raised(check, rho, mom):
+    try:
+        check(rho, mom, 0.25, 1e-8)
+    except (BlowUpError, VacuumError) as err:
+        return type(err), str(err), getattr(err, "cell", None), err.time
+    return None
+
+
+def _stage(n=16):
+    x = Grid1D(n, 1.0).cell_centers()
+    return 1.0 + 0.3 * np.cos(2 * np.pi * x), 0.1 * np.sin(2 * np.pi * x)
+
+
+@pytest.mark.parametrize("field", ["rho", "mom"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_check_stage_non_finite_is_a_blowup(field, bad):
+    rho, mom = _stage()
+    (rho if field == "rho" else mom)[5] = bad
+    raised = _raised(dynamics._check_stage, rho, mom)
+    assert raised[:2] == (BlowUpError, "non-finite value at t=0.25") and raised[3] == 0.25
+    assert raised == _raised(_reference_check_stage, rho, mom)
+
+
+@pytest.mark.parametrize("low", [0.0, -0.5, 5e-9, -np.nextafter(0.0, 1.0)])
+def test_check_stage_density_below_the_floor_is_a_vacuum(low):
+    rho, mom = _stage()
+    rho[3] = rho[11] = low  # the first cell of the minimum is reported
+    raised = _raised(dynamics._check_stage, rho, mom)
+    assert raised[0] is VacuumError and raised[2] == 3 and raised[3] == 0.25
+    assert raised[1] == f"density {low:g} below floor 1e-08 in cell 3 at t=0.25"
+    assert raised == _raised(_reference_check_stage, rho, mom)
+
+
+@pytest.mark.parametrize("field", ["rho", "mom"])
+def test_check_stage_blowup_comes_before_vacuum(field):
+    rho, mom = _stage()
+    rho[2] = -1.0
+    (rho if field == "rho" else mom)[9] = np.nan
+    assert _raised(dynamics._check_stage, rho, mom)[0] is BlowUpError
+    assert _raised(dynamics._check_stage, rho, mom) == _raised(_reference_check_stage, rho, mom)
+
+
+def test_check_stage_passes_huge_finite_values_without_warning():
+    # a reduction by a sum would overflow here; the check must neither raise
+    # nor warn, whatever the warning filters of the caller
+    rho, mom = _stage()
+    mom[:] = 1e200
+    mom[::2] = -np.finfo(float).max
+    rho[4] = np.finfo(float).max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _raised(dynamics._check_stage, rho, mom) is None
+        assert _raised(dynamics._check_stage, rho, mom.copy()[::-1]) is None
+    assert _raised(_reference_check_stage, rho, mom) is None
+
+
+def test_forcing_bound_to_a_grid_is_the_call_on_its_centers():
+    ts = np.concatenate([np.linspace(-0.5, 1.0, 41), [0.0, np.pi / 2, 1e3]])
+    for n in (64, 256):
+        g = Grid1D(n, 1.0)
+        x = g.cell_centers()
+        for kind in ("config", "manufactured"):
+            forcing = _forcings(1.0)[kind]
+            row = forcing.on_grid(g)
+            for t in ts.tolist():
+                got = row(t)
+                assert got.shape == (n,) and _same_bits(got, forcing(t, x))
+        zero = Forcing.zero()
+        assert zero.on_grid(g) is None and not zero(0.3, x).any()
+
+
+def test_config_forcing_binds_each_grid_to_its_own_row():
+    # one forcing bound on two grids: each row is the sine forcing on its
+    # own centers, so a profile bound once per config fails on one of them
+    cfg = ExperimentConfig()
+    amp, length = cfg.forcing.amplitude, cfg.grid.length
+    forcing = build_forcing(cfg)
+    grids = (Grid1D(64, length), Grid1D(256, length))
+    rows = [forcing.on_grid(g) for g in grids]
+    for t in (0.0, 0.7):
+        for g, row in zip(grids, rows):
+            x = g.cell_centers()
+            assert _same_bits(row(t), amp * np.sin(2.0 * np.pi * x / length) * np.cos(t))
