@@ -7,24 +7,29 @@ odd).  Time stepping is the IMEX Runge-Kutta scheme ARS(2,2,2) of Ascher,
 Ruuth & Spiteri (1997): transport, pressure and forcing are explicit, and
 the viscous term nu_eff u_xx is implicit (L-stable, second order), one
 tridiagonal solve in u per stage.  So dt is bounded by the acoustic limit
-alone.  Inside the nudging window, with positive gains, the step is also
-capped at dt * max(lambda_rho, lambda_u) <= NUDGING_STEP_CAP, an accuracy
-rule: the relaxation below is stable at any dt.  The run lands exactly on
-its breakpoints in equal steps: the steps to the next one are
-(target - t) / n with n = ceil((target - t) / dt), so no sliver step is
-left before a landing.
+alone, nudged or not.  The run lands exactly on its breakpoints in equal
+steps: the steps to the next one are (target - t) / n with
+n = ceil((target - t) / dt), so no sliver step is left before a landing.
 
-The stage pair is followed by a pointwise implicit relaxation for the nudging
-sources -lambda_rho (rho - Ir) on the density and -lambda_u (1 + rho) (u - IU)
-on the momentum, which act only inside the nudging window.  The relaxation
-solve is closed form and unconditionally stable:
+Inside the nudging window the stage pair is wrapped in a Strang splitting
+(Strang 1968) with the pointwise relaxation for the nudging sources
+-lambda_rho (rho - Ir) on the density and -lambda_u (1 + rho) (u - IU) on
+the momentum, that is u' = -c (u - IU) with c = lambda_u (1 + rho) / rho:
+a half step h = dt/2 of relaxation toward the samples at t + dt/4, the
+stage pair, and a second half step toward the samples at t + 3dt/4.  Each
+half step holds its samples fixed and is closed form and unconditionally
+stable:
 
-    rho+ = (rho* + dt * lam_rho * Ir) / (1 + dt * lam_rho)
-    u+   = (u*   + dt * c * IU)       / (1 + dt * c),   c = lam_u (1 + rho+) / rho+
+    rho+ = Ir + q (rho - Ir),                 q = exp(-lam_rho h)
+    u+   = IU + e (u - IU),                   e = exp(-h c(rho_mid))
 
-with the momentum reassembled as rho+ * u+.  The density update is a convex
-combination of rho* and the (positive) sampled density, so relaxation can
-never create vacuum.
+with rho_mid = Ir + sqrt(q) (rho - Ir) the exact density at h/2 and
+the momentum reassembled as rho+ * u+.  The density is the exact solution
+and the velocity's midpoint rule is second order, so while the samples
+hold still the split step is second order in dt; it is stable at any dt,
+so no gain limits the step size.  The density update is a convex
+combination of rho and the (positive) sampled density, so
+relaxation can never create vacuum.
 """
 
 from __future__ import annotations
@@ -52,17 +57,12 @@ __all__ = [
     "step",
     "integrate",
     "make_synchronized_initial",
-    "NUDGING_STEP_CAP",
 ]
 
 # ARS(2,2,2): gamma is the implicit diagonal, delta the explicit weight of
 # the first stage in the second
 _ARS_GAMMA = 1.0 - 1.0 / math.sqrt(2.0)
 _ARS_DELTA = 1.0 - 1.0 / (2.0 * _ARS_GAMMA)
-# largest dt * max(lambda_rho, lambda_u) of a nudged step inside the window;
-# the lite twin's sync ratio reads 9.5e-5 with 0.1 and 1.02e-4 with 0.2,
-# against the frozen 1e-4
-NUDGING_STEP_CAP = 0.1
 # a gap to a landing at most this fraction of a step above n steps of dt
 # takes n steps: the rounding of the time, accumulated over the steps to a
 # landing, stays far below it (a few ulps of the time per step)
@@ -200,10 +200,15 @@ def stable_dt(
     mom: np.ndarray,
     eos: EquationOfState,
     safety: float = 0.4,
+    *,
+    u: np.ndarray | None = None,
 ) -> float:
     """Acoustic stability bound safety * dx / max(|u| + c), with sound speed
-    c = sqrt(p'(rho)); the implicit viscous term sets no limit."""
-    speed = float((np.abs(mom / rho) + eos.sound_speed(rho)).max())
+    c = sqrt(p'(rho)); the implicit viscous term sets no limit.  ``u`` is
+    the velocity mom / rho when the caller already holds it."""
+    if u is None:
+        u = mom / rho
+    speed = float((np.abs(u) + eos.sound_speed(rho)).max())
     return safety * (grid.dx / speed) if speed > 0.0 else np.inf
 
 
@@ -256,6 +261,31 @@ def _check_stage(rho, mom, t, rho_floor):
         )
 
 
+def _relax(rho, u, h, r_obs, u_obs, nudging):
+    """Relax (rho, u) toward the samples over a time h; returns (rho+, u+).
+
+    The density takes the exact solution of rho' = -lambda_rho (rho - Ir),
+    the velocity the solution of u' = -c (u - IU) with c = lambda_u (1 + rho)
+    / rho held at the exact midpoint density (the midpoint rule, second
+    order).  Each moves its field a fraction in [0, 1] of the way to the
+    sample."""
+    q = math.exp(-h * nudging.lambda_rho)
+    gap = rho - r_obs
+    rho_n = q * gap + r_obs
+    # gap becomes the midpoint density, then the velocity's decay factor
+    # exp(-h c) = exp(rate / rho_mid + rate), in place
+    gap *= math.sqrt(q)
+    gap += r_obs
+    rate = -h * nudging.lambda_u
+    np.divide(rate, gap, out=gap)
+    gap += rate
+    decay = np.exp(gap, out=gap)
+    u_n = u - u_obs
+    u_n *= decay
+    u_n += u_obs
+    return rho_n, u_n
+
+
 def step(
     grid: Grid1D,
     state: tuple[float, np.ndarray, np.ndarray],
@@ -268,11 +298,15 @@ def step(
     *,
     rho_floor: float = 1e-8,
     end_time: float | None = None,
+    u: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance ``state = (t, rho, mom)`` by dt and return the new (rho, mom):
     an ARS(2,2,2) stage pair, explicit in transport, pressure and forcing
-    and implicit in the viscous term, followed by the exact implicit
-    relaxation when the step lies inside the nudging window.
+    and implicit in the viscous term.  When the step lies inside the nudging
+    window the pair is Strang split with the closed-form relaxation of the
+    module docstring: half a step of relaxation toward the samples at
+    t + dt/4 before it, and half a step toward the samples at t + 3dt/4
+    after it.
 
     Each stage updates the density explicitly and then solves
     (rho - gamma dt nu_eff D) u = m_explicit for the velocity, D the
@@ -283,23 +317,40 @@ def step(
     contract, for steps not straddling the window boundary (the integrator
     lands on it exactly) and for the time bookkeeping.  ``end_time`` is the
     time stamp the checks of the new state report; it defaults to t + dt.
+    ``u`` is the velocity mom / rho of ``state`` when the caller already
+    holds it; the leading relaxation reads it.
 
     ``forcing_at`` is the forcing bound to the grid once per run
     (``Forcing.on_grid``): a function of t alone, or None for no forcing.
     The explicit part, ``rhs``, writes its two wall rows from the wall
     cells' values, as the ghost cells would give them.
 
-    Each of the two stages, and the relaxed state when nudging acts, is
+    Each of the two stages, and the relaxed end state when nudging acts, is
     checked once, after its solve: a non-finite value raises BlowUpError,
-    and otherwise a density below ``rho_floor`` raises VacuumError.  These
-    are the only checks of a step: no FluidState is built, and the equation
-    of state does not re-check the densities it is given.  The grid's cell
+    and otherwise a density below ``rho_floor`` raises VacuumError.  The
+    leading half relaxation is not checked apart: its density is a convex
+    combination of the step's density and the positive samples, and a
+    non-finite value in it reaches the first stage's check.  These are the
+    only checks of a step: no FluidState is built, and the equation of
+    state does not re-check the densities it is given.  The grid's cell
     centers and the stored observation column of each (looked up once per
     grid by ``MeasurementSet.values_at_time``) do not change during a run.
     """
     t, rho0, mom0 = state
     gam, dlt = _ARS_GAMMA, _ARS_DELTA
     k = float(gam * dt * visc.nu_eff / grid.dx**2)
+
+    nudge = (
+        nudging is not None
+        and ms is not None
+        and nudging.active(t)
+        and (nudging.lambda_rho > 0.0 or nudging.lambda_u > 0.0)
+    )
+    if nudge:
+        h = 0.5 * dt
+        r_obs, u_obs = ms.values_at_time(np.array([t + 0.25 * dt, t + 0.75 * dt]), grid)
+        rho0, u0 = _relax(rho0, mom0 / rho0 if u is None else u, h, r_obs[0], u_obs[0], nudging)
+        mom0 = rho0 * u0
 
     d_rho0, d_mom0 = rhs(grid, rho0, mom0, eos, forcing_at, t)
     rho1 = rho0 + gam * dt * d_rho0
@@ -319,19 +370,9 @@ def step(
     t_new = (t + dt) if end_time is None else end_time
     _check_stage(rho_s, mom_s, t_new, rho_floor)
 
-    nudge = (
-        nudging is not None
-        and ms is not None
-        and nudging.active(t)
-        and (nudging.lambda_rho > 0.0 or nudging.lambda_u > 0.0)
-    )
     if nudge:
-        r_obs, u_obs = ms.values_at_time(t + 0.5 * dt, grid)
-        rho_n = (rho_s + dt * nudging.lambda_rho * r_obs) / (1.0 + dt * nudging.lambda_rho)
-        dtc = dt * (nudging.lambda_u * (1.0 + rho_n) / rho_n)
-        u_n = (u_s + dtc * u_obs) / (1.0 + dtc)
-        rho_s = rho_n
-        mom_s = rho_n * u_n
+        rho_s, u_s = _relax(rho_s, u_s, h, r_obs[1], u_obs[1], nudging)
+        mom_s = rho_s * u_s
         _check_stage(rho_s, mom_s, t_new, rho_floor)
 
     return rho_s, mom_s
@@ -343,10 +384,10 @@ class SolverOptions:
 
     landings are the times the run lands on exactly and records, besides
     its end time and the ends of the nudging window; None lands on those
-    alone and records every accepted step.  fixed_dt bypasses the step-size
-    control (the acoustic limit and the nudging cap); the equal steps to
-    each landing still apply.  The acoustic safety factor and the density
-    floor are the defaults of ``stable_dt`` and ``step``.
+    alone and records every accepted step.  fixed_dt replaces the acoustic
+    limit, nudged or not; the equal steps to each landing still apply.  The
+    acoustic safety factor and the density floor are the defaults of
+    ``stable_dt`` and ``step``.
     """
 
     max_steps: int = 5_000_000
@@ -395,22 +436,23 @@ def integrate(
 ):
     """Integrate from ``initial`` to ``t_end``; returns (Trajectory, stats).
 
-    Steps use the acoustic dt, capped inside the nudging window at
-    ``dt * max(lambda_rho, lambda_u) <= NUDGING_STEP_CAP`` when a gain is
-    positive.  The run lands exactly on the end time, the nudging window
-    boundaries and ``options.landings``: each step to the next one is
-    ``(target - t) / n`` with ``n = ceil((target - t) / dt)``, the ceiling
-    forgiving a gap a millionth of a step above a multiple of dt (rounding
-    of the time), so the steps before a landing are equal and none is a
-    sliver.  The loop
-    carries plain (t, rho, mom) arrays: each step is one call of
-    ``step``, which makes the only per-step checks, with ``end_time`` set
-    only on the step that lands on a breakpoint.  Recorded snapshots are
-    stacked once, by the Trajectory.  The trajectory carries the running
-    sup bounds over every accepted step.  On a vacuum or blow-up failure
-    the trajectory recorded so far is attached to the raised error as
-    ``.partial``.  The forcing is bound to the grid once per call
-    (``Forcing.on_grid``).
+    Steps use the acoustic dt, inside the nudging window too: the Strang
+    split relaxation of ``step`` is stable at any dt and second order in it,
+    so no gain sets a step size.  The run lands exactly on the end time, the
+    nudging window boundaries and ``options.landings``: each step to the
+    next one is ``(target - t) / n`` with ``n = ceil((target - t) / dt)``,
+    the ceiling forgiving a gap a millionth of a step above a multiple of
+    dt (rounding of the time), so the steps before a landing are equal and
+    none is a sliver.  The loop carries plain (t, rho, mom) arrays: each
+    step is one call of ``step``, which makes the only per-step checks,
+    with ``end_time`` set only on the step that lands on a breakpoint.  The
+    velocity mom / rho of each accepted state is divided out once and
+    serves the running sup bound, the next ``stable_dt`` and the next
+    step's leading relaxation.  Recorded snapshots are stacked once, by the
+    Trajectory.  The trajectory carries the running sup bounds over every
+    accepted step.  On a vacuum or blow-up failure the trajectory recorded
+    so far is attached to the raised error as ``.partial``.  The forcing is
+    bound to the grid once per call (``Forcing.on_grid``).
     """
     options = options or SolverOptions()
     t = initial.time
@@ -419,7 +461,8 @@ def integrate(
     rho, mom = initial.rho, initial.mom
     times, rhos, moms = [t], [rho], [mom]
     rho_max = float(rho.max())
-    speed_max = float(np.abs(mom / rho).max())
+    u = mom / rho
+    speed_max = float(np.abs(u).max())
 
     def trajectory():
         return Trajectory(
@@ -430,12 +473,6 @@ def integrate(
         return trajectory(), IntegrationStats(0, 0.0, 0.0, 0.0)
 
     forcing_at = forcing.on_grid(grid)
-
-    cap = np.inf
-    if nudging is not None and ms is not None:
-        gain = max(nudging.lambda_rho, nudging.lambda_u)
-        if gain > 0.0:
-            cap = NUDGING_STEP_CAP / gain
 
     start = _time.perf_counter()
     every_step = options.landings is None
@@ -448,9 +485,7 @@ def integrate(
                 if options.fixed_dt is not None:
                     dt = options.fixed_dt
                 else:
-                    dt = stable_dt(grid, rho, mom, eos)
-                    if cap < dt and nudging.active(t):
-                        dt = cap
+                    dt = stable_dt(grid, rho, mom, eos, u=u)
                 gap = target - t
                 n = max(1, math.ceil(gap / dt - _LANDING_SLACK))
                 landing = n == 1
@@ -470,12 +505,14 @@ def integrate(
                     ms,
                     nudging,
                     end_time=target if landing else None,
+                    u=u,
                 )
                 t = target if landing else t + dt
                 dt_min = min(dt_min, dt)
                 dt_max = max(dt_max, dt)
                 rho_max = max(rho_max, float(rho.max()))
-                speed_max = max(speed_max, float(np.abs(mom / rho).max()))
+                u = mom / rho
+                speed_max = max(speed_max, float(np.abs(u).max()))
                 if every_step or landing:
                     times.append(t)
                     rhos.append(rho)

@@ -170,47 +170,6 @@ def test_twin_identical_initial_data_stays_synchronized(lite_config):
     assert rep.values["re_initial"] == rep.values["re_assim_end"] == 0.0
 
 
-def test_nudged_steps_meet_the_gain_cap(monkeypatch, lite_config):
-    # inside the window a nudged step keeps dt * max(lambda_rho, lambda_u)
-    # <= NUDGING_STEP_CAP (up to the millionth of a step by which the equal
-    # landing steps may stretch it); the zero-gain identical twin is not
-    # capped and takes the truth's own steps, so RE is 0 on every row
-    import nudgelab.dynamics as dynamics
-
-    steps = []
-    real_step = dynamics.step
-
-    def recording_step(*args, **kwargs):
-        steps.append((args[1][0], args[2], args[6] is not None))
-        return real_step(*args, **kwargs)
-
-    monkeypatch.setattr(dynamics, "step", recording_step)
-    t_end = lite_config.timeline.t_assim_end
-    cap = dynamics.NUDGING_STEP_CAP
-
-    run_twin(lite_config)
-    gain = max(lite_config.nudging.lambda_rho, lite_config.nudging.lambda_u)
-    window = [dt * gain for t, dt, nudged in steps if nudged and 0.0 <= t < t_end]
-    after = [dt * gain for t, dt, nudged in steps if nudged and t >= t_end]
-    assert window and max(window) <= cap * (1.0 + 1e-6)
-    assert max(window) >= 0.99 * cap  # the cap binds on this grid
-    assert max(after) > cap  # and acts only inside the window
-
-    harness.clear_observed_cache()  # record the truth's steps too
-    steps.clear()
-    cfg = dataclasses.replace(
-        lite_config,
-        nudging=NudgingGains(lambda_rho=0.0, lambda_u=0.0),
-        sync_init="truth_at_start",
-    )
-    rep = run_twin(cfg)
-    truth = [(t, dt) for t, dt, nudged in steps if not nudged and t >= 0.0]
-    twin = [(t, dt) for t, dt, nudged in steps if nudged]
-    assert twin == truth
-    assert max(dt * gain for t, dt in twin if t < t_end) > cap
-    assert np.all(rep.energy.rel_energy == 0.0)
-
-
 def test_twin_uninformed_control_fails_without_nudging(lite_config):
     cfg = dataclasses.replace(
         lite_config, nudging=NudgingGains(lambda_rho=0.0, lambda_u=0.0)
