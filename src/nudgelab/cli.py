@@ -83,7 +83,7 @@ def _cmd_observe(args) -> int:
     cfg = _load(args)
     out = _out_dir(args, "observe")
     out.mkdir(parents=True, exist_ok=True)
-    traj, _ = run_observed(cfg, use_cache=False)
+    traj, _ = run_observed(cfg)
     save_trajectory(out / "trajectory.csv", traj)
     meta = {
         "n_snapshots": traj.n_snapshots,

@@ -120,17 +120,8 @@ def ghost_pad(rho: np.ndarray, mom: np.ndarray):
     Density is reflected evenly (zero normal gradient), momentum oddly, so
     that the interpolated wall velocity vanishes exactly.
     """
-    rp = np.empty(rho.shape[:-1] + (rho.shape[-1] + 2,))
-    mp = np.empty(rp.shape)
-    # the transposed views put the cells first, so a 1D call (the step's)
-    # indexes with plain integers rather than the slower rp[..., 0]
-    r, m, rt, mt = rho.T, mom.T, rp.T, mp.T
-    rt[1:-1] = r
-    mt[1:-1] = m
-    rt[0] = r[0]
-    rt[-1] = r[-1]
-    mt[0] = -m[0]
-    mt[-1] = -m[-1]
+    rp = np.concatenate((rho[..., :1], rho, rho[..., -1:]), axis=-1)
+    mp = np.concatenate((-mom[..., :1], mom, -mom[..., -1:]), axis=-1)
     return rp, mp
 
 

@@ -169,6 +169,57 @@ def test_energy_budget_inequality_on_nudged_run():
     assert np.max(res) <= 0.0
 
 
+def seven_term_budget_rate(eos, visc, grid, ts, rho, mom, forcing, ms, nudging):
+    """The budget rate with its nudging part expanded by hand into seven
+    terms: the reference for energy_balance_residual's form, which reads the
+    nudging powers from the report and adds the Fenchel-Young slack."""
+    dx = grid.dx
+    u = mom / rho
+    rate = visc.nu_eff * noslip_seminorm_sq(grid, u)
+    rate -= dx * np.sum(rho * forcing(ts[:, None], grid.cell_centers()) * u, axis=-1)
+    on = nudging.active(ts)
+    if on.any():
+        lr, lu = nudging.lambda_rho, nudging.lambda_u
+        r_obs, u_obs = ms.values_at_time(ts[on], grid)
+        rho, u, part = rho[on], u[on], rate[on]
+        part += lu * dx * np.sum(u**2, axis=-1)
+        part += (lu - lr) * dx * np.sum(rho * u**2, axis=-1)
+        part += 0.5 * lr * dx * np.sum(r_obs * u**2, axis=-1)
+        part += 0.5 * lr * dx * np.sum(rho * u**2, axis=-1)
+        part += lr * dx * np.sum(
+            eos.pressure_potential(rho) - eos.pressure_potential(r_obs), axis=-1
+        )
+        part -= lu * dx * np.sum((1.0 + rho) * u_obs * u, axis=-1)
+        rate[on] = part
+    return rate
+
+
+def test_budget_residual_matches_the_seven_term_form():
+    # a moving truth, so the velocity observations enter, and a nudging
+    # window that closes inside the run
+    g = Grid1D(48, 1.0)
+    x = g.cell_centers()
+    obs_rho = 1.0 + 0.25 * np.cos(2 * np.pi * x)
+    obs_mom = 0.2 * np.sin(2 * np.pi * x)
+    obs = Trajectory(
+        g, [0.0, 1.0], np.stack([obs_rho] * 2), np.stack([obs_mom] * 2),
+        SupBounds(1.25, float(np.max(np.abs(obs_mom / obs_rho))), 0.0),
+    )
+    ms = sample(obs, build_decomposition(0.2, 1.0, 1.0))
+    cfg = NudgingConfig(15.0, 60.0, (0.0, 0.1))
+    initial = FluidState(0.0, np.full(48, float(np.mean(obs_rho))), np.zeros(48))
+    options = SolverOptions(landings=np.linspace(0.0, 0.2, 41))
+    traj, _ = integrate(g, initial, 0.2, EOS, VISC, Forcing.zero(), ms, cfg, options)
+    report = make_energy_report(EOS, VISC, g, traj, obs, ms, cfg)
+    assert np.any(report.nudge_power_u != 0.0) and np.any(report.nudge_power_u == 0.0)
+    res = energy_balance_residual(report, traj, EOS, VISC, Forcing.zero(), g, ms, cfg)
+    rate = seven_term_budget_rate(
+        EOS, VISC, g, traj.times, traj.rho, traj.mom, Forcing.zero(), ms, cfg
+    )
+    reference = np.diff(report.total_energy) / np.diff(traj.times) + 0.5 * (rate[:-1] + rate[1:])
+    assert np.max(np.abs(res - reference)) <= 1e-12 * np.max(np.abs(rate))
+
+
 def test_fit_decay_oracles():
     t = np.linspace(0.0, 2.0, 200)
     pure = fit_decay(t, np.exp(-5.0 * t))
@@ -385,8 +436,9 @@ def test_series_of_one_snapshot_trajectories():
 
 
 def test_partial_series_equals_the_per_snapshot_functions(tmp_path, lite_config, monkeypatch):
-    # with the truth run cached, run_twin's only integrate call is the nudged run
-    observed, _ = harness.run_observed(lite_config)
+    # with the truth in the memo, run_twin's only integrate call is the nudged run
+    truths = {}
+    observed, _ = harness.run_observed(lite_config, truths)
     real_integrate = harness.integrate
     failed = {}
 
@@ -398,7 +450,7 @@ def test_partial_series_equals_the_per_snapshot_functions(tmp_path, lite_config,
 
     monkeypatch.setattr(harness, "integrate", failing_integrate)
     with pytest.raises(VacuumError):
-        harness.run_twin(lite_config, out_dir=tmp_path)
+        harness.run_twin(lite_config, out_dir=tmp_path, truths=truths)
     partial = failed["partial"]
     assert partial.n_snapshots > 1
     cfg = lite_config

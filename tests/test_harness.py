@@ -8,6 +8,7 @@ import pytest
 from nudgelab import harness
 from nudgelab.config import ExperimentConfig, InitialConfig, ForcingConfig, NudgingGains
 from nudgelab.diagnostics import load_energy_series, save_energy_series
+from nudgelab.dynamics import IntegrationStats
 from nudgelab.errors import BlowUpError, ConfigError, VacuumError
 from nudgelab.field import FluidState, Trajectory
 from nudgelab.harness import (
@@ -32,7 +33,7 @@ def test_run_observed_rest_state_is_constant(lite_config):
         forcing=ForcingConfig(amplitude=0.0),
         initial=InitialConfig(amplitude=0.0),
     )
-    traj, _ = run_observed(cfg, use_cache=False)
+    traj, _ = run_observed(cfg)
     assert np.all(traj.rho == 1.0)
     assert np.all(traj.mom == 0.0)
 
@@ -49,10 +50,14 @@ def test_run_observed_baseline_lite(lite_observed, lite_config):
     assert np.max(np.abs(masses - masses[0])) <= 1e-10 * masses[0]
 
 
-def test_run_observed_cache(lite_config):
-    a, a_stats = run_observed(lite_config)
-    b, b_stats = run_observed(lite_config)
-    assert a is b and b_stats is a_stats
+def test_run_observed_memo(lite_config):
+    truths = {}
+    a, a_stats = run_observed(lite_config, truths)
+    b, b_stats = run_observed(lite_config, truths)
+    assert b is a and truths == {observed_signature(lite_config): a}
+    # a hit integrated nothing, and says so
+    assert a_stats.n_steps > 0
+    assert b_stats == IntegrationStats(0, 0.0, 0.0, 0.0)
     # the signature tracks only observed-relevant fields
     changed = dataclasses.replace(lite_config, nudging=NudgingGains(1.0, 2.0))
     assert observed_signature(changed) == observed_signature(lite_config)
@@ -70,10 +75,10 @@ def test_run_observed_cache(lite_config):
         assert (observed_signature(other) == observed_signature(lite_config)) == (
             key == "snapshot_budget"
         )
-    # only the most recent truth run is kept, and it still hits
-    c = run_observed(regrid)
-    assert len(harness._OBSERVED_CACHE) == 1
-    assert run_observed(regrid)[0] is c[0]
+    # a miss replaces the memo's content, and the new truth hits
+    c, _ = run_observed(regrid, truths)
+    assert truths == {observed_signature(regrid): c}
+    assert run_observed(regrid, truths)[0] is c
 
 
 def test_truth_records_t_minus_then_the_nudged_runs_times(lite_twin, lite_config):
@@ -88,23 +93,46 @@ def test_twin_reports_truth_run_statistics(lite_twin, lite_config):
     stats = lite_twin.stats
     assert stats["observed_steps"] > 0
     assert 0.0 < stats["observed_dt_min"] <= stats["observed_dt_max"]
-    _, first = run_observed(lite_config)
-    _, hit = run_observed(lite_config)
-    assert hit is first
-    assert (hit.n_steps, hit.dt_min, hit.dt_max) == (
+    # a twin that reuses the memo's truth reports the 0 steps it made
+    truths = {}
+    _, filled = run_observed(lite_config, truths)
+    assert (filled.n_steps, filled.dt_min, filled.dt_max) == (
         stats["observed_steps"], stats["observed_dt_min"], stats["observed_dt_max"]
     )
+    reused = run_twin(lite_config, truths=truths).stats
+    assert (reused["observed_steps"], reused["observed_dt_min"], reused["observed_dt_max"]) == (
+        0, 0.0, 0.0
+    )
+    assert reused["observed_snapshots"] == stats["observed_snapshots"]
 
 
 def test_twin_reports_each_runs_wall_time(lite_config):
-    first = run_twin(lite_config).stats
-    _, filled = run_observed(lite_config)
-    second = run_twin(lite_config).stats
-    # a cache hit reports the wall time of the truth run that filled the cache
-    assert first["observed_wall_time"] == filled.wall_time == second["observed_wall_time"]
-    assert filled.wall_time > 0.0
+    truths = {}
+    first = run_twin(lite_config, truths=truths).stats
+    second = run_twin(lite_config, truths=truths).stats
+    # the first twin integrated the truth, the second reused it
+    assert 0.0 < first["observed_wall_time"] < first["wall_time"]
+    assert second["observed_wall_time"] == 0.0
     for stats in (first, second):
         assert 0.0 < stats["nudged_wall_time"] < stats["wall_time"]
+
+
+def test_two_twins_without_a_memo_integrate_two_truths(monkeypatch, lite_config):
+    steps = []
+    real_integrate = harness.integrate
+
+    def counting_integrate(*args, **kwargs):
+        result = real_integrate(*args, **kwargs)
+        steps.append(result[1].n_steps)
+        return result
+
+    monkeypatch.setattr(harness, "integrate", counting_integrate)
+    first = run_twin(lite_config).stats
+    second = run_twin(lite_config).stats
+    # each twin integrates its own truth, then its nudged run
+    assert steps == [first["observed_steps"], first["nudged_steps"],
+                     second["observed_steps"], second["nudged_steps"]]
+    assert second["observed_steps"] == first["observed_steps"] > 0
 
 
 def test_twin_reports_phase_wall_times(lite_twin):
@@ -149,7 +177,7 @@ def test_truth_run_peak_memory_is_bounded_by_its_trajectory(lite_config):
     # the recorded rows plus the one stacked copy, with room for temporaries
     tracemalloc.start()
     try:
-        traj, _ = run_observed(lite_config, use_cache=False)
+        traj, _ = run_observed(lite_config)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -471,11 +499,9 @@ def test_partial_series_persisted_on_nudged_failure(tmp_path, lite_config, monke
         raise err
 
     monkeypatch.setattr(H, "integrate", failing_integrate)
-    H.clear_observed_cache()
     out = tmp_path / "failed"
     with pytest.raises(VacuumError):
         run_twin(lite_config, out_dir=out)
-    H.clear_observed_cache()
     assert (out / "error.json").exists()
     assert (out / "energy_series.csv").exists()
     info = json.loads((out / "error.json").read_text())
