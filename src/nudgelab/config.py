@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import check_gain_conditions
-from .dynamics import Forcing, NudgingConfig, SolverOptions, Viscosity
+from .dynamics import MAX_STEPS, Forcing, NudgingConfig, Viscosity
 from .eos import EquationOfState
 from .errors import ConfigError, VacuumError
 from .field import FluidState, Grid1D
@@ -49,7 +49,6 @@ __all__ = [
     "build_forcing",
     "build_initial_state",
     "build_nudging",
-    "build_solver_options",
     "build_tiling",
     "report_times",
     "SWEEP_AXES",
@@ -123,7 +122,6 @@ class SolverConfig:
     # inert: validated (>= 1) but read by no run, which records the report
     # grid; kept while the benchmark's lite configs still set it
     snapshot_budget: int = 2_000_000
-    max_steps: int = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -187,12 +185,11 @@ class ExperimentConfig:
         grid = attempt("grid", lambda: build_grid(self))
         attempt("eos", lambda: build_eos(self))
         attempt("viscosity", lambda: build_viscosity(self))
-        attempt("solver", lambda: build_solver_options(self))
         if solver.report_interval <= 0.0:
             problems.append("solver.report_interval must be positive")
-        elif not math.isfinite(n := tl.t_plus / solver.report_interval) or round(n) > solver.max_steps:
+        elif not math.isfinite(n := tl.t_plus / solver.report_interval) or round(n) > MAX_STEPS:
             # each report time is a landing, and each landing costs a step
-            problems.append(f"solver.report_interval: more report times than max_steps={solver.max_steps}")
+            problems.append(f"solver.report_interval: more report times than MAX_STEPS={MAX_STEPS}")
         if self.initial.base_density - abs(self.initial.amplitude) <= 0.0:
             problems.append("initial profile must stay strictly positive")
         elif grid is not None:
@@ -295,12 +292,12 @@ def build_forcing(cfg: ExperimentConfig) -> Forcing:
         return Forcing.zero()
     length = cfg.grid.length
 
-    def bind(x):
+    def at(x):
         # the spatial profile once per set of centers, then cos t per row
         profile = amp * np.sin(2.0 * np.pi * x / length)
         return lambda t: profile * np.cos(t)
 
-    return Forcing(fn=lambda t, x: bind(x)(t), bound=abs(amp), bind=bind)
+    return Forcing(at=at, bound=abs(amp))
 
 
 def build_initial_state(cfg: ExperimentConfig, grid: Grid1D) -> FluidState:
@@ -337,10 +334,6 @@ def report_times(cfg: ExperimentConfig) -> tuple:
     n = max(1, round(t_plus / cfg.solver.report_interval))
     grid = np.linspace(0.0, t_plus, n + 1)[1:].tolist()
     return tuple(sorted({*(t for t in grid if abs(t - t_end) > 4 * math.ulp(t_end)), t_end}))
-
-
-def build_solver_options(cfg: ExperimentConfig, landings=None) -> SolverOptions:
-    return SolverOptions(max_steps=cfg.solver.max_steps, landings=landings)
 
 
 def load_config(path) -> ExperimentConfig:

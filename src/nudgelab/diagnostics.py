@@ -60,20 +60,9 @@ def _relative_energy_density(eos: EquationOfState, rho, du, r):
 
 
 def total_energy_density(eos: EquationOfState, rho, mom):
-    """Pointwise total energy: 1/2 m^2/rho + P(rho) for rho > 0, zero for
-    the zero state, and an infinity sentinel otherwise (negative or
-    non-finite density, or momentum on vacuum).  Total by cases; it never
-    raises."""
-    rho_arr = np.asarray(rho, dtype=float)
-    mom_arr = np.asarray(mom, dtype=float)
-    regular = np.isfinite(rho_arr) & (rho_arr > 0.0)
-    rho_safe = np.where(regular, rho_arr, 1.0)
-    value = np.where(
-        regular,
-        0.5 * mom_arr**2 / rho_safe + eos.pressure_potential(rho_safe),
-        np.where((rho_arr == 0.0) & (mom_arr == 0.0), 0.0, np.inf),
-    )
-    return value if value.ndim else float(value)
+    """Pointwise total energy 1/2 m^2/rho + P(rho), for rho > 0 (the
+    densities of a FluidState or a Trajectory)."""
+    return 0.5 * mom**2 / rho + eos.pressure_potential(rho)
 
 
 def total_energy(eos: EquationOfState, grid: Grid1D, state: FluidState) -> float:
@@ -128,7 +117,6 @@ class EnergyReport:
 def make_energy_report(
     eos: EquationOfState,
     visc: Viscosity,
-    grid: Grid1D,
     traj: Trajectory,
     observed: Trajectory,
     ms: MeasurementSet | None = None,
@@ -140,8 +128,9 @@ def make_energy_report(
     mismatch; the nudging powers are the instantaneous energy sources
     contributed by the relaxation terms (negative values are sinks), zero
     where the relaxation is off."""
-    if traj.grid.n_cells != grid.n_cells or observed.grid.n_cells != grid.n_cells:
-        raise ValueError("trajectories do not match the grid")
+    grid = traj.grid
+    if observed.grid != grid:
+        raise ValueError("trajectories do not share a grid")
     n = traj.n_snapshots
     energy, rel, dissipation, l2, mass, power_rho, power_u = np.zeros((7, n))
     for rows in row_blocks(n):
@@ -188,7 +177,9 @@ def _budget_rate(
     dx = grid.dx
     u = mom / rho
     rate = visc.nu_eff * noslip_seminorm_sq(grid, u)
-    rate -= dx * np.sum(rho * forcing(ts[:, None], grid.cell_centers()) * u, axis=-1)
+    forcing_at = forcing.on_grid(grid)
+    if forcing_at is not None:
+        rate -= dx * np.sum(rho * forcing_at(ts[:, None]) * u, axis=-1)
     if ms is not None and nudging is not None:
         on = nudging.active(ts)
         if on.any():
@@ -205,7 +196,6 @@ def energy_balance_residual(
     eos: EquationOfState,
     visc: Viscosity,
     forcing: Forcing,
-    grid: Grid1D,
     ms: MeasurementSet | None = None,
     nudging: NudgingConfig | None = None,
 ) -> np.ndarray:
@@ -232,7 +222,7 @@ def energy_balance_residual(
     rates = np.empty(times.size)
     for rows in row_blocks(times.size):
         rates[rows] = _budget_rate(
-            eos, visc, grid, times[rows], traj.rho[rows], traj.mom[rows], forcing, ms, nudging
+            eos, visc, traj.grid, times[rows], traj.rho[rows], traj.mom[rows], forcing, ms, nudging
         )
     rates -= report.nudge_power_rho + report.nudge_power_u
     return np.diff(report.total_energy) / np.diff(times) + 0.5 * (rates[:-1] + rates[1:])
@@ -358,7 +348,7 @@ class GainConditionReport:
     gain_ordering_ok: bool  # lambda_u >= gamma_cal * lambda_rho
     delta_smallness_ok: bool  # delta * lambda_u * gamma_cal <= 1
     floor_estimate: float  # (1/lambda_rho + exp(-lambda_rho*T)) * gamma_cal
-    floor_ok: bool | None  # floor_estimate < epsilon, when a target is given
+    floor_ok: bool  # floor_estimate < epsilon
     lambda_rho: float
     lambda_u: float
     delta: float
@@ -369,7 +359,7 @@ def check_gain_conditions(
     nudging: NudgingConfig,
     delta: float,
     gamma_cal: float,
-    epsilon: float | None = None,
+    epsilon: float,
 ) -> GainConditionReport:
     """Evaluate the gain/resolution conditions for a nudging configuration.
 
@@ -389,7 +379,7 @@ def check_gain_conditions(
         gain_ordering_ok=lu >= gamma_cal * lr,
         delta_smallness_ok=delta * lu * gamma_cal <= 1.0,
         floor_estimate=floor,
-        floor_ok=None if epsilon is None else floor < epsilon,
+        floor_ok=floor < epsilon,
         lambda_rho=lr,
         lambda_u=lu,
         delta=delta,
@@ -407,7 +397,7 @@ class EnvelopeReport:
     """
 
     calibration_required: float
-    holds: bool | None
+    holds: bool
     start_value: float
     end_value: float
     max_ratio: float
@@ -418,7 +408,7 @@ def forecast_envelope(
     times,
     rel_energy,
     chi,
-    calibration: float | None = None,
+    calibration: float,
 ) -> EnvelopeReport:
     """Check the Gronwall envelope on a forecast-window series.
 
@@ -441,7 +431,7 @@ def forecast_envelope(
     if start <= 0.0:
         return EnvelopeReport(
             calibration_required=0.0,
-            holds=True if calibration is not None else None,
+            holds=True,
             start_value=start,
             end_value=float(y[-1]),
             max_ratio=math.inf if np.any(y[1:] > 0.0) else 1.0,
@@ -454,7 +444,7 @@ def forecast_envelope(
     required = float(max(0.0, np.max(needed))) if needed.size else 0.0
     return EnvelopeReport(
         calibration_required=required,
-        holds=None if calibration is None else required <= calibration,
+        holds=required <= calibration,
         start_value=start,
         end_value=float(y[-1]),
         max_ratio=float(np.max(ratio)),
@@ -463,7 +453,6 @@ def forecast_envelope(
 
 
 def forecast_chi_base(
-    grid: Grid1D,
     visc: Viscosity,
     traj: Trajectory,
     forcing: Forcing,
@@ -475,8 +464,9 @@ def forecast_chi_base(
 
     The envelope multiplies this by a calibration constant.
     """
+    grid = traj.grid
     dx = grid.dx
-    x = grid.cell_centers()
+    forcing_at = forcing.on_grid(grid)
     times = np.asarray(times, dtype=float)
     out = np.empty(times.size)
     for rows in row_blocks(times.size):
@@ -487,7 +477,9 @@ def forecast_chi_base(
         # the odd ghosts make the wall differences 2u, as in noslip_seminorm_sq
         sup_grad = np.max(np.abs(np.diff(up)), axis=-1) / dx
         div_stress = visc.nu_eff * (up[:, 2:] - 2.0 * up[:, 1:-1] + up[:, :-2]) / dx**2
-        drive = div_stress / rho + forcing(ts[:, None], x)
+        drive = div_stress / rho
+        if forcing_at is not None:
+            drive += forcing_at(ts[:, None])
         cube = _integral(grid, np.abs(drive) ** 3)
         # the cube root and the square stay scalar: their array forms can
         # differ from the scalar ones in the last bit

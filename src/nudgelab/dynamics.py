@@ -52,6 +52,8 @@ __all__ = [
     "Forcing",
     "SolverOptions",
     "IntegrationStats",
+    "RHO_FLOOR",
+    "MAX_STEPS",
     "rhs",
     "stable_dt",
     "step",
@@ -63,6 +65,10 @@ __all__ = [
 # the first stage in the second
 _ARS_GAMMA = 1.0 - 1.0 / math.sqrt(2.0)
 _ARS_DELTA = 1.0 - 1.0 / (2.0 * _ARS_GAMMA)
+# the least density a step accepts: a stage below it raises VacuumError
+RHO_FLOOR = 1e-8
+# the most steps one ``integrate`` call takes before it raises BlowUpError
+MAX_STEPS = 5_000_000
 # a gap to a landing at most this fraction of a step above n steps of dt
 # takes n steps: the rounding of the time, accumulated over the steps to a
 # landing, stays far below it (a few ulps of the time per step)
@@ -121,39 +127,27 @@ class NudgingConfig:
 class Forcing:
     """Driving acceleration g(t, x) with a declared sup bound.
 
-    ``fn`` broadcasts over t: a column of times ``ts[:, None]`` with the
-    cell centers x gives one row per time, each equal bit for bit to the
-    call at that scalar time.  ``bind``, when given, takes fixed centers x
-    and returns the row function t -> fn(t, x), equal to it bit for bit; a
-    separable forcing uses it to compute its spatial profile once per grid
-    rather than on every call.  ``on_grid`` returns that row function."""
+    ``at`` takes the cell centers x and returns the row function
+    t -> g(t, x); a separable forcing computes its spatial profile there,
+    once per grid.  The row function broadcasts over t: a column of times
+    ``ts[:, None]`` gives one row per time, each equal bit for bit to the
+    call at that scalar time.  ``at=None`` is the zero forcing."""
 
-    fn: Callable[[float, np.ndarray], np.ndarray] | None
+    at: Callable[[np.ndarray], Callable[[float], np.ndarray]] | None
     bound: float = 0.0
-    bind: Callable[[np.ndarray], Callable[[float], np.ndarray]] | None = None
 
     def __post_init__(self):
         if not (np.isfinite(self.bound) and self.bound >= 0.0):
             raise ValueError("forcing bound must be finite and >= 0")
 
-    def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
-        if self.fn is None:
-            return np.zeros_like(x)
-        return np.asarray(self.fn(t, x), dtype=float)
-
     def on_grid(self, grid: Grid1D) -> Callable[[float], np.ndarray] | None:
         """The forcing on ``grid``'s cell centers as a function of t alone,
         bound once per run; None for the zero forcing."""
-        if self.fn is None:
-            return None
-        x = grid.cell_centers()
-        if self.bind is not None:
-            return self.bind(x)
-        return lambda t: self(t, x)
+        return None if self.at is None else self.at(grid.cell_centers())
 
     @classmethod
     def zero(cls) -> "Forcing":
-        return cls(fn=None, bound=0.0)
+        return cls(at=None, bound=0.0)
 
 
 def rhs(
@@ -240,22 +234,22 @@ def _viscous_solve(rho: np.ndarray, rhs_m: np.ndarray, k: float) -> np.ndarray:
     return np.array(ys, dtype=float)
 
 
-def _check_stage(rho, mom, t, rho_floor):
+def _check_stage(rho, mom, t):
     """Raise BlowUpError on a non-finite value, and otherwise VacuumError
-    on a density below ``rho_floor``, naming the (first) cell of the least
+    on a density below ``RHO_FLOOR``, naming the (first) cell of the least
     density.
     One fused elementwise test passes a sound stage; only a failing stage
     takes the exact checks, which order and word the errors.  No step of
     the test reduces by a sum, so a finite but huge value cannot overflow."""
-    ok = np.isfinite(rho) & (rho >= rho_floor) & np.isfinite(mom)
+    ok = np.isfinite(rho) & (rho >= RHO_FLOOR) & np.isfinite(mom)
     if np.count_nonzero(ok) == ok.size:
         return
     if not (np.isfinite(rho).all() and np.isfinite(mom).all()):
         raise BlowUpError(f"non-finite value at t={t:g}", time=t)
-    if rho.min() < rho_floor:
+    if rho.min() < RHO_FLOOR:
         cell = int(rho.argmin())
         raise VacuumError(
-            f"density {rho[cell]:g} below floor {rho_floor:g} in cell {cell} at t={t:g}",
+            f"density {rho[cell]:g} below floor {RHO_FLOOR:g} in cell {cell} at t={t:g}",
             cell=cell,
             time=t,
         )
@@ -296,7 +290,6 @@ def step(
     ms: MeasurementSet | None = None,
     nudging: NudgingConfig | None = None,
     *,
-    rho_floor: float = 1e-8,
     end_time: float | None = None,
     u: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -327,7 +320,7 @@ def step(
 
     Each of the two stages, and the relaxed end state when nudging acts, is
     checked once, after its solve: a non-finite value raises BlowUpError,
-    and otherwise a density below ``rho_floor`` raises VacuumError.  The
+    and otherwise a density below ``RHO_FLOOR`` raises VacuumError.  The
     leading half relaxation is not checked apart: its density is a convex
     combination of the step's density and the positive samples, and a
     non-finite value in it reaches the first stage's check.  These are the
@@ -356,7 +349,7 @@ def step(
     rho1 = rho0 + gam * dt * d_rho0
     mom_e1 = mom0 + gam * dt * d_mom0
     mom1 = rho1 * _viscous_solve(rho1, mom_e1, k)
-    _check_stage(rho1, mom1, t, rho_floor)
+    _check_stage(rho1, mom1, t)
 
     d_rho1, d_mom1 = rhs(grid, rho1, mom1, eos, forcing_at, t + gam * dt)
     rho_s = rho0 + dt * (dlt * d_rho0 + (1.0 - dlt) * d_rho1)
@@ -368,12 +361,12 @@ def step(
     u_s = _viscous_solve(rho_s, mom_e2, k)
     mom_s = rho_s * u_s
     t_new = (t + dt) if end_time is None else end_time
-    _check_stage(rho_s, mom_s, t_new, rho_floor)
+    _check_stage(rho_s, mom_s, t_new)
 
     if nudge:
         rho_s, u_s = _relax(rho_s, u_s, h, r_obs[1], u_obs[1], nudging)
         mom_s = rho_s * u_s
-        _check_stage(rho_s, mom_s, t_new, rho_floor)
+        _check_stage(rho_s, mom_s, t_new)
 
     return rho_s, mom_s
 
@@ -386,17 +379,15 @@ class SolverOptions:
     its end time and the ends of the nudging window; None lands on those
     alone and records every accepted step.  fixed_dt replaces the acoustic
     limit, nudged or not; the equal steps to each landing still apply.  The
-    acoustic safety factor and the density floor are the defaults of
-    ``stable_dt`` and ``step``.
+    acoustic safety factor is the default of ``stable_dt``, and the density
+    floor and the step limit are the constants ``RHO_FLOOR`` and
+    ``MAX_STEPS``.
     """
 
-    max_steps: int = 5_000_000
     fixed_dt: float | None = None
     landings: Sequence[float] | None = None
 
     def __post_init__(self):
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
         if self.fixed_dt is not None and not (np.isfinite(self.fixed_dt) and self.fixed_dt > 0.0):
             raise ValueError("fixed_dt must be finite and positive")
         if self.landings is not None:
@@ -450,7 +441,8 @@ def integrate(
     serves the running sup bound, the next ``stable_dt`` and the next
     step's leading relaxation.  Recorded snapshots are stacked once, by the
     Trajectory.  The trajectory carries the running sup bounds over every
-    accepted step.  On a vacuum or blow-up failure the trajectory recorded
+    accepted step.  A run that needs more than ``MAX_STEPS`` steps raises
+    BlowUpError.  On a vacuum or blow-up failure the trajectory recorded
     so far is attached to the raised error as ``.partial``.  The forcing is
     bound to the grid once per call (``Forcing.on_grid``).
     """
@@ -491,10 +483,8 @@ def integrate(
                 landing = n == 1
                 dt = gap / n
                 n_steps += 1
-                if n_steps > options.max_steps:
-                    raise BlowUpError(
-                        f"exceeded max_steps={options.max_steps} at t={t:g}", time=t
-                    )
+                if n_steps > MAX_STEPS:
+                    raise BlowUpError(f"exceeded MAX_STEPS={MAX_STEPS} at t={t:g}", time=t)
                 rho, mom = step(
                     grid,
                     (t, rho, mom),

@@ -9,7 +9,7 @@ which for the power law is P(rho) = kappa * rho**gamma / (gamma - 1).  The
 convexity of P is what turns its Bregman divergence into a usable distance
 between density fields, so the constructor enforces the structural
 constraints (monotone pressure, convex P) up front rather than trusting
-callers; the constant a keeping P - a*p convex is derived from gamma.
+callers.
 
 All value functions accept scalars or numpy arrays and broadcast.
 """
@@ -20,18 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["EquationOfState", "default_convexity_constant"]
-
-
-def default_convexity_constant(gamma: float) -> float:
-    """Default constant a making rho -> P(rho) - a*p(rho) convex.
-
-    For the power law that convexity is equivalent to a <= 1/(gamma - 1),
-    so 0.4 is safe for gamma <= 2 and 1/(2*(gamma - 1)) beyond.
-    """
-    if gamma <= 2.0:
-        return 0.4
-    return min(0.4, 0.5 / (gamma - 1.0))
+__all__ = ["EquationOfState"]
 
 
 @dataclass(frozen=True)
@@ -62,12 +51,6 @@ class EquationOfState:
             raise ValueError("gamma must be finite and > 1")
         if not (np.isfinite(self.kappa) and self.kappa > 0.0):
             raise ValueError("kappa must be finite and > 0")
-
-    @property
-    def a(self) -> float:
-        """Convexity constant of P - a*p: ``default_convexity_constant(gamma)``,
-        which lies in (0, 1/2) with a * (gamma - 1) <= 1."""
-        return default_convexity_constant(self.gamma)
 
     # -- pressure and potential -------------------------------------------
 

@@ -27,7 +27,6 @@ from .config import (
     build_grid,
     build_initial_state,
     build_nudging,
-    build_solver_options,
     build_tiling,
     build_viscosity,
     load_config,
@@ -98,10 +97,7 @@ def observed_signature(cfg: ExperimentConfig) -> str:
         "timeline": dataclasses.asdict(cfg.timeline),
         "forcing": dataclasses.asdict(cfg.forcing),
         "initial": dataclasses.asdict(cfg.initial),
-        "solver": {
-            "report_interval": cfg.solver.report_interval,
-            "max_steps": cfg.solver.max_steps,
-        },
+        "solver": {"report_interval": cfg.solver.report_interval},
     }
     return json.dumps(payload, sort_keys=True)
 
@@ -138,7 +134,7 @@ def run_observed(
         build_eos(cfg),
         build_viscosity(cfg),
         build_forcing(cfg),
-        options=build_solver_options(cfg, (0.0, *report_times(cfg))),
+        options=SolverOptions(landings=(0.0, *report_times(cfg))),
     )
     if truths is not None:
         truths.clear()
@@ -208,14 +204,14 @@ def _derive_diagnostics(cfg: ExperimentConfig, times, re_series, chi_times, chi_
         build_nudging(cfg),
         cfg.sampler.delta,
         cfg.calibration.gamma_cal,
-        epsilon=cfg.calibration.epsilon_target,
+        cfg.calibration.epsilon_target,
     )
 
     envelope = forecast_envelope(
         chi_times,
         re_series[np.searchsorted(times, chi_times)],
         chi_base,
-        calibration=ENVELOPE_GAMMA_MAX,
+        ENVELOPE_GAMMA_MAX,
     )
 
     sync_ratio = re_T / re0 if re0 > 0.0 else 0.0
@@ -235,10 +231,10 @@ def _derive_diagnostics(cfg: ExperimentConfig, times, re_series, chi_times, chi_
         "gain_ratio": gains.gain_ratio_ok,
         "gain_ordering": gains.gain_ordering_ok,
         "delta_smallness": gains.delta_smallness_ok,
-        "floor_estimate": bool(gains.floor_ok),
+        "floor_estimate": gains.floor_ok,
         "synchronized": sync_ratio <= SYNC_RATIO_MAX,
         "forecast_growth": re_plus <= FORECAST_GROWTH_MAX * re_T + 1e-300,
-        "forecast_envelope": bool(envelope.holds),
+        "forecast_envelope": envelope.holds,
     }
     return decay, gains, envelope, values, verdicts
 
@@ -282,7 +278,7 @@ def run_twin(cfg: ExperimentConfig, out_dir=None, truths: dict | None = None) ->
     else:  # truth_at_start: identical twin control
         initial = observed.state_at(0.0)
 
-    options = build_solver_options(cfg, report_times(cfg))
+    options = SolverOptions(landings=report_times(cfg))
     try:
         sync_traj, sync_stats = integrate(
             grid, initial, tl.t_plus, eos, visc, forcing, ms, nudging, options
@@ -292,15 +288,15 @@ def run_twin(cfg: ExperimentConfig, out_dir=None, truths: dict | None = None) ->
             out = _persist_failure(cfg, err, "nudged", out_dir)
             save_energy_series(
                 out / "energy_series.csv",
-                make_energy_report(eos, visc, grid, err.partial, observed, ms, nudging),
+                make_energy_report(eos, visc, err.partial, observed, ms, nudging),
             )
         raise
 
     diagnostics_start = _time.perf_counter()
-    energy = make_energy_report(eos, visc, grid, sync_traj, observed, ms, nudging)
-    budget = energy_balance_residual(energy, sync_traj, eos, visc, forcing, grid, ms, nudging)
+    energy = make_energy_report(eos, visc, sync_traj, observed, ms, nudging)
+    budget = energy_balance_residual(energy, sync_traj, eos, visc, forcing, ms, nudging)
     forecast_times = energy.time[energy.time >= tl.t_assim_end]
-    chi_base = forecast_chi_base(grid, visc, observed, forcing, forecast_times)
+    chi_base = forecast_chi_base(visc, observed, forcing, forecast_times)
 
     decay, gains, envelope, values, verdicts = _derive_diagnostics(
         cfg, energy.time, energy.rel_energy, forecast_times, chi_base
@@ -628,7 +624,8 @@ def manufactured_case(
     flux_x_max = u_max * a * (2.0 + u_max * k) + kappa * gamma * (1.0 + a) ** (gamma - 1.0) * a * k
     uxx_max = a * k * (1.0 + 2.0 * a / lo**2 + k * u_max) / lo
     bound = (a / k + flux_x_max + nu * uxx_max) / lo
-    return ManufacturedCase(rho, momentum, Forcing(g, bound), d_rho_dt, d_mom_dt)
+    forcing = Forcing(lambda x: lambda t: g(t, x), bound)
+    return ManufacturedCase(rho, momentum, forcing, d_rho_dt, d_mom_dt)
 
 
 @dataclass(frozen=True)

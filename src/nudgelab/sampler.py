@@ -72,7 +72,7 @@ class SpaceTimeDecomposition:
     n_time_slabs: int
     n_space_blocks: int
     placement: str = "center"
-    seed: int | None = None  # jittered and None: fresh entropy, drawn once
+    seed: int = 0
     time_breaks: np.ndarray = field(init=False, repr=False, compare=False)
     space_breaks: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -81,8 +81,6 @@ class SpaceTimeDecomposition:
             raise ValueError(f"placement must be one of {PLACEMENTS}")
         if min(self.n_time_slabs, self.n_space_blocks) < 1:
             raise ValueError("slab and block counts must be >= 1")
-        if self.placement == "jittered" and self.seed is None:
-            object.__setattr__(self, "seed", np.random.SeedSequence().entropy)
         for name, extent, count in (
             ("time_breaks", self.duration, self.n_time_slabs),
             ("space_breaks", self.length, self.n_space_blocks),
@@ -167,7 +165,7 @@ def build_decomposition(
     duration: float,
     length: float,
     placement: str = "center",
-    seed: int | None = None,
+    seed: int = 0,
 ) -> SpaceTimeDecomposition:
     """Uniform tensor decomposition with cell diameter at most delta.
     ``placement`` selects cell centers or a seeded uniform jitter.

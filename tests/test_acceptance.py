@@ -261,7 +261,7 @@ def test_acceptance_9_gain_condition_gate():
         ((4.0, 8.0, 1e-3, 3.0), (True, False, True)),
     ]
     for (lr, lu, delta, gamma), expected in cases:
-        rep = check_gain_conditions(NudgingConfig(lr, lu, (0.0, 1.0)), delta, gamma)
+        rep = check_gain_conditions(NudgingConfig(lr, lu, (0.0, 1.0)), delta, gamma, epsilon=0.1)
         got = (rep.gain_ratio_ok, rep.gain_ordering_ok, rep.delta_smallness_ok)
         assert got == expected, f"case {(lr, lu, delta, gamma)}: {got} != {expected}"
     # floor estimate arithmetic at the baseline gains

@@ -17,6 +17,7 @@ from nudgelab.config import (
     report_times,
     save_config,
 )
+from nudgelab.dynamics import MAX_STEPS
 from nudgelab.errors import ConfigError
 from nudgelab.sampler import build_decomposition, sampled_blocks
 
@@ -96,7 +97,7 @@ def test_bad_json_and_missing_file(tmp_path):
         {"timeline": {"t_plus": INF}},
         {"solver": {"report_interval": INF}},
         # counts and sizes
-        {"solver": {"max_steps": 0}},
+        {"solver": {"max_steps": 0}},  # no longer a key
         {"sampler": {"cell_cap": 0}},  # no longer a key
         {"solver": {"snapshot_budget": -5}},
         {"sampler": {"delta": 1e-5}},  # stores more cells than the memory guard
@@ -160,7 +161,7 @@ def test_ints_widen_to_floats_and_null_is_rejected(tmp_path):
     # no leaf is optional: null fails like any other wrong type, everywhere
     leaves = [(section, key) for section, block in cfg.to_dict().items()
               if isinstance(block, dict) for key in block] + [(None, "sync_init")]
-    assert len(leaves) == 24
+    assert len(leaves) == 23
     for section, key in leaves:
         path.write_text(json.dumps({section: {key: None}} if section else {key: None}))
         name = f"{section}.{key}" if section else key
@@ -175,9 +176,12 @@ def test_report_interval_bounded_by_max_steps():
         cfg = ExperimentConfig(solver=SolverConfig(report_interval=interval))
         with pytest.raises(ConfigError, match="solver.report_interval: more report times"):
             cfg.validate()
-    ExperimentConfig(solver=SolverConfig(report_interval=2e-3, max_steps=1000)).validate()
-    with pytest.raises(ConfigError, match="than max_steps=999"):
-        ExperimentConfig(solver=SolverConfig(report_interval=2e-3, max_steps=999)).validate()
+    # the bound is dynamics.MAX_STEPS: t_plus / interval = MAX_STEPS passes,
+    # one report time more fails
+    t_plus = ExperimentConfig().timeline.t_plus
+    ExperimentConfig(solver=SolverConfig(report_interval=t_plus / MAX_STEPS)).validate()
+    with pytest.raises(ConfigError, match=f"than MAX_STEPS={MAX_STEPS}"):
+        ExperimentConfig(solver=SolverConfig(report_interval=t_plus / (MAX_STEPS + 1))).validate()
 
 
 def test_report_times_land_once_at_the_window_end():
@@ -233,7 +237,7 @@ def test_forcing_rows_are_the_scalar_calls():
         np.linspace(cfg.timeline.t_minus, cfg.timeline.t_plus, 301),
         np.random.default_rng(4).uniform(-1.0, 3.0, 200),
     ])
-    fn = build_forcing(cfg).fn
-    rows = fn(ts[:, None], x)
+    row = build_forcing(cfg).at(x)
+    rows = row(ts[:, None])
     assert rows.shape == (ts.size, x.size)
-    assert np.array_equal(rows, np.stack([fn(t, x) for t in ts.tolist()]))
+    assert np.array_equal(rows, np.stack([row(t) for t in ts.tolist()]))

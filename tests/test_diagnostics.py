@@ -37,14 +37,9 @@ VISC = Viscosity(0.05)
 
 
 def test_total_energy_density_cases():
-    assert total_energy_density(KEOS, 0.0, 0.0) == 0.0
-    assert total_energy_density(KEOS, 0.0, 1.0) == np.inf
     assert total_energy_density(KEOS, 1.0, 2.0) == pytest.approx(3.0)
-    vals = total_energy_density(KEOS, np.array([0.0, 0.0, 1.0]), np.array([0.0, 1.0, 2.0]))
-    assert vals[0] == 0.0 and vals[1] == np.inf and vals[2] == pytest.approx(3.0)
-    # total by cases: irregular densities map to the sentinel, never raise
-    assert total_energy_density(KEOS, -1.0, 0.0) == np.inf
-    assert total_energy_density(KEOS, np.nan, 0.0) == np.inf
+    vals = total_energy_density(KEOS, np.array([0.5, 1.0]), np.array([0.0, 2.0]))
+    assert vals[0] == pytest.approx(0.25) and vals[1] == pytest.approx(3.0)
 
 
 def test_relative_energy_zero_and_single_cell():
@@ -109,15 +104,15 @@ def decaying_run(n=48, t_end=0.2, fixed_dt=None):
     initial = FluidState(0.0, 1.0 + 0.3 * np.cos(2 * np.pi * x), np.zeros(n))
     options = SolverOptions(fixed_dt=fixed_dt)
     traj, _ = integrate(g, initial, t_end, EOS, VISC, Forcing.zero(), options=options)
-    report = make_energy_report(EOS, VISC, g, traj, rest_trajectory(g, traj.times))
+    report = make_energy_report(EOS, VISC, traj, rest_trajectory(g, traj.times))
     return g, report, traj
 
 
 def test_energy_balance_residual_rest_state():
     g = Grid1D(16, 1.0)
     rest = rest_trajectory(g, [0.0, 0.1, 0.2])
-    report = make_energy_report(EOS, VISC, g, rest, rest)
-    res = energy_balance_residual(report, rest, EOS, VISC, Forcing.zero(), g)
+    report = make_energy_report(EOS, VISC, rest, rest)
+    res = energy_balance_residual(report, rest, EOS, VISC, Forcing.zero())
     assert np.all(res == 0.0)
 
 
@@ -130,7 +125,7 @@ def test_energy_balance_residual_refines():
 
     def max_step_residual(n, dt):
         g, report, traj = decaying_run(n=n, fixed_dt=dt)
-        res = energy_balance_residual(report, traj, EOS, VISC, Forcing.zero(), g)
+        res = energy_balance_residual(report, traj, EOS, VISC, Forcing.zero())
         return np.max(np.abs(res * np.diff(traj.times)))
 
     coarse = max_step_residual(48, dt)
@@ -164,8 +159,8 @@ def test_energy_budget_inequality_on_nudged_run():
         g, initial, 0.2, EOS, VISC, Forcing.zero(), ms, cfg,
         SolverOptions(),
     )
-    report = make_energy_report(EOS, VISC, g, traj, obs, ms, cfg)
-    res = energy_balance_residual(report, traj, EOS, VISC, Forcing.zero(), g, ms, cfg)
+    report = make_energy_report(EOS, VISC, traj, obs, ms, cfg)
+    res = energy_balance_residual(report, traj, EOS, VISC, Forcing.zero(), ms, cfg)
     assert np.max(res) <= 0.0
 
 
@@ -176,7 +171,8 @@ def seven_term_budget_rate(eos, visc, grid, ts, rho, mom, forcing, ms, nudging):
     dx = grid.dx
     u = mom / rho
     rate = visc.nu_eff * noslip_seminorm_sq(grid, u)
-    rate -= dx * np.sum(rho * forcing(ts[:, None], grid.cell_centers()) * u, axis=-1)
+    if forcing.at is not None:
+        rate -= dx * np.sum(rho * forcing.at(grid.cell_centers())(ts[:, None]) * u, axis=-1)
     on = nudging.active(ts)
     if on.any():
         lr, lu = nudging.lambda_rho, nudging.lambda_u
@@ -210,9 +206,9 @@ def test_budget_residual_matches_the_seven_term_form():
     initial = FluidState(0.0, np.full(48, float(np.mean(obs_rho))), np.zeros(48))
     options = SolverOptions(landings=np.linspace(0.0, 0.2, 41))
     traj, _ = integrate(g, initial, 0.2, EOS, VISC, Forcing.zero(), ms, cfg, options)
-    report = make_energy_report(EOS, VISC, g, traj, obs, ms, cfg)
+    report = make_energy_report(EOS, VISC, traj, obs, ms, cfg)
     assert np.any(report.nudge_power_u != 0.0) and np.any(report.nudge_power_u == 0.0)
-    res = energy_balance_residual(report, traj, EOS, VISC, Forcing.zero(), g, ms, cfg)
+    res = energy_balance_residual(report, traj, EOS, VISC, Forcing.zero(), ms, cfg)
     rate = seven_term_budget_rate(
         EOS, VISC, g, traj.times, traj.rho, traj.mom, Forcing.zero(), ms, cfg
     )
@@ -266,17 +262,17 @@ def test_fit_decay_non_decaying_series_reports_quality():
 
 
 def test_check_gain_conditions_examples():
-    rep = check_gain_conditions(NudgingConfig(1.0, 1.0, (0.0, 1.0)), 0.1, 2.0)
+    rep = check_gain_conditions(NudgingConfig(1.0, 1.0, (0.0, 1.0)), 0.1, 2.0, 0.1)
     assert not rep.gain_ratio_ok
-    rep = check_gain_conditions(NudgingConfig(50.0, 200.0, (0.0, 1.0)), 1e-3, 4.0)
+    rep = check_gain_conditions(NudgingConfig(50.0, 200.0, (0.0, 1.0)), 1e-3, 4.0, 0.1)
     assert rep.gain_ratio_ok and rep.gain_ordering_ok
     assert rep.delta_smallness_ok  # 1e-3 * 200 * 4 = 0.8 <= 1
     assert rep.floor_estimate == pytest.approx(4.0 * (0.02 + np.exp(-50.0)), rel=1e-12)
     # exact boundary of the gain-ratio condition passes
-    rep = check_gain_conditions(NudgingConfig(10.0, 20.0, (0.0, 1.0)), 1e-3, 1.0)
+    rep = check_gain_conditions(NudgingConfig(10.0, 20.0, (0.0, 1.0)), 1e-3, 1.0, 0.1)
     assert rep.gain_ratio_ok
     with pytest.raises(ValueError):
-        check_gain_conditions(NudgingConfig(1.0, 2.0, (0.0, 1.0)), 0.1, 0.5)
+        check_gain_conditions(NudgingConfig(1.0, 2.0, (0.0, 1.0)), 0.1, 0.5, 0.1)
 
 
 def test_forecast_envelope_constant_series():
@@ -292,7 +288,7 @@ def test_forecast_envelope_exponential_equality():
     t = np.linspace(1.0, 2.0, 400)
     re = 0.1 * np.exp(t - 1.0)
     chi = np.full_like(t, 0.5)
-    rep = forecast_envelope(t, re, chi)
+    rep = forecast_envelope(t, re, chi, calibration=1.0)
     assert rep.calibration_required == pytest.approx(1.0, rel=1e-6)
 
 
@@ -329,7 +325,7 @@ def test_forecast_chi_base_rest_state():
     traj = Trajectory(
         g, [0.0, 1.0], np.ones((2, 16)), np.zeros((2, 16)), SupBounds(1.0, 0.0, 0.0)
     )
-    chi = forecast_chi_base(g, VISC, traj, Forcing.zero(), [0.0, 0.5, 1.0])
+    chi = forecast_chi_base(VISC, traj, Forcing.zero(), [0.0, 0.5, 1.0])
     assert np.allclose(chi, 1.0)  # no gradients, no drive: only the constant
 
 
@@ -348,7 +344,7 @@ def one_snapshot(g, rho, mom, t=0.0):
 def test_series_norms_zero_and_mass():
     g = Grid1D(16, 1.0)
     s = one_snapshot(g, np.full(16, 2.5), np.zeros(16))
-    report = make_energy_report(EOS, VISC, g, s, s)
+    report = make_energy_report(EOS, VISC, s, s)
     assert report.l2_u_diff[0] == 0.0
     assert report.mass[0] == pytest.approx(2.5 * 1.0, rel=1e-14)
 
@@ -358,7 +354,7 @@ def test_series_norms_constant_velocity_difference():
     c = 0.7
     a = one_snapshot(g, np.ones(32), np.full(32, c))
     b = one_snapshot(g, np.ones(32), np.zeros(32))
-    report = make_energy_report(EOS, VISC, g, a, b)
+    report = make_energy_report(EOS, VISC, a, b)
     assert report.l2_u_diff[0] == pytest.approx(c * np.sqrt(g.length), rel=1e-14)
 
 
@@ -418,7 +414,7 @@ def test_series_columns_equal_the_per_snapshot_functions():
     observed = random_trajectory(rng, g, np.linspace(-0.1, 1.0, 57))
     ms = sample(observed, build_decomposition(0.1, 0.7, 1.0))
     nudging = NudgingConfig(15.0, 60.0, (0.2, 0.7))
-    report = make_energy_report(EOS, VISC, g, traj, observed, ms, nudging)
+    report = make_energy_report(EOS, VISC, traj, observed, ms, nudging)
     assert 0 < np.count_nonzero(report.nudge_power_u) < 300
     assert_series_is_per_snapshot(report, traj, observed, EOS, VISC, ms, nudging)
 
@@ -428,11 +424,11 @@ def test_series_of_one_snapshot_trajectories():
     g = Grid1D(16, 1.0)
     traj = random_trajectory(rng, g, [0.3])
     observed = random_trajectory(rng, g, [0.3])
-    report = make_energy_report(EOS, VISC, g, traj, observed)
+    report = make_energy_report(EOS, VISC, traj, observed)
     assert report.time.shape == (1,)
     assert_series_is_per_snapshot(report, traj, observed, EOS, VISC)
-    with pytest.raises(ValueError, match="do not match the grid"):
-        make_energy_report(EOS, VISC, Grid1D(8, 1.0), traj, observed)
+    with pytest.raises(ValueError, match="do not share a grid"):
+        make_energy_report(EOS, VISC, traj, random_trajectory(rng, Grid1D(8, 1.0), [0.3]))
 
 
 def test_partial_series_equals_the_per_snapshot_functions(tmp_path, lite_config, monkeypatch):

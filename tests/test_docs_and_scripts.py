@@ -26,3 +26,12 @@ def test_readme_json_examples_are_valid_configs(block):
 @pytest.mark.parametrize("path", sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.name)
 def test_scripts_load(path):
     runpy.run_path(str(path), run_name="not_main")
+
+
+def _leaves(tree):
+    return sum(_leaves(v) if isinstance(v, dict) else 1 for v in tree.values())
+
+
+def test_readme_states_the_config_leaf_count():
+    stated = re.findall(r"A config has (\d+) leaves", (ROOT / "README.md").read_text())
+    assert stated == [str(_leaves(ExperimentConfig().to_dict()))]

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from nudgelab import harness
-from nudgelab.eos import EquationOfState, default_convexity_constant
+from nudgelab.eos import EquationOfState
 from nudgelab.errors import VacuumError
 from nudgelab.field import FluidState, Grid1D, SupBounds, Trajectory
 from nudgelab.sampler import MeasurementSet, build_decomposition
@@ -138,8 +138,6 @@ def test_midpoint_convexity(gamma):
     mid = 0.5 * (a + b)
     for fn in (eos.pressure, eos.pressure_potential):
         assert np.all(fn(mid) <= 0.5 * (fn(a) + fn(b)) + 1e-9)
-    shifted = lambda r: eos.pressure_potential(r) - eos.a * eos.pressure(r)
-    assert np.all(shifted(mid) <= 0.5 * (shifted(a) + shifted(b)) + 1e-9)
 
 
 def test_constructor_invariants():
@@ -147,14 +145,6 @@ def test_constructor_invariants():
         EquationOfState(1.0, 1.0)
     with pytest.raises(ValueError):
         EquationOfState(1.4, 0.0)
-
-
-def test_default_convexity_constant():
-    assert default_convexity_constant(1.4) == 0.4
-    assert default_convexity_constant(2.0) == 0.4
-    assert default_convexity_constant(3.0) == 0.25
-    eos = EquationOfState(3.0, 1.0)
-    assert eos.a == 0.25
 
 
 def test_sound_speed():

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nudgelab import harness
+from nudgelab import dynamics, harness
 from nudgelab.config import ExperimentConfig, InitialConfig, ForcingConfig, NudgingGains
 from nudgelab.diagnostics import load_energy_series, save_energy_series
 from nudgelab.dynamics import IntegrationStats
@@ -345,7 +345,7 @@ def test_manufactured_fields_match_a_symbolic_derivation():
     for tv in (0.0, 0.37, 1.3):
         got = [
             case.rho(tv, xs), case.momentum(tv, xs),
-            case.d_rho_dt(tv, xs), case.d_mom_dt(tv, xs), case.forcing(tv, xs),
+            case.d_rho_dt(tv, xs), case.d_mom_dt(tv, xs), case.forcing.at(xs)(tv),
         ]
         for value, expr in zip(got, exprs):
             ref = np.broadcast_to(sp.lambdify((t, x), expr, "numpy")(tv, xs), xs.shape)
@@ -360,9 +360,10 @@ def test_manufactured_forcing_rows_are_the_scalar_calls():
     case = manufactured_case(harness.build_eos(cfg), harness.build_viscosity(cfg), 1.0)
     x = build_grid(cfg).cell_centers()
     ts = np.concatenate([np.linspace(0.0, 0.1, 101), np.random.default_rng(6).uniform(0.0, 2.0, 100)])
-    rows = case.forcing(ts[:, None], x)
+    row = case.forcing.at(x)
+    rows = row(ts[:, None])
     assert rows.shape == (ts.size, x.size)
-    assert np.array_equal(rows, np.stack([case.forcing(t, x) for t in ts.tolist()]))
+    assert np.array_equal(rows, np.stack([row(t) for t in ts.tolist()]))
 
 
 def test_validate_solver_passes():
@@ -510,17 +511,17 @@ def test_partial_series_persisted_on_nudged_failure(tmp_path, lite_config, monke
     assert info["cell"] == 3
 
 
-def test_truth_run_failure_leaves_config_and_error(tmp_path, lite_config):
-    # 80 report times fit in 100 steps (validate() refuses more landings
-    # than steps); the lead-in from t_minus = -1, about 200 acoustic steps,
-    # alone takes more
+def test_truth_run_failure_leaves_config_and_error(tmp_path, lite_config, monkeypatch):
+    # 80 report times fit in 100 steps; the lead-in from t_minus = -1, about
+    # 200 acoustic steps, alone takes more
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 100)
     cfg = dataclasses.replace(
         lite_config,
         timeline=dataclasses.replace(lite_config.timeline, t_minus=-1.0),
-        solver=dataclasses.replace(lite_config.solver, report_interval=0.01, max_steps=100),
+        solver=dataclasses.replace(lite_config.solver, report_interval=0.01),
     )
     out = tmp_path / "failed"
-    with pytest.raises(BlowUpError, match="max_steps=100"):
+    with pytest.raises(BlowUpError, match="MAX_STEPS=100"):
         run_twin(cfg, out_dir=out)
     assert harness.load_config(out / "config.json") == cfg
     info = json.loads((out / "error.json").read_text())
