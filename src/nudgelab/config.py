@@ -206,8 +206,6 @@ class ExperimentConfig:
                 attempt("sampler", lambda: sampled_blocks(build_tiling(self), grid))
         if solver.snapshot_budget < 1:
             problems.append("solver.snapshot_budget must be >= 1")
-        if sampler.seed < 0:
-            problems.append("sampler.seed must be >= 0")
         if self.sync_init not in SYNC_INITS:
             problems.append(f"sync_init must be one of {SYNC_INITS}")
         if problems:

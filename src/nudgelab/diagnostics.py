@@ -265,6 +265,16 @@ def _log_linear_fit(t: np.ndarray, y: np.ndarray, floor: float, min_keep: int):
     return float(np.mean(resid**2)), slope, tk, zk
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.quantile(values, 0.5)`` bit for bit, by numpy's own linear rule
+    on the sorted values; np.quantile itself imports numpy.ma."""
+    ordered = np.sort(values)
+    g, i = math.modf(0.5 * (ordered.size - 1))
+    a = float(ordered[int(i)])
+    b = float(ordered[min(int(i) + 1, ordered.size - 1)])
+    return b - (b - a) * (1.0 - g) if g >= 0.5 else a + (b - a) * g
+
+
 def fit_decay(times, rel_energy) -> DecayFit:
     """Fit log(RE - floor) linear in t, the floor found by golden-section
     search on the fit error.
@@ -289,7 +299,7 @@ def fit_decay(times, rel_energy) -> DecayFit:
     largest = np.sort(y)[::-1]
     # the floor cannot exceed the bulk of the late samples (the model says
     # every sample sits above it), and must leave enough samples to fit
-    tail_cap = float(np.quantile(y[t >= 0.5 * (t[0] + t[-1])], 0.5))
+    tail_cap = _median(y[t >= 0.5 * (t[0] + t[-1])])
     upper = min(0.5 * float(largest[min_keep - 1]), tail_cap) * (1.0 - 1e-9)
 
     def sse(floor):

@@ -439,36 +439,49 @@ def integrate(
     with ``end_time`` set only on the step that lands on a breakpoint.  The
     velocity mom / rho of each accepted state is divided out once and
     serves the running sup bound, the next ``stable_dt`` and the next
-    step's leading relaxation.  Recorded snapshots are stacked once, by the
-    Trajectory.  The trajectory carries the running sup bounds over every
+    step's leading relaxation.  Recorded snapshots are written in place
+    into (rows, n_cells) arrays allocated once: with ``options.landings``
+    every breakpoint is landed and recorded once, so the rows are the
+    initial state and one per breakpoint; without them every step is
+    recorded and the arrays grow by doubling.  The Trajectory holds these
+    arrays, not a copy.  It carries the running sup bounds over every
     accepted step.  A run that needs more than ``MAX_STEPS`` steps raises
-    BlowUpError.  On a vacuum or blow-up failure the trajectory recorded
-    so far is attached to the raised error as ``.partial``.  The forcing is
-    bound to the grid once per call (``Forcing.on_grid``).
+    BlowUpError.  On a vacuum or blow-up failure the trajectory of the
+    filled rows is attached to the raised error as ``.partial``.  The
+    forcing is bound to the grid once per call (``Forcing.on_grid``).
     """
     options = options or SolverOptions()
     t = initial.time
     if t_end < t:
         raise ValueError("t_end must not precede the initial time")
     rho, mom = initial.rho, initial.mom
-    times, rhos, moms = [t], [rho], [mom]
+    every_step = options.landings is None
+    targets = _breakpoints(t, t_end, options, nudging) if t_end > t else []
+    rows = 1 + len(targets)
+    times = np.empty(rows)
+    rhos = np.empty((rows, grid.n_cells))
+    moms = np.empty((rows, grid.n_cells))
+    times[0], rhos[0], moms[0] = t, rho, mom
+    filled = 1
     rho_max = float(rho.max())
     u = mom / rho
     speed_max = float(np.abs(u).max())
 
     def trajectory():
         return Trajectory(
-            grid, times, rhos, moms, SupBounds(rho_max, speed_max, forcing.bound)
+            grid,
+            times[:filled],
+            rhos[:filled],
+            moms[:filled],
+            SupBounds(rho_max, speed_max, forcing.bound),
         )
 
-    if t_end == t:
+    if not targets:
         return trajectory(), IntegrationStats(0, 0.0, 0.0, 0.0)
 
     forcing_at = forcing.on_grid(grid)
 
     start = _time.perf_counter()
-    every_step = options.landings is None
-    targets = _breakpoints(t, t_end, options, nudging)
     n_steps = 0
     dt_min, dt_max = np.inf, 0.0
     try:
@@ -504,9 +517,12 @@ def integrate(
                 u = mom / rho
                 speed_max = max(speed_max, float(np.abs(u).max()))
                 if every_step or landing:
-                    times.append(t)
-                    rhos.append(rho)
-                    moms.append(mom)
+                    if filled == times.size:  # every step: double the rows
+                        times, rhos, moms = (
+                            np.concatenate((a, np.empty_like(a))) for a in (times, rhos, moms)
+                        )
+                    times[filled], rhos[filled], moms[filled] = t, rho, mom
+                    filled += 1
     except (VacuumError, BlowUpError) as err:
         err.partial = trajectory()
         raise

@@ -155,14 +155,17 @@ class Trajectory:
     """Time-ordered snapshots of one run, immutable once constructed.
 
     Snapshots are stored as stacked (n_snapshots, n_cells) arrays for fast
-    interpolation and sampling.  Observed (truth) runs carry their recorded
-    sup bounds; they are what the data norm is assembled from.
+    interpolation and sampling.  Float arrays are taken as they are, not
+    copied, and marked read-only: the caller hands them over and must not
+    write to them through another reference.  Lists of rows are stacked.
+    Observed (truth) runs carry their recorded sup bounds; they are what
+    the data norm is assembled from.
     """
 
     def __init__(self, grid: Grid1D, times, rho, mom, sup_bounds: SupBounds):
-        times = np.array(times, dtype=float)
-        rho = np.array(rho, dtype=float)
-        mom = np.array(mom, dtype=float)
+        times = np.asarray(times, dtype=float)
+        rho = np.asarray(rho, dtype=float)
+        mom = np.asarray(mom, dtype=float)
         if times.ndim != 1 or times.size < 1:
             raise ValueError("need at least one snapshot")
         if not np.isfinite(times).all():

@@ -63,7 +63,8 @@ class SpaceTimeDecomposition:
     axes.  Control points are computed on request, for the blocks asked for
     only.  Jittered points of block i come from one generator keyed
     SeedSequence(seed, spawn_key=(i,)), so any subset of blocks gets the
-    values of the full tiling.
+    values of the full tiling.  The seed must be >= 0, whatever the
+    placement.
     """
 
     delta: float
@@ -79,6 +80,8 @@ class SpaceTimeDecomposition:
     def __post_init__(self):
         if self.placement not in PLACEMENTS:
             raise ValueError(f"placement must be one of {PLACEMENTS}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if min(self.n_time_slabs, self.n_space_blocks) < 1:
             raise ValueError("slab and block counts must be >= 1")
         for name, extent, count in (
@@ -123,8 +126,12 @@ class SpaceTimeDecomposition:
         for j, i in enumerate(blocks.tolist()):
             key = np.random.SeedSequence(self.seed, spawn_key=(i,))
             draws[:, :, j] = np.random.default_rng(key).uniform(size=(2, self.n_time_slabs))
-        t_star = tb[:-1, None] + draws[0] * np.diff(tb)[:, None]
-        x_star = xb[blocks] + draws[1] * (xb[blocks + 1] - xb[blocks])
+        # t* = lo + draw * width on each axis, formed in place over the draws
+        t_star, x_star = draws
+        t_star *= np.diff(tb)[:, None]
+        t_star += tb[:-1, None]
+        x_star *= xb[blocks + 1] - xb[blocks]
+        x_star += xb[blocks]
         return t_star, x_star
 
 
@@ -276,19 +283,23 @@ def sample(traj: Trajectory, dec: SpaceTimeDecomposition) -> MeasurementSet:
     that hold ``traj.grid``'s cell centers (``sampled_blocks``).
 
     Space is resolved to the nearest grid cell, time by linear interpolation
-    between adjacent snapshots.
+    between adjacent snapshots.  The truth is read ``ROW_BLOCK`` slabs at a
+    time into sample arrays allocated once, so no temporary of the read
+    spans the tiling.
     """
     if not traj.covers(0.0, dec.duration):
         raise ValueError("decomposition time range not covered by trajectory")
     grid = traj.grid
     blocks = sampled_blocks(dec, grid)
     t_star, x_star = dec.control_points(blocks)
-    cells = np.clip(
-        np.round(x_star.ravel() / grid.dx - 0.5).astype(int), 0, grid.n_cells - 1
-    )
-    ts = np.clip(t_star.ravel(), traj.times[0], traj.times[-1])
-    r, u = traj.point_values(ts, cells)
-    return MeasurementSet(dec, r.reshape(t_star.shape), u.reshape(t_star.shape), blocks)
+    r, u = np.empty(t_star.shape), np.empty(t_star.shape)
+    for rows in row_blocks(dec.n_time_slabs):
+        cells = np.clip(
+            np.round(x_star[rows] / grid.dx - 0.5).astype(int), 0, grid.n_cells - 1
+        )
+        ts = np.clip(t_star[rows], traj.times[0], traj.times[-1])
+        r[rows], u[rows] = traj.point_values(ts, cells)
+    return MeasurementSet(dec, r, u, blocks)
 
 
 def interpolation_error(ms: MeasurementSet, traj: Trajectory) -> InterpolationError:

@@ -163,16 +163,16 @@ def test_default_output_root_env(tmp_path, determinism_config, monkeypatch):
     assert (tmp_path / "root" / "observe" / "trajectory.csv").exists()
 
 
-def test_twin_loads_no_scipy(tmp_path, determinism_config):
-    # the runtime depends on numpy alone: a twin and its audit, in a fresh
-    # interpreter, import no scipy module
-    cfg_path, out = write_config(tmp_path, determinism_config), tmp_path / "twin"
+def _twin_and_audit_modules(tmp_path, cfg, package):
+    """Exit codes of a twin and its audit in a fresh interpreter, and the
+    modules of ``package`` loaded after them, as the printed line."""
+    cfg_path, out = write_config(tmp_path, cfg), tmp_path / "twin"
     script = (
         "import sys\n"
         "from nudgelab.cli import main\n"
         f"codes = [main(['twin', '--config', {str(cfg_path)!r}, '--out', {str(out)!r}]),\n"
         f"         main(['audit', '--out', {str(out)!r}])]\n"
-        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        f"print(codes, sorted(m for m in sys.modules if (m + '.').startswith({package + '.'!r})))\n"
     )
     src = str(Path(nudgelab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -180,4 +180,29 @@ def test_twin_loads_no_scipy(tmp_path, determinism_config):
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_twin_loads_no_scipy(tmp_path, determinism_config):
+    # the runtime depends on numpy alone: a twin and its audit, in a fresh
+    # interpreter, import no scipy module
+    assert _twin_and_audit_modules(tmp_path, determinism_config, "scipy") == "[0, 0] []"
+
+
+def test_twin_loads_no_numpy_ma(tmp_path, lite_config):
+    # np.quantile imports numpy.ma; no step of a twin or its audit needs it.
+    # The lite twin fails a verdict (exit 2), which its audit reproduces
+    assert _twin_and_audit_modules(tmp_path, lite_config, "numpy.ma") == "[2, 2] []"
+
+
+@pytest.mark.parametrize(
+    "mutation",
+    [{"sampler": {"seed": -1}}, {"sampler": {"seed": -1}, "timeline": {"t_minus": 0.1}}],
+)
+def test_negative_seed_exits_3(tmp_path, capsys, mutation):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(mutation))
+    assert main(["twin", "--config", str(path), "--out", str(tmp_path / "twin")]) == 3
+    assert "config error:" in capsys.readouterr().err
+    assert main(["twin", "--seed", "-1", "--out", str(tmp_path / "twin")]) == 3
+    assert not (tmp_path / "twin").exists()

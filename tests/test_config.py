@@ -143,6 +143,8 @@ def test_semantic_validation(tmp_path, mutation):
         ({"calibration": {"envelope_gamma_max": 1e3}},
          "calibration: unknown keys ['envelope_gamma_max']"),
         ({"outputs": {"directory": "out"}}, "outputs: unknown keys ['directory']"),
+        # the tiling owns the seed rule
+        ({"sampler": {"seed": -1}}, "sampler: seed must be >= 0, got -1"),
     ],
 )
 def test_validation_names_the_section(tmp_path, mutation, expected):

@@ -247,6 +247,18 @@ def test_fit_decay_is_stable_under_last_bit_perturbations():
         assert fit.r_squared == pytest.approx(base.r_squared, rel=1e-9)
 
 
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 9, 10, 199, 200, 399])
+def test_tail_median_is_numpys_linear_quantile(size):
+    # fit_decay's tail cap: np.quantile(values, 0.5) bit for bit, on odd and
+    # even sizes, without np.quantile (which imports numpy.ma)
+    from nudgelab.diagnostics import _median
+
+    rng = np.random.default_rng(size)
+    for scale in (1e-9, 1.0, 1e3):
+        values = scale * rng.lognormal(size=size)
+        assert _median(values) == float(np.quantile(values, 0.5))
+
+
 def test_fit_decay_preconditions():
     with pytest.raises(ValueError):
         fit_decay([0.0, 1.0], [1.0, 0.5])

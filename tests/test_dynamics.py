@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -386,6 +387,48 @@ def test_vacuum_partial_holds_the_landings_before_the_failure():
     assert partial.times[-1] == pytest.approx(0.03, abs=1e-15)
     assert np.array_equal(partial.rho, clean.rho[:4])
     assert np.array_equal(partial.mom, clean.mom[:4])
+
+
+def test_recorded_rows_are_the_trajectory_arrays():
+    # every landing is written in place into arrays allocated once: the
+    # traced peak of the run holds the trajectory and no second copy of it
+    g = Grid1D(1024, 1.0)
+    x = g.cell_centers()
+    s = FluidState(0.0, 1.0 + 0.2 * np.cos(2 * np.pi * x), np.zeros(1024))
+    options = SolverOptions(landings=np.linspace(0.0, 0.0128, 129))
+    tracemalloc.start()
+    try:
+        traj, stats = integrate(g, s, 0.0128, EOS, VISC, Forcing.zero(), options=options)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.n_steps == 128 and traj.n_snapshots == 129
+    nbytes = traj.times.nbytes + traj.rho.nbytes + traj.mom.nbytes
+    assert nbytes > 2 * 2**20
+    assert peak <= nbytes + 2**20
+    assert not (traj.rho.flags.writeable or traj.mom.flags.writeable)
+
+
+def test_every_step_recording_grows_by_doubling():
+    # without landings each step is recorded; the rows outgrow their first
+    # allocation (the initial state and the end time) several times
+    g = Grid1D(16, 1.0)
+    x = g.cell_centers()
+    s = FluidState(0.0, 1.0 + 0.2 * np.cos(2 * np.pi * x), np.zeros(16))
+    traj, stats = integrate(g, s, 1.0, EOS, VISC, Forcing.zero())
+    assert stats.n_steps > 8
+    assert traj.n_snapshots == stats.n_steps + 1
+    assert traj.times[0] == 0.0 and traj.times[-1] == 1.0
+    assert (np.diff(traj.times) > 0.0).all()
+    # each row is the state of its step: one step from a recorded row lands
+    # on the next (to rounding, as the restarted step is the gap itself)
+    i = traj.n_snapshots // 2
+    again, _ = integrate(
+        g, traj.snapshot(i), float(traj.times[i + 1]), EOS, VISC, Forcing.zero()
+    )
+    assert again.n_snapshots == 2
+    assert np.allclose(again.rho[-1], traj.rho[i + 1], rtol=1e-12, atol=0.0)
+    assert np.allclose(again.mom[-1], traj.mom[i + 1], rtol=1e-9, atol=1e-15)
 
 
 def test_integrate_zero_span():

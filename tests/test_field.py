@@ -99,6 +99,19 @@ def test_trajectory_validation():
         Trajectory(g, [0.0], np.zeros((1, 8)), np.zeros((1, 8)), SupBounds(1, 0, 0))
 
 
+def test_trajectory_holds_float_arrays_without_a_copy():
+    g = Grid1D(8, 1.0)
+    times, rho, mom = np.array([0.0, 1.0]), np.ones((2, 8)), np.zeros((2, 8))
+    traj = Trajectory(g, times, rho, mom, SupBounds(1, 0, 0))
+    assert traj.times is times and traj.rho is rho and traj.mom is mom
+    assert not (times.flags.writeable or rho.flags.writeable or mom.flags.writeable)
+    # lists of rows are stacked
+    rows = [np.ones(8), 2.0 * np.ones(8)]
+    stacked = Trajectory(g, [0.0, 1.0], rows, [np.zeros(8)] * 2, SupBounds(2, 0, 0))
+    assert stacked.rho.shape == (2, 8) and not stacked.rho.flags.writeable
+    assert rows[0].flags.writeable
+
+
 @pytest.mark.parametrize("times", [[0.0, np.nan], [0.0, np.inf], [-np.inf, 0.0]])
 def test_trajectory_rejects_non_finite_times(times):
     g = Grid1D(8, 1.0)

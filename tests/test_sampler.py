@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nudgelab.field import Grid1D, SupBounds, Trajectory
+from nudgelab.field import ROW_BLOCK, Grid1D, SupBounds, Trajectory
 from nudgelab.sampler import (
     MAX_STORED_CELLS,
     MeasurementSet,
@@ -419,3 +420,51 @@ def test_values_at_time_rows_are_the_scalar_reads():
     assert (u == np.stack([row[1] for row in rows])).all()
     # a scalar time gives one row, the interpolant at each cell center
     assert rows[3][0].tolist() == [ms.interpolant_value(ts[3], xi).r for xi in x]
+
+
+def random_truth(n=256, rows=1201):
+    """A truth on n cells over [-0.2, 1], its fields drawn at random."""
+    rng = np.random.default_rng(1)
+    rho = 1.0 + 0.1 * rng.random((rows, n))
+    mom = 0.1 * rng.standard_normal((rows, n))
+    times = np.linspace(-0.2, 1.0, rows)
+    return Trajectory(Grid1D(n, 1.0), times, rho, mom, SupBounds(1.1, 1.0, 0.0))
+
+
+@pytest.mark.parametrize("placement", ["center", "jittered"])
+def test_sample_matches_the_one_shot_read_across_row_blocks(placement):
+    # K = 1415 = 22 * ROW_BLOCK + 7 slabs: the block-wise read equals the
+    # whole tiling read at once, bit for bit
+    traj = random_truth()
+    dec = build_decomposition(1e-3, 1.0, 1.0, placement=placement, seed=5)
+    assert dec.n_time_slabs == 1415 and dec.n_time_slabs % ROW_BLOCK == 7
+    ms = sample(traj, dec)
+    t_star, x_star = dec.control_points(ms.blocks)
+    cells = np.clip(np.round(x_star.ravel() / traj.grid.dx - 0.5).astype(int), 0, 255)
+    ts = np.clip(t_star.ravel(), traj.times[0], traj.times[-1])
+    r_ref, u_ref = traj.point_values(ts, cells)
+    assert np.array_equal(ms.r_sample, r_ref.reshape(t_star.shape))
+    assert np.array_equal(ms.U_sample, u_ref.reshape(t_star.shape))
+
+
+@pytest.mark.parametrize("placement, held", [("center", 2), ("jittered", 4)])
+def test_sample_holds_its_samples_and_row_block_transients(placement, held):
+    # traced memory of sample(): the two stored (K, n_ref) arrays, plus for
+    # jittered points the control points, formed in place over their draws;
+    # every other temporary spans ROW_BLOCK slabs, not the tiling
+    traj = random_truth()
+    dec = build_decomposition(1e-3, 1.0, 1.0, placement=placement, seed=5)
+    tracemalloc.start()
+    try:
+        ms = sample(traj, dec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stored = ms.r_sample.nbytes
+    assert stored == 1415 * 256 * 8
+    assert peak - held * stored < 2 * 2**20
+
+
+def test_negative_seed_raises_at_construction():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        build_decomposition(0.1, 1.0, 1.0, "jittered", -1)
