@@ -22,7 +22,6 @@ from .diagnostics import (
 from .dynamics import (
     Forcing,
     NudgingConfig,
-    SolverOptions,
     Viscosity,
     integrate,
     make_synchronized_initial,

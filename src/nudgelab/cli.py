@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -118,6 +119,9 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"bad --values list: {err}") from err
     if not values:
         raise ConfigError("--values must name at least one value")
+    for value in values:
+        if not math.isfinite(value):
+            raise ConfigError(f"--values must be finite, got {value}")
     out = _out_dir(args, "sweep")
     report = run_sweep(cfg, args.axis, values, out_dir=out)
     for value, err in zip(report.values, report.errors):

@@ -214,7 +214,7 @@ def energy_balance_residual(
     resolve the relaxation transient and the trapezoid rule there dominates
     the maximum: on the lite twin it is 1.398, on [0, 0.002], against a
     relaxation time 1/lambda_u = 0.005.  The inequality at step resolution
-    holds on a run that records every step.
+    holds on a run that lands on every step.
     """
     times = report.time
     if times.size < 2 or not np.array_equal(times, traj.times):

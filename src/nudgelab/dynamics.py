@@ -50,7 +50,6 @@ __all__ = [
     "Viscosity",
     "NudgingConfig",
     "Forcing",
-    "SolverOptions",
     "IntegrationStats",
     "RHO_FLOOR",
     "MAX_STEPS",
@@ -191,17 +190,13 @@ def rhs(
 def stable_dt(
     grid: Grid1D,
     rho: np.ndarray,
-    mom: np.ndarray,
+    u: np.ndarray,
     eos: EquationOfState,
     safety: float = 0.4,
-    *,
-    u: np.ndarray | None = None,
 ) -> float:
-    """Acoustic stability bound safety * dx / max(|u| + c), with sound speed
-    c = sqrt(p'(rho)); the implicit viscous term sets no limit.  ``u`` is
-    the velocity mom / rho when the caller already holds it."""
-    if u is None:
-        u = mom / rho
+    """Acoustic stability bound safety * dx / max(|u| + c) for the density
+    rho and the velocity u, with sound speed c = sqrt(p'(rho)); the
+    implicit viscous term sets no limit."""
     speed = float((np.abs(u) + eos.sound_speed(rho)).max())
     return safety * (grid.dx / speed) if speed > 0.0 else np.inf
 
@@ -372,32 +367,6 @@ def step(
 
 
 @dataclass(frozen=True)
-class SolverOptions:
-    """Time-stepping controls.
-
-    landings are the times the run lands on exactly and records, besides
-    its end time and the ends of the nudging window; None lands on those
-    alone and records every accepted step.  fixed_dt replaces the acoustic
-    limit, nudged or not; the equal steps to each landing still apply.  The
-    acoustic safety factor is the default of ``stable_dt``, and the density
-    floor and the step limit are the constants ``RHO_FLOOR`` and
-    ``MAX_STEPS``.
-    """
-
-    fixed_dt: float | None = None
-    landings: Sequence[float] | None = None
-
-    def __post_init__(self):
-        if self.fixed_dt is not None and not (np.isfinite(self.fixed_dt) and self.fixed_dt > 0.0):
-            raise ValueError("fixed_dt must be finite and positive")
-        if self.landings is not None:
-            landings = tuple(float(t) for t in self.landings)
-            if not np.isfinite(landings).all():
-                raise ValueError("landings must be finite")
-            object.__setattr__(self, "landings", landings)
-
-
-@dataclass(frozen=True)
 class IntegrationStats:
     n_steps: int
     dt_min: float
@@ -405,10 +374,11 @@ class IntegrationStats:
     wall_time: float
 
 
-def _breakpoints(t0: float, t_end: float, options: SolverOptions, nudging):
+def _breakpoints(t0: float, t_end: float, landings: np.ndarray, nudging):
+    """The times a run from t0 lands on, in order: t_end, the landings in
+    (t0, t_end] and the nudging window ends inside (t0, t_end)."""
     points = {t_end}
-    if options.landings is not None:
-        points.update(t for t in options.landings if t0 < t <= t_end)
+    points.update(landings[(t0 < landings) & (landings <= t_end)].tolist())
     if nudging is not None:
         points.update(w for w in nudging.window if t0 < w < t_end)
     return sorted(points)
@@ -423,15 +393,24 @@ def integrate(
     forcing: Forcing,
     ms: MeasurementSet | None = None,
     nudging: NudgingConfig | None = None,
-    options: SolverOptions | None = None,
+    *,
+    landings: Sequence[float],
+    fixed_dt: float | None = None,
 ):
     """Integrate from ``initial`` to ``t_end``; returns (Trajectory, stats).
 
-    Steps use the acoustic dt, inside the nudging window too: the Strang
-    split relaxation of ``step`` is stable at any dt and second order in it,
-    so no gain sets a step size.  The run lands exactly on the end time, the
-    nudging window boundaries and ``options.landings``: each step to the
-    next one is ``(target - t) / n`` with ``n = ceil((target - t) / dt)``,
+    The run lands exactly on its breakpoints, the end time, the nudging
+    window ends and the ``landings`` inside (t0, t_end], and records the
+    initial state and one row per breakpoint, nothing else.  ``landings``
+    may be empty.  A non-finite landing, or a ``fixed_dt`` that is not
+    finite and positive, raises ValueError before anything else, on a call
+    of zero span too.
+
+    Steps use the acoustic dt of ``stable_dt``, inside the nudging window
+    too: the Strang split relaxation of ``step`` is stable at any dt and
+    second order in it, so no gain sets a step size.  ``fixed_dt`` replaces
+    the acoustic dt.  Each step to the next
+    breakpoint is ``(target - t) / n`` with ``n = ceil((target - t) / dt)``,
     the ceiling forgiving a gap a millionth of a step above a multiple of
     dt (rounding of the time), so the steps before a landing are equal and
     none is a sliver.  The loop carries plain (t, rho, mom) arrays: each
@@ -439,24 +418,25 @@ def integrate(
     with ``end_time`` set only on the step that lands on a breakpoint.  The
     velocity mom / rho of each accepted state is divided out once and
     serves the running sup bound, the next ``stable_dt`` and the next
-    step's leading relaxation.  Recorded snapshots are written in place
-    into (rows, n_cells) arrays allocated once: with ``options.landings``
-    every breakpoint is landed and recorded once, so the rows are the
-    initial state and one per breakpoint; without them every step is
-    recorded and the arrays grow by doubling.  The Trajectory holds these
-    arrays, not a copy.  It carries the running sup bounds over every
-    accepted step.  A run that needs more than ``MAX_STEPS`` steps raises
-    BlowUpError.  On a vacuum or blow-up failure the trajectory of the
-    filled rows is attached to the raised error as ``.partial``.  The
+    step's leading relaxation.  The recorded rows are written in place into
+    (rows, n_cells) arrays allocated once, which the Trajectory holds, not
+    a copy.  It carries the running sup bounds over every accepted step.
+    The density floor and the step limit are the constants ``RHO_FLOOR``
+    and ``MAX_STEPS``; a run that needs more than ``MAX_STEPS`` steps
+    raises BlowUpError.  On a vacuum or blow-up failure the trajectory of
+    the filled rows is attached to the raised error as ``.partial``.  The
     forcing is bound to the grid once per call (``Forcing.on_grid``).
     """
-    options = options or SolverOptions()
+    if fixed_dt is not None and not (np.isfinite(fixed_dt) and fixed_dt > 0.0):
+        raise ValueError("fixed_dt must be finite and positive")
+    landings = np.asarray(landings, dtype=float)
+    if not np.isfinite(landings).all():
+        raise ValueError("landings must be finite")
     t = initial.time
     if t_end < t:
         raise ValueError("t_end must not precede the initial time")
     rho, mom = initial.rho, initial.mom
-    every_step = options.landings is None
-    targets = _breakpoints(t, t_end, options, nudging) if t_end > t else []
+    targets = _breakpoints(t, t_end, landings, nudging) if t_end > t else []
     rows = 1 + len(targets)
     times = np.empty(rows)
     rhos = np.empty((rows, grid.n_cells))
@@ -487,10 +467,7 @@ def integrate(
     try:
         for target in targets:
             while t < target:
-                if options.fixed_dt is not None:
-                    dt = options.fixed_dt
-                else:
-                    dt = stable_dt(grid, rho, mom, eos, u=u)
+                dt = fixed_dt if fixed_dt is not None else stable_dt(grid, rho, u, eos)
                 gap = target - t
                 n = max(1, math.ceil(gap / dt - _LANDING_SLACK))
                 landing = n == 1
@@ -516,13 +493,8 @@ def integrate(
                 rho_max = max(rho_max, float(rho.max()))
                 u = mom / rho
                 speed_max = max(speed_max, float(np.abs(u).max()))
-                if every_step or landing:
-                    if filled == times.size:  # every step: double the rows
-                        times, rhos, moms = (
-                            np.concatenate((a, np.empty_like(a))) for a in (times, rhos, moms)
-                        )
-                    times[filled], rhos[filled], moms[filled] = t, rho, mom
-                    filled += 1
+            times[filled], rhos[filled], moms[filled] = t, rho, mom
+            filled += 1
     except (VacuumError, BlowUpError) as err:
         err.partial = trajectory()
         raise

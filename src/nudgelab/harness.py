@@ -52,7 +52,6 @@ from .dynamics import (
     Forcing,
     IntegrationStats,
     NudgingConfig,
-    SolverOptions,
     Viscosity,
     integrate,
     make_synchronized_initial,
@@ -134,7 +133,7 @@ def run_observed(
         build_eos(cfg),
         build_viscosity(cfg),
         build_forcing(cfg),
-        options=SolverOptions(landings=(0.0, *report_times(cfg))),
+        landings=(0.0, *report_times(cfg)),
     )
     if truths is not None:
         truths.clear()
@@ -153,6 +152,10 @@ MMS_ORDER_RANGE = (1.8, 2.2)  # manufactured-solution spatial order
 MASS_DRIFT_MAX = 1e-10  # relative mass drift over 1e4 fixed steps
 SPLITTING_ORDER_RANGE = (0.6, 1.9)  # transport/relaxation splitting order in dt
 MONOTONE_BAND = 0.10  # acceptance 7: tolerance of the floor/rate monotonicity
+# the manufactured-solution study of validate_solver: its resolutions and
+# its end time
+MMS_N_VALUES = (64, 128, 256)
+MMS_T_FINAL = 0.1
 
 
 # -- twin experiment ----------------------------------------------------------
@@ -278,10 +281,9 @@ def run_twin(cfg: ExperimentConfig, out_dir=None, truths: dict | None = None) ->
     else:  # truth_at_start: identical twin control
         initial = observed.state_at(0.0)
 
-    options = SolverOptions(landings=report_times(cfg))
     try:
         sync_traj, sync_stats = integrate(
-            grid, initial, tl.t_plus, eos, visc, forcing, ms, nudging, options
+            grid, initial, tl.t_plus, eos, visc, forcing, ms, nudging, landings=report_times(cfg)
         )
     except (VacuumError, BlowUpError) as err:
         if out_dir is not None:
@@ -545,7 +547,7 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, out_dir=None) -> SweepRe
         out.mkdir(parents=True, exist_ok=True)
         summary = {
             "axis": axis,
-            "values": [float(v) for v in values],
+            "values": _jsonable([float(v) for v in values]),
             "errors": errors,
             "floors": _jsonable(floors),
             "rates": _jsonable(rates),
@@ -650,8 +652,7 @@ def _mms_error(cfg, case, n, t_final):
     visc = build_viscosity(cfg)
     x = grid.cell_centers()
     initial = FluidState(0.0, case.rho(0.0, x), case.momentum(0.0, x))
-    options = SolverOptions(landings=())
-    traj, _ = integrate(grid, initial, t_final, eos, visc, case.forcing, options=options)
+    traj, _ = integrate(grid, initial, t_final, eos, visc, case.forcing, landings=())
     final = traj.snapshot(traj.n_snapshots - 1)
     dx = grid.dx
     e_rho = np.sqrt(dx * np.sum((final.rho - case.rho(t_final, x)) ** 2))
@@ -676,35 +677,33 @@ def _splitting_order(cfg) -> float:
     x = grid.cell_centers()
     rho0 = 1.0 + 0.2 * np.cos(2.0 * np.pi * x / grid.length)
     obs_initial = FluidState(-0.1, rho0, np.zeros_like(x))
-    obs_options = SolverOptions(landings=(0.0, *np.linspace(-0.1, 0.3, 401)))
-    observed, _ = integrate(grid, obs_initial, 0.3, eos, visc, forcing, options=obs_options)
+    obs_landings = (0.0, *np.linspace(-0.1, 0.3, 401))
+    observed, _ = integrate(grid, obs_initial, 0.3, eos, visc, forcing, landings=obs_landings)
     dec = build_decomposition(0.05, 0.25, grid.length)
     ms = sample(observed, dec)
     nudging = NudgingConfig(20.0, 80.0, (0.0, 0.25))
     initial = make_synchronized_initial(observed)
-    dt0 = 0.5 * stable_dt(grid, initial.rho, initial.mom, eos, safety=1.0)
+    dt0 = 0.5 * stable_dt(grid, initial.rho, initial.velocity(), eos, safety=1.0)
     finals = []
     for dt in (dt0, dt0 / 2.0, dt0 / 4.0):
-        options = SolverOptions(fixed_dt=dt, landings=())
-        traj, _ = integrate(grid, initial, 0.25, eos, visc, forcing, ms, nudging, options)
+        traj, _ = integrate(
+            grid, initial, 0.25, eos, visc, forcing, ms, nudging, landings=(), fixed_dt=dt
+        )
         finals.append(traj.snapshot(traj.n_snapshots - 1))
     d1 = np.sqrt(np.sum((finals[0].mom - finals[1].mom) ** 2) + np.sum((finals[0].rho - finals[1].rho) ** 2))
     d2 = np.sqrt(np.sum((finals[1].mom - finals[2].mom) ** 2) + np.sum((finals[1].rho - finals[2].rho) ** 2))
     return float(np.log2(d1 / d2)) if d2 > 0.0 else np.inf
 
 
-def validate_solver(
-    cfg: ExperimentConfig | None = None,
-    n_values: tuple = (64, 128, 256),
-    t_final: float = 0.1,
-) -> ValidationReport:
-    """Manufactured-solution convergence study plus mass-conservation and
-    splitting-order checks, each against its frozen range (MMS_ORDER_RANGE,
-    MASS_DRIFT_MAX, SPLITTING_ORDER_RANGE)."""
+def validate_solver(cfg: ExperimentConfig | None = None) -> ValidationReport:
+    """Manufactured-solution convergence study (at the resolutions
+    MMS_N_VALUES, to MMS_T_FINAL) plus mass-conservation and splitting-order
+    checks, each against its frozen range (MMS_ORDER_RANGE, MASS_DRIFT_MAX,
+    SPLITTING_ORDER_RANGE)."""
     cfg = cfg or ExperimentConfig()
     eos, visc = build_eos(cfg), build_viscosity(cfg)
     case = manufactured_case(eos, visc, cfg.grid.length)
-    errors = tuple(_mms_error(cfg, case, n, t_final) for n in n_values)
+    errors = tuple(_mms_error(cfg, case, n, MMS_T_FINAL) for n in MMS_N_VALUES)
     orders = tuple(
         float(np.log2(errors[i] / errors[i + 1])) for i in range(len(errors) - 1)
     )
@@ -714,14 +713,12 @@ def validate_solver(
     grid = Grid1D(64, cfg.grid.length)
     forcing = build_forcing(cfg)
     initial = build_initial_state(cfg, grid)
-    dt = stable_dt(grid, initial.rho, initial.mom, eos, safety=0.15)
+    dt = stable_dt(grid, initial.rho, initial.velocity(), eos, safety=0.15)
     n_steps = 10_000
     span = n_steps * dt
-    options = SolverOptions(
-        fixed_dt=dt, landings=np.linspace(initial.time, initial.time + span, 101)
-    )
+    landings = np.linspace(initial.time, initial.time + span, 101)
     traj, stats = integrate(
-        grid, initial, initial.time + span, eos, visc, forcing, options=options
+        grid, initial, initial.time + span, eos, visc, forcing, landings=landings, fixed_dt=dt
     )
     masses = grid.dx * np.sum(traj.rho, axis=1)
     mass_drift = float(np.max(np.abs(masses - masses[0])) / masses[0])
@@ -733,7 +730,7 @@ def validate_solver(
     splitting_ok = SPLITTING_ORDER_RANGE[0] <= split_order <= SPLITTING_ORDER_RANGE[1]
 
     return ValidationReport(
-        n_values=tuple(n_values),
+        n_values=MMS_N_VALUES,
         errors=errors,
         orders=orders,
         mass_drift=mass_drift,

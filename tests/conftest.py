@@ -1,11 +1,23 @@
 import dataclasses
+import math
 import time
 
+import numpy as np
 import pytest
 
 from nudgelab import harness
+from nudgelab.dynamics import _LANDING_SLACK
 
 BUILD_TIMES = {}
+
+
+def equal_steps(t0, t_end, dt):
+    """The landings on each equal step from t0 to t_end at dt: the
+    ceil((t_end - t0) / dt) steps that ``integrate`` takes to t_end with
+    ``fixed_dt=dt``, the ceiling forgiving the rounding of the time as
+    ``integrate``'s does."""
+    n = max(1, math.ceil((t_end - t0) / dt - _LANDING_SLACK))
+    return np.linspace(t0, t_end, n + 1)[1:]
 
 
 def _timed(name, fn):

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import BUILD_TIMES
+from conftest import BUILD_TIMES, equal_steps
 
 from nudgelab.cli import main as cli_main
 from nudgelab.config import (
@@ -33,7 +33,6 @@ from nudgelab.diagnostics import (
 from nudgelab.dynamics import (
     Forcing,
     NudgingConfig,
-    SolverOptions,
     Viscosity,
     integrate,
     stable_dt,
@@ -158,7 +157,7 @@ def test_acceptance_5_energy_budget():
         initial = FluidState(0.0, 1.0 + 0.3 * np.cos(2 * np.pi * x), np.zeros(n))
         traj, _ = integrate(
             grid, initial, 0.25, eos, visc, Forcing.zero(),
-            options=SolverOptions(fixed_dt=dt),
+            landings=equal_steps(0.0, 0.25, dt), fixed_dt=dt,
         )
         E = np.array([total_energy(eos, grid, traj.snapshot(i)) for i in range(traj.n_snapshots)])
         D = np.array([

@@ -41,6 +41,18 @@ def test_bad_values_list_exits_3(tmp_path, determinism_config):
     assert code == 3
 
 
+def test_non_finite_sweep_value_exits_3_before_any_run(tmp_path, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("integrate called for a non-finite sweep value")
+
+    monkeypatch.setattr(harness, "integrate", no_run)
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--axis", "lambda_rho", "--values", "10,nan,inf", "--out", str(out)])
+    assert code == 3
+    assert "--values must be finite, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_invalid_config_exits_3(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"grid": {"n_cells": 4}}))

@@ -113,7 +113,7 @@ def test_bad_json_and_missing_file(tmp_path):
         {"timeline": {"t_minus": 0.1}},
         {"timeline": {"t_assim_end": 2.0, "t_plus": 1.0}},
         {"timeline": {"t_assim_end": 2.0}},  # equal to the default t_plus
-        # a range only SolverOptions checks
+        # a report interval that is not positive
         {"solver": {"report_interval": 0.0}},
         # a delta whose slab count overflows a float
         {"sampler": {"delta": 5e-324}},

@@ -3,6 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from conftest import equal_steps
 from nudgelab import harness
 from nudgelab.config import build_eos, build_nudging, build_viscosity
 from nudgelab.diagnostics import (
@@ -21,7 +22,6 @@ from nudgelab.diagnostics import (
 from nudgelab.dynamics import (
     Forcing,
     NudgingConfig,
-    SolverOptions,
     Viscosity,
     integrate,
     stable_dt,
@@ -99,11 +99,15 @@ def rest_trajectory(g, times):
 
 
 def decaying_run(n=48, t_end=0.2, fixed_dt=None):
+    # lands on each equal step of fixed_dt, by default the initial acoustic dt
     g = Grid1D(n, 1.0)
     x = g.cell_centers()
     initial = FluidState(0.0, 1.0 + 0.3 * np.cos(2 * np.pi * x), np.zeros(n))
-    options = SolverOptions(fixed_dt=fixed_dt)
-    traj, _ = integrate(g, initial, t_end, EOS, VISC, Forcing.zero(), options=options)
+    dt = fixed_dt or stable_dt(g, initial.rho, initial.velocity(), EOS)
+    traj, _ = integrate(
+        g, initial, t_end, EOS, VISC, Forcing.zero(),
+        landings=equal_steps(0.0, t_end, dt), fixed_dt=dt,
+    )
     report = make_energy_report(EOS, VISC, traj, rest_trajectory(g, traj.times))
     return g, report, traj
 
@@ -155,9 +159,11 @@ def test_energy_budget_inequality_on_nudged_run():
     ms = sample(obs, build_decomposition(0.2, 1.0, 1.0))
     cfg = NudgingConfig(15.0, 60.0, (0.0, 1.0))
     initial = FluidState(0.0, np.full(48, float(np.mean(obs_rho))), np.zeros(48))
+    # 30 equal steps of about the acoustic dt, each one landed on
+    dt = 0.2 / 30
     traj, _ = integrate(
         g, initial, 0.2, EOS, VISC, Forcing.zero(), ms, cfg,
-        SolverOptions(),
+        landings=equal_steps(0.0, 0.2, dt), fixed_dt=dt,
     )
     report = make_energy_report(EOS, VISC, traj, obs, ms, cfg)
     res = energy_balance_residual(report, traj, EOS, VISC, Forcing.zero(), ms, cfg)
@@ -204,8 +210,9 @@ def test_budget_residual_matches_the_seven_term_form():
     ms = sample(obs, build_decomposition(0.2, 1.0, 1.0))
     cfg = NudgingConfig(15.0, 60.0, (0.0, 0.1))
     initial = FluidState(0.0, np.full(48, float(np.mean(obs_rho))), np.zeros(48))
-    options = SolverOptions(landings=np.linspace(0.0, 0.2, 41))
-    traj, _ = integrate(g, initial, 0.2, EOS, VISC, Forcing.zero(), ms, cfg, options)
+    traj, _ = integrate(
+        g, initial, 0.2, EOS, VISC, Forcing.zero(), ms, cfg, landings=np.linspace(0.0, 0.2, 41)
+    )
     report = make_energy_report(EOS, VISC, traj, obs, ms, cfg)
     assert np.any(report.nudge_power_u != 0.0) and np.any(report.nudge_power_u == 0.0)
     res = energy_balance_residual(report, traj, EOS, VISC, Forcing.zero(), ms, cfg)

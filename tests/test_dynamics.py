@@ -5,13 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import equal_steps
 import nudgelab.dynamics as dynamics
 from nudgelab.config import ExperimentConfig, GridConfig, build_forcing
 from nudgelab.diagnostics import total_energy
 from nudgelab.dynamics import (
     Forcing,
     NudgingConfig,
-    SolverOptions,
     Viscosity,
     integrate,
     make_synchronized_initial,
@@ -250,8 +250,7 @@ def test_stable_dt_formula():
     # the acoustic limit alone: the viscous term is implicit
     g = Grid1D(64, 1.0)
     rho = np.full(64, 2.0)
-    mom = np.full(64, 2.0 * 0.3)
-    dt = stable_dt(g, rho, mom, EOS, safety=0.4)
+    dt = stable_dt(g, rho, np.full(64, 0.3), EOS, safety=0.4)
     cs = float(EOS.sound_speed(2.0))
     assert dt == pytest.approx(0.4 * g.dx / (0.3 + cs), rel=1e-12)
 
@@ -267,11 +266,21 @@ def test_stable_dt_formula():
         {"landings": (0.1, np.inf)},
         {"landings": [-np.inf]},
         {"landings": np.array([0.1, np.nan])},
+        # the checks run before the zero-span return: no call skips them
+        {"landings": (np.nan,), "t_end": 0.0},
     ],
 )
 def test_solver_options_reject_out_of_range(kwargs):
-    with pytest.raises(ValueError):
-        SolverOptions(**kwargs)
+    # integrate's two solver options, checked before any step
+    if "fixed_dt" in kwargs:
+        message = "fixed_dt must be finite and positive"
+    else:
+        message = "landings must be finite"
+    kwargs = {"landings": (), "t_end": 0.01, **kwargs}
+    with pytest.raises(ValueError, match=message):
+        integrate(
+            Grid1D(16, 1.0), uniform_state(16), eos=EOS, visc=VISC, forcing=Forcing.zero(), **kwargs
+        )
 
 
 def test_integrate_calls_step_once_per_step(monkeypatch):
@@ -288,9 +297,9 @@ def test_integrate_calls_step_once_per_step(monkeypatch):
     g = Grid1D(64, 1.0)
     x = g.cell_centers()
     s = FluidState(0.0, 1.0 + 0.1 * np.cos(2 * np.pi * x), np.zeros(64))
-    options = SolverOptions(landings=(0.005, 0.01, 0.0123, 0.015))
+    landings = (0.005, 0.01, 0.0123, 0.015)
     # the acoustic dt (about 5e-3) takes many steps from 0.015 to 0.1
-    traj, stats = integrate(g, s, 0.1, EOS, VISC, Forcing.zero(), options=options)
+    traj, stats = integrate(g, s, 0.1, EOS, VISC, Forcing.zero(), landings=landings)
     assert len(calls) == stats.n_steps > traj.n_snapshots
     landings = [kw["end_time"] for kw in calls if kw["end_time"] is not None]
     assert landings == list(traj.times[1:])
@@ -316,8 +325,9 @@ def test_integrate_takes_no_sliver_step(monkeypatch, fixed_dt):
     x = g.cell_centers()
     s = FluidState(0.0, 1.0 + 0.1 * np.cos(2 * np.pi * x), np.zeros(64))
     landings = (0.0061, 0.0172, 0.0233, 0.0391)
-    options = SolverOptions(fixed_dt=fixed_dt, landings=landings)
-    traj, stats = integrate(g, s, 0.05, EOS, VISC, Forcing.zero(), options=options)
+    traj, stats = integrate(
+        g, s, 0.05, EOS, VISC, Forcing.zero(), landings=landings, fixed_dt=fixed_dt
+    )
     assert list(traj.times) == [0.0, *landings, 0.05]
     assert len(dts) == stats.n_steps > len(landings) + 1
     assert min(dts) >= 0.5 * max(dts)
@@ -328,9 +338,7 @@ def test_integrate_lands_in_equal_steps_despite_rounding():
     g = Grid1D(16, 1.0)
     s = uniform_state(16, rho=1.2, t=0.1)
     t_end = np.nextafter(0.1 + 1e-3, 1.0)
-    traj, stats = integrate(
-        g, s, t_end, EOS, VISC, Forcing.zero(), options=SolverOptions(fixed_dt=5e-4)
-    )
+    traj, stats = integrate(g, s, t_end, EOS, VISC, Forcing.zero(), landings=(), fixed_dt=5e-4)
     assert stats.n_steps == 2
     assert traj.times[-1] == t_end
 
@@ -347,8 +355,10 @@ def test_integrate_builds_no_state_per_step(monkeypatch):
         real_post_init(self)
 
     monkeypatch.setattr(FluidState, "__post_init__", counting_post_init)
-    options = SolverOptions(fixed_dt=1e-4)
-    traj, stats = integrate(g, s, 0.0125, EOS, VISC, Forcing.zero(), options=options)
+    landings = equal_steps(0.0, 0.0125, 1e-4)
+    traj, stats = integrate(
+        g, s, 0.0125, EOS, VISC, Forcing.zero(), landings=landings, fixed_dt=1e-4
+    )
     assert stats.n_steps >= 100
     assert traj.n_snapshots == stats.n_steps + 1
     assert built == []
@@ -357,9 +367,7 @@ def test_integrate_builds_no_state_per_step(monkeypatch):
 def test_integrate_landing_step_ends_on_its_target():
     g = Grid1D(16, 1.0)
     s = uniform_state(16, rho=1.2)
-    traj, stats = integrate(
-        g, s, 1e-3, EOS, VISC, Forcing.zero(), options=SolverOptions(fixed_dt=1e-3)
-    )
+    traj, stats = integrate(g, s, 1e-3, EOS, VISC, Forcing.zero(), landings=(), fixed_dt=1e-3)
     assert stats.n_steps == 1
     assert list(traj.times) == [0.0, 1e-3]
     assert np.array_equal(traj.rho[1], s.rho)
@@ -375,14 +383,14 @@ def test_vacuum_partial_holds_the_landings_before_the_failure():
     g = Grid1D(128, 1.0)
     x = g.cell_centers()
     s = FluidState(0.0, 1.0 + 0.1 * np.cos(2 * np.pi * x), np.zeros(128))
-    options = SolverOptions(landings=np.linspace(0.0, 0.1, 11))
+    landings = np.linspace(0.0, 0.1, 11)
     gust = Forcing(lambda x: lambda t: np.full_like(x, 1e6 if t > 0.03 else 0.0), 1e6)
 
     with pytest.raises(VacuumError) as exc:
-        integrate(g, s, 0.1, EOS, VISC, gust, options=options)
+        integrate(g, s, 0.1, EOS, VISC, gust, landings=landings)
     partial = exc.value.partial
     assert exc.value.time > 0.03
-    clean, _ = integrate(g, s, 0.1, EOS, VISC, Forcing.zero(), options=options)
+    clean, _ = integrate(g, s, 0.1, EOS, VISC, Forcing.zero(), landings=landings)
     assert list(partial.times) == list(clean.times[:4])
     assert partial.times[-1] == pytest.approx(0.03, abs=1e-15)
     assert np.array_equal(partial.rho, clean.rho[:4])
@@ -395,10 +403,10 @@ def test_recorded_rows_are_the_trajectory_arrays():
     g = Grid1D(1024, 1.0)
     x = g.cell_centers()
     s = FluidState(0.0, 1.0 + 0.2 * np.cos(2 * np.pi * x), np.zeros(1024))
-    options = SolverOptions(landings=np.linspace(0.0, 0.0128, 129))
+    landings = np.linspace(0.0, 0.0128, 129)
     tracemalloc.start()
     try:
-        traj, stats = integrate(g, s, 0.0128, EOS, VISC, Forcing.zero(), options=options)
+        traj, stats = integrate(g, s, 0.0128, EOS, VISC, Forcing.zero(), landings=landings)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -409,32 +417,10 @@ def test_recorded_rows_are_the_trajectory_arrays():
     assert not (traj.rho.flags.writeable or traj.mom.flags.writeable)
 
 
-def test_every_step_recording_grows_by_doubling():
-    # without landings each step is recorded; the rows outgrow their first
-    # allocation (the initial state and the end time) several times
-    g = Grid1D(16, 1.0)
-    x = g.cell_centers()
-    s = FluidState(0.0, 1.0 + 0.2 * np.cos(2 * np.pi * x), np.zeros(16))
-    traj, stats = integrate(g, s, 1.0, EOS, VISC, Forcing.zero())
-    assert stats.n_steps > 8
-    assert traj.n_snapshots == stats.n_steps + 1
-    assert traj.times[0] == 0.0 and traj.times[-1] == 1.0
-    assert (np.diff(traj.times) > 0.0).all()
-    # each row is the state of its step: one step from a recorded row lands
-    # on the next (to rounding, as the restarted step is the gap itself)
-    i = traj.n_snapshots // 2
-    again, _ = integrate(
-        g, traj.snapshot(i), float(traj.times[i + 1]), EOS, VISC, Forcing.zero()
-    )
-    assert again.n_snapshots == 2
-    assert np.allclose(again.rho[-1], traj.rho[i + 1], rtol=1e-12, atol=0.0)
-    assert np.allclose(again.mom[-1], traj.mom[i + 1], rtol=1e-9, atol=1e-15)
-
-
 def test_integrate_zero_span():
     g = Grid1D(16, 1.0)
     s = uniform_state(16)
-    traj, stats = integrate(g, s, 0.0, EOS, VISC, Forcing.zero())
+    traj, stats = integrate(g, s, 0.0, EOS, VISC, Forcing.zero(), landings=())
     assert stats.n_steps == 0
     assert traj.n_snapshots == 1
 
@@ -442,9 +428,7 @@ def test_integrate_zero_span():
 def test_integrate_rest_trajectory_constant():
     g = Grid1D(16, 1.0)
     s = uniform_state(16, rho=1.5)
-    traj, stats = integrate(
-        g, s, 0.05, EOS, VISC, Forcing.zero(), options=SolverOptions(landings=(0.01, 0.03))
-    )
+    traj, stats = integrate(g, s, 0.05, EOS, VISC, Forcing.zero(), landings=(0.01, 0.03))
     assert stats.n_steps > 0
     assert np.all(traj.rho == 1.5)
     assert np.all(traj.mom == 0.0)
@@ -456,8 +440,8 @@ def test_integrate_lands_exactly_on_forced_times():
     g = Grid1D(16, 1.0)
     x = g.cell_centers()
     s = FluidState(0.0, 1.0 + 0.1 * np.cos(2 * np.pi * x), np.zeros(16))
-    options = SolverOptions(landings=(0.077, -0.5, 0.0, 0.0123, 0.25))
-    traj, stats = integrate(g, s, 0.1, EOS, VISC, Forcing.zero(), options=options)
+    landings = (0.077, -0.5, 0.0, 0.0123, 0.25)
+    traj, stats = integrate(g, s, 0.1, EOS, VISC, Forcing.zero(), landings=landings)
     assert list(traj.times) == [0.0, 0.0123, 0.077, 0.1]
     assert stats.n_steps > 3
 
@@ -467,7 +451,7 @@ def test_integrate_mass_conservation_unnudged():
     x = g.cell_centers()
     s = FluidState(0.0, 1.0 + 0.3 * np.cos(2 * np.pi * x), np.zeros(64))
     traj, stats = integrate(
-        g, s, 0.2, EOS, VISC, Forcing.zero(), options=SolverOptions(landings=np.linspace(0.0, 0.2, 11))
+        g, s, 0.2, EOS, VISC, Forcing.zero(), landings=np.linspace(0.0, 0.2, 11)
     )
     masses = g.dx * traj.rho.sum(axis=1)
     assert np.max(np.abs(masses - masses[0])) <= 1e-12 * masses[0]
@@ -491,8 +475,11 @@ def test_integrate_nudged_mass_relaxation_identity():
         SupBounds(1.1, 0.0, 0.0),
     )
     ms = sample(obs, dec)
+    # each equal step of the initial acoustic dt is landed on and recorded
+    dt = stable_dt(g, s.rho, s.velocity(), EOS)
     traj, _ = integrate(
-        g, s, 0.05, EOS, VISC, Forcing.zero(), ms, cfg, SolverOptions()
+        g, s, 0.05, EOS, VISC, Forcing.zero(), ms, cfg,
+        landings=equal_steps(0.0, 0.05, dt), fixed_dt=dt,
     )
     assert traj.n_snapshots > 4  # several acoustic steps
     for k in range(traj.n_snapshots - 1):
@@ -511,9 +498,7 @@ def test_integrate_refinement_of_final_state():
         g = Grid1D(n, 1.0)
         x = g.cell_centers()
         s = FluidState(0.0, 1.0 + 0.3 * np.cos(2 * np.pi * x), np.zeros(n))
-        traj, _ = integrate(
-            g, s, 0.25, EOS, VISC, Forcing.zero(), options=SolverOptions(landings=())
-        )
+        traj, _ = integrate(g, s, 0.25, EOS, VISC, Forcing.zero(), landings=())
         return traj.snapshot(traj.n_snapshots - 1)
 
     def coarsen(a):
@@ -543,7 +528,7 @@ def test_energy_decay_and_dt_order():
     def efinal(dt):
         traj, _ = integrate(
             g, initial, 0.2, EOS, VISC, Forcing.zero(),
-            options=SolverOptions(fixed_dt=dt, landings=()),
+            landings=(), fixed_dt=dt,
         )
         return total_energy(EOS, g, traj.snapshot(traj.n_snapshots - 1))
 
@@ -558,9 +543,7 @@ def test_integrate_max_steps_guard(monkeypatch):
     g = Grid1D(16, 1.0)
     s = uniform_state(16)
     with pytest.raises(BlowUpError, match="MAX_STEPS=10") as exc:
-        integrate(
-            g, s, 1.0, EOS, VISC, Forcing.zero(), options=SolverOptions(fixed_dt=1e-4)
-        )
+        integrate(g, s, 1.0, EOS, VISC, Forcing.zero(), landings=(), fixed_dt=1e-4)
     assert exc.value.partial is not None
     assert exc.value.partial.n_snapshots >= 1
 
@@ -727,7 +710,7 @@ def test_steps_match_the_reference_kernel(n, kind, nudged):
     new = ref = (rho, mom)
     t = 0.0
     for i in range(40):
-        dt = min(stable_dt(g, *new, EOS), 2e-3)
+        dt = min(stable_dt(g, new[0], new[1] / new[0], EOS), 2e-3)
         end_time = t + dt if i % 5 == 4 else None
         u = new[1] / new[0] if i % 2 else None  # as integrate passes it, or not
         new = step(g, (t, *new), dt, EOS, VISC, bound, ms, nudging, end_time=end_time, u=u)
@@ -761,13 +744,13 @@ def test_nudged_self_convergence_order_in_dt(monkeypatch, kernel, lo, hi):
     ms = MeasurementSet(dec, (1.0 + 0.1 * np.sin(2 * np.pi * x))[None], (0.1 * np.sin(np.pi * x))[None])
     nudging = NudgingConfig(20.0, 80.0, (0.0, t_end))
     initial = FluidState(0.0, 1.0 + 0.2 * np.cos(2 * np.pi * x), np.zeros(g.n_cells))
-    dt0 = stable_dt(g, initial.rho, initial.mom, EOS)
+    dt0 = stable_dt(g, initial.rho, initial.velocity(), EOS)
     monkeypatch.setattr(dynamics, "step", kernel)
     finals = []
     for dt in (dt0, dt0 / 2, dt0 / 4):
         traj, _ = integrate(
             g, initial, t_end, EOS, VISC, Forcing.zero(), ms, nudging,
-            SolverOptions(fixed_dt=dt, landings=()),
+            landings=(), fixed_dt=dt,
         )
         finals.append(np.concatenate([traj.rho[-1], traj.mom[-1]]))
     d1 = np.linalg.norm(finals[0] - finals[1])

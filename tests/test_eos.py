@@ -227,7 +227,7 @@ def test_every_density_the_eos_sees_is_finite_and_positive(lite_config, tmp_path
         watch(name)
     harness.run_twin(lite_config, out_dir=tmp_path / "twin")
     assert harness.audit_twin(tmp_path / "twin").ok
-    harness.validate_solver(n_values=(64, 128))
+    harness.validate_solver()
     assert outside == []
     # every method; the energy budget is the caller of fenchel_young_gap
     assert set(calls) == {"pressure", "sound_speed", "pressure_potential", "dpotential",

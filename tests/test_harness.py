@@ -218,7 +218,7 @@ def test_observed_data_firewall(lite_config):
     """The nudged path depends on the trajectory only through the samples:
     corrupting unsampled regions leaves the measurement set, and hence the
     nudged run, unchanged."""
-    from nudgelab.dynamics import NudgingConfig, SolverOptions, integrate
+    from nudgelab.dynamics import NudgingConfig, integrate
     from nudgelab.harness import build_eos, build_forcing, build_viscosity
 
     traj, _ = run_observed(lite_config)
@@ -246,7 +246,7 @@ def test_observed_data_firewall(lite_config):
     from nudgelab.dynamics import make_synchronized_initial
 
     nudging = NudgingConfig(20.0, 80.0, (0.0, lite_config.timeline.t_assim_end))
-    options = SolverOptions(landings=(0.1, 0.2, 0.3, 0.4))
+    landings = (0.1, 0.2, 0.3, 0.4)
     args = (
         grid,
         make_synchronized_initial(traj),
@@ -255,8 +255,8 @@ def test_observed_data_firewall(lite_config):
         build_viscosity(lite_config),
         build_forcing(lite_config),
     )
-    run_a, _ = integrate(*args, ms, nudging, options)
-    run_b, _ = integrate(*args, ms2, nudging, options)
+    run_a, _ = integrate(*args, ms, nudging, landings=landings)
+    run_b, _ = integrate(*args, ms2, nudging, landings=landings)
     assert np.array_equal(run_a.rho, run_b.rho)
     assert np.array_equal(run_a.mom, run_b.mom)
 
@@ -308,6 +308,17 @@ def test_sweep_n_cells_follows_the_config_file_rule(lite_config):
     sweep = run_sweep(lite_config, "n_cells", [64.5])
     assert sweep.points == [None]
     assert sweep.errors[0] == "ConfigError: grid.n_cells: expected an integer, got 64.5"
+
+
+def test_sweep_summary_is_strict_json(tmp_path, lite_config):
+    # a non-finite value is written as null, like every other non-finite
+    # number of the outputs: a strict parser reads the summary
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    run_sweep(lite_config, "lambda_rho", [np.nan], tmp_path)
+    summary = json.loads((tmp_path / "sweep_summary.json").read_text(), parse_constant=reject)
+    assert summary["values"] == [None]
 
 
 def test_sweep_rejects_unknown_axis(lite_config):
