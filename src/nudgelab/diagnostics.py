@@ -513,8 +513,12 @@ CHI_SERIES_COLUMNS = ("t", "chi_base")
 
 
 def save_energy_series(path, report: EnergyReport) -> None:
+    """CSV of the report's columns, written ROW_BLOCK rows at a time."""
     columns = [getattr(report, f.name) for f in fields(report)]
-    save_series(path, ENERGY_SERIES_COLUMNS, [np.column_stack(columns)])
+    blocks = (
+        np.column_stack([c[rows] for c in columns]) for rows in row_blocks(report.time.size)
+    )
+    save_series(path, ENERGY_SERIES_COLUMNS, blocks)
 
 
 def load_energy_series(path) -> EnergyReport:

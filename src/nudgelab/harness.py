@@ -59,7 +59,9 @@ from .dynamics import (
 )
 from .eos import EquationOfState
 from .errors import BlowUpError, ConfigError, VacuumError
-from .field import FluidState, Grid1D, Trajectory, data_norm, load_series, save_series
+from .field import (
+    FluidState, Grid1D, Trajectory, data_norm, load_series, row_blocks, save_series,
+)
 from .sampler import (
     InterpolationError,
     MeasurementSet,
@@ -248,10 +250,19 @@ def run_twin(cfg: ExperimentConfig, out_dir=None, truths: dict | None = None) ->
     Pipeline: truth run, decomposition + sampling on the assimilation
     window, synchronized restart (mean-density rest state by default),
     nudged integration to the assimilation end then free integration to the
-    forecast end, diagnostics, verdicts, optional persistence.  When either
-    run fails, ``config.json`` and ``error.json`` (naming the failed run) are
-    written before the error propagates, and for the nudged run also the
-    energy series of its partial trajectory.
+    forecast end, diagnostics, verdicts, optional persistence.
+
+    The nudged run is integrated one ``ROW_BLOCK`` of ``report_times`` at a
+    time, each ``integrate`` call starting from the previous one's last row
+    and ending on a landing, so its steps are those of a single call.  Each
+    block is folded into the energy report and the budget residual as soon
+    as it returns: the twin holds at most two blocks of the nudged run,
+    never its whole trajectory.  ``MAX_STEPS`` bounds each block's call.
+
+    When either run fails, ``config.json`` and ``error.json`` (naming the
+    failed run) are written before the error propagates, and for the nudged
+    run also the energy series of every row it reached.  The ``.partial``
+    of a nudged error holds the failing block only, from its start row.
 
     ``truths`` is handed to ``run_observed``: a twin that reuses the memo's
     truth reports 0 truth steps and 0 s in its ``stats``.  Without a memo
@@ -281,22 +292,35 @@ def run_twin(cfg: ExperimentConfig, out_dir=None, truths: dict | None = None) ->
     else:  # truth_at_start: identical twin control
         initial = observed.state_at(0.0)
 
-    try:
-        sync_traj, sync_stats = integrate(
-            grid, initial, tl.t_plus, eos, visc, forcing, ms, nudging, landings=report_times(cfg)
-        )
-    except (VacuumError, BlowUpError) as err:
-        if out_dir is not None:
-            out = _persist_failure(cfg, err, "nudged", out_dir)
-            save_energy_series(
-                out / "energy_series.csv",
-                make_energy_report(eos, visc, err.partial, observed, ms, nudging),
+    landings = report_times(cfg)
+    n_landings = len(landings)
+    parts, residuals, nudged_stats = [], [], []
+    diagnostics_wall_time = 0.0
+    start = initial
+    for rows in row_blocks(n_landings):
+        block = landings[rows]
+        try:
+            traj, block_stats = integrate(
+                grid, start, block[-1], eos, visc, forcing, ms, nudging, landings=block
             )
-        raise
+        except (VacuumError, BlowUpError) as err:
+            if out_dir is not None:
+                out = _persist_failure(cfg, err, "nudged", out_dir)
+                parts.append(make_energy_report(eos, visc, err.partial, observed, ms, nudging))
+                save_energy_series(out / "energy_series.csv", _joined_report(parts))
+            raise
+        nudged_stats.append(block_stats)
+        diagnostics_start = _time.perf_counter()
+        part = make_energy_report(eos, visc, traj, observed, ms, nudging)
+        residuals.append(energy_balance_residual(part, traj, eos, visc, forcing, ms, nudging))
+        parts.append(part)
+        diagnostics_wall_time += _time.perf_counter() - diagnostics_start
+        if rows.stop < n_landings:
+            start = traj.snapshot(-1)
 
     diagnostics_start = _time.perf_counter()
-    energy = make_energy_report(eos, visc, sync_traj, observed, ms, nudging)
-    budget = energy_balance_residual(energy, sync_traj, eos, visc, forcing, ms, nudging)
+    energy = _joined_report(parts)
+    budget = np.concatenate(residuals)
     forecast_times = energy.time[energy.time >= tl.t_assim_end]
     chi_base = forecast_chi_base(visc, observed, forcing, forecast_times)
 
@@ -307,17 +331,17 @@ def run_twin(cfg: ExperimentConfig, out_dir=None, truths: dict | None = None) ->
     values["interp_sup_err_r"] = interp.sup_err_r
     values["interp_sup_err_U"] = interp.sup_err_U
     values["data_norm"] = data_norm(observed)
-    diagnostics_wall_time = _time.perf_counter() - diagnostics_start
+    diagnostics_wall_time += _time.perf_counter() - diagnostics_start
 
     stats = {
-        "nudged_steps": sync_stats.n_steps,
-        "nudged_dt_min": sync_stats.dt_min,
-        "nudged_dt_max": sync_stats.dt_max,
+        "nudged_steps": sum(b.n_steps for b in nudged_stats),
+        "nudged_dt_min": min(b.dt_min for b in nudged_stats),
+        "nudged_dt_max": max(b.dt_max for b in nudged_stats),
         "observed_steps": observed_stats.n_steps,
         "observed_dt_min": observed_stats.dt_min,
         "observed_dt_max": observed_stats.dt_max,
         "observed_wall_time": observed_stats.wall_time,
-        "nudged_wall_time": sync_stats.wall_time,
+        "nudged_wall_time": sum(b.wall_time for b in nudged_stats),
         "sample_wall_time": sample_wall_time,
         "diagnostics_wall_time": diagnostics_wall_time,
         "observed_snapshots": observed.n_snapshots,
@@ -340,6 +364,16 @@ def run_twin(cfg: ExperimentConfig, out_dir=None, truths: dict | None = None) ->
     if out_dir is not None:
         persist_twin(report, out_dir, measurements=ms if cfg.outputs.write_measurements else None)
     return report
+
+
+def _joined_report(parts: list) -> EnergyReport:
+    """The energy report of consecutive blocks of one run, each block after
+    the first starting on the previous block's last row, which is kept
+    once."""
+    return EnergyReport(*(
+        np.concatenate([getattr(parts[0], f.name)] + [getattr(p, f.name)[1:] for p in parts[1:]])
+        for f in dataclasses.fields(EnergyReport)
+    ))
 
 
 def _persist_failure(cfg, err, run: str, out_dir) -> Path:

@@ -1,12 +1,16 @@
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from conftest import equal_steps
-from nudgelab import harness
-from nudgelab.config import build_eos, build_nudging, build_viscosity
+from nudgelab import dynamics, harness
+from nudgelab.config import (
+    build_eos, build_nudging, build_tiling, build_viscosity, report_times,
+)
 from nudgelab.diagnostics import (
+    ENERGY_SERIES_COLUMNS,
     EnergyReport,
     check_gain_conditions,
     energy_balance_residual,
@@ -28,7 +32,9 @@ from nudgelab.dynamics import (
 )
 from nudgelab.eos import EquationOfState
 from nudgelab.errors import VacuumError
-from nudgelab.field import FluidState, Grid1D, SupBounds, Trajectory, noslip_seminorm_sq
+from nudgelab.field import (
+    ROW_BLOCK, FluidState, Grid1D, SupBounds, Trajectory, noslip_seminorm_sq, save_series,
+)
 from nudgelab.sampler import build_decomposition, sample
 
 EOS = EquationOfState(1.4, 1.0)
@@ -337,6 +343,25 @@ def test_energy_series_round_trip(tmp_path):
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
+
+def test_energy_series_is_written_in_row_blocks(tmp_path):
+    # the writer formats ROW_BLOCK rows at a time: its peak stays under one
+    # stacked copy of the columns, and the file is the one-block file
+    rng = np.random.default_rng(23)
+    n = 2001
+    report = EnergyReport(np.linspace(0.0, 2.0, n), *rng.uniform(0.0, 1.0, (7, n)))
+    path = tmp_path / "series.csv"
+    tracemalloc.start()
+    try:
+        save_energy_series(path, report)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    columns = [getattr(report, f.name) for f in fields(EnergyReport)]
+    assert peak < np.column_stack(columns).nbytes
+    save_series(tmp_path / "one_block.csv", ENERGY_SERIES_COLUMNS, [np.column_stack(columns)])
+    assert path.read_bytes() == (tmp_path / "one_block.csv").read_bytes()
+
 def test_forecast_chi_base_rest_state():
     from nudgelab.diagnostics import forecast_chi_base
 
@@ -477,4 +502,51 @@ def test_partial_series_equals_the_per_snapshot_functions(tmp_path, lite_config,
     report = load_energy_series(tmp_path / "energy_series.csv")
     assert_series_is_per_snapshot(
         report, partial, observed, build_eos(cfg), build_viscosity(cfg), ms, build_nudging(cfg)
+    )
+
+
+def test_later_block_failure_series_covers_every_row_reached(tmp_path, lite_config, monkeypatch):
+    # the nudged run fails in its third block, in a step, so integrate builds
+    # the .partial; the persisted series holds every row reached from t = 0,
+    # the blocks before it and the partial, each start row once
+    truths = {}
+    observed, _ = harness.run_observed(lite_config, truths)
+    landings = report_times(lite_config)
+    fail_at = landings[2 * ROW_BLOCK + 20]
+    real_step, real_integrate = dynamics.step, harness.integrate
+    recorded = []
+
+    def failing_step(grid, state, dt, *args, **kwargs):
+        if state[0] >= fail_at:
+            raise VacuumError("synthetic failure", cell=3, time=state[0])
+        return real_step(grid, state, dt, *args, **kwargs)
+
+    def recording_integrate(*args, **kwargs):
+        try:
+            result = real_integrate(*args, **kwargs)
+        except VacuumError as err:
+            recorded.append(err.partial)
+            raise
+        recorded.append(result[0])
+        return result
+
+    monkeypatch.setattr(dynamics, "step", failing_step)
+    monkeypatch.setattr(harness, "integrate", recording_integrate)
+    with pytest.raises(VacuumError, match="synthetic failure"):
+        harness.run_twin(lite_config, out_dir=tmp_path, truths=truths)
+    assert [t.n_snapshots for t in recorded] == [ROW_BLOCK + 1, ROW_BLOCK + 1, 22]
+    first, *later = recorded
+    reached = Trajectory(
+        first.grid,
+        np.concatenate([first.times] + [t.times[1:] for t in later]),
+        np.concatenate([first.rho] + [t.rho[1:] for t in later]),
+        np.concatenate([first.mom] + [t.mom[1:] for t in later]),
+        first.sup_bounds,
+    )
+    assert reached.times.tolist() == [0.0, *landings[: 2 * ROW_BLOCK + 21]]
+    cfg = lite_config
+    ms = sample(observed, build_tiling(cfg))
+    report = load_energy_series(tmp_path / "energy_series.csv")
+    assert_series_is_per_snapshot(
+        report, reached, observed, build_eos(cfg), build_viscosity(cfg), ms, build_nudging(cfg)
     )

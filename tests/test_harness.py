@@ -6,11 +6,16 @@ import numpy as np
 import pytest
 
 from nudgelab import dynamics, harness
-from nudgelab.config import ExperimentConfig, InitialConfig, ForcingConfig, NudgingGains
-from nudgelab.diagnostics import load_energy_series, save_energy_series
-from nudgelab.dynamics import IntegrationStats
+from nudgelab.config import (
+    ExperimentConfig, InitialConfig, ForcingConfig, NudgingGains, build_eos, build_forcing,
+    build_nudging, build_tiling, build_viscosity, report_times,
+)
+from nudgelab.diagnostics import (
+    energy_balance_residual, load_energy_series, make_energy_report, save_energy_series,
+)
+from nudgelab.dynamics import IntegrationStats, make_synchronized_initial
 from nudgelab.errors import BlowUpError, ConfigError, VacuumError
-from nudgelab.field import FluidState, Trajectory
+from nudgelab.field import ROW_BLOCK, FluidState, Trajectory
 from nudgelab.harness import (
     audit_twin,
     build_initial_state,
@@ -127,12 +132,60 @@ def test_two_twins_without_a_memo_integrate_two_truths(monkeypatch, lite_config)
         return result
 
     monkeypatch.setattr(harness, "integrate", counting_integrate)
-    first = run_twin(lite_config).stats
-    second = run_twin(lite_config).stats
-    # each twin integrates its own truth, then its nudged run
-    assert steps == [first["observed_steps"], first["nudged_steps"],
-                     second["observed_steps"], second["nudged_steps"]]
-    assert second["observed_steps"] == first["observed_steps"] > 0
+    truth_steps = []
+    for _ in range(2):
+        steps.clear()
+        stats = run_twin(lite_config).stats
+        # each twin integrates its own truth, then its nudged run in blocks
+        truth, *nudged = steps
+        assert truth == stats["observed_steps"]
+        assert len(nudged) > 1 and sum(nudged) == stats["nudged_steps"]
+        truth_steps.append(truth)
+    assert truth_steps[0] == truth_steps[1] > 0
+
+
+def test_twin_integrates_the_nudged_run_in_row_blocks(monkeypatch, lite_config):
+    rows = []
+    real_integrate = harness.integrate
+
+    def recording_integrate(*args, **kwargs):
+        result = real_integrate(*args, **kwargs)
+        rows.append(result[0].n_snapshots)
+        return result
+
+    monkeypatch.setattr(harness, "integrate", recording_integrate)
+    report = run_twin(lite_config)
+    truth, *nudged = rows
+    # the truth call records all of its rows, each nudged call one row block
+    # of landings after its start row, the last row of the block before
+    assert truth == report.stats["observed_snapshots"]
+    n_landings = len(report_times(lite_config))
+    assert len(nudged) == -(-n_landings // ROW_BLOCK) > 2
+    assert max(nudged) <= ROW_BLOCK + 1
+    assert 1 + sum(n - 1 for n in nudged) == report.energy.time.size == n_landings + 1
+
+
+def test_blocked_nudged_run_is_the_single_call_bit_for_bit(lite_config, lite_observed):
+    # every block ends on a landing, so the blocks take the single call's
+    # steps, and the joined report and residual are the single call's
+    cfg = lite_config
+    truths = {observed_signature(cfg): lite_observed}
+    report = run_twin(cfg, truths=truths)
+    eos, visc, forcing, nudging = (
+        build_eos(cfg), build_viscosity(cfg), build_forcing(cfg), build_nudging(cfg)
+    )
+    ms = sample(lite_observed, build_tiling(cfg))
+    traj, stats = dynamics.integrate(
+        build_grid(cfg), make_synchronized_initial(lite_observed), cfg.timeline.t_plus,
+        eos, visc, forcing, ms, nudging, landings=report_times(cfg),
+    )
+    single = make_energy_report(eos, visc, traj, lite_observed, ms, nudging)
+    for f in dataclasses.fields(single):
+        assert np.array_equal(getattr(report.energy, f.name), getattr(single, f.name)), f.name
+    residual = energy_balance_residual(single, traj, eos, visc, forcing, ms, nudging)
+    assert report.budget_residual_max == float(np.max(residual))
+    assert (report.stats["nudged_steps"], report.stats["nudged_dt_min"],
+            report.stats["nudged_dt_max"]) == (stats.n_steps, stats.dt_min, stats.dt_max)
 
 
 def test_twin_reports_phase_wall_times(lite_twin):
