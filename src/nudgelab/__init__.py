@@ -11,7 +11,6 @@ from .diagnostics import (
     DecayFit,
     EnergyReport,
     check_gain_conditions,
-    energy_balance_residual,
     fit_decay,
     forecast_envelope,
     make_energy_report,

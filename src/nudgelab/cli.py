@@ -22,7 +22,7 @@ from pathlib import Path
 from .config import ExperimentConfig, SWEEP_AXES, load_config, save_config
 from .errors import BlowUpError, ConfigError, VacuumError
 from .field import save_trajectory
-from .harness import MASS_DRIFT_MAX, MMS_ORDER_RANGE, SPLITTING_ORDER_RANGE
+from .harness import MASS_DRIFT_MAX, MMS_ORDER_RANGE, SPLITTING_ORDER_RANGE, _persist_failure
 from .harness import audit_twin, run_observed, run_sweep, run_twin, validate_solver
 
 EXIT_PASS = 0
@@ -83,8 +83,12 @@ def _out_dir(args, sub: str) -> Path:
 def _cmd_observe(args) -> int:
     cfg = _load(args)
     out = _out_dir(args, "observe")
+    try:
+        traj, _ = run_observed(cfg)
+    except (VacuumError, BlowUpError) as err:
+        _persist_failure(cfg, err, "truth", out)
+        raise
     out.mkdir(parents=True, exist_ok=True)
-    traj, _ = run_observed(cfg)
     save_trajectory(out / "trajectory.csv", traj)
     meta = {
         "n_snapshots": traj.n_snapshots,

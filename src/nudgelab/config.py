@@ -196,6 +196,10 @@ class ExperimentConfig:
             attempt("initial", lambda: build_initial_state(self, grid))
         if not (tl.t_minus < 0.0 < tl.t_assim_end < tl.t_plus):
             problems.append("timeline must satisfy t_minus < 0 < t_assim_end < t_plus")
+        elif tl.t_plus - tl.t_assim_end <= 4 * math.ulp(tl.t_assim_end):
+            # report_times lets t_plus give way to the window end, which
+            # leaves the forecast window a single row
+            problems.append("timeline: t_assim_end must lie more than 4 ulps below t_plus")
         else:
             nudging = attempt("nudging", lambda: build_nudging(self))
             if nudging is not None:

@@ -1,5 +1,6 @@
-"""Energy functionals, relative-energy diagnostics, budget residuals, decay
-fitting, gain-condition checks, and the forecast growth envelope.
+"""Energy functionals, the energy report of a run with its budget residual
+(one pass over the run's rows), decay fitting, gain-condition checks, and
+the forecast growth envelope.
 
 The central object is the relative energy
 
@@ -36,7 +37,6 @@ __all__ = [
     "total_energy",
     "relative_energy",
     "make_energy_report",
-    "energy_balance_residual",
     "fit_decay",
     "check_gain_conditions",
     "forecast_envelope",
@@ -90,7 +90,9 @@ def relative_energy(
 @dataclass(frozen=True, eq=False)
 class EnergyReport:
     """Diagnostics of a synchronized run against the truth: one read-only
-    column per quantity, one row per report time."""
+    column per quantity, one row per report time.  The entries are finite
+    and the times strictly increasing, as a Trajectory's are: a series read
+    back from a file is checked like one the run made."""
 
     time: np.ndarray
     total_energy: np.ndarray
@@ -105,8 +107,10 @@ class EnergyReport:
         columns = [np.array(getattr(self, f.name), dtype=float) for f in fields(self)]
         if any(c.ndim != 1 or c.shape != columns[0].shape for c in columns):
             raise ValueError("energy report columns must be 1D and of one length")
-        if not all(np.isfinite(c).all() for c in columns[1:]):
+        if not all(np.isfinite(c).all() for c in columns):
             raise ValueError("energy report entries must be finite")
+        if np.any(np.diff(columns[0]) <= 0.0):
+            raise ValueError("energy report times must be strictly increasing")
         for f, c in zip(fields(self), columns):
             c.setflags(write=False)
             object.__setattr__(self, f.name, c)
@@ -117,115 +121,69 @@ class EnergyReport:
 def make_energy_report(
     eos: EquationOfState,
     visc: Viscosity,
+    forcing: Forcing,
     traj: Trajectory,
     observed: Trajectory,
     ms: MeasurementSet | None = None,
     nudging: NudgingConfig | None = None,
-) -> EnergyReport:
-    """Diagnostics of ``traj`` at each of its snapshots, against the truth
-    ``observed`` interpolated to the same times.  Dissipation is the
-    effective viscosity times the squared no-slip seminorm of the velocity
-    mismatch; the nudging powers are the instantaneous energy sources
-    contributed by the relaxation terms (negative values are sinks), zero
-    where the relaxation is off."""
+) -> tuple[EnergyReport, np.ndarray]:
+    """Diagnostics of ``traj`` at each of its snapshots against the truth
+    ``observed`` interpolated to the same times, and the residual rates of
+    its energy budget, one per interval between snapshots.
+
+    Dissipation is nu_eff times the squared no-slip seminorm of the velocity
+    mismatch; the nudging powers are the energy sources of the relaxation
+    terms (negative values are sinks), zero where it is off.  The budget
+    rate is nu_eff |u|^2_H1, minus the forcing work, minus lambda_rho times
+    the Fenchel-Young slack of the density mismatch, minus the nudging
+    powers, and residual_k = (E_{k+1} - E_k) / dt + the trapezoidal average
+    of the rate.  The budget inequality predicts residual <= tol(dx, dt),
+    vanishing under refinement on smooth runs.  When ``report_interval *
+    lambda_u`` is not small, the first intervals do not resolve the
+    relaxation transient and dominate the maximum: 1.398 on the lite twin,
+    on [0, 0.002], against a relaxation time 1/lambda_u = 0.005.
+
+    One pass: u, the active rows, the observations and the forcing are read
+    once for both results, and every temporary spans all rows of ``traj``.
+    ``run_twin``, the one run caller, hands it one nudged block of at most
+    ``ROW_BLOCK + 1`` rows.
+    """
     grid = traj.grid
     if observed.grid != grid:
         raise ValueError("trajectories do not share a grid")
-    n = traj.n_snapshots
-    energy, rel, dissipation, l2, mass, power_rho, power_u = np.zeros((7, n))
-    for rows in row_blocks(n):
-        t, rho, mom = traj.times[rows], traj.rho[rows], traj.mom[rows]
-        r, m = observed.fields_at(t)
-        u = mom / rho
-        du = u - m / r
-        energy[rows] = _integral(grid, total_energy_density(eos, rho, mom))
-        rel[rows] = _integral(grid, _relative_energy_density(eos, rho, du, r))
-        dissipation[rows] = visc.nu_eff * noslip_seminorm_sq(grid, du)
-        l2[rows] = np.sqrt(_integral(grid, du**2))
-        mass[rows] = _integral(grid, rho)
-        if ms is None or nudging is None:
-            continue
+    dx = grid.dx
+    t, rho, mom = traj.times, traj.rho, traj.mom
+    r, m = observed.fields_at(t)
+    u = mom / rho
+    du = u - m / r
+    energy = _integral(grid, total_energy_density(eos, rho, mom))
+    rel = _integral(grid, _relative_energy_density(eos, rho, du, r))
+    dissipation = visc.nu_eff * noslip_seminorm_sq(grid, du)
+    l2 = np.sqrt(_integral(grid, du**2))
+    mass = _integral(grid, rho)
+    power_rho, power_u = np.zeros((2, t.size))
+    rate = visc.nu_eff * noslip_seminorm_sq(grid, u)
+    forcing_at = forcing.on_grid(grid)
+    if forcing_at is not None:
+        rate -= dx * np.sum(rho * forcing_at(t[:, None]) * u, axis=-1)
+    if ms is not None and nudging is not None:
         on = np.flatnonzero(nudging.active(t))
         if on.size:
             r_obs, u_obs = ms.values_at_time(t[on], grid)
             rho_on, u_on = rho[on], u[on]
-            power_rho[rows.start + on] = -nudging.lambda_rho * grid.dx * np.sum(
+            power_rho[on] = -nudging.lambda_rho * dx * np.sum(
                 (eos.dpotential(rho_on) - 0.5 * u_on**2) * (rho_on - r_obs), axis=-1
             )
-            power_u[rows.start + on] = -nudging.lambda_u * grid.dx * np.sum(
+            power_u[on] = -nudging.lambda_u * dx * np.sum(
                 (1.0 + rho_on) * u_on * (u_on - u_obs), axis=-1
             )
-    return EnergyReport(traj.times, energy, rel, dissipation, l2, mass, power_rho, power_u)
-
-
-def _budget_rate(
-    eos: EquationOfState,
-    visc: Viscosity,
-    grid: Grid1D,
-    ts: np.ndarray,
-    rho: np.ndarray,
-    mom: np.ndarray,
-    forcing: Forcing,
-    ms: MeasurementSet | None,
-    nudging: NudgingConfig | None,
-) -> np.ndarray:
-    """Instantaneous dissipation, minus the forcing work, minus lambda_rho
-    times the Fenchel-Young slack of the density mismatch, one per row of
-    (rho, mom) at times ts.  Less the report's nudging powers, this is the
-    rate of the energy budget, which predicts dE/dt + rate <= 0 up to
-    discretization error, with the slack as margin."""
-    dx = grid.dx
-    u = mom / rho
-    rate = visc.nu_eff * noslip_seminorm_sq(grid, u)
-    forcing_at = forcing.on_grid(grid)
-    if forcing_at is not None:
-        rate -= dx * np.sum(rho * forcing_at(ts[:, None]) * u, axis=-1)
-    if ms is not None and nudging is not None:
-        on = nudging.active(ts)
-        if on.any():
-            r_obs, _ = ms.values_at_time(ts[on], grid)
             rate[on] -= nudging.lambda_rho * dx * np.sum(
-                eos.fenchel_young_gap(rho[on], r_obs), axis=-1
+                eos.fenchel_young_gap(rho_on, r_obs), axis=-1
             )
-    return rate
-
-
-def energy_balance_residual(
-    report: EnergyReport,
-    traj: Trajectory,
-    eos: EquationOfState,
-    visc: Viscosity,
-    forcing: Forcing,
-    ms: MeasurementSet | None = None,
-    nudging: NudgingConfig | None = None,
-) -> np.ndarray:
-    """Per-interval energy budget residual rates of ``traj``, whose energy
-    series is ``report``.
-
-    residual_k = (E_{k+1} - E_k) / dt + trapezoidal average of the
-    dissipation-plus-sinks-minus-sources rate, whose nudging powers are the
-    report's ``nudge_power_rho`` and ``nudge_power_u``.  The budget inequality
-    predicts residual <= tol(dx, dt) with tol vanishing under refinement on
-    smooth runs; for unforced, un-nudged runs the residual reduces to the
-    defect in the plain energy balance.
-
-    The residual lives on the report grid, the snapshots of ``traj``.  When
-    ``report_interval * lambda_u`` is not small, the first intervals do not
-    resolve the relaxation transient and the trapezoid rule there dominates
-    the maximum: on the lite twin it is 1.398, on [0, 0.002], against a
-    relaxation time 1/lambda_u = 0.005.  The inequality at step resolution
-    holds on a run that lands on every step.
-    """
-    times = report.time
-    if times.size < 2 or not np.array_equal(times, traj.times):
-        raise ValueError("need the report of the trajectory's snapshots, at least two")
-    rates = np.empty(times.size)
-    for rows in row_blocks(times.size):
-        rates[rows] = _budget_rate(
-            eos, visc, traj.grid, times[rows], traj.rho[rows], traj.mom[rows], forcing, ms, nudging
-        )
-    rates -= report.nudge_power_rho + report.nudge_power_u
-    return np.diff(report.total_energy) / np.diff(times) + 0.5 * (rates[:-1] + rates[1:])
+    rate -= power_rho + power_u
+    report = EnergyReport(t, energy, rel, dissipation, l2, mass, power_rho, power_u)
+    residual = np.diff(energy) / np.diff(t) + 0.5 * (rate[:-1] + rate[1:])
+    return report, residual
 
 
 @dataclass(frozen=True)

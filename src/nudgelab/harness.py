@@ -40,7 +40,6 @@ from .diagnostics import (
     EnvelopeReport,
     GainConditionReport,
     check_gain_conditions,
-    energy_balance_residual,
     fit_decay,
     forecast_chi_base,
     forecast_envelope,
@@ -254,10 +253,11 @@ def run_twin(cfg: ExperimentConfig, out_dir=None, truths: dict | None = None) ->
 
     The nudged run is integrated one ``ROW_BLOCK`` of ``report_times`` at a
     time, each ``integrate`` call starting from the previous one's last row
-    and ending on a landing, so its steps are those of a single call.  Each
-    block is folded into the energy report and the budget residual as soon
-    as it returns: the twin holds at most two blocks of the nudged run,
-    never its whole trajectory.  ``MAX_STEPS`` bounds each block's call.
+    and ending on a landing, so its steps are those of a single call.  As
+    soon as a block returns, one ``make_energy_report`` pass over its rows
+    gives its report columns and its budget residual: the twin holds at
+    most two blocks of the nudged run, never its whole trajectory.
+    ``MAX_STEPS`` bounds each block's call.
 
     When either run fails, ``config.json`` and ``error.json`` (naming the
     failed run) are written before the error propagates, and for the nudged
@@ -306,14 +306,16 @@ def run_twin(cfg: ExperimentConfig, out_dir=None, truths: dict | None = None) ->
         except (VacuumError, BlowUpError) as err:
             if out_dir is not None:
                 out = _persist_failure(cfg, err, "nudged", out_dir)
-                parts.append(make_energy_report(eos, visc, err.partial, observed, ms, nudging))
+                parts.append(
+                    make_energy_report(eos, visc, forcing, err.partial, observed, ms, nudging)[0]
+                )
                 save_energy_series(out / "energy_series.csv", _joined_report(parts))
             raise
         nudged_stats.append(block_stats)
         diagnostics_start = _time.perf_counter()
-        part = make_energy_report(eos, visc, traj, observed, ms, nudging)
-        residuals.append(energy_balance_residual(part, traj, eos, visc, forcing, ms, nudging))
+        part, residual = make_energy_report(eos, visc, forcing, traj, observed, ms, nudging)
         parts.append(part)
+        residuals.append(residual)
         diagnostics_wall_time += _time.perf_counter() - diagnostics_start
         if rows.stop < n_landings:
             start = traj.snapshot(-1)

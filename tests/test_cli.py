@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import nudgelab
-from nudgelab import harness
+from nudgelab import dynamics, harness
 from nudgelab.cli import main
 from nudgelab.config import save_config
 from nudgelab.field import load_trajectory
@@ -106,6 +106,18 @@ def test_observe_writes_trajectory(tmp_path, determinism_config):
     assert meta["rho_max"] > 0
 
 
+def test_failed_observe_writes_the_error_record(tmp_path, monkeypatch, determinism_config):
+    # a truth run that fails leaves what a twin's failed truth leaves: the
+    # config echo and error.json, not an empty directory
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 10)
+    cfg_path = write_config(tmp_path, determinism_config)
+    out = tmp_path / "obs"
+    assert main(["observe", "--config", str(cfg_path), "--out", str(out)]) == 1
+    error = json.loads((out / "error.json").read_text())
+    assert (error["run"], error["error"]) == ("truth", "BlowUpError")
+    assert sorted(p.name for p in out.iterdir()) == ["config.json", "error.json"]
+
+
 def test_twin_and_audit_exit_codes(tmp_path, determinism_config):
     cfg_path = write_config(tmp_path, determinism_config)
     out = tmp_path / "twin"
@@ -131,6 +143,20 @@ def test_twin_acceptance_failure_exit_code(tmp_path, capsys, lite_config):
     assert "audit: stored verdicts reproduced" in printed
     assert "FAIL  delta_smallness" in printed
     assert not any(line.startswith("MISMATCH") for line in printed)
+
+
+def test_audit_rejects_a_tampered_time_column(tmp_path, capsys, lite_twin):
+    # a report time copied onto the next row is no series a run makes: the
+    # audit rejects it as a run failure instead of replaying it
+    out = harness.persist_twin(lite_twin, tmp_path / "twin")
+    path = out / "energy_series.csv"
+    header, *rows = path.read_text().splitlines(keepends=True)
+    rows[300] = rows[299].split(",", 1)[0] + "," + rows[300].split(",", 1)[1]
+    path.write_text("".join([header, *rows]))
+    assert main(["audit", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "energy report times must be strictly increasing" in captured.err
+    assert "stored verdicts reproduced" not in captured.out
 
 
 def test_seed_flag_changes_jittered_samples(tmp_path, determinism_config):

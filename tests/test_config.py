@@ -113,6 +113,8 @@ def test_bad_json_and_missing_file(tmp_path):
         {"timeline": {"t_minus": 0.1}},
         {"timeline": {"t_assim_end": 2.0, "t_plus": 1.0}},
         {"timeline": {"t_assim_end": 2.0}},  # equal to the default t_plus
+        # within 4 ulps of t_plus, which then gives way: a one-row forecast
+        {"timeline": {"t_assim_end": 1.9999999999999998}},
         # a report interval that is not positive
         {"solver": {"report_interval": 0.0}},
         # a delta whose slab count overflows a float

@@ -7,13 +7,13 @@ import pytest
 from conftest import equal_steps
 from nudgelab import dynamics, harness
 from nudgelab.config import (
-    build_eos, build_nudging, build_tiling, build_viscosity, report_times,
+    build_eos, build_forcing, build_grid, build_nudging, build_tiling, build_viscosity,
+    report_times,
 )
 from nudgelab.diagnostics import (
     ENERGY_SERIES_COLUMNS,
     EnergyReport,
     check_gain_conditions,
-    energy_balance_residual,
     fit_decay,
     forecast_envelope,
     load_energy_series,
@@ -28,6 +28,7 @@ from nudgelab.dynamics import (
     NudgingConfig,
     Viscosity,
     integrate,
+    make_synchronized_initial,
     stable_dt,
 )
 from nudgelab.eos import EquationOfState
@@ -35,7 +36,7 @@ from nudgelab.errors import VacuumError
 from nudgelab.field import (
     ROW_BLOCK, FluidState, Grid1D, SupBounds, Trajectory, noslip_seminorm_sq, save_series,
 )
-from nudgelab.sampler import build_decomposition, sample
+from nudgelab.sampler import MeasurementSet, build_decomposition, sample
 
 EOS = EquationOfState(1.4, 1.0)
 KEOS = EquationOfState(2.0, 1.0)
@@ -114,15 +115,16 @@ def decaying_run(n=48, t_end=0.2, fixed_dt=None):
         g, initial, t_end, EOS, VISC, Forcing.zero(),
         landings=equal_steps(0.0, t_end, dt), fixed_dt=dt,
     )
-    report = make_energy_report(EOS, VISC, traj, rest_trajectory(g, traj.times))
-    return g, report, traj
+    report, residual = make_energy_report(
+        EOS, VISC, Forcing.zero(), traj, rest_trajectory(g, traj.times)
+    )
+    return g, report, residual, traj
 
 
 def test_energy_balance_residual_rest_state():
     g = Grid1D(16, 1.0)
     rest = rest_trajectory(g, [0.0, 0.1, 0.2])
-    report = make_energy_report(EOS, VISC, rest, rest)
-    res = energy_balance_residual(report, rest, EOS, VISC, Forcing.zero())
+    _, res = make_energy_report(EOS, VISC, Forcing.zero(), rest, rest)
     assert np.all(res == 0.0)
 
 
@@ -134,8 +136,7 @@ def test_energy_balance_residual_refines():
     dt = stable_dt(g_fine, rho, np.zeros(96), EOS, safety=0.8)
 
     def max_step_residual(n, dt):
-        g, report, traj = decaying_run(n=n, fixed_dt=dt)
-        res = energy_balance_residual(report, traj, EOS, VISC, Forcing.zero())
+        g, report, res, traj = decaying_run(n=n, fixed_dt=dt)
         return np.max(np.abs(res * np.diff(traj.times)))
 
     coarse = max_step_residual(48, dt)
@@ -144,7 +145,7 @@ def test_energy_balance_residual_refines():
 
 
 def test_fenchel_young_slack_nonnegative_along_run():
-    g, _, traj = decaying_run(n=32, t_end=0.05)
+    g, _, _, traj = decaying_run(n=32, t_end=0.05)
     r_obs = np.full(32, 1.1)
     for rho in traj.rho[:: max(1, traj.n_snapshots // 20)]:
         gap = g.dx * np.sum(EOS.fenchel_young_gap(rho, r_obs))
@@ -171,15 +172,14 @@ def test_energy_budget_inequality_on_nudged_run():
         g, initial, 0.2, EOS, VISC, Forcing.zero(), ms, cfg,
         landings=equal_steps(0.0, 0.2, dt), fixed_dt=dt,
     )
-    report = make_energy_report(EOS, VISC, traj, obs, ms, cfg)
-    res = energy_balance_residual(report, traj, EOS, VISC, Forcing.zero(), ms, cfg)
+    report, res = make_energy_report(EOS, VISC, Forcing.zero(), traj, obs, ms, cfg)
     assert np.max(res) <= 0.0
 
 
 def seven_term_budget_rate(eos, visc, grid, ts, rho, mom, forcing, ms, nudging):
     """The budget rate with its nudging part expanded by hand into seven
-    terms: the reference for energy_balance_residual's form, which reads the
-    nudging powers from the report and adds the Fenchel-Young slack."""
+    terms: the reference for make_energy_report's budget, which subtracts the
+    report's nudging powers and the Fenchel-Young slack."""
     dx = grid.dx
     u = mom / rho
     rate = visc.nu_eff * noslip_seminorm_sq(grid, u)
@@ -219,14 +219,41 @@ def test_budget_residual_matches_the_seven_term_form():
     traj, _ = integrate(
         g, initial, 0.2, EOS, VISC, Forcing.zero(), ms, cfg, landings=np.linspace(0.0, 0.2, 41)
     )
-    report = make_energy_report(EOS, VISC, traj, obs, ms, cfg)
+    report, res = make_energy_report(EOS, VISC, Forcing.zero(), traj, obs, ms, cfg)
     assert np.any(report.nudge_power_u != 0.0) and np.any(report.nudge_power_u == 0.0)
-    res = energy_balance_residual(report, traj, EOS, VISC, Forcing.zero(), ms, cfg)
     rate = seven_term_budget_rate(
         EOS, VISC, g, traj.times, traj.rho, traj.mom, Forcing.zero(), ms, cfg
     )
     reference = np.diff(report.total_energy) / np.diff(traj.times) + 0.5 * (rate[:-1] + rate[1:])
     assert np.max(np.abs(res - reference)) <= 1e-12 * np.max(np.abs(rate))
+
+
+def test_energy_report_reads_the_observations_once_per_block(monkeypatch, lite_config, lite_observed):
+    # the first nudged block of the lite twin: ROW_BLOCK landings after its
+    # start row, every row inside the window, so the report and the budget
+    # read the observations of all 65 rows, and do so in one call
+    cfg = lite_config
+    eos, visc, forcing, nudging = (
+        build_eos(cfg), build_viscosity(cfg), build_forcing(cfg), build_nudging(cfg)
+    )
+    ms = sample(lite_observed, build_tiling(cfg))
+    block = report_times(cfg)[:ROW_BLOCK]
+    traj, _ = integrate(
+        build_grid(cfg), make_synchronized_initial(lite_observed), block[-1],
+        eos, visc, forcing, ms, nudging, landings=block,
+    )
+    assert traj.n_snapshots == ROW_BLOCK + 1 and nudging.active(traj.times).all()
+    calls = []
+    real_values_at_time = MeasurementSet.values_at_time
+
+    def counting_values_at_time(self, t, grid):
+        calls.append(np.size(t))
+        return real_values_at_time(self, t, grid)
+
+    monkeypatch.setattr(MeasurementSet, "values_at_time", counting_values_at_time)
+    report, residual = make_energy_report(eos, visc, forcing, traj, lite_observed, ms, nudging)
+    assert calls == [ROW_BLOCK + 1]
+    assert report.time.size == ROW_BLOCK + 1 and residual.size == ROW_BLOCK
 
 
 def test_fit_decay_oracles():
@@ -332,7 +359,7 @@ def test_forecast_envelope_zero_start_trivial():
 
 
 def test_energy_series_round_trip(tmp_path):
-    g, report, _ = decaying_run(n=32, t_end=0.02)
+    g, report, _, _ = decaying_run(n=32, t_end=0.02)
     path = tmp_path / "series.csv"
     save_energy_series(path, report)
     loaded = load_energy_series(path)
@@ -388,7 +415,7 @@ def one_snapshot(g, rho, mom, t=0.0):
 def test_series_norms_zero_and_mass():
     g = Grid1D(16, 1.0)
     s = one_snapshot(g, np.full(16, 2.5), np.zeros(16))
-    report = make_energy_report(EOS, VISC, s, s)
+    report, _ = make_energy_report(EOS, VISC, Forcing.zero(), s, s)
     assert report.l2_u_diff[0] == 0.0
     assert report.mass[0] == pytest.approx(2.5 * 1.0, rel=1e-14)
 
@@ -398,18 +425,28 @@ def test_series_norms_constant_velocity_difference():
     c = 0.7
     a = one_snapshot(g, np.ones(32), np.full(32, c))
     b = one_snapshot(g, np.ones(32), np.zeros(32))
-    report = make_energy_report(EOS, VISC, a, b)
+    report, _ = make_energy_report(EOS, VISC, Forcing.zero(), a, b)
     assert report.l2_u_diff[0] == pytest.approx(c * np.sqrt(g.length), rel=1e-14)
 
 
 def test_energy_report_checks_its_columns():
     cols = [np.zeros(3) for _ in fields(EnergyReport)]
+    cols[0] = np.arange(3.0)
     report = EnergyReport(*cols)
     with pytest.raises(ValueError):
         report.mass[0] = 1.0
     cols[3] = np.array([0.0, np.nan, 0.0])
     with pytest.raises(ValueError, match="energy report entries must be finite"):
         EnergyReport(*cols)
+    # the time column is checked as a Trajectory's times are
+    cols[3], cols[0] = np.zeros(3), np.array([0.0, np.inf, 2.0])
+    with pytest.raises(ValueError, match="energy report entries must be finite"):
+        EnergyReport(*cols)
+    for times in ([0.0, 1.0, 1.0], [0.0, 2.0, 1.0]):
+        cols[0] = np.array(times)
+        with pytest.raises(ValueError, match="times must be strictly increasing"):
+            EnergyReport(*cols)
+    cols[0] = np.arange(3.0)
     cols[3], cols[2] = np.zeros(3), np.array([0.0, -1e-300, 0.0])
     with pytest.raises(ValueError, match="energies must be nonnegative"):
         EnergyReport(*cols)
@@ -458,7 +495,7 @@ def test_series_columns_equal_the_per_snapshot_functions():
     observed = random_trajectory(rng, g, np.linspace(-0.1, 1.0, 57))
     ms = sample(observed, build_decomposition(0.1, 0.7, 1.0))
     nudging = NudgingConfig(15.0, 60.0, (0.2, 0.7))
-    report = make_energy_report(EOS, VISC, traj, observed, ms, nudging)
+    report, _ = make_energy_report(EOS, VISC, Forcing.zero(), traj, observed, ms, nudging)
     assert 0 < np.count_nonzero(report.nudge_power_u) < 300
     assert_series_is_per_snapshot(report, traj, observed, EOS, VISC, ms, nudging)
 
@@ -468,11 +505,13 @@ def test_series_of_one_snapshot_trajectories():
     g = Grid1D(16, 1.0)
     traj = random_trajectory(rng, g, [0.3])
     observed = random_trajectory(rng, g, [0.3])
-    report = make_energy_report(EOS, VISC, traj, observed)
-    assert report.time.shape == (1,)
+    report, residual = make_energy_report(EOS, VISC, Forcing.zero(), traj, observed)
+    assert report.time.shape == (1,) and residual.shape == (0,)
     assert_series_is_per_snapshot(report, traj, observed, EOS, VISC)
     with pytest.raises(ValueError, match="do not share a grid"):
-        make_energy_report(EOS, VISC, traj, random_trajectory(rng, Grid1D(8, 1.0), [0.3]))
+        make_energy_report(
+            EOS, VISC, Forcing.zero(), traj, random_trajectory(rng, Grid1D(8, 1.0), [0.3])
+        )
 
 
 def test_partial_series_equals_the_per_snapshot_functions(tmp_path, lite_config, monkeypatch):
