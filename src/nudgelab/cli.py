@@ -22,7 +22,8 @@ from pathlib import Path
 from .config import ExperimentConfig, SWEEP_AXES, load_config, save_config
 from .errors import BlowUpError, ConfigError, VacuumError
 from .field import save_trajectory
-from .harness import MASS_DRIFT_MAX, MMS_ORDER_RANGE, SPLITTING_ORDER_RANGE, _persist_failure
+from .harness import MASS_DRIFT_MAX, MMS_ORDER_RANGE, SPLITTING_ORDER_RANGE
+from .harness import _jsonable, _persist_failure
 from .harness import audit_twin, run_observed, run_sweep, run_twin, validate_solver
 
 EXIT_PASS = 0
@@ -148,10 +149,8 @@ def _cmd_validate(args) -> int:
     print(f"splitting order: {report.splitting_order:.3f} (need {list(SPLITTING_ORDER_RANGE)})")
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / "validation.json").write_text(
-            json.dumps(dataclasses.asdict(report) | {"passed": report.passed}, indent=2)
-            + "\n"
-        )
+        body = _jsonable(report) | {"passed": report.passed}
+        (args.out / "validation.json").write_text(json.dumps(body, indent=2) + "\n")
     print("validation PASSED" if report.passed else "validation FAILED")
     return EXIT_PASS if report.passed else EXIT_ACCEPTANCE_FAILURE
 

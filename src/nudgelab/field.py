@@ -193,9 +193,6 @@ class Trajectory:
     def snapshot(self, i: int) -> FluidState:
         return FluidState(float(self.times[i]), self.rho[i], self.mom[i])
 
-    def covers(self, t0: float, t1: float, slack: float = 1e-12) -> bool:
-        return self.times[0] <= t0 + slack and self.times[-1] >= t1 - slack
-
     def _weights(self, ts):
         """Bracketing indices and weights; exact snapshot hits produce
         weights of exactly 0 or 1, so interpolation reproduces stored rows

@@ -162,6 +162,11 @@ MMS_T_FINAL = 0.1
 # -- twin experiment ----------------------------------------------------------
 
 
+# the blocks of the derived report, which ``_derive_diagnostics`` returns:
+# TwinReport's fields and report.json's keys, each one recomputed by the audit
+DERIVED = ("decay", "gains", "envelope", "values", "verdicts", "passed")
+
+
 @dataclass(frozen=True)
 class TwinReport:
     """Everything a twin run produced; verdicts are derivable from the
@@ -172,29 +177,39 @@ class TwinReport:
     budget_residual_max: float
     forecast_times: np.ndarray
     chi_base: np.ndarray
+    interp_error: InterpolationError
+    stats: dict
     decay: DecayFit | None
     gains: GainConditionReport
     envelope: EnvelopeReport
-    interp_error: InterpolationError
-    stats: dict
     values: dict
     verdicts: dict
-
-    @property
-    def passed(self) -> bool:
-        return all(self.verdicts.values())
+    passed: bool
 
 
-def _derive_diagnostics(cfg: ExperimentConfig, times, re_series, chi_times, chi_base):
-    """Decay fit, gain report, envelope, values, and verdicts from series.
+def _forecast_rows(cfg: ExperimentConfig, times) -> np.ndarray:
+    """Indices of a series' forecast rows: its times at or after the window
+    end T.  T is a landing of every run, so the first of them is T's row."""
+    return np.flatnonzero(np.asarray(times) >= cfg.timeline.t_assim_end)
+
+
+def _derive_diagnostics(cfg: ExperimentConfig, times, re_series, chi_base) -> dict:
+    """The derived report of a relative-energy series, keyed by ``DERIVED``:
+    the decay fit over [0, T], the gain report, the forecast envelope over
+    the forecast rows (``_forecast_rows``, which ``chi_base`` is sampled
+    at), the values, the verdicts and whether they all pass.
 
     Used identically by run_twin and audit so recomputation is bit-stable.
+    A series with fewer than two forecast rows, or with another number of
+    them than ``chi_base`` has entries, raises ValueError
+    (``forecast_envelope``'s length rule).
     """
     times = np.asarray(times, dtype=float)
     re_series = np.asarray(re_series, dtype=float)
-    t_end = cfg.timeline.t_assim_end
+    rows = _forecast_rows(cfg, times)
+    envelope = forecast_envelope(times[rows], re_series[rows], chi_base, ENVELOPE_GAMMA_MAX)
 
-    idx_T = int(np.argmin(np.abs(times - t_end)))
+    idx_T = int(rows[0])
     re0 = float(re_series[0])
     re_T = float(re_series[idx_T])
     re_plus = float(re_series[-1])
@@ -209,13 +224,6 @@ def _derive_diagnostics(cfg: ExperimentConfig, times, re_series, chi_times, chi_
         cfg.sampler.delta,
         cfg.calibration.gamma_cal,
         cfg.calibration.epsilon_target,
-    )
-
-    envelope = forecast_envelope(
-        chi_times,
-        re_series[np.searchsorted(times, chi_times)],
-        chi_base,
-        ENVELOPE_GAMMA_MAX,
     )
 
     sync_ratio = re_T / re0 if re0 > 0.0 else 0.0
@@ -240,7 +248,7 @@ def _derive_diagnostics(cfg: ExperimentConfig, times, re_series, chi_times, chi_
         "forecast_growth": re_plus <= FORECAST_GROWTH_MAX * re_T + 1e-300,
         "forecast_envelope": envelope.holds,
     }
-    return decay, gains, envelope, values, verdicts
+    return dict(zip(DERIVED, (decay, gains, envelope, values, verdicts, all(verdicts.values()))))
 
 
 def run_twin(cfg: ExperimentConfig, out_dir=None, truths: dict | None = None) -> TwinReport:
@@ -275,7 +283,6 @@ def run_twin(cfg: ExperimentConfig, out_dir=None, truths: dict | None = None) ->
     visc = build_viscosity(cfg)
     forcing = build_forcing(cfg)
     nudging = build_nudging(cfg)
-    tl = cfg.timeline
 
     try:
         observed, observed_stats = run_observed(cfg, truths)
@@ -323,16 +330,13 @@ def run_twin(cfg: ExperimentConfig, out_dir=None, truths: dict | None = None) ->
     diagnostics_start = _time.perf_counter()
     energy = _joined_report(parts)
     budget = np.concatenate(residuals)
-    forecast_times = energy.time[energy.time >= tl.t_assim_end]
+    forecast_times = energy.time[_forecast_rows(cfg, energy.time)]
     chi_base = forecast_chi_base(visc, observed, forcing, forecast_times)
 
-    decay, gains, envelope, values, verdicts = _derive_diagnostics(
-        cfg, energy.time, energy.rel_energy, forecast_times, chi_base
-    )
+    derived = _derive_diagnostics(cfg, energy.time, energy.rel_energy, chi_base)
     interp = interpolation_error(ms, observed)
-    values["interp_sup_err_r"] = interp.sup_err_r
-    values["interp_sup_err_U"] = interp.sup_err_U
-    values["data_norm"] = data_norm(observed)
+    derived["values"].update(interp_sup_err_r=interp.sup_err_r, interp_sup_err_U=interp.sup_err_U,
+                             data_norm=data_norm(observed))
     diagnostics_wall_time += _time.perf_counter() - diagnostics_start
 
     stats = {
@@ -355,13 +359,9 @@ def run_twin(cfg: ExperimentConfig, out_dir=None, truths: dict | None = None) ->
         budget_residual_max=float(np.max(budget)),
         forecast_times=forecast_times,
         chi_base=chi_base,
-        decay=decay,
-        gains=gains,
-        envelope=envelope,
         interp_error=interp,
         stats=stats,
-        values=values,
-        verdicts=verdicts,
+        **derived,
     )
     if out_dir is not None:
         persist_twin(report, out_dir, measurements=ms if cfg.outputs.write_measurements else None)
@@ -416,23 +416,14 @@ def _jsonable(obj):
 
 def persist_twin(report: TwinReport, out_dir, measurements: MeasurementSet | None = None) -> Path:
     """Write the config echo, the energy and forecast chi series as CSV,
-    the derived report, and optionally the measurements."""
+    ``report.json`` and optionally the measurements.  ``report.json`` holds
+    the ``DERIVED`` blocks with ``budget_residual_max``, ``interp_error`` and
+    ``stats``, sorted by key."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = report.config
-    save_config(out / "config.json", cfg)
-
-    body = {
-        "budget_residual_max": _jsonable(report.budget_residual_max),
-        "decay": _jsonable(report.decay),
-        "gains": _jsonable(report.gains),
-        "envelope": _jsonable(report.envelope),
-        "interp_error": _jsonable(report.interp_error),
-        "stats": _jsonable(report.stats),
-        "values": _jsonable(report.values),
-        "verdicts": _jsonable(report.verdicts),
-        "passed": report.passed,
-    }
+    save_config(out / "config.json", report.config)
+    keys = (*DERIVED, "budget_residual_max", "interp_error", "stats")
+    body = _jsonable({k: getattr(report, k) for k in keys})
     save_energy_series(out / "energy_series.csv", report.energy)
     chi = np.column_stack((report.forecast_times, report.chi_base))
     save_series(out / "forecast_chi.csv", CHI_SERIES_COLUMNS, [chi])
@@ -458,22 +449,25 @@ class AuditResult:
 
 
 def audit_twin(out_dir) -> AuditResult:
-    """Recompute every block ``_derive_diagnostics`` derives (verdicts,
-    values, decay, gains, envelope) and ``passed`` from the persisted series
-    and config echo, and compare each with the stored report.  The series
-    read back bit for bit, so every entry must match exactly (non-finite
-    values are stored as null).  The entries of ``AUDIT_UNCHECKED`` are not
-    recomputed."""
+    """Recompute every ``DERIVED`` block from the persisted series and
+    config echo, and compare each with the stored report.  The series read
+    back bit for bit, so every entry must match exactly (non-finite values
+    are stored as null).  The entries of ``AUDIT_UNCHECKED`` are not
+    recomputed.
+
+    ``forecast_chi.csv`` must be sampled at the energy series' forecast rows
+    (``_forecast_rows``); a ``t`` column that is not those times, as after
+    a cut series, raises ValueError naming the file."""
     out = Path(out_dir)
     cfg = load_config(out / "config.json")
     stored = json.loads((out / "report.json").read_text())
     energy = load_energy_series(out / "energy_series.csv")
-    _, (chi_times, chi_base) = load_series(out / "forecast_chi.csv", CHI_SERIES_COLUMNS)
+    chi_path = out / "forecast_chi.csv"
+    _, (chi_times, chi_base) = load_series(chi_path, CHI_SERIES_COLUMNS)
+    if not np.array_equal(chi_times, energy.time[_forecast_rows(cfg, energy.time)]):
+        raise ValueError(f"{chi_path}: t column is not the forecast rows of energy_series.csv")
 
-    derived = _derive_diagnostics(cfg, energy.time, energy.rel_energy, chi_times, chi_base)
-    verdicts = derived[-1]
-    recomputed = dict(zip(("decay", "gains", "envelope", "values", "verdicts"), derived))
-    recomputed["passed"] = all(verdicts.values())
+    recomputed = _derive_diagnostics(cfg, energy.time, energy.rel_energy, chi_base)
     mismatches = []
     for name, block in recomputed.items():
         want, got = _jsonable(block), stored.get(name)
@@ -489,7 +483,7 @@ def audit_twin(out_dir) -> AuditResult:
             ]
         elif got != want:
             mismatches.append(f"{name}: stored {got} recomputed {want}")
-    return AuditResult(not mismatches, recomputed["passed"], verdicts, mismatches)
+    return AuditResult(not mismatches, recomputed["passed"], recomputed["verdicts"], mismatches)
 
 
 # -- parameter sweeps ----------------------------------------------------------
@@ -530,7 +524,7 @@ def _band_monotone(values, direction: str, band: float = MONOTONE_BAND) -> bool:
 @dataclass(frozen=True)
 class SweepReport:
     axis: str
-    values: list
+    values: list  # floats
     points: list  # TwinReport or None per value
     errors: list  # error string or None per value
     floors: list
@@ -548,6 +542,9 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, out_dir=None) -> SweepRe
     is integrated once while the axis does not touch it (``lambda_rho``,
     ``lambda_u``, ``delta``) and once per point when it does (``T``,
     ``n_cells``).  Per-point failures are recorded and the sweep continues.
+    With ``out_dir``, point i writes its twin output to ``point_{i:03d}``
+    and ``sweep_summary.json`` holds the report's fields but ``points``,
+    plus each point's ``sync_ratio``.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; valid axes: {tuple(SWEEP_AXES)}")
@@ -568,7 +565,7 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, out_dir=None) -> SweepRe
     interp = [p.interp_error.sup_err_r if p else None for p in points]
     report = SweepReport(
         axis=axis,
-        values=list(values),
+        values=[float(v) for v in values],
         points=points,
         errors=errors,
         floors=floors,
@@ -581,21 +578,10 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, out_dir=None) -> SweepRe
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        summary = {
-            "axis": axis,
-            "values": _jsonable([float(v) for v in values]),
-            "errors": errors,
-            "floors": _jsonable(floors),
-            "rates": _jsonable(rates),
-            "interp_errors": _jsonable(interp),
-            "floor_non_increasing": report.floor_non_increasing,
-            "rate_non_decreasing": report.rate_non_decreasing,
-            "interp_non_increasing": report.interp_non_increasing,
-            "sync_ratios": _jsonable(
-                [p.values["sync_ratio"] if p else None for p in points]
-            ),
-        }
-        (out / "sweep_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+        fields = [f.name for f in dataclasses.fields(report) if f.name != "points"]
+        summary = {name: getattr(report, name) for name in fields}
+        summary["sync_ratios"] = [p.values["sync_ratio"] if p else None for p in points]
+        (out / "sweep_summary.json").write_text(json.dumps(_jsonable(summary), indent=2) + "\n")
     return report
 
 

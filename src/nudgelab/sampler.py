@@ -285,10 +285,9 @@ def sample(traj: Trajectory, dec: SpaceTimeDecomposition) -> MeasurementSet:
     Space is resolved to the nearest grid cell, time by linear interpolation
     between adjacent snapshots.  The truth is read ``ROW_BLOCK`` slabs at a
     time into sample arrays allocated once, so no temporary of the read
-    spans the tiling.
+    spans the tiling.  The truth must cover [0, duration]: a control time
+    outside its snapshots raises ValueError (``Trajectory.point_values``).
     """
-    if not traj.covers(0.0, dec.duration):
-        raise ValueError("decomposition time range not covered by trajectory")
     grid = traj.grid
     blocks = sampled_blocks(dec, grid)
     t_star, x_star = dec.control_points(blocks)
@@ -297,8 +296,7 @@ def sample(traj: Trajectory, dec: SpaceTimeDecomposition) -> MeasurementSet:
         cells = np.clip(
             np.round(x_star[rows] / grid.dx - 0.5).astype(int), 0, grid.n_cells - 1
         )
-        ts = np.clip(t_star[rows], traj.times[0], traj.times[-1])
-        r[rows], u[rows] = traj.point_values(ts, cells)
+        r[rows], u[rows] = traj.point_values(t_star[rows], cells)
     return MeasurementSet(dec, r, u, blocks)
 
 

@@ -159,6 +159,48 @@ def test_audit_rejects_a_tampered_time_column(tmp_path, capsys, lite_twin):
     assert "stored verdicts reproduced" not in captured.out
 
 
+def _cut_series(out):
+    path = out / "energy_series.csv"
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-5]))
+
+
+def _move_one_chi_time(out):
+    path = out / "forecast_chi.csv"
+    header, *rows = path.read_text().splitlines(keepends=True)
+    t, rest = rows[10].split(",", 1)
+    rows[10] = f"{float(t) + 1e-4!r},{rest}"
+    path.write_text("".join([header, *rows]))
+
+
+@pytest.mark.parametrize("damage", [_cut_series, _move_one_chi_time], ids=["cut", "moved"])
+def test_audit_rejects_a_series_that_does_not_match_forecast_chi(
+    tmp_path, capsys, lite_twin, damage
+):
+    # the forecast rows of the series are the times of forecast_chi.csv: a
+    # series cut short, or a chi time moved off its row, is a run failure,
+    # reported in one line instead of a traceback
+    out = harness.persist_twin(lite_twin, tmp_path / "twin")
+    damage(out)
+    assert main(["audit", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("run failure: ValueError:") and "forecast_chi.csv" in err
+    assert "Traceback" not in err
+
+
+def test_validation_json_is_strict(tmp_path, monkeypatch):
+    # two equal finest runs give an infinite splitting order, which
+    # validation.json stores as null
+    monkeypatch.setattr(harness, "_splitting_order", lambda cfg: float("inf"))
+
+    def reject(token):
+        raise AssertionError(f"non-standard JSON constant {token}")
+
+    assert main(["validate", "--out", str(tmp_path)]) == 2
+    body = json.loads((tmp_path / "validation.json").read_text(), parse_constant=reject)
+    assert body["splitting_order"] is None
+    assert (body["splitting_ok"], body["passed"]) == (False, False)
+
+
 def test_seed_flag_changes_jittered_samples(tmp_path, determinism_config):
     cfg_path = write_config(tmp_path, determinism_config)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

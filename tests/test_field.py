@@ -146,8 +146,6 @@ def test_trajectory_state_at():
         with pytest.raises(ValueError, match="outside trajectory range"):
             t.state_at(np.nan)
     assert np.array_equal(one.state_at(0.5).mom, traj.mom[1])
-    assert traj.covers(0.0, 1.0)
-    assert not traj.covers(-0.5, 1.0)
 
 
 def test_trajectory_fields_at_rows_match_state_at():
