@@ -54,7 +54,6 @@ __all__ = [
     "SWEEP_AXES",
 ]
 
-SYNC_INITS = ("mean_rest", "truth_at_start")
 # sweep axis -> the (section, key) of the config it sets
 SWEEP_AXES = {
     "lambda_rho": ("nudging", "lambda_rho"),
@@ -151,7 +150,6 @@ class ExperimentConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
     calibration: CalibrationConfig = field(default_factory=CalibrationConfig)
     outputs: OutputConfig = field(default_factory=OutputConfig)
-    sync_init: str = "mean_rest"
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -210,8 +208,6 @@ class ExperimentConfig:
                 attempt("sampler", lambda: sampled_blocks(build_tiling(self), grid))
         if solver.snapshot_budget < 1:
             problems.append("solver.snapshot_budget must be >= 1")
-        if self.sync_init not in SYNC_INITS:
-            problems.append(f"sync_init must be one of {SYNC_INITS}")
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -319,7 +315,8 @@ def build_nudging(cfg: ExperimentConfig) -> NudgingConfig:
 
 
 def build_tiling(cfg: ExperimentConfig) -> SpaceTimeDecomposition:
-    """Space-time decomposition of the assimilation window [0, t_assim_end]."""
+    """Space-time decomposition of the assimilation window [0, t_assim_end]:
+    the one tiling, which ``validate()`` sizes and ``run_twin`` samples."""
     s = cfg.sampler
     return build_decomposition(
         s.delta, cfg.timeline.t_assim_end, cfg.grid.length, s.placement, s.seed

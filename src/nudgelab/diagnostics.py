@@ -141,7 +141,10 @@ def make_energy_report(
     vanishing under refinement on smooth runs.  When ``report_interval *
     lambda_u`` is not small, the first intervals do not resolve the
     relaxation transient and dominate the maximum: 1.398 on the lite twin,
-    on [0, 0.002], against a relaxation time 1/lambda_u = 0.005.
+    on [0, 0.002], against a relaxation time 1/lambda_u = 0.005.  So the
+    maximum over a run's report grid is a diagnostic, not a test of the
+    inequality, which ``test_energy_budget_inequality_on_nudged_run`` checks
+    at step resolution.
 
     One pass: u, the active rows, the observations and the forcing are read
     once for both results, and every temporary spans all rows of ``traj``.
@@ -430,7 +433,8 @@ def forecast_chi_base(
 
         1 + sup |dU/dx| + (discrete L3 norm of div(S)/r + g) squared.
 
-    The envelope multiplies this by a calibration constant.
+    The envelope multiplies this by a calibration constant.  The truth is
+    read ``ROW_BLOCK`` times at a time, which bounds the temporaries.
     """
     grid = traj.grid
     dx = grid.dx
@@ -457,16 +461,8 @@ def forecast_chi_base(
 
 # -- series persistence ------------------------------------------------------
 
-ENERGY_SERIES_COLUMNS = (
-    "t",
-    "total_energy",
-    "rel_energy",
-    "dissipation",
-    "l2_u_diff",
-    "mass",
-    "nudge_power_rho",
-    "nudge_power_u",
-)
+# the header of energy_series.csv: EnergyReport's fields, with its time as t
+ENERGY_SERIES_COLUMNS = ("t", *(f.name for f in fields(EnergyReport)[1:]))
 CHI_SERIES_COLUMNS = ("t", "chi_base")
 
 

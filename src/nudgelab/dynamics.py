@@ -14,7 +14,7 @@ n = ceil((target - t) / dt), so no sliver step is left before a landing.
 Inside the nudging window the stage pair is wrapped in a Strang splitting
 (Strang 1968) with the pointwise relaxation for the nudging sources
 -lambda_rho (rho - Ir) on the density and -lambda_u (1 + rho) (u - IU) on
-the momentum, that is u' = -c (u - IU) with c = lambda_u (1 + rho) / rho:
+the momentum, applied as u' = -c (u - IU) with c = lambda_u (1 + rho) / rho:
 a half step h = dt/2 of relaxation toward the samples at t + dt/4, the
 stage pair, and a second half step toward the samples at t + 3dt/4.  Each
 half step holds its samples fixed and is closed form and unconditionally
@@ -30,6 +30,11 @@ hold still the split step is second order in dt; it is stable at any dt,
 so no gain limits the step size.  The density update is a convex
 combination of rho and the (positive) sampled density, so
 relaxation can never create vacuum.
+
+This is not the stated momentum source: relaxing the velocity and
+rebuilding m = rho+ u+ adds -lambda_rho u (rho - Ir) to the momentum
+equation, which ``nudge_power_rho`` of the energy budget leaves out
+(ROADMAP.md, Open item 1, relaxes the momentum itself).
 """
 
 from __future__ import annotations
@@ -257,7 +262,9 @@ def _relax(rho, u, h, r_obs, u_obs, nudging):
     the velocity the solution of u' = -c (u - IU) with c = lambda_u (1 + rho)
     / rho held at the exact midpoint density (the midpoint rule, second
     order).  Each moves its field a fraction in [0, 1] of the way to the
-    sample."""
+    sample.  The caller rebuilds m = rho+ u+, so the momentum also takes
+    the source -lambda_rho u (rho - Ir), which the stated model and the
+    energy budget leave out (ROADMAP.md, Open item 1)."""
     q = math.exp(-h * nudging.lambda_rho)
     gap = rho - r_obs
     rho_n = q * gap + r_obs

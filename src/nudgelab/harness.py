@@ -255,9 +255,10 @@ def run_twin(cfg: ExperimentConfig, out_dir=None, truths: dict | None = None) ->
     """Full twin experiment.
 
     Pipeline: truth run, decomposition + sampling on the assimilation
-    window, synchronized restart (mean-density rest state by default),
-    nudged integration to the assimilation end then free integration to the
-    forecast end, diagnostics, verdicts, optional persistence.
+    window, synchronized restart from the mean-density rest state
+    (``make_synchronized_initial``), nudged integration to the assimilation
+    end then free integration to the forecast end, diagnostics, verdicts,
+    optional persistence.
 
     The nudged run is integrated one ``ROW_BLOCK`` of ``report_times`` at a
     time, each ``integrate`` call starting from the previous one's last row
@@ -265,7 +266,10 @@ def run_twin(cfg: ExperimentConfig, out_dir=None, truths: dict | None = None) ->
     soon as a block returns, one ``make_energy_report`` pass over its rows
     gives its report columns and its budget residual: the twin holds at
     most two blocks of the nudged run, never its whole trajectory.
-    ``MAX_STEPS`` bounds each block's call.
+    ``MAX_STEPS`` bounds each block's call.  In ``stats`` the nudged run's
+    step count and integration wall time are the sums over its blocks, its
+    dt range the extremes over them, and ``diagnostics_wall_time`` includes
+    each block's energy report.
 
     When either run fails, ``config.json`` and ``error.json`` (naming the
     failed run) are written before the error propagates, and for the nudged
@@ -294,11 +298,7 @@ def run_twin(cfg: ExperimentConfig, out_dir=None, truths: dict | None = None) ->
     ms = sample(observed, build_tiling(cfg))
     sample_wall_time = _time.perf_counter() - sample_start
 
-    if cfg.sync_init == "mean_rest":
-        initial = make_synchronized_initial(observed)
-    else:  # truth_at_start: identical twin control
-        initial = observed.state_at(0.0)
-
+    initial = make_synchronized_initial(observed)
     landings = report_times(cfg)
     n_landings = len(landings)
     parts, residuals, nudged_stats = [], [], []

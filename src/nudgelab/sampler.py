@@ -140,7 +140,9 @@ def _tiling_counts(delta: float, duration: float, length: float) -> tuple[int, i
 
     Slab and block widths target delta/sqrt(2) each; the counts are bumped
     if floating-point breakpoints would overshoot the diameter bound.  When
-    delta already covers the whole cylinder a single cell is produced.
+    delta already covers the whole cylinder a single cell is produced.  A
+    slab or block count above MAX_STORED_CELLS raises ValueError on its own,
+    whatever ``sampled_blocks`` would store.
     """
     if not (delta > 0.0 and duration > 0.0 and length > 0.0):
         raise ValueError("delta, duration, and length must be positive")

@@ -84,7 +84,7 @@ def test_invalid_config_exits_3_before_any_run(tmp_path, monkeypatch, capsys, mu
     [
         {"eos": {"a": 0.4}}, {"forcing": {"kind": "none"}}, {"initial": {"kind": "uniform"}},
         {"solver": {"safety": 0.4}}, {"solver": {"rho_floor": 1e-8}},
-        {"solver": {"max_steps": 100}},
+        {"solver": {"max_steps": 100}}, {"sync_init": "truth_at_start"},
     ],
 )
 def test_removed_model_keys_exit_3_as_unknown(tmp_path, capsys, mutation):

@@ -163,13 +163,11 @@ def test_ints_widen_to_floats_and_null_is_rejected(tmp_path):
     assert cfg.grid.length == 2.0 and isinstance(cfg.grid.length, float)
     assert '"length": 2.0' in cfg.to_json()
     # no leaf is optional: null fails like any other wrong type, everywhere
-    leaves = [(section, key) for section, block in cfg.to_dict().items()
-              if isinstance(block, dict) for key in block] + [(None, "sync_init")]
-    assert len(leaves) == 23
+    leaves = [(section, key) for section, block in cfg.to_dict().items() for key in block]
+    assert len(leaves) == 22
     for section, key in leaves:
-        path.write_text(json.dumps({section: {key: None}} if section else {key: None}))
-        name = f"{section}.{key}" if section else key
-        with pytest.raises(ConfigError, match=re.escape(f"{name}: expected")):
+        path.write_text(json.dumps({section: {key: None}}))
+        with pytest.raises(ConfigError, match=re.escape(f"{section}.{key}: expected")):
             load_config(path)
 
 

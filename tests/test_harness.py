@@ -237,11 +237,11 @@ def test_truth_run_peak_memory_is_bounded_by_its_trajectory(lite_config):
     assert peak <= 2.5 * traj_bytes
 
 
-def test_twin_identical_initial_data_stays_synchronized(lite_config):
+def test_twin_identical_initial_data_stays_synchronized(lite_config, monkeypatch):
+    # a zero-gain twin restarted from the truth itself
+    monkeypatch.setattr(harness, "make_synchronized_initial", lambda obs: obs.state_at(0.0))
     cfg = dataclasses.replace(
-        lite_config,
-        nudging=NudgingGains(lambda_rho=0.0, lambda_u=0.0),
-        sync_init="truth_at_start",
+        lite_config, nudging=NudgingGains(lambda_rho=0.0, lambda_u=0.0)
     )
     rep = run_twin(cfg)
     # the truth lands on the restarted run's own times, so from t = 0 the
