@@ -1,11 +1,16 @@
 """Experiment configuration: nested dataclasses with a strict JSON file form,
 and the ``build_*`` constructors that turn a config into the run's objects.
 
+The ``grid``, ``eos`` and ``viscosity`` sections are the run's own
+``Grid1D``, ``EquationOfState`` and ``Viscosity``, so their constructors are
+their rules.
+
 The file form is plain JSON mirroring the dataclass tree.  Unknown keys are
-rejected, every float round-trips bit-exactly through the file (json emits
-repr-precision floats), and validation happens eagerly on load so that a bad
-file fails before any run starts.  Validation runs the same constructors the
-run uses, so a config is valid exactly when the run would accept it.
+rejected, every leaf's type is checked as the file form is read, every float
+round-trips bit-exactly through the file (json emits repr-precision floats),
+and validation happens eagerly on load so that a bad file fails before any
+run starts.  Validation runs the same constructors the run uses, so a config
+is valid exactly when the run would accept it.
 """
 
 from __future__ import annotations
@@ -29,9 +34,6 @@ from .field import FluidState, Grid1D
 from .sampler import SpaceTimeDecomposition, build_decomposition, sampled_blocks
 
 __all__ = [
-    "GridConfig",
-    "EosConfig",
-    "ViscosityConfig",
     "TimelineConfig",
     "ForcingConfig",
     "InitialConfig",
@@ -43,9 +45,6 @@ __all__ = [
     "ExperimentConfig",
     "load_config",
     "save_config",
-    "build_grid",
-    "build_eos",
-    "build_viscosity",
     "build_forcing",
     "build_initial_state",
     "build_nudging",
@@ -62,24 +61,6 @@ SWEEP_AXES = {
     "T": ("timeline", "t_assim_end"),
     "n_cells": ("grid", "n_cells"),
 }
-
-
-@dataclass(frozen=True)
-class GridConfig:
-    n_cells: int = 256
-    length: float = 1.0
-
-
-@dataclass(frozen=True)
-class EosConfig:
-    gamma: float = 1.4
-    kappa: float = 1.0
-
-
-@dataclass(frozen=True)
-class ViscosityConfig:
-    mu: float = 0.05
-    lambda_bulk: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -139,9 +120,9 @@ class OutputConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    grid: GridConfig = field(default_factory=GridConfig)
-    eos: EosConfig = field(default_factory=EosConfig)
-    viscosity: ViscosityConfig = field(default_factory=ViscosityConfig)
+    grid: Grid1D = Grid1D(256, 1.0)
+    eos: EquationOfState = EquationOfState(1.4)
+    viscosity: Viscosity = Viscosity(0.05)
     timeline: TimelineConfig = field(default_factory=TimelineConfig)
     forcing: ForcingConfig = field(default_factory=ForcingConfig)
     initial: InitialConfig = field(default_factory=InitialConfig)
@@ -159,18 +140,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        return _build(cls, data, path="")
+        return _build(data)
 
     def validate(self) -> None:
         """Raise ConfigError unless every phase of a run accepts this config.
 
-        Leaf types come from the dataclass annotations and value ranges from
-        the run's own constructors; only the rules that no constructor owns
-        are spelled out here.
+        Only the rules that no constructor owns are spelled out here.  The
+        grid, equation of state and viscosity are the run's own objects,
+        checked by their constructors when the config was made.  Leaf types
+        are checked where a config enters from outside the program, in
+        ``from_dict``; a config built in Python is checked by its
+        constructors, as every other API object is.
         """
-        problems = _type_problems(self, "")
-        if problems:
-            raise ConfigError("; ".join(problems))
+        problems = []
 
         def attempt(section, build):
             try:
@@ -180,9 +162,6 @@ class ExperimentConfig:
                 return None
 
         tl, sampler, solver, cal = self.timeline, self.sampler, self.solver, self.calibration
-        grid = attempt("grid", lambda: build_grid(self))
-        attempt("eos", lambda: build_eos(self))
-        attempt("viscosity", lambda: build_viscosity(self))
         if solver.report_interval <= 0.0:
             problems.append("solver.report_interval must be positive")
         elif not math.isfinite(n := tl.t_plus / solver.report_interval) or round(n) > MAX_STEPS:
@@ -190,8 +169,8 @@ class ExperimentConfig:
             problems.append(f"solver.report_interval: more report times than MAX_STEPS={MAX_STEPS}")
         if self.initial.base_density - abs(self.initial.amplitude) <= 0.0:
             problems.append("initial profile must stay strictly positive")
-        elif grid is not None:
-            attempt("initial", lambda: build_initial_state(self, grid))
+        else:
+            attempt("initial", lambda: build_initial_state(self, self.grid))
         if not (tl.t_minus < 0.0 < tl.t_assim_end < tl.t_plus):
             problems.append("timeline must satisfy t_minus < 0 < t_assim_end < t_plus")
         elif tl.t_plus - tl.t_assim_end <= 4 * math.ulp(tl.t_assim_end):
@@ -204,15 +183,14 @@ class ExperimentConfig:
                 attempt("calibration", lambda: check_gain_conditions(
                     nudging, sampler.delta, cal.gamma_cal, cal.epsilon_target
                 ))
-            if grid is not None:
-                attempt("sampler", lambda: sampled_blocks(build_tiling(self), grid))
+            attempt("sampler", lambda: sampled_blocks(build_tiling(self), self.grid))
         if solver.snapshot_budget < 1:
             problems.append("solver.snapshot_budget must be >= 1")
         if problems:
             raise ConfigError("; ".join(problems))
 
 
-# -- leaf types ------------------------------------------------------------------
+# -- the file form -----------------------------------------------------------------
 
 _EXPECTED = {float: "a finite number", int: "an integer", bool: "true or false", str: "a string"}
 
@@ -222,66 +200,80 @@ def _hints(cls) -> dict:
     return typing.get_type_hints(cls)
 
 
-def _type_problems(obj, path: str) -> list:
-    problems = []
-    for name, hint in _hints(type(obj)).items():
-        value = getattr(obj, name)
-        sub = f"{path}.{name}" if path else name
-        if dataclasses.is_dataclass(hint):
-            problems += _type_problems(value, sub)
-            continue
-        if isinstance(value, bool) or hint is bool:
-            ok = isinstance(value, bool) and hint is bool
-        elif hint is float:
-            ok = isinstance(value, numbers.Real) and math.isfinite(value)
-        elif hint is int:
-            ok = isinstance(value, numbers.Integral)
-        else:
-            ok = isinstance(value, hint)
-        if not ok:
-            problems.append(f"{sub}: expected {_EXPECTED[hint]}, got {value!r}")
-    return problems
-
-
-def _build(cls, data, path: str):
-    """Dataclass tree from its JSON form; types are checked by validate()."""
-    where = path or "config"
+def _section(data, cls, where: str) -> dict:
+    """The annotations of ``cls``, once ``data`` is an object that holds no
+    other key."""
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected an object")
     hints = _hints(cls)
     unknown = set(data) - set(hints)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    kwargs = {}
-    for name, value in data.items():
-        hint = hints[name]
-        sub = f"{path}.{name}" if path else name
-        if dataclasses.is_dataclass(hint):
-            value = _build(hint, value, sub)
-        elif hint is float and type(value) is int:  # bool stays a type error
-            try:
-                value = float(value)  # the config echo then prints 1.0, not 1
-            except OverflowError as err:
-                raise ConfigError(f"{sub}: expected {_EXPECTED[float]}") from err
-        elif hint is int and isinstance(value, float) and value.is_integer():
-            value = int(value)
-        kwargs[name] = value
-    return cls(**kwargs)
+    return hints
+
+
+def _leaf(value, hint, where: str, problems: list):
+    """``value`` read by the file rule: an integer becomes a float where a
+    float is due, an integral float an int where an int is due.  A value of
+    any other type is named in ``problems``."""
+    if hint is float and type(value) is int:  # bool stays a type error
+        try:
+            value = float(value)  # the config echo then prints 1.0, not 1
+        except OverflowError:
+            problems.append(f"{where}: expected {_EXPECTED[float]}")
+            return value
+    elif hint is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or hint is bool:
+        ok = isinstance(value, bool) and hint is bool
+    elif hint is float:
+        ok = isinstance(value, numbers.Real) and math.isfinite(value)
+    elif hint is int:
+        ok = isinstance(value, numbers.Integral)
+    else:
+        ok = isinstance(value, hint)
+    if not ok:
+        problems.append(f"{where}: expected {_EXPECTED[hint]}, got {value!r}")
+    return value
+
+
+def _build(data) -> ExperimentConfig:
+    """ExperimentConfig from its JSON form: the path of every config that
+    enters from outside the program (``load_config``, the audit's config
+    echo, each sweep point).
+
+    An unknown key fails at once.  Then every leaf's type is checked against
+    its annotation, and each wrong leaf of the file is named in one
+    ConfigError.  Only then is each given section built, as its default with
+    the given keys replaced, and the constructors' range errors of all
+    sections are named in one ConfigError.  The rules that no constructor
+    owns are left to ``validate()``.  A config built in Python does not pass
+    here: its constructors check it, as they check every other API object.
+    """
+    sections = _section(data, ExperimentConfig, "config")
+    hints = {name: _section(block, sections[name], name) for name, block in data.items()}
+    # an unknown key is named in the file's order, every other error in the tree's
+    problems, given = [], {}
+    for name in (name for name in sections if name in data):
+        given[name] = {
+            key: _leaf(data[name][key], hint, f"{name}.{key}", problems)
+            for key, hint in hints[name].items()
+            if key in data[name]
+        }
+    if problems:
+        raise ConfigError("; ".join(problems))
+    default, built = ExperimentConfig(), {}
+    for name, leaves in given.items():
+        try:
+            built[name] = dataclasses.replace(getattr(default, name), **leaves)
+        except ValueError as err:
+            problems.append(f"{name}: {err}")
+    if problems:
+        raise ConfigError("; ".join(problems))
+    return ExperimentConfig(**built)
 
 
 # -- run objects from config ------------------------------------------------------
-
-
-def build_grid(cfg: ExperimentConfig) -> Grid1D:
-    return Grid1D(cfg.grid.n_cells, cfg.grid.length)
-
-
-def build_eos(cfg: ExperimentConfig) -> EquationOfState:
-    return EquationOfState(cfg.eos.gamma, cfg.eos.kappa)
-
-
-def build_viscosity(cfg: ExperimentConfig) -> Viscosity:
-    return Viscosity(cfg.viscosity.mu, cfg.viscosity.lambda_bulk)
 
 
 def build_forcing(cfg: ExperimentConfig) -> Forcing:

@@ -22,13 +22,10 @@ import numpy as np
 from .config import (
     ExperimentConfig,
     SWEEP_AXES,
-    build_eos,
     build_forcing,
-    build_grid,
     build_initial_state,
     build_nudging,
     build_tiling,
-    build_viscosity,
     load_config,
     report_times,
     save_config,
@@ -126,13 +123,12 @@ def run_observed(
     key = observed_signature(cfg)
     if truths is not None and key in truths:
         return truths[key], IntegrationStats(0, 0.0, 0.0, 0.0)
-    grid = build_grid(cfg)
     traj, stats = integrate(
-        grid,
-        build_initial_state(cfg, grid),
+        cfg.grid,
+        build_initial_state(cfg, cfg.grid),
         cfg.timeline.t_plus,
-        build_eos(cfg),
-        build_viscosity(cfg),
+        cfg.eos,
+        cfg.viscosity,
         build_forcing(cfg),
         landings=(0.0, *report_times(cfg)),
     )
@@ -282,9 +278,7 @@ def run_twin(cfg: ExperimentConfig, out_dir=None, truths: dict | None = None) ->
     """
     cfg.validate()
     wall_start = _time.perf_counter()
-    grid = build_grid(cfg)
-    eos = build_eos(cfg)
-    visc = build_viscosity(cfg)
+    grid, eos, visc = cfg.grid, cfg.eos, cfg.viscosity
     forcing = build_forcing(cfg)
     nudging = build_nudging(cfg)
 
@@ -455,12 +449,16 @@ def audit_twin(out_dir) -> AuditResult:
     are stored as null).  The entries of ``AUDIT_UNCHECKED`` are not
     recomputed.
 
-    ``forecast_chi.csv`` must be sampled at the energy series' forecast rows
-    (``_forecast_rows``); a ``t`` column that is not those times, as after
-    a cut series, raises ValueError naming the file."""
+    ``report.json`` must hold a JSON object, and ``forecast_chi.csv`` must
+    be sampled at the energy series' forecast rows (``_forecast_rows``); a
+    report of another form, or a ``t`` column that is not those times, as
+    after a cut series, raises ValueError naming the file."""
     out = Path(out_dir)
     cfg = load_config(out / "config.json")
-    stored = json.loads((out / "report.json").read_text())
+    report_path = out / "report.json"
+    stored = json.loads(report_path.read_text())
+    if not isinstance(stored, dict):
+        raise ValueError(f"{report_path}: expected a JSON object")
     energy = load_energy_series(out / "energy_series.csv")
     chi_path = out / "forecast_chi.csv"
     _, (chi_times, chi_base) = load_series(chi_path, CHI_SERIES_COLUMNS)
@@ -492,8 +490,9 @@ def audit_twin(out_dir) -> AuditResult:
 def _apply_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
     """The sweep point with ``value`` at the axis's config key, built by the
     config file's rule: an integer becomes a float where a float is due, an
-    integral float an int where an int is due, and any other value fails
-    validation as this point's ConfigError."""
+    integral float an int where an int is due, and a value of any other type,
+    or one its section's constructor rejects, raises this point's
+    ConfigError."""
     value = value.item() if isinstance(value, np.generic) else value
     section, key = SWEEP_AXES[axis]
     data = cfg.to_dict()
@@ -501,7 +500,7 @@ def _apply_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
     if axis == "lambda_rho" and isinstance(value, (int, float)):
         # preserve the template's gain ratio so the velocity gain keeps pace
         # (the synchronization conditions couple the two gains); a value
-        # that is no number fails validation as lambda_rho
+        # that is no number fails the type check as lambda_rho
         gains = cfg.nudging
         ratio = gains.lambda_u / gains.lambda_rho if gains.lambda_rho > 0.0 else 4.0
         data["nudging"]["lambda_u"] = ratio * value
@@ -550,12 +549,11 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, out_dir=None) -> SweepRe
         raise ConfigError(f"unknown sweep axis {axis!r}; valid axes: {tuple(SWEEP_AXES)}")
     points, errors, truths = [], [], {}
     for i, value in enumerate(values):
-        sub_cfg = _apply_axis(cfg, axis, value)
         sub_out = None
         if out_dir is not None:
             sub_out = Path(out_dir) / f"point_{i:03d}"
         try:
-            points.append(run_twin(sub_cfg, out_dir=sub_out, truths=truths))
+            points.append(run_twin(_apply_axis(cfg, axis, value), out_dir=sub_out, truths=truths))
             errors.append(None)
         except (VacuumError, BlowUpError, ConfigError) as err:
             points.append(None)
@@ -670,11 +668,9 @@ class ValidationReport:
 
 def _mms_error(cfg, case, n, t_final):
     grid = Grid1D(n, cfg.grid.length)
-    eos = build_eos(cfg)
-    visc = build_viscosity(cfg)
     x = grid.cell_centers()
     initial = FluidState(0.0, case.rho(0.0, x), case.momentum(0.0, x))
-    traj, _ = integrate(grid, initial, t_final, eos, visc, case.forcing, landings=())
+    traj, _ = integrate(grid, initial, t_final, cfg.eos, cfg.viscosity, case.forcing, landings=())
     final = traj.snapshot(traj.n_snapshots - 1)
     dx = grid.dx
     e_rho = np.sqrt(dx * np.sum((final.rho - case.rho(t_final, x)) ** 2))
@@ -693,8 +689,7 @@ def _splitting_order(cfg) -> float:
     and the tiling 1.30, because the samples jump in time at the ends of
     the tiling's slabs."""
     grid = Grid1D(64, cfg.grid.length)
-    eos = build_eos(cfg)
-    visc = build_viscosity(cfg)
+    eos, visc = cfg.eos, cfg.viscosity
     forcing = build_forcing(cfg)
     x = grid.cell_centers()
     rho0 = 1.0 + 0.2 * np.cos(2.0 * np.pi * x / grid.length)
@@ -723,7 +718,7 @@ def validate_solver(cfg: ExperimentConfig | None = None) -> ValidationReport:
     checks, each against its frozen range (MMS_ORDER_RANGE, MASS_DRIFT_MAX,
     SPLITTING_ORDER_RANGE)."""
     cfg = cfg or ExperimentConfig()
-    eos, visc = build_eos(cfg), build_viscosity(cfg)
+    eos, visc = cfg.eos, cfg.viscosity
     case = manufactured_case(eos, visc, cfg.grid.length)
     errors = tuple(_mms_error(cfg, case, n, MMS_T_FINAL) for n in MMS_N_VALUES)
     orders = tuple(

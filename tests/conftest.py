@@ -28,12 +28,12 @@ def _timed(name, fn):
 from nudgelab.config import (
     CalibrationConfig,
     ExperimentConfig,
-    GridConfig,
     NudgingGains,
     SamplerConfig,
     SolverConfig,
     TimelineConfig,
 )
+from nudgelab.field import Grid1D
 
 
 @pytest.fixture(scope="session")
@@ -45,7 +45,7 @@ def baseline_config():
 def lite_experiment():
     """Coarse, short, cheap configuration for functional tests."""
     return ExperimentConfig(
-        grid=GridConfig(n_cells=64),
+        grid=Grid1D(64, 1.0),
         timeline=TimelineConfig(t_minus=-0.2, t_assim_end=0.5, t_plus=0.8),
         sampler=SamplerConfig(delta=0.02),
         solver=SolverConfig(report_interval=2e-3),
@@ -61,7 +61,7 @@ def lite_config():
 def determinism_config():
     """Cheap config whose gain conditions all pass; used by CLI round trips."""
     return ExperimentConfig(
-        grid=GridConfig(n_cells=64),
+        grid=Grid1D(64, 1.0),
         timeline=TimelineConfig(t_minus=-0.2, t_assim_end=0.5, t_plus=0.8),
         sampler=SamplerConfig(delta=3e-3, placement="jittered", seed=7),
         nudging=NudgingGains(lambda_rho=20.0, lambda_u=80.0),

@@ -187,6 +187,17 @@ def test_audit_rejects_a_series_that_does_not_match_forecast_chi(
     assert "Traceback" not in err
 
 
+def test_audit_rejects_a_report_that_is_not_an_object(tmp_path, capsys, lite_twin):
+    # a report.json that parses to no JSON object is a run failure naming
+    # the file, reported in one line instead of a traceback
+    out = harness.persist_twin(lite_twin, tmp_path / "twin")
+    (out / "report.json").write_text("[]\n")
+    assert main(["audit", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("run failure: ValueError:") and "report.json: expected a JSON object" in err
+    assert "Traceback" not in err
+
+
 def test_validation_json_is_strict(tmp_path, monkeypatch):
     # two equal finest runs give an infinite splitting order, which
     # validation.json stores as null

@@ -8,7 +8,6 @@ import pytest
 from nudgelab.config import (
     ExperimentConfig,
     build_forcing,
-    build_grid,
     NudgingGains,
     SamplerConfig,
     SolverConfig,
@@ -147,6 +146,9 @@ def test_semantic_validation(tmp_path, mutation):
         ({"outputs": {"directory": "out"}}, "outputs: unknown keys ['directory']"),
         # the tiling owns the seed rule
         ({"sampler": {"seed": -1}}, "sampler: seed must be >= 0, got -1"),
+        # every run-object constructor runs, and one message names each error
+        ({"grid": {"n_cells": 4}, "eos": {"gamma": 1.0}},
+         "grid: n_cells must be an integer >= 8; eos: gamma must be finite and > 1"),
     ],
 )
 def test_validation_names_the_section(tmp_path, mutation, expected):
@@ -221,7 +223,7 @@ def test_high_gain_config_is_valid():
     cfg.validate()
     dec = build_decomposition(1.25e-4, 1.0, 1.0)
     assert dec.n_cells == 128_006_596
-    assert dec.n_time_slabs * sampled_blocks(dec, build_grid(cfg)).size == 2_896_384
+    assert dec.n_time_slabs * sampled_blocks(dec, cfg.grid).size == 2_896_384
 
 
 def test_replace_keeps_validity():
@@ -234,7 +236,7 @@ def test_replace_keeps_validity():
 def test_forcing_rows_are_the_scalar_calls():
     # the sine forcing broadcasts over a column of times, bit for bit
     cfg = ExperimentConfig()
-    x = build_grid(cfg).cell_centers()
+    x = cfg.grid.cell_centers()
     ts = np.concatenate([
         np.linspace(cfg.timeline.t_minus, cfg.timeline.t_plus, 301),
         np.random.default_rng(4).uniform(-1.0, 3.0, 200),

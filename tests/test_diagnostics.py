@@ -7,8 +7,7 @@ import pytest
 from conftest import equal_steps
 from nudgelab import dynamics, harness
 from nudgelab.config import (
-    build_eos, build_forcing, build_grid, build_nudging, build_tiling, build_viscosity,
-    report_times,
+    build_forcing, build_nudging, build_tiling, report_times,
 )
 from nudgelab.diagnostics import (
     ENERGY_SERIES_COLUMNS,
@@ -234,12 +233,12 @@ def test_energy_report_reads_the_observations_once_per_block(monkeypatch, lite_c
     # read the observations of all 65 rows, and do so in one call
     cfg = lite_config
     eos, visc, forcing, nudging = (
-        build_eos(cfg), build_viscosity(cfg), build_forcing(cfg), build_nudging(cfg)
+        cfg.eos, cfg.viscosity, build_forcing(cfg), build_nudging(cfg)
     )
     ms = sample(lite_observed, build_tiling(cfg))
     block = report_times(cfg)[:ROW_BLOCK]
     traj, _ = integrate(
-        build_grid(cfg), make_synchronized_initial(lite_observed), block[-1],
+        cfg.grid, make_synchronized_initial(lite_observed), block[-1],
         eos, visc, forcing, ms, nudging, landings=block,
     )
     assert traj.n_snapshots == ROW_BLOCK + 1 and nudging.active(traj.times).all()
@@ -540,7 +539,7 @@ def test_partial_series_equals_the_per_snapshot_functions(tmp_path, lite_config,
     ms = sample(observed, dec)
     report = load_energy_series(tmp_path / "energy_series.csv")
     assert_series_is_per_snapshot(
-        report, partial, observed, build_eos(cfg), build_viscosity(cfg), ms, build_nudging(cfg)
+        report, partial, observed, cfg.eos, cfg.viscosity, ms, build_nudging(cfg)
     )
 
 
@@ -587,5 +586,5 @@ def test_later_block_failure_series_covers_every_row_reached(tmp_path, lite_conf
     ms = sample(observed, build_tiling(cfg))
     report = load_energy_series(tmp_path / "energy_series.csv")
     assert_series_is_per_snapshot(
-        report, reached, observed, build_eos(cfg), build_viscosity(cfg), ms, build_nudging(cfg)
+        report, reached, observed, cfg.eos, cfg.viscosity, ms, build_nudging(cfg)
     )

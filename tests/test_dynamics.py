@@ -7,7 +7,7 @@ import pytest
 
 from conftest import equal_steps
 import nudgelab.dynamics as dynamics
-from nudgelab.config import ExperimentConfig, GridConfig, build_forcing
+from nudgelab.config import ExperimentConfig, build_forcing
 from nudgelab.diagnostics import total_energy
 from nudgelab.dynamics import (
     Forcing,
@@ -648,7 +648,7 @@ def _same_bits(a, b):
 def _forcings(length):
     return {
         "off": Forcing.zero(),
-        "config": build_forcing(ExperimentConfig(grid=GridConfig(64, length))),
+        "config": build_forcing(ExperimentConfig(grid=Grid1D(64, length))),
         "manufactured": manufactured_case(EOS, VISC, length).forcing,
     }
 

@@ -7,8 +7,8 @@ import pytest
 
 from nudgelab import dynamics, harness
 from nudgelab.config import (
-    ExperimentConfig, InitialConfig, ForcingConfig, NudgingGains, build_eos, build_forcing,
-    build_nudging, build_tiling, build_viscosity, report_times,
+    ExperimentConfig, InitialConfig, ForcingConfig, NudgingGains, build_forcing,
+    build_nudging, build_tiling, report_times,
 )
 from nudgelab.diagnostics import (
     load_energy_series, make_energy_report, save_energy_series,
@@ -19,7 +19,6 @@ from nudgelab.field import ROW_BLOCK, FluidState, Trajectory
 from nudgelab.harness import (
     audit_twin,
     build_initial_state,
-    build_grid,
     manufactured_case,
     observed_signature,
     persist_twin,
@@ -172,11 +171,11 @@ def test_blocked_nudged_run_is_the_single_call_bit_for_bit(lite_config, lite_obs
     truths = {observed_signature(cfg): lite_observed}
     report = run_twin(cfg, truths=truths)
     eos, visc, forcing, nudging = (
-        build_eos(cfg), build_viscosity(cfg), build_forcing(cfg), build_nudging(cfg)
+        cfg.eos, cfg.viscosity, build_forcing(cfg), build_nudging(cfg)
     )
     ms = sample(lite_observed, build_tiling(cfg))
     traj, stats = dynamics.integrate(
-        build_grid(cfg), make_synchronized_initial(lite_observed), cfg.timeline.t_plus,
+        cfg.grid, make_synchronized_initial(lite_observed), cfg.timeline.t_plus,
         eos, visc, forcing, ms, nudging, landings=report_times(cfg),
     )
     single, residual = make_energy_report(eos, visc, forcing, traj, lite_observed, ms, nudging)
@@ -271,7 +270,7 @@ def test_observed_data_firewall(lite_config):
     corrupting unsampled regions leaves the measurement set, and hence the
     nudged run, unchanged."""
     from nudgelab.dynamics import NudgingConfig, integrate
-    from nudgelab.harness import build_eos, build_forcing, build_viscosity
+    from nudgelab.harness import build_forcing
 
     traj, _ = run_observed(lite_config)
     dec = build_decomposition(0.3, lite_config.timeline.t_assim_end, 1.0)
@@ -303,8 +302,8 @@ def test_observed_data_firewall(lite_config):
         grid,
         make_synchronized_initial(traj),
         lite_config.timeline.t_assim_end,
-        build_eos(lite_config),
-        build_viscosity(lite_config),
+        lite_config.eos,
+        lite_config.viscosity,
         build_forcing(lite_config),
     )
     run_a, _ = integrate(*args, ms, nudging, landings=landings)
@@ -353,13 +352,18 @@ def test_sweep_records_over_cap_delta_and_continues(lite_config):
 
 
 def test_sweep_n_cells_follows_the_config_file_rule(lite_config):
-    # an integral float becomes an int; any other value is a per-point error
+    # an integral float becomes an int; any other value, or one that the
+    # grid rejects, is a per-point error, and the sweep goes on to its next
+    # point
     for value in (32.0, np.int64(32), np.float64(32.0)):
         cfg = harness._apply_axis(lite_config, "n_cells", value)
         assert cfg.grid.n_cells == 32 and type(cfg.grid.n_cells) is int
-    sweep = run_sweep(lite_config, "n_cells", [64.5])
-    assert sweep.points == [None]
-    assert sweep.errors[0] == "ConfigError: grid.n_cells: expected an integer, got 64.5"
+    sweep = run_sweep(lite_config, "n_cells", [4, 64.5])
+    assert sweep.points == [None, None]
+    assert sweep.errors == [
+        "ConfigError: grid: n_cells must be an integer >= 8",
+        "ConfigError: grid.n_cells: expected an integer, got 64.5",
+    ]
 
 
 def test_sweep_summary_is_strict_json(tmp_path, lite_config):
@@ -380,8 +384,8 @@ def test_sweep_rejects_unknown_axis(lite_config):
 
 def test_manufactured_zero_perturbation_is_exact():
     cfg = ExperimentConfig()
-    eos = harness.build_eos(cfg)
-    visc = harness.build_viscosity(cfg)
+    eos = cfg.eos
+    visc = cfg.viscosity
     case = manufactured_case(eos, visc, 1.0, rho_amplitude=0.0)
     err = _mms_error(cfg, case, 64, 0.05)
     assert err <= 1e-13
@@ -391,8 +395,8 @@ def test_manufactured_fields_match_a_symbolic_derivation():
     import sympy as sp
 
     cfg = ExperimentConfig()
-    eos = harness.build_eos(cfg)
-    visc = harness.build_viscosity(cfg)
+    eos = cfg.eos
+    visc = cfg.viscosity
     case = manufactured_case(eos, visc, 1.0)
     t, x = sp.symbols("t x", real=True)
     a, k = sp.Rational(1, 5), 2 * sp.pi
@@ -420,8 +424,8 @@ def test_manufactured_fields_match_a_symbolic_derivation():
 
 def test_manufactured_forcing_rows_are_the_scalar_calls():
     cfg = ExperimentConfig()
-    case = manufactured_case(harness.build_eos(cfg), harness.build_viscosity(cfg), 1.0)
-    x = build_grid(cfg).cell_centers()
+    case = manufactured_case(cfg.eos, cfg.viscosity, 1.0)
+    x = cfg.grid.cell_centers()
     ts = np.concatenate([np.linspace(0.0, 0.1, 101), np.random.default_rng(6).uniform(0.0, 2.0, 100)])
     row = case.forcing.at(x)
     rows = row(ts[:, None])
@@ -471,7 +475,7 @@ def test_twin_writes_the_stored_measurements(tmp_path, lite_config):
         assert fh.readline() == "t_lo,t_hi,x_lo,x_hi,t_star,x_star,r_sample,U_sample\n"
         rows = fh.read().splitlines()
     dec = build_decomposition(cfg.sampler.delta, cfg.timeline.t_assim_end, cfg.grid.length)
-    n_ref = np.unique(dec.space_block_index(build_grid(cfg).cell_centers())).size
+    n_ref = np.unique(dec.space_block_index(cfg.grid.cell_centers())).size
     assert n_ref == 64 < dec.n_space_blocks
     assert len(rows) == dec.n_time_slabs * n_ref
 
@@ -601,7 +605,7 @@ def test_mean_rest_initial_matches_observed_mass(lite_observed):
 
 def test_build_initial_state_kinds():
     cfg = ExperimentConfig()
-    grid = build_grid(cfg)
+    grid = cfg.grid
     s = build_initial_state(cfg, grid)
     assert s.time == cfg.timeline.t_minus
     assert np.min(s.rho) >= 0.7 - 1e-12
