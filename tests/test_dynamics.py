@@ -7,6 +7,7 @@ import pytest
 
 from conftest import equal_steps
 import nudgelab.dynamics as dynamics
+from nudgelab import harness
 from nudgelab.config import ExperimentConfig, build_forcing
 from nudgelab.diagnostics import total_energy
 from nudgelab.dynamics import (
@@ -190,6 +191,21 @@ def test_step_relaxation_halfway_example():
     cfg = NudgingConfig(10.0, 0.0, (0.0, 1.0))
     rho, _ = step(g, (s.time, s.rho, s.mom), math.log(2.0) / 10.0, EOS, VISC, None, ms, cfg)
     assert np.allclose(rho, 1.5, rtol=1e-14)
+
+
+def test_step_density_relaxation_leaves_the_momentum():
+    # the stated sources alone: with lambda_u = 0 the momentum takes no
+    # relaxation source, however far the density relaxes.  Away from the
+    # walls the nudged step keeps the free step's momentum (1), where a
+    # relaxed velocity rebuilt as rho+ u+ ended at 0.952
+    g = Grid1D(16, 1.0)
+    s = uniform_state(16, rho=2.0, u=0.5)
+    ms = constant_measurements(r=1.0, u=0.5)
+    cfg = NudgingConfig(10.0, 0.0, (0.0, 1.0))
+    free = step(g, (s.time, s.rho, s.mom), 1e-2, EOS, VISC, None)
+    rho, mom = step(g, (s.time, s.rho, s.mom), 1e-2, EOS, VISC, None, ms, cfg)
+    assert np.allclose(rho[6:10], 1.0 + math.exp(-0.1), rtol=1e-12)
+    assert np.allclose(mom[6:10], free[1][6:10], rtol=1e-12)
 
 
 @pytest.mark.parametrize("dt_lambda", [0.1, 1.0, 10.0, 1000.0])
@@ -459,7 +475,7 @@ def test_integrate_mass_conservation_unnudged():
 
 def test_integrate_nudged_mass_relaxation_identity():
     # per step, the total mass after the step is the two half relaxations
-    # applied to the total mass before it: the stage pair between them
+    # applied to the total mass before it: the IMEX step between them
     # conserves mass
     g = Grid1D(32, 1.0)
     x = g.cell_centers()
@@ -571,8 +587,10 @@ def test_make_synchronized_initial():
 # The reference below keeps the earlier formulas: rhs through ghost_pad, the
 # forcing evaluated on every rhs call, a stage check of five numpy calls, and
 # one scalar read of the samples for each half relaxation of the Strang step.
-# Both sides run on the same host, so they must agree bit for bit anywhere,
-# not only on the golden record's host class.
+# Its IMEX step is ARS(1,2,2) written from its two tableaux, and its
+# relaxation is the momentum form written out field by field.  Both sides run
+# on the same host, so they must agree bit for bit anywhere, not only on the
+# golden record's host class.
 
 
 def _reference_rhs(grid, rho, mom, eos, forcing, t):
@@ -599,11 +617,20 @@ def _reference_check_stage(rho, mom, t):
         )
 
 
-def _reference_relax(rho, u, h, r_obs, u_obs, nudging):
+def _reference_relax(rho, mom, h, r_obs, u_obs, nudging):
+    # rho' = -lambda_rho (rho - Ir) exactly; m' = -lambda_u (1 + rho) (m / rho - IU)
+    # with rho held at the exact midpoint density
     q = math.exp(-h * nudging.lambda_rho)
     rho_mid = r_obs + math.sqrt(q) * (rho - r_obs)
     decay = np.exp(-h * nudging.lambda_u / rho_mid - h * nudging.lambda_u)
-    return r_obs + q * (rho - r_obs), u_obs + decay * (u - u_obs)
+    target = rho_mid * u_obs
+    return r_obs + q * (rho - r_obs), target + decay * (mom - target)
+
+
+# ARS(1,2,2): the explicit tableau has a_21 = 1/2 and weights (0, 1), the
+# implicit one a_22 = 1/2 and weights (0, 1), so the step is the stage's
+# tendencies over the whole dt
+_A = 0.5
 
 
 def _reference_step(grid, state, dt, eos, visc, forcing, ms=None, nudging=None, *, end_time=None):
@@ -611,30 +638,22 @@ def _reference_step(grid, state, dt, eos, visc, forcing, ms=None, nudging=None, 
     nudge = ms is not None and nudging.active(t)
     if nudge:
         r_obs, u_obs = ms.values_at_time(t + 0.25 * dt, grid)
-        rho0, u0 = _reference_relax(rho0, mom0 / rho0, 0.5 * dt, r_obs, u_obs, nudging)
-        mom0 = rho0 * u0
-    gam, dlt = dynamics._ARS_GAMMA, dynamics._ARS_DELTA
-    k = float(gam * dt * visc.nu_eff / grid.dx**2)
+        rho0, mom0 = _reference_relax(rho0, mom0, 0.5 * dt, r_obs, u_obs, nudging)
+    k = float(_A * dt * visc.nu_eff / grid.dx**2)
     d_rho0, d_mom0 = _reference_rhs(grid, rho0, mom0, eos, forcing, t)
-    rho1 = rho0 + gam * dt * d_rho0
-    mom_e1 = mom0 + gam * dt * d_mom0
+    rho1 = rho0 + _A * dt * d_rho0
+    mom_e1 = mom0 + _A * dt * d_mom0
     mom1 = rho1 * _viscous_solve(rho1, mom_e1, k)
     _reference_check_stage(rho1, mom1, t)
-    d_rho1, d_mom1 = _reference_rhs(grid, rho1, mom1, eos, forcing, t + gam * dt)
-    rho_s = rho0 + dt * (dlt * d_rho0 + (1.0 - dlt) * d_rho1)
-    mom_e2 = (
-        mom0
-        + dt * (dlt * d_mom0 + (1.0 - dlt) * d_mom1)
-        + (1.0 - gam) / gam * (mom1 - mom_e1)
-    )
-    u_s = _viscous_solve(rho_s, mom_e2, k)
-    mom_s = rho_s * u_s
+    d_rho1, d_mom1 = _reference_rhs(grid, rho1, mom1, eos, forcing, t + _A * dt)
+    # the stage's viscous increment is _A dt times the implicit tendency
+    rho_s = rho0 + dt * d_rho1
+    mom_s = mom0 + dt * d_mom1 + (mom1 - mom_e1) / _A
     t_new = (t + dt) if end_time is None else end_time
     _reference_check_stage(rho_s, mom_s, t_new)
     if nudge:
         r_obs, u_obs = ms.values_at_time(t + 0.75 * dt, grid)
-        rho_s, u_s = _reference_relax(rho_s, u_s, 0.5 * dt, r_obs, u_obs, nudging)
-        mom_s = rho_s * u_s
+        rho_s, mom_s = _reference_relax(rho_s, mom_s, 0.5 * dt, r_obs, u_obs, nudging)
         _reference_check_stage(rho_s, mom_s, t_new)
     return rho_s, mom_s
 
@@ -712,24 +731,89 @@ def test_steps_match_the_reference_kernel(n, kind, nudged):
     for i in range(40):
         dt = min(stable_dt(g, new[0], new[1] / new[0], EOS), 2e-3)
         end_time = t + dt if i % 5 == 4 else None
-        u = new[1] / new[0] if i % 2 else None  # as integrate passes it, or not
-        new = step(g, (t, *new), dt, EOS, VISC, bound, ms, nudging, end_time=end_time, u=u)
+        new = step(g, (t, *new), dt, EOS, VISC, bound, ms, nudging, end_time=end_time)
         ref = _reference_step(g, (t, *ref), dt, EOS, VISC, forcing, ms, nudging, end_time=end_time)
         assert _same_bits(new[0], ref[0]) and _same_bits(new[1], ref[1]), f"step {i}"
         t += dt
     assert not np.array_equal(new[0], rho)  # the run moved
 
 
-def _lie_step(grid, state, dt, eos, visc, forcing_at, ms=None, nudging=None, *, end_time=None, u=None):
-    # the Lie splitting the Strang step replaced: the stage pair, then the
+def _lie_step(grid, state, dt, eos, visc, forcing_at, ms=None, nudging=None, *, end_time=None):
+    # the Lie splitting the Strang step replaced: the IMEX step, then the
     # relaxation over the whole dt toward the samples at t + dt/2
     t = state[0]
     rho, mom = step(grid, state, dt, eos, visc, forcing_at, end_time=end_time)
     if ms is not None and nudging.active(t):
         r_obs, u_obs = ms.values_at_time(t + 0.5 * dt, grid)
-        rho, u = _reference_relax(rho, mom / rho, dt, r_obs, u_obs, nudging)
-        mom = rho * u
+        rho, mom = _reference_relax(rho, mom, dt, r_obs, u_obs, nudging)
     return rho, mom
+
+
+def _velocity_relax(rho, mom, h, r_obs, u_obs, nudging):
+    # the relaxation the momentum form replaced: the velocity relaxed as
+    # u' = -lambda_u (1 + rho) / rho (u - IU) and the momentum rebuilt as
+    # rho+ u+, which adds -lambda_rho u (rho - Ir) to the momentum equation
+    q = math.exp(-h * nudging.lambda_rho)
+    rho_mid = r_obs + math.sqrt(q) * (rho - r_obs)
+    decay = np.exp(-h * nudging.lambda_u / rho_mid - h * nudging.lambda_u)
+    rho_n = r_obs + q * (rho - r_obs)
+    return rho_n, rho_n * (u_obs + decay * (mom / rho - u_obs))
+
+
+@pytest.mark.parametrize(
+    "name, lo, hi", [("velocity_relaxation", 0.0, 0.3), ("lie", 0.8, 1.2)]
+)
+def test_nudged_manufactured_gate_rejects_a_wrong_relaxation(monkeypatch, name, lo, hi):
+    # validate's nudged manufactured solution reads the step against the
+    # stated nudged equations: a relaxation with an extra momentum source
+    # converges to another system and levels off (about 0.08 at 128 -> 256
+    # cells), and a Lie split reads first order (about 1.0).  Both fail the
+    # gate, while the free manufactured solution and the mass check pass
+    if name == "lie":
+        monkeypatch.setattr(dynamics, "step", _lie_step)
+    else:
+        monkeypatch.setattr(dynamics, "_relax", _velocity_relax)
+    rep = harness.validate_solver()
+    assert lo <= rep.nudged_orders[-1] <= hi, rep.nudged_orders
+    assert (rep.spatial_ok, rep.mass_ok, rep.nudged_ok, rep.passed) == (True, True, False, False)
+
+
+@pytest.mark.parametrize("nudged", [False, True])
+def test_one_viscous_solve_per_step(monkeypatch, nudged):
+    calls = []
+    real_solve = dynamics._viscous_solve
+
+    def counting_solve(*args):
+        calls.append(args[0].size)
+        return real_solve(*args)
+
+    monkeypatch.setattr(dynamics, "_viscous_solve", counting_solve)
+    g = Grid1D(64, 1.0)
+    x = g.cell_centers()
+    ms = nudging = None
+    if nudged:
+        ms = constant_measurements(r=1.0, u=0.0, duration=0.2)
+        nudging = NudgingConfig(20.0, 80.0, (0.0, 0.2))
+    s = FluidState(0.0, 1.0 + 0.1 * np.cos(2 * np.pi * x), np.zeros(64))
+    _, stats = integrate(g, s, 0.1, EOS, VISC, Forcing.zero(), ms, nudging, landings=(0.05,))
+    assert stats.n_steps > 10 and calls == [64] * stats.n_steps
+
+
+def test_density_step_keeps_the_stiffest_viscous_mode_small():
+    # the trade of the implicit midpoint rule: it is A-stable but not
+    # L-stable, so the stiffest viscous mode, (-1)^i (the eigenvector of the
+    # discrete Laplacian with odd wall ghosts of the largest eigenvalue),
+    # keeps a factor near -1 per step instead of being damped.  A density
+    # jump excites it; it must stay negligible against the flow it drives
+    g = Grid1D(1024, 1.0)
+    x = g.cell_centers()
+    initial = FluidState(0.0, np.where(x < 0.5, 1.0, 1.5), np.zeros(g.n_cells))
+    traj, _ = integrate(g, initial, 0.05, EOS, Viscosity(0.05), Forcing.zero(), landings=())
+    rho, mom = traj.rho[-1], traj.mom[-1]
+    assert np.isfinite(rho).all() and np.isfinite(mom).all() and rho.min() > 0.0
+    u = mom / rho
+    odd_even = abs(np.dot((-1.0) ** np.arange(g.n_cells), u)) / g.n_cells
+    assert odd_even < 1e-6 * np.abs(u).max()
 
 
 @pytest.mark.parametrize("kernel, lo, hi", [(step, 1.8, 2.2), (_lie_step, 0.5, 1.2)], ids=["strang", "lie"])
