@@ -23,7 +23,7 @@ from .config import ExperimentConfig, SWEEP_AXES, load_config, save_config
 from .errors import BlowUpError, ConfigError, VacuumError
 from .field import save_trajectory
 from .harness import MASS_DRIFT_MAX, MMS_ORDER_RANGE
-from .harness import _jsonable, _persist_failure
+from .harness import _jsonable, _recording_failure
 from .harness import audit_twin, run_observed, run_sweep, run_twin, validate_solver
 
 EXIT_PASS = 0
@@ -84,11 +84,8 @@ def _out_dir(args, sub: str) -> Path:
 def _cmd_observe(args) -> int:
     cfg = _load(args)
     out = _out_dir(args, "observe")
-    try:
+    with _recording_failure(cfg, "truth", out):
         traj, _ = run_observed(cfg)
-    except (VacuumError, BlowUpError) as err:
-        _persist_failure(cfg, err, "truth", out)
-        raise
     out.mkdir(parents=True, exist_ok=True)
     save_trajectory(out / "trajectory.csv", traj)
     meta = {

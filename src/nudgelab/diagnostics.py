@@ -149,7 +149,7 @@ def make_energy_report(
     One pass: u, the active rows, the observations and the forcing are read
     once for both results, and every temporary spans all rows of ``traj``.
     ``run_twin``, the one run caller, hands it one nudged block of at most
-    ``ROW_BLOCK + 1`` rows.
+    ``ROW_BLOCK + 1`` rows and the truth rows around it.
     """
     grid = traj.grid
     if observed.grid != grid:

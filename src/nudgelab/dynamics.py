@@ -327,7 +327,8 @@ def step(
     checks of a step: no FluidState is built, and the equation of state
     does not re-check the densities it is given.  The grid's cell centers
     and the stored observation column of each (looked up once per grid by
-    ``MeasurementSet.values_at_time``) do not change during a run.
+    each ``MeasurementSet``'s ``values_at_time``) do not change during a
+    run.
     """
     t, rho0, mom0 = state
     half = 0.5 * dt

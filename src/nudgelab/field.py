@@ -261,11 +261,14 @@ def initial_regularity_norm(traj: Trajectory) -> float:
     )
 
 
-def data_norm(traj: Trajectory) -> float:
+def data_norm(traj: Trajectory, last: Trajectory | None = None) -> float:
     """Aggregate size of the observed data: initial regularity surrogate plus
-    the recorded sup bounds plus the observation span."""
-    b = traj.sup_bounds
-    span = float(traj.times[-1] - traj.times[0])
+    the recorded sup bounds plus the observation span.  A run read in
+    blocks gives its first block and, as ``last``, its last, which carries
+    the sup bounds over the whole run."""
+    last = traj if last is None else last
+    b = last.sup_bounds
+    span = float(last.times[-1] - traj.times[0])
     return initial_regularity_norm(traj) + b.rho_max + b.speed_max + b.forcing_max + span
 
 

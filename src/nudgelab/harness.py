@@ -11,6 +11,7 @@ offline (the ``audit`` entry point does exactly that).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import time as _time
@@ -56,7 +57,7 @@ from .dynamics import (
 from .eos import EquationOfState
 from .errors import BlowUpError, ConfigError, VacuumError
 from .field import (
-    FluidState, Grid1D, Trajectory, data_norm, load_series, row_blocks, save_series,
+    FluidState, Grid1D, SupBounds, Trajectory, data_norm, load_series, row_blocks, save_series,
 )
 from .sampler import (
     InterpolationError,
@@ -64,6 +65,7 @@ from .sampler import (
     build_decomposition,
     interpolation_error,
     sample,
+    sampled_blocks,
     save_measurements,
 )
 
@@ -118,7 +120,8 @@ def run_observed(
     statistics of the call, which integrated nothing: 0 steps in 0 s.  A
     miss replaces the memo's content, so a sweep that varies the observed
     run holds one trajectory at a time.  Without a memo every call
-    integrates.
+    integrates.  A twin without a memo does not call it: it integrates the
+    same truth in row blocks (``_truth_blocks``) and holds a few of them.
     """
     key = observed_signature(cfg)
     if truths is not None and key in truths:
@@ -136,6 +139,58 @@ def run_observed(
         truths.clear()
         truths[key] = traj
     return traj, stats
+
+
+def _truth_blocks(cfg: ExperimentConfig):
+    """The truth of ``run_observed`` in the nudged run's row blocks, each
+    with its step statistics: the spin-up over [t_minus, 0], then
+    ``ROW_BLOCK`` of ``report_times`` at a time, each ``integrate`` call
+    starting from the last row of the one before.  Every block ends on a
+    landing of the single call, so the blocks take its steps bit for bit.
+    ``MAX_STEPS`` bounds each block's call."""
+    grid, forcing, landings = cfg.grid, build_forcing(cfg), report_times(cfg)
+    start = build_initial_state(cfg, grid)
+    for block in ((0.0,), *(landings[rows] for rows in row_blocks(len(landings)))):
+        traj, stats = integrate(
+            grid, start, block[-1], cfg.eos, cfg.viscosity, forcing, landings=block
+        )
+        yield traj, stats
+        start = traj.snapshot(-1)
+
+
+class _TruthWindow:
+    """The rows of the truth that a twin still reads, as one Trajectory
+    (``traj``).
+
+    Its blocks come from ``_truth_blocks``, or, with a memo, from
+    ``run_observed`` as one block holding the whole truth.  ``cover(t,
+    keep_from)`` joins blocks until the window reaches t, each join keeping
+    the rows from the one before the first row at or after ``keep_from``:
+    a read at a row's time then takes the bracket that
+    ``Trajectory._weights`` takes on the whole truth, so it is bit for bit
+    the same, signed zeros included.  The window carries the running sup
+    bounds.  ``first`` is the first block, from t_minus, ``stats`` the
+    blocks' step statistics and ``n_rows`` the truth's rows so far."""
+
+    def __init__(self, cfg: ExperimentConfig, truths: dict | None):
+        self._blocks = _truth_blocks(cfg) if truths is None else iter([run_observed(cfg, truths)])
+        self.traj, stats = next(self._blocks)
+        self.first, self.stats, self.n_rows = self.traj, [stats], self.traj.n_snapshots
+
+    def cover(self, t: float, keep_from: float) -> None:
+        while self.traj.times[-1] < t:
+            block, stats = next(self._blocks)
+            old = self.traj
+            keep = max(int(np.searchsorted(old.times, keep_from)) - 1, 0)
+            a, b = old.sup_bounds, block.sup_bounds
+            self.traj = Trajectory(
+                old.grid,
+                *(np.concatenate((getattr(old, f)[keep:], getattr(block, f)[1:]))
+                  for f in ("times", "rho", "mom")),
+                SupBounds(max(a.rho_max, b.rho_max), max(a.speed_max, b.speed_max), b.forcing_max),
+            )
+            self.stats.append(stats)
+            self.n_rows += block.n_snapshots - 1
 
 
 # -- the acceptance gate ------------------------------------------------------
@@ -257,110 +312,158 @@ def run_twin(cfg: ExperimentConfig, out_dir=None, truths: dict | None = None) ->
     end then free integration to the forecast end, diagnostics, verdicts,
     optional persistence.
 
-    The nudged run is integrated one ``ROW_BLOCK`` of ``report_times`` at a
-    time, each ``integrate`` call starting from the previous one's last row
-    and ending on a landing, so its steps are those of a single call.  As
+    The twin is one pass over time.  The nudged run is integrated one
+    ``ROW_BLOCK`` of ``report_times`` at a time, each ``integrate`` call
+    starting from the previous one's last row and ending on a landing, so
+    its steps are those of a single call; ``MAX_STEPS`` bounds each call.
+    Before a block ending at t_e, the truth (``_TruthWindow``, integrated in
+    the same blocks) is advanced until it covers t_e and, inside the window,
+    the end break of t_e's slab.  Each slab whose end break it covers is
+    then sampled (``sample`` over a slab range, the jittered control points
+    drawn once per twin) into the slab window the nudged run reads.  As
     soon as a block returns, one ``make_energy_report`` pass over its rows
-    gives its report columns and its budget residual: the twin holds at
-    most two blocks of the nudged run, never its whole trajectory.
-    ``MAX_STEPS`` bounds each block's call.  In ``stats`` the nudged run's
-    step count and integration wall time are the sums over its blocks, its
-    dt range the extremes over them, and ``diagnostics_wall_time`` includes
-    each block's energy report.
+    gives its report columns and its budget residual, ``forecast_chi_base``
+    is read at its forecast rows, and the interpolation error and the data
+    norm fold in as maxima and running bounds.  The truth rows and the
+    slabs behind the next block are then dropped, so the twin holds a few
+    blocks of each run and the slabs between them, whatever the window
+    lengths; with ``outputs.write_measurements`` it keeps every slab for the
+    file.  In ``stats`` each run's step count and integration wall time are
+    the sums over its blocks and its dt range the extremes over them;
+    ``diagnostics_wall_time`` includes each block's diagnostics.
 
     When either run fails, ``config.json`` and ``error.json`` (naming the
     failed run) are written before the error propagates, and for the nudged
-    run also the energy series of every row it reached.  The ``.partial``
-    of a nudged error holds the failing block only, from its start row.
+    run also the energy series of every row it reached.  A truth that fails
+    after nudged blocks have run writes nothing more.  The ``.partial`` of
+    an error holds the failing block only, from its start row.
 
-    ``truths`` is handed to ``run_observed``: a twin that reuses the memo's
-    truth reports 0 truth steps and 0 s in its ``stats``.  Without a memo
-    the twin integrates its own truth.
+    ``truths`` is handed to ``run_observed``: the twin reads the memo's
+    whole truth, and a twin that reuses it reports 0 truth steps and 0 s in
+    its ``stats``.  Without a memo the twin integrates its own truth.
     """
     cfg.validate()
     wall_start = _time.perf_counter()
     grid, eos, visc = cfg.grid, cfg.eos, cfg.viscosity
     forcing = build_forcing(cfg)
     nudging = build_nudging(cfg)
+    t_assim_end = cfg.timeline.t_assim_end
+    dec = build_tiling(cfg)
+    breaks = dec.time_breaks
+    points = dec.control_points(sampled_blocks(dec, grid))
+    keep_every_slab = cfg.outputs.write_measurements
 
-    try:
-        observed, observed_stats = run_observed(cfg, truths)
-    except (VacuumError, BlowUpError) as err:
-        if out_dir is not None:
-            _persist_failure(cfg, err, "truth", out_dir)
-        raise
-    sample_start = _time.perf_counter()
-    ms = sample(observed, build_tiling(cfg))
-    sample_wall_time = _time.perf_counter() - sample_start
-
-    initial = make_synchronized_initial(observed)
+    with _recording_failure(cfg, "truth", out_dir):
+        truth = _TruthWindow(cfg, truths)
+    start = make_synchronized_initial(truth.first)
     landings = report_times(cfg)
     n_landings = len(landings)
-    parts, residuals, nudged_stats = [], [], []
-    diagnostics_wall_time = 0.0
-    start = initial
+    ms, n_sampled = None, 0
+    parts, chi, nudged_stats = [], [], []
+    budget_max, interp_r, interp_u = -np.inf, 0.0, 0.0
+    sample_wall_time = diagnostics_wall_time = 0.0
     for rows in row_blocks(n_landings):
         block = landings[rows]
+        t_e = block[-1]
+        reach = t_e if t_e >= t_assim_end else breaks[dec.time_slab_index(t_e) + 1]
+        with _recording_failure(cfg, "truth", out_dir):
+            truth.cover(reach, keep_from=start.time)
+        covered = int(np.searchsorted(breaks[1:], truth.traj.times[-1], side="right"))
+        if covered > n_sampled:
+            sample_start = _time.perf_counter()
+            new = sample(truth.traj, dec, slice(n_sampled, covered), points)
+            sample_wall_time += _time.perf_counter() - sample_start
+            diagnostics_start = _time.perf_counter()
+            gap = interpolation_error(new, truth.traj)
+            interp_r, interp_u = max(interp_r, gap.sup_err_r), max(interp_u, gap.sup_err_U)
+            diagnostics_wall_time += _time.perf_counter() - diagnostics_start
+            keep = 0 if keep_every_slab else int(dec.time_slab_index(start.time))
+            ms, n_sampled = _slab_window(ms, new, keep), covered
         try:
             traj, block_stats = integrate(
-                grid, start, block[-1], eos, visc, forcing, ms, nudging, landings=block
+                grid, start, t_e, eos, visc, forcing, ms, nudging, landings=block
             )
         except (VacuumError, BlowUpError) as err:
             if out_dir is not None:
                 out = _persist_failure(cfg, err, "nudged", out_dir)
                 parts.append(
-                    make_energy_report(eos, visc, forcing, err.partial, observed, ms, nudging)[0]
+                    make_energy_report(eos, visc, forcing, err.partial, truth.traj, ms, nudging)[0]
                 )
                 save_energy_series(out / "energy_series.csv", _joined_report(parts))
             raise
         nudged_stats.append(block_stats)
         diagnostics_start = _time.perf_counter()
-        part, residual = make_energy_report(eos, visc, forcing, traj, observed, ms, nudging)
+        part, residual = make_energy_report(eos, visc, forcing, traj, truth.traj, ms, nudging)
+        times = part.time[1:] if parts else part.time
         parts.append(part)
-        residuals.append(residual)
+        budget_max = max(budget_max, float(np.max(residual)))
+        chi.append(forecast_chi_base(visc, truth.traj, forcing, times[_forecast_rows(cfg, times)]))
         diagnostics_wall_time += _time.perf_counter() - diagnostics_start
         if rows.stop < n_landings:
             start = traj.snapshot(-1)
 
     diagnostics_start = _time.perf_counter()
     energy = _joined_report(parts)
-    budget = np.concatenate(residuals)
     forecast_times = energy.time[_forecast_rows(cfg, energy.time)]
-    chi_base = forecast_chi_base(visc, observed, forcing, forecast_times)
-
+    chi_base = np.concatenate(chi)
     derived = _derive_diagnostics(cfg, energy.time, energy.rel_energy, chi_base)
-    interp = interpolation_error(ms, observed)
-    derived["values"].update(interp_sup_err_r=interp.sup_err_r, interp_sup_err_U=interp.sup_err_U,
-                             data_norm=data_norm(observed))
+    derived["values"].update(interp_sup_err_r=interp_r, interp_sup_err_U=interp_u,
+                             data_norm=data_norm(truth.first, truth.traj))
     diagnostics_wall_time += _time.perf_counter() - diagnostics_start
 
+    observed_stats, nudged = _summed(truth.stats), _summed(nudged_stats)
     stats = {
-        "nudged_steps": sum(b.n_steps for b in nudged_stats),
-        "nudged_dt_min": min(b.dt_min for b in nudged_stats),
-        "nudged_dt_max": max(b.dt_max for b in nudged_stats),
+        "nudged_steps": nudged.n_steps,
+        "nudged_dt_min": nudged.dt_min,
+        "nudged_dt_max": nudged.dt_max,
         "observed_steps": observed_stats.n_steps,
         "observed_dt_min": observed_stats.dt_min,
         "observed_dt_max": observed_stats.dt_max,
         "observed_wall_time": observed_stats.wall_time,
-        "nudged_wall_time": sum(b.wall_time for b in nudged_stats),
+        "nudged_wall_time": nudged.wall_time,
         "sample_wall_time": sample_wall_time,
         "diagnostics_wall_time": diagnostics_wall_time,
-        "observed_snapshots": observed.n_snapshots,
+        "observed_snapshots": truth.n_rows,
         "wall_time": _time.perf_counter() - wall_start,
     }
     report = TwinReport(
         config=cfg,
         energy=energy,
-        budget_residual_max=float(np.max(budget)),
+        budget_residual_max=budget_max,
         forecast_times=forecast_times,
         chi_base=chi_base,
-        interp_error=interp,
+        interp_error=InterpolationError(interp_r, interp_u),
         stats=stats,
         **derived,
     )
     if out_dir is not None:
-        persist_twin(report, out_dir, measurements=ms if cfg.outputs.write_measurements else None)
+        persist_twin(report, out_dir, measurements=ms if keep_every_slab else None)
     return report
+
+
+def _slab_window(ms: MeasurementSet | None, new: MeasurementSet, keep: int) -> MeasurementSet:
+    """The slabs of ``ms`` from slab ``keep`` on, then those of ``new``,
+    which follow them; ``new`` alone when there is no ``ms``."""
+    if ms is None:
+        return new
+    i = keep - ms.first_slab
+    return MeasurementSet(
+        ms.decomposition,
+        np.concatenate((ms.r_sample[i:], new.r_sample)),
+        np.concatenate((ms.U_sample[i:], new.U_sample)),
+        ms.blocks,
+        keep,
+    )
+
+
+def _summed(stats: list) -> IntegrationStats:
+    """One run's statistics from those of its consecutive calls."""
+    return IntegrationStats(
+        sum(s.n_steps for s in stats),
+        min(s.dt_min for s in stats),
+        max(s.dt_max for s in stats),
+        sum(s.wall_time for s in stats),
+    )
 
 
 def _joined_report(parts: list) -> EnergyReport:
@@ -382,6 +485,18 @@ def _persist_failure(cfg, err, run: str, out_dir) -> Path:
             "time": err.time, "cell": getattr(err, "cell", None)}
     (out / "error.json").write_text(json.dumps(info, indent=2) + "\n")
     return out
+
+
+@contextlib.contextmanager
+def _recording_failure(cfg, run: str, out_dir):
+    """Let a VacuumError or BlowUpError of ``run`` propagate after
+    ``_persist_failure`` wrote its files, when there is an ``out_dir``."""
+    try:
+        yield
+    except (VacuumError, BlowUpError) as err:
+        if out_dir is not None:
+            _persist_failure(cfg, err, run, out_dir)
+        raise
 
 
 # -- persistence and audit ----------------------------------------------------
@@ -541,7 +656,11 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, out_dir=None) -> SweepRe
     The sweep owns one truth memo and hands it to every point, so the truth
     is integrated once while the axis does not touch it (``lambda_rho``,
     ``lambda_u``, ``delta``) and once per point when it does (``T``,
-    ``n_cells``).  Per-point failures are recorded and the sweep continues.
+    ``n_cells``).  The memo holds that truth whole (``run_observed``) and
+    each point reads it so, with every slab sampled at once: a sweep holds
+    one truth and one point's samples, where a twin without a memo holds a
+    few row blocks of each.  Per-point failures are recorded and the sweep
+    continues.
     With ``out_dir``, point i writes its twin output to ``point_{i:03d}``
     and ``sweep_summary.json`` holds the report's fields but ``points``,
     plus each point's ``sync_ratio``.

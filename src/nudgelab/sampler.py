@@ -216,8 +216,11 @@ class InterpolationError:
 class MeasurementSet:
     """Sampled observed values, one (density, velocity) pair per stored cell.
 
-    r_sample and U_sample are (K, len(blocks)) arrays whose column j holds
-    the cells of space block blocks[j]; by default every block is stored.
+    r_sample and U_sample are (n, len(blocks)) arrays: row i holds slab
+    first_slab + i, column j space block blocks[j]; by default every block
+    is stored.  A set holds every slab or a run of n consecutive ones, a
+    slab window, which a twin keeps while its nudged run moves through the
+    slabs; reading a time in a slab it does not hold raises ValueError.
     This is the only observed data the nudged run may read.
     """
 
@@ -225,6 +228,7 @@ class MeasurementSet:
     r_sample: np.ndarray
     U_sample: np.ndarray
     blocks: np.ndarray | None = None
+    first_slab: int = 0
 
     def __post_init__(self):
         dec = self.decomposition
@@ -238,11 +242,19 @@ class MeasurementSet:
             or blocks[-1] >= n_blocks
         ):
             raise ValueError(f"blocks must be increasing indices below {n_blocks}")
-        shape = (dec.n_time_slabs, blocks.size)
         r = np.asarray(self.r_sample, dtype=float)
         u = np.asarray(self.U_sample, dtype=float)
-        if r.shape != shape or u.shape != shape:
-            raise ValueError(f"sample arrays must have shape {shape}")
+        first = int(self.first_slab)
+        n = len(r) if r.ndim == 2 else 0
+        if (
+            r.shape != (n, blocks.size)
+            or u.shape != r.shape
+            or not 0 <= first < first + n <= dec.n_time_slabs
+        ):
+            raise ValueError(
+                f"sample arrays must have shape (n, {blocks.size}) for n >= 1 slabs "
+                f"from slab {first}, of {dec.n_time_slabs}"
+            )
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(u))):
             raise ValueError("samples must be finite")
         if np.any(r <= 0.0):
@@ -252,6 +264,7 @@ class MeasurementSet:
         object.__setattr__(self, "r_sample", r)
         object.__setattr__(self, "U_sample", u)
         object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "first_slab", first)
         object.__setattr__(self, "_grid_columns", {})
 
     def _columns(self, x):
@@ -262,10 +275,18 @@ class MeasurementSet:
             raise ValueError("a position lies in a space block that was not sampled")
         return col
 
+    def _rows(self, t):
+        """Stored row of the time slab that holds each time."""
+        k = self.decomposition.time_slab_index(t) - self.first_slab
+        # a row below 0 wraps to a huge unsigned value: one test, both ends
+        if np.count_nonzero(k.view(np.uintp) >= len(self.r_sample)):
+            raise ValueError("a time lies in a slab outside the stored slabs")
+        return k
+
     def interpolant_value(self, t: float, x: float) -> Sample:
         """Piecewise-constant field value at (t, x): the stored sample of
         the unique containing cell."""
-        k = int(self.decomposition.time_slab_index(t))
+        k = int(self._rows(t))
         j = int(self._columns(x))
         return Sample(float(self.r_sample[k, j]), float(self.U_sample[k, j]))
 
@@ -276,43 +297,62 @@ class MeasurementSet:
         cols = self._grid_columns.get(grid)
         if cols is None:
             cols = self._grid_columns[grid] = self._columns(grid.cell_centers())
-        k = self.decomposition.time_slab_index(t)
+        k = self._rows(t)
         return self.r_sample[k].take(cols, axis=-1), self.U_sample[k].take(cols, axis=-1)
 
 
-def sample(traj: Trajectory, dec: SpaceTimeDecomposition) -> MeasurementSet:
+def sample(
+    traj: Trajectory,
+    dec: SpaceTimeDecomposition,
+    slabs: slice = slice(None),
+    points: tuple[np.ndarray, np.ndarray] | None = None,
+) -> MeasurementSet:
     """Read the observed trajectory at the control points of the blocks
-    that hold ``traj.grid``'s cell centers (``sampled_blocks``).
+    that hold ``traj.grid``'s cell centers (``sampled_blocks``), over the
+    time slabs ``slabs`` (a slice, by default every slab): the measurement
+    set of those slabs.
 
     Space is resolved to the nearest grid cell, time by linear interpolation
     between adjacent snapshots.  The truth is read ``ROW_BLOCK`` slabs at a
     time into sample arrays allocated once, so no temporary of the read
-    spans the tiling.  The truth must cover [0, duration]: a control time
+    spans the slabs.  The truth must cover the slabs' control times: one
     outside its snapshots raises ValueError (``Trajectory.point_values``).
+    ``points`` are the control points of the sampled blocks over every slab,
+    ``dec.control_points(sampled_blocks(dec, traj.grid))``: a caller that
+    samples one slab range after another draws jittered points once and
+    passes them.
     """
     grid = traj.grid
     blocks = sampled_blocks(dec, grid)
-    t_star, x_star = dec.control_points(blocks)
+    first, stop, _ = slabs.indices(dec.n_time_slabs)
+    t_star, x_star = dec.control_points(blocks) if points is None else points
+    t_star, x_star = t_star[first:stop], x_star[first:stop]
     r, u = np.empty(t_star.shape), np.empty(t_star.shape)
-    for rows in row_blocks(dec.n_time_slabs):
+    for rows in row_blocks(len(t_star)):
         cells = np.clip(
             np.round(x_star[rows] / grid.dx - 0.5).astype(int), 0, grid.n_cells - 1
         )
         r[rows], u[rows] = traj.point_values(t_star[rows], cells)
-    return MeasurementSet(dec, r, u, blocks)
+    return MeasurementSet(dec, r, u, blocks, first)
 
 
 def interpolation_error(ms: MeasurementSet, traj: Trajectory) -> InterpolationError:
     """Sup-norm gap between the piecewise-constant field and the trajectory
-    over all grid cells, at the snapshot times inside the assimilation
-    window and at the midpoint of every time slab, so a slab narrower than
-    the snapshot spacing is still checked.  The trajectory is read through
+    over all grid cells, on the slabs ``ms`` holds: at the snapshot times in
+    those slabs and at the midpoint of each, so a slab narrower than the
+    snapshot spacing is still checked.  On a whole set that is every
+    snapshot time inside the assimilation window; a maximum, it folds
+    exactly over consecutive slab windows, whose snapshots and midpoints the
+    trajectory must cover.  The trajectory is read through
     ``Trajectory.fields_at``, the field through ``values_at_time``, the
     nudged run's own reader."""
     dec = ms.decomposition
     tb = dec.time_breaks
-    inside = traj.times[(traj.times >= 0.0) & (traj.times <= dec.duration)]
-    ts = np.concatenate((inside, 0.5 * (tb[:-1] + tb[1:])))
+    first, stop = ms.first_slab, ms.first_slab + len(ms.r_sample)
+    times = traj.times[(traj.times >= 0.0) & (traj.times <= dec.duration)]
+    slab = dec.time_slab_index(times)
+    inside = times[(slab >= first) & (slab < stop)]
+    ts = np.concatenate((inside, 0.5 * (tb[first:stop] + tb[first + 1:stop + 1])))
     err_r = err_u = 0.0
     for rows in row_blocks(ts.size):
         rho, mom = traj.fields_at(ts[rows])
@@ -324,18 +364,18 @@ def interpolation_error(ms: MeasurementSet, traj: Trajectory) -> InterpolationEr
 
 def save_measurements(path, ms: MeasurementSet) -> None:
     """CSV export, one row per stored cell in (slab, block) row-major order:
-    K x len(ms.blocks) rows, under a ``# delta=`` comment line; written one
-    slab at a time."""
-    dec, blocks = ms.decomposition, ms.blocks
+    len(ms.r_sample) x len(ms.blocks) rows, under a ``# delta=`` comment
+    line; written one slab at a time."""
+    dec, blocks, first = ms.decomposition, ms.blocks, ms.first_slab
     tb, xb = dec.time_breaks, dec.space_breaks
     t_star, x_star = dec.control_points(blocks)
     slabs = (
         np.column_stack((
             np.full(blocks.size, tb[k]), np.full(blocks.size, tb[k + 1]),
             xb[blocks], xb[blocks + 1], t_star[k], x_star[k],
-            ms.r_sample[k], ms.U_sample[k],
+            ms.r_sample[k - first], ms.U_sample[k - first],
         ))
-        for k in range(dec.n_time_slabs)
+        for k in range(first, first + len(ms.r_sample))
     )
     header = ("t_lo", "t_hi", "x_lo", "x_hi", "t_star", "x_star", "r_sample", "U_sample")
     save_series(path, header, slabs, {"delta": dec.delta})

@@ -15,7 +15,7 @@ from nudgelab.diagnostics import (
 )
 from nudgelab.dynamics import IntegrationStats, make_synchronized_initial
 from nudgelab.errors import BlowUpError, ConfigError, VacuumError
-from nudgelab.field import ROW_BLOCK, FluidState, Trajectory
+from nudgelab.field import ROW_BLOCK, FluidState, SupBounds, Trajectory
 from nudgelab.harness import (
     audit_twin,
     build_initial_state,
@@ -121,47 +121,135 @@ def test_twin_reports_each_runs_wall_time(lite_config):
         assert 0.0 < stats["nudged_wall_time"] < stats["wall_time"]
 
 
+def _recording(calls, real_integrate):
+    """An ``integrate`` that records (truth call, start time, end time,
+    rows, steps) per call; the truth's calls carry no samples."""
+
+    def recording_integrate(grid, initial, t_end, *args, **kwargs):
+        traj, stats = real_integrate(grid, initial, t_end, *args, **kwargs)
+        calls.append((len(args) < 4, initial.time, t_end, traj.n_snapshots, stats.n_steps))
+        return traj, stats
+
+    return recording_integrate
+
+
 def test_two_twins_without_a_memo_integrate_two_truths(monkeypatch, lite_config):
-    steps = []
-    real_integrate = harness.integrate
-
-    def counting_integrate(*args, **kwargs):
-        result = real_integrate(*args, **kwargs)
-        steps.append(result[1].n_steps)
-        return result
-
-    monkeypatch.setattr(harness, "integrate", counting_integrate)
+    calls = []
+    monkeypatch.setattr(harness, "integrate", _recording(calls, harness.integrate))
+    timeline = lite_config.timeline
     truth_steps = []
     for _ in range(2):
-        steps.clear()
+        calls.clear()
         stats = run_twin(lite_config).stats
-        # each twin integrates its own truth, then its nudged run in blocks
-        truth, *nudged = steps
-        assert truth == stats["observed_steps"]
-        assert len(nudged) > 1 and sum(nudged) == stats["nudged_steps"]
-        truth_steps.append(truth)
+        # each twin integrates its own truth once, one chain of calls from
+        # t_minus to t_plus between its nudged run's blocks, and the step
+        # sums of both runs are their stats
+        truth = [c for c in calls if c[0]]
+        nudged = [c for c in calls if not c[0]]
+        starts, ends = [c[1] for c in truth], [c[2] for c in truth]
+        assert starts[0] == timeline.t_minus and ends[-1] == timeline.t_plus
+        assert starts[1:] == ends[:-1]
+        assert sum(c[4] for c in truth) == stats["observed_steps"]
+        assert len(nudged) > 1 and sum(c[4] for c in nudged) == stats["nudged_steps"]
+        truth_steps.append(stats["observed_steps"])
     assert truth_steps[0] == truth_steps[1] > 0
 
 
 def test_twin_integrates_the_nudged_run_in_row_blocks(monkeypatch, lite_config):
-    rows = []
-    real_integrate = harness.integrate
-
-    def recording_integrate(*args, **kwargs):
-        result = real_integrate(*args, **kwargs)
-        rows.append(result[0].n_snapshots)
-        return result
-
-    monkeypatch.setattr(harness, "integrate", recording_integrate)
+    calls = []
+    monkeypatch.setattr(harness, "integrate", _recording(calls, harness.integrate))
     report = run_twin(lite_config)
-    truth, *nudged = rows
-    # the truth call records all of its rows, each nudged call one row block
-    # of landings after its start row, the last row of the block before
-    assert truth == report.stats["observed_snapshots"]
+    truth = [c[3] for c in calls if c[0]]
+    nudged = [c[3] for c in calls if not c[0]]
+    # each nudged call records one row block of landings after its start
+    # row, the last row of the block before; the truth's calls record the
+    # spin-up [t_minus, 0], then the same blocks
     n_landings = len(report_times(lite_config))
     assert len(nudged) == -(-n_landings // ROW_BLOCK) > 2
+    assert truth == [2, *nudged]
     assert max(nudged) <= ROW_BLOCK + 1
     assert 1 + sum(n - 1 for n in nudged) == report.energy.time.size == n_landings + 1
+    assert 1 + sum(n - 1 for n in truth) == report.stats["observed_snapshots"] == n_landings + 2
+    # the truth reaches each nudged block's end before the block runs
+    for i, (is_truth, _, t_end, _, _) in enumerate(calls):
+        assert is_truth or max(c[2] for c in calls[:i] if c[0]) >= t_end
+
+
+def _tree(out):
+    """Every file under ``out`` by relative path, report.json without its
+    stats."""
+    files = {}
+    for path in sorted(out.rglob("*")):
+        text = path.read_text()
+        if path.name == "report.json":
+            body = json.loads(text)
+            body.pop("stats")
+            text = body
+        files[str(path.relative_to(out))] = text
+    return files
+
+
+@pytest.mark.parametrize(
+    "delta, placement",
+    [(4e-3 * np.sqrt(2.0) * (1.0 + 1e-9), "center"), (0.3, "jittered")],
+    ids=["midpoints_on_rows", "slab_wider_than_a_block"],
+)
+def test_streamed_twin_is_the_whole_truths_twin(tmp_path, lite_config, delta, placement):
+    # the twin without a memo reads its truth in blocks; with a memo it
+    # reads the whole truth, as one integrate call records it.  Slabs two
+    # report intervals wide put most slab midpoints on truth rows; slabs
+    # wider than a row block need the truth more than one block ahead.
+    # Every output file is the same, the measurements included
+    cfg = dataclasses.replace(
+        lite_config,
+        sampler=dataclasses.replace(lite_config.sampler, delta=delta, placement=placement),
+        outputs=dataclasses.replace(lite_config.outputs, write_measurements=True),
+    )
+    dec = build_tiling(cfg)
+    if placement == "center":
+        tb = dec.time_breaks
+        hits = np.isin(0.5 * (tb[:-1] + tb[1:]), report_times(cfg))
+        assert hits.sum() > 0.8 * dec.n_time_slabs
+    else:
+        block_span = ROW_BLOCK * cfg.solver.report_interval
+        assert dec.time_breaks[1] > block_span
+    whole = {observed_signature(cfg): run_observed(cfg)[0]}
+    streamed = run_twin(cfg, out_dir=tmp_path / "streamed")
+    memo = run_twin(cfg, out_dir=tmp_path / "memo", truths=whole)
+    assert _tree(tmp_path / "streamed") == _tree(tmp_path / "memo")
+    assert streamed.budget_residual_max == memo.budget_residual_max
+    assert streamed.stats["observed_snapshots"] == memo.stats["observed_snapshots"]
+
+
+def test_truth_window_reads_row_times_through_the_whole_truths_bracket(monkeypatch, lite_config):
+    # a read at a row's time takes w = 1 on the row before it, and signed
+    # zeros tell it apart from w = 0 on the row after: 0 * (-1) + -0 is -0,
+    # -0 + 0 * 1 is +0.  Momentum rows drawn from {-1, -0, +0, 1} on a truth
+    # of unit rows, in blocks of three rows after the spin-up
+    grid = lite_config.grid
+    times = np.arange(-1.0, 14.0)
+    mom = np.random.default_rng(4).choice([-1.0, -0.0, 0.0, 1.0], size=(times.size, grid.n_cells))
+    rho = np.ones_like(mom)
+    bounds = SupBounds(1.0, 1.0, 0.0)
+    whole = Trajectory(grid, times, rho, mom, bounds)
+    edges = [0, 1, 4, 7, 10, 13, 14]
+    blocks = [
+        (Trajectory(grid, times[a:b + 1], rho[a:b + 1], mom[a:b + 1], bounds),
+         IntegrationStats(b - a, 1.0, 1.0, 0.0))
+        for a, b in zip(edges, edges[1:])
+    ]
+    monkeypatch.setattr(harness, "_truth_blocks", lambda cfg: iter(blocks))
+    window = harness._TruthWindow(lite_config, None)
+    for keep_from in (0.0, 2.0, 5.0, 8.0, 11.0):
+        window.cover(keep_from + 2.0, keep_from)
+        kept = window.traj.times
+        assert kept[0] <= keep_from - 1.0 and kept[-1] >= keep_from + 2.0
+        ts = kept[kept >= keep_from]
+        _, got = window.traj.fields_at(ts)
+        _, want = whole.fields_at(ts)
+        assert np.array_equal(np.signbit(got), np.signbit(want)) and np.array_equal(got, want)
+    # joins drop the rows behind the row before keep_from
+    assert window.traj.times[0] >= 7.0 and window.n_rows == times.size
 
 
 def test_blocked_nudged_run_is_the_single_call_bit_for_bit(lite_config, lite_observed):
@@ -589,11 +677,9 @@ def test_partial_series_persisted_on_nudged_failure(tmp_path, lite_config, monke
     import nudgelab.harness as H
 
     real_integrate = H.integrate
-    calls = {"n": 0}
 
     def failing_integrate(grid, initial, t_end, *args, **kwargs):
-        calls["n"] += 1
-        if calls["n"] == 1:  # observed run proceeds normally
+        if len(args) < 4:  # the truth's calls carry no samples and proceed normally
             return real_integrate(grid, initial, t_end, *args, **kwargs)
         traj, _ = real_integrate(grid, initial, 0.01, *args, **kwargs)
         err = VacuumError("synthetic failure", cell=3, time=0.01)
@@ -630,6 +716,64 @@ def test_truth_run_failure_leaves_config_and_error(tmp_path, lite_config, monkey
     assert info["error"] == "BlowUpError"
     assert info["time"] < 0.0  # inside the truth run's lead-in
     assert not (out / "energy_series.csv").exists()
+
+
+def test_truth_failure_after_nudged_blocks_leaves_config_and_error(
+    tmp_path, lite_config, monkeypatch
+):
+    # the truth's third block of landings fails once the nudged run has
+    # integrated its first block: no series, no trajectory, no report
+    calls = []
+    recording = _recording(calls, harness.integrate)
+
+    def failing_integrate(grid, initial, t_end, *args, **kwargs):
+        if len(args) < 4 and sum(c[0] for c in calls) == 3:
+            raise VacuumError("synthetic truth failure", cell=5, time=initial.time)
+        return recording(grid, initial, t_end, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "integrate", failing_integrate)
+    out = tmp_path / "failed"
+    with pytest.raises(VacuumError, match="synthetic truth failure"):
+        run_twin(lite_config, out_dir=out)
+    assert any(not c[0] for c in calls)  # a nudged block ran before the failure
+    assert sorted(p.name for p in out.iterdir()) == ["config.json", "error.json"]
+    info = json.loads((out / "error.json").read_text())
+    assert (info["run"], info["error"], info["cell"]) == ("truth", "VacuumError", 5)
+    assert info["time"] > 0.0
+
+
+def test_twin_memory_does_not_grow_with_the_windows(lite_config):
+    # traced peak of a twin over windows twice as long: the truth, its
+    # samples and the nudged run are held a few row blocks at a time, so
+    # only the energy series (8 floats a row) grows with them
+    def traced_peak(cfg):
+        tracemalloc.start()
+        try:
+            run_twin(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    longer = dataclasses.replace(
+        lite_config, timeline=dataclasses.replace(lite_config.timeline, t_assim_end=1.0, t_plus=1.6)
+    )
+    assert lite_config.sampler.placement == "center"
+    run_twin(lite_config)  # first-call allocations outside the measurement
+    assert traced_peak(longer) <= 1.1 * traced_peak(lite_config)
+
+
+def test_jittered_default_twins_share_one_truth_and_synchronize(baseline_config):
+    # three seeds of jittered control points over one memo: the first twin
+    # integrates the truth, the next two read it, and each synchronizes
+    truths = {}
+    for i, seed in enumerate((11, 12, 13)):
+        sampler = dataclasses.replace(baseline_config.sampler, placement="jittered", seed=seed)
+        report = run_twin(dataclasses.replace(baseline_config, sampler=sampler), truths=truths)
+        assert report.values["sync_ratio"] <= harness.SYNC_RATIO_MAX
+        assert report.verdicts["synchronized"]
+        assert (report.stats["observed_steps"] == 0) == (i > 0)
+        assert report.stats["observed_snapshots"] == 2002
+    assert len(truths) == 1
 
 
 def test_mean_rest_initial_matches_observed_mass(lite_observed):

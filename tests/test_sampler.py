@@ -447,6 +447,45 @@ def test_sample_matches_the_one_shot_read_across_row_blocks(placement):
     assert np.array_equal(ms.U_sample, u_ref.reshape(t_star.shape))
 
 
+@pytest.mark.parametrize("placement", ["center", "jittered"])
+def test_slab_ranges_are_the_whole_sets_slabs(tmp_path, placement):
+    # the tiling sampled one slab range after another, with its control
+    # points drawn once: each range is the whole set's rows, bit for bit,
+    # reads outside a range raise, and the interpolation error folds as a
+    # maximum over the ranges
+    traj = random_truth(n=32, rows=301)
+    dec = build_decomposition(1e-2, 1.0, 1.0, placement=placement, seed=5)
+    whole = sample(traj, dec)
+    points = dec.control_points(whole.blocks)
+    edges = [0, 1, ROW_BLOCK + 3, dec.n_time_slabs - 2, dec.n_time_slabs]
+    parts = [sample(traj, dec, slice(a, b), points) for a, b in zip(edges, edges[1:])]
+    grid = traj.grid
+    for (a, b), part in zip(zip(edges, edges[1:]), parts):
+        assert part.first_slab == a and part.blocks.tolist() == whole.blocks.tolist()
+        assert np.array_equal(part.r_sample, whole.r_sample[a:b])
+        assert np.array_equal(part.U_sample, whole.U_sample[a:b])
+        inner = dec.time_breaks[a:b]
+        r, u = part.values_at_time(inner, grid)
+        r_whole, u_whole = whole.values_at_time(inner, grid)
+        assert np.array_equal(r, r_whole) and np.array_equal(u, u_whole)
+        for k in (a - 1, b):  # the slabs on either side
+            if 0 <= k < dec.n_time_slabs:
+                with pytest.raises(ValueError, match="outside the stored slabs"):
+                    part.values_at_time(dec.time_breaks[k], grid)
+    errors = [interpolation_error(part, traj) for part in parts]
+    assert max(e.sup_err_r for e in errors) == interpolation_error(whole, traj).sup_err_r
+    assert max(e.sup_err_U for e in errors) == interpolation_error(whole, traj).sup_err_U
+    # a slab range exports its own rows of the whole set's file
+    save_measurements(tmp_path / "whole.csv", whole)
+    save_measurements(tmp_path / "part.csv", parts[2])
+    whole_rows = (tmp_path / "whole.csv").read_text().splitlines()
+    part_rows = (tmp_path / "part.csv").read_text().splitlines()
+    n = whole.blocks.size
+    assert part_rows[2:] == whole_rows[2 + edges[2] * n:2 + edges[3] * n]
+    with pytest.raises(ValueError, match="sample arrays must have shape"):
+        MeasurementSet(dec, whole.r_sample[:3], whole.U_sample[:3], whole.blocks, edges[-2])
+
+
 @pytest.mark.parametrize("placement, held", [("center", 2), ("jittered", 4)])
 def test_sample_holds_its_samples_and_row_block_transients(placement, held):
     # traced memory of sample(): the two stored (K, n_ref) arrays, plus for
