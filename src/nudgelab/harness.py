@@ -102,7 +102,11 @@ def observed_signature(cfg: ExperimentConfig) -> str:
 
 
 def run_observed(
-    cfg: ExperimentConfig, truths: dict | None = None
+    cfg: ExperimentConfig,
+    truths: dict | None = None,
+    *,
+    start: FluidState | None = None,
+    landings: tuple | None = None,
 ) -> tuple[Trajectory, IntegrationStats]:
     """Integrate the truth run over the whole observation window with the
     relaxation terms off, recording sup bounds; returns the trajectory and
@@ -120,9 +124,19 @@ def run_observed(
     statistics of the call, which integrated nothing: 0 steps in 0 s.  A
     miss replaces the memo's content, so a sweep that varies the observed
     run holds one trajectory at a time.  Without a memo every call
-    integrates.  A twin without a memo does not call it: it integrates the
-    same truth in row blocks (``_truth_blocks``) and holds a few of them.
+    integrates.
+
+    With ``start`` and ``landings`` the call integrates one block of that
+    truth instead: from ``start`` to the last of ``landings``, landing on
+    each, without reading or filling the memo.  A twin without a memo
+    integrates its truth so, in row blocks (``_truth_blocks``), and holds a
+    few of them.
     """
+    if start is not None:
+        return integrate(
+            cfg.grid, start, landings[-1], cfg.eos, cfg.viscosity, build_forcing(cfg),
+            landings=landings,
+        )
     key = observed_signature(cfg)
     if truths is not None and key in truths:
         return truths[key], IntegrationStats(0, 0.0, 0.0, 0.0)
@@ -144,16 +158,14 @@ def run_observed(
 def _truth_blocks(cfg: ExperimentConfig):
     """The truth of ``run_observed`` in the nudged run's row blocks, each
     with its step statistics: the spin-up over [t_minus, 0], then
-    ``ROW_BLOCK`` of ``report_times`` at a time, each ``integrate`` call
-    starting from the last row of the one before.  Every block ends on a
-    landing of the single call, so the blocks take its steps bit for bit.
-    ``MAX_STEPS`` bounds each block's call."""
-    grid, forcing, landings = cfg.grid, build_forcing(cfg), report_times(cfg)
-    start = build_initial_state(cfg, grid)
+    ``ROW_BLOCK`` of ``report_times`` at a time, each block a
+    ``run_observed`` call from the last row of the one before.  Every
+    block ends on a landing of the single call, so the blocks take its
+    steps bit for bit.  ``MAX_STEPS`` bounds each block's call."""
+    landings = report_times(cfg)
+    start = build_initial_state(cfg, cfg.grid)
     for block in ((0.0,), *(landings[rows] for rows in row_blocks(len(landings)))):
-        traj, stats = integrate(
-            grid, start, block[-1], cfg.eos, cfg.viscosity, forcing, landings=block
-        )
+        traj, stats = run_observed(cfg, start=start, landings=block)
         yield traj, stats
         start = traj.snapshot(-1)
 
@@ -327,9 +339,11 @@ def run_twin(cfg: ExperimentConfig, out_dir=None, truths: dict | None = None) ->
     norm fold in as maxima and running bounds.  The truth rows and the
     slabs behind the next block are then dropped, so the twin holds a few
     blocks of each run and the slabs between them, whatever the window
-    lengths; with ``outputs.write_measurements`` it keeps every slab for the
-    file.  In ``stats`` each run's step count and integration wall time are
-    the sums over its blocks and its dt range the extremes over them;
+    lengths.  Two things grow with the windows: with jittered placement the
+    control points of every slab (2 x K x n_ref floats), held until the
+    twin returns, and with ``outputs.write_measurements`` every slab, kept
+    for the file.  In ``stats`` each run's step count and integration wall
+    time are the sums over its blocks and its dt range the extremes over them;
     ``diagnostics_wall_time`` includes each block's diagnostics.
 
     When either run fails, ``config.json`` and ``error.json`` (naming the
