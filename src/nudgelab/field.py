@@ -37,7 +37,8 @@ ROW_BLOCK = 64
 
 
 def row_blocks(n: int) -> list[slice]:
-    return [slice(lo, lo + ROW_BLOCK) for lo in range(0, n, ROW_BLOCK)]
+    """Consecutive slices of at most ROW_BLOCK rows that cover range(n)."""
+    return [slice(lo, min(lo + ROW_BLOCK, n)) for lo in range(0, n, ROW_BLOCK)]
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,6 @@ from .sampler import (
     build_decomposition,
     interpolation_error,
     sample,
-    sampled_blocks,
     save_measurements,
 )
 
@@ -331,19 +330,18 @@ def run_twin(cfg: ExperimentConfig, out_dir=None, truths: dict | None = None) ->
     Before a block ending at t_e, the truth (``_TruthWindow``, integrated in
     the same blocks) is advanced until it covers t_e and, inside the window,
     the end break of t_e's slab.  Each slab whose end break it covers is
-    then sampled (``sample`` over a slab range, the jittered control points
-    drawn once per twin) into the slab window the nudged run reads.  As
-    soon as a block returns, one ``make_energy_report`` pass over its rows
-    gives its report columns and its budget residual, ``forecast_chi_base``
-    is read at its forecast rows, and the interpolation error and the data
-    norm fold in as maxima and running bounds.  The truth rows and the
-    slabs behind the next block are then dropped, so the twin holds a few
-    blocks of each run and the slabs between them, whatever the window
-    lengths.  Two things grow with the windows: with jittered placement the
-    control points of every slab (2 x K x n_ref floats), held until the
-    twin returns, and with ``outputs.write_measurements`` every slab, kept
-    for the file.  In ``stats`` each run's step count and integration wall
-    time are the sums over its blocks and its dt range the extremes over them;
+    then sampled (``sample`` over a slab range, which draws the jittered
+    control points of those slabs only) into the slab window the nudged run
+    reads.  As soon as a block returns, one ``make_energy_report`` pass over
+    its rows gives its report columns and its budget residual,
+    ``forecast_chi_base`` is read at its forecast rows, and the
+    interpolation error and the data norm fold in as maxima and running
+    bounds.  The truth rows and the slabs behind the next block are then
+    dropped, so the twin holds a few blocks of each run and the slabs
+    between them, whatever the window lengths and the placement; with
+    ``outputs.write_measurements`` it keeps every slab, for the file.  In
+    ``stats`` each run's step count and integration wall time are the sums
+    over its blocks and its dt range the extremes over them;
     ``diagnostics_wall_time`` includes each block's diagnostics.
 
     When either run fails, ``config.json`` and ``error.json`` (naming the
@@ -364,7 +362,6 @@ def run_twin(cfg: ExperimentConfig, out_dir=None, truths: dict | None = None) ->
     t_assim_end = cfg.timeline.t_assim_end
     dec = build_tiling(cfg)
     breaks = dec.time_breaks
-    points = dec.control_points(sampled_blocks(dec, grid))
     keep_every_slab = cfg.outputs.write_measurements
 
     with _recording_failure(cfg, "truth", out_dir):
@@ -385,7 +382,7 @@ def run_twin(cfg: ExperimentConfig, out_dir=None, truths: dict | None = None) ->
         covered = int(np.searchsorted(breaks[1:], truth.traj.times[-1], side="right"))
         if covered > n_sampled:
             sample_start = _time.perf_counter()
-            new = sample(truth.traj, dec, slice(n_sampled, covered), points)
+            new = sample(truth.traj, dec, slice(n_sampled, covered))
             sample_wall_time += _time.perf_counter() - sample_start
             diagnostics_start = _time.perf_counter()
             gap = interpolation_error(new, truth.traj)

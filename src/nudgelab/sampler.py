@@ -3,12 +3,13 @@ the piecewise-constant interpolation of sampled observations.
 
 The cylinder [0, T] x [0, length] is tiled by a uniform tensor product of
 time slabs and space blocks whose space-time diameter is at most delta.  One
-control point per cell is chosen (cell centers, or uniformly jittered from a
-seeded generator).  The nudged run reads the field only on the grid's cell
-centers, so only the space blocks that hold a center are sampled: the
-observed trajectory is read off at their control points, and the stored
-samples define a piecewise-constant field on those blocks.  The nudged run
-sees observations exclusively through the resulting MeasurementSet.
+control point per cell is chosen (cell centers, or uniformly jittered by a
+seeded counter-based generator, ``_uniforms``).  The nudged run reads the
+field only on the grid's cell centers, so only the space blocks that hold a
+center are sampled: the observed trajectory is read off at their control
+points, and the stored samples define a piecewise-constant field on those
+blocks.  The nudged run sees observations exclusively through the resulting
+MeasurementSet.
 
 Membership convention: points lying on an internal breakpoint belong to the
 cell on the right/above, and the final breakpoint belongs to the last cell,
@@ -43,6 +44,42 @@ PLACEMENTS = ("center", "jittered")
 MAX_STORED_CELLS = 5_000_000
 
 
+# SplitMix64 (Steele, Lea & Flood 2014): the Weyl increment and the two
+# multipliers of its finalizer
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX_1, _MIX_2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_U64 = 2**64
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer, in place on a uint64 array; array arithmetic
+    wraps mod 2**64."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX_1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX_2)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
+    """Uniform floats in [0, 1), one per counter: draw n of the SplitMix64
+    stream whose key is the finalizer of seed + GOLDEN, that is the
+    finalizer of key + (n + 1) GOLDEN, as (z >> 11) 2**-53.  Each draw
+    depends on its counter alone, so any subset of counters gets the values
+    of the whole stream.  ``counters`` is a uint64 array, mixed in place."""
+    key = _mix64(np.array([(seed + _GOLDEN) % _U64], dtype=np.uint64))
+    z = counters
+    z += np.uint64(1)
+    z *= np.uint64(_GOLDEN)
+    z += key
+    _mix64(z)
+    z >>= np.uint64(11)
+    draws = z.astype(float)
+    draws *= 2.0**-53
+    return draws
+
+
 def _cell_index(breaks: np.ndarray, values, label: str):
     """Index of the containing cell per the right-closed convention: a
     search over the inner breaks, so the last break falls in the last cell.
@@ -60,10 +97,12 @@ class SpaceTimeDecomposition:
     n_time_slabs x n_space_blocks cells, with one control point per cell.
 
     time_breaks and space_breaks are the np.linspace breakpoints of the two
-    axes.  Control points are computed on request, for the blocks asked for
-    only.  Jittered points of block i come from one generator keyed
-    SeedSequence(seed, spawn_key=(i,)), so any subset of blocks gets the
-    values of the full tiling.  The seed must be >= 0, whatever the
+    axes.  Control points are computed on request, for the slabs and blocks
+    asked for only.  The jittered point of slab k in block i takes draws
+    2 c and 2 c + 1 of the seed's counter-based stream (``_uniforms``), c =
+    i K + k, for its time and its position, so any slab range over any
+    subset of blocks gets the values of the whole tiling, and no draw is
+    held between calls.  The seed must lie in [0, 2**64), whatever the
     placement.
     """
 
@@ -82,6 +121,8 @@ class SpaceTimeDecomposition:
             raise ValueError(f"placement must be one of {PLACEMENTS}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.seed >= _U64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if min(self.n_time_slabs, self.n_space_blocks) < 1:
             raise ValueError("slab and block counts must be >= 1")
         for name, extent, count in (
@@ -112,22 +153,25 @@ class SpaceTimeDecomposition:
     def space_block_index(self, x):
         return _cell_index(self.space_breaks, x, "position")
 
-    def control_points(self, blocks) -> tuple[np.ndarray, np.ndarray]:
-        """Control times and positions of every slab over the given space
-        blocks: two (K, len(blocks)) arrays, column j for block blocks[j]."""
+    def control_points(self, blocks, slabs: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """Control times and positions of the time slabs ``slabs`` (a slice,
+        by default every slab) over the given space blocks: two (n,
+        len(blocks)) arrays, row r for slab slabs.start + r, column j for
+        block blocks[j].  Jittered points are drawn for these cells only."""
         blocks = np.asarray(blocks, dtype=int)
-        tb, xb = self.time_breaks, self.space_breaks
-        shape = (self.n_time_slabs, blocks.size)
+        first, stop, _ = slabs.indices(self.n_time_slabs)
+        tb, xb = self.time_breaks[first:stop + 1], self.space_breaks
+        shape = (stop - first, blocks.size)
         if self.placement == "center":
             t_mid = 0.5 * (tb[:-1] + tb[1:])
             x_mid = 0.5 * (xb[blocks] + xb[blocks + 1])
             return np.broadcast_to(t_mid[:, None], shape), np.broadcast_to(x_mid, shape)
-        draws = np.empty((2,) + shape)  # per block: K time draws, then K position draws
-        for j, i in enumerate(blocks.tolist()):
-            key = np.random.SeedSequence(self.seed, spawn_key=(i,))
-            draws[:, :, j] = np.random.default_rng(key).uniform(size=(2, self.n_time_slabs))
+        # counter of cell (k, i): i K + k; draw 2 c for its time, 2 c + 1 for its position
+        cell = blocks.astype(np.uint64) * np.uint64(self.n_time_slabs)
+        cell = cell + np.arange(first, stop, dtype=np.uint64)[:, None]
+        counters = np.uint64(2) * cell + np.arange(2, dtype=np.uint64)[:, None, None]
         # t* = lo + draw * width on each axis, formed in place over the draws
-        t_star, x_star = draws
+        t_star, x_star = _uniforms(self.seed, counters)
         t_star *= np.diff(tb)[:, None]
         t_star += tb[:-1, None]
         x_star *= xb[blocks + 1] - xb[blocks]
@@ -301,12 +345,7 @@ class MeasurementSet:
         return self.r_sample[k].take(cols, axis=-1), self.U_sample[k].take(cols, axis=-1)
 
 
-def sample(
-    traj: Trajectory,
-    dec: SpaceTimeDecomposition,
-    slabs: slice = slice(None),
-    points: tuple[np.ndarray, np.ndarray] | None = None,
-) -> MeasurementSet:
+def sample(traj: Trajectory, dec: SpaceTimeDecomposition, slabs: slice = slice(None)) -> MeasurementSet:
     """Read the observed trajectory at the control points of the blocks
     that hold ``traj.grid``'s cell centers (``sampled_blocks``), over the
     time slabs ``slabs`` (a slice, by default every slab): the measurement
@@ -314,25 +353,20 @@ def sample(
 
     Space is resolved to the nearest grid cell, time by linear interpolation
     between adjacent snapshots.  The truth is read ``ROW_BLOCK`` slabs at a
-    time into sample arrays allocated once, so no temporary of the read
-    spans the slabs.  The truth must cover the slabs' control times: one
-    outside its snapshots raises ValueError (``Trajectory.point_values``).
-    ``points`` are the control points of the sampled blocks over every slab,
-    ``dec.control_points(sampled_blocks(dec, traj.grid))``: a caller that
-    samples one slab range after another draws jittered points once and
-    passes them.
+    time, each block's control points drawn then (``control_points`` over
+    its slabs), into sample arrays allocated once, so no temporary of the
+    read spans the slabs.  The truth must cover the slabs' control times:
+    one outside its snapshots raises ValueError (``Trajectory.point_values``).
     """
     grid = traj.grid
     blocks = sampled_blocks(dec, grid)
     first, stop, _ = slabs.indices(dec.n_time_slabs)
-    t_star, x_star = dec.control_points(blocks) if points is None else points
-    t_star, x_star = t_star[first:stop], x_star[first:stop]
-    r, u = np.empty(t_star.shape), np.empty(t_star.shape)
-    for rows in row_blocks(len(t_star)):
-        cells = np.clip(
-            np.round(x_star[rows] / grid.dx - 0.5).astype(int), 0, grid.n_cells - 1
-        )
-        r[rows], u[rows] = traj.point_values(t_star[rows], cells)
+    shape = (stop - first, blocks.size)
+    r, u = np.empty(shape), np.empty(shape)
+    for rows in row_blocks(shape[0]):
+        t_star, x_star = dec.control_points(blocks, slice(first + rows.start, first + rows.stop))
+        cells = np.clip(np.round(x_star / grid.dx - 0.5).astype(int), 0, grid.n_cells - 1)
+        r[rows], u[rows] = traj.point_values(t_star, cells)
     return MeasurementSet(dec, r, u, blocks, first)
 
 
@@ -365,17 +399,18 @@ def interpolation_error(ms: MeasurementSet, traj: Trajectory) -> InterpolationEr
 def save_measurements(path, ms: MeasurementSet) -> None:
     """CSV export, one row per stored cell in (slab, block) row-major order:
     len(ms.r_sample) x len(ms.blocks) rows, under a ``# delta=`` comment
-    line; written one slab at a time."""
+    line; written one slab at a time, its control points drawn as it is."""
     dec, blocks, first = ms.decomposition, ms.blocks, ms.first_slab
     tb, xb = dec.time_breaks, dec.space_breaks
-    t_star, x_star = dec.control_points(blocks)
-    slabs = (
-        np.column_stack((
+
+    def rows(k):
+        (t_star,), (x_star,) = dec.control_points(blocks, slice(k, k + 1))
+        return np.column_stack((
             np.full(blocks.size, tb[k]), np.full(blocks.size, tb[k + 1]),
-            xb[blocks], xb[blocks + 1], t_star[k], x_star[k],
+            xb[blocks], xb[blocks + 1], t_star, x_star,
             ms.r_sample[k - first], ms.U_sample[k - first],
         ))
-        for k in range(first, first + len(ms.r_sample))
-    )
+
+    slabs = (rows(k) for k in range(first, first + len(ms.r_sample)))
     header = ("t_lo", "t_hi", "x_lo", "x_hi", "t_star", "x_star", "r_sample", "U_sample")
     save_series(path, header, slabs, {"delta": dec.delta})

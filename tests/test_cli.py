@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -291,6 +292,28 @@ def test_twin_loads_no_numpy_ma(tmp_path, lite_config):
     # np.quantile imports numpy.ma; no step of a twin or its audit needs it.
     # The lite twin fails a verdict (exit 2), which its audit reproduces
     assert _twin_and_audit_modules(tmp_path, lite_config, "numpy.ma") == "[2, 2] []"
+
+
+def test_jittered_twin_and_its_measurements_load_no_numpy_random(tmp_path, determinism_config):
+    # the jitter is counter-based: a jittered twin that writes every slab's
+    # control points, and its audit, never import numpy.random
+    cfg = dataclasses.replace(
+        determinism_config,
+        outputs=dataclasses.replace(determinism_config.outputs, write_measurements=True),
+    )
+    assert cfg.sampler.placement == "jittered"
+    assert _twin_and_audit_modules(tmp_path, cfg, "numpy.random") == "[0, 0] []"
+    assert (tmp_path / "twin" / "measurements.csv").exists()
+
+
+def test_seed_beyond_64_bits_exits_3(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"sampler": {"placement": "jittered", "seed": 2**64}}))
+    assert main(["twin", "--config", str(path), "--out", str(tmp_path / "twin")]) == 3
+    assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+    assert main(["twin", "--seed", str(2**64), "--out", str(tmp_path / "twin")]) == 3
+    assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+    assert not (tmp_path / "twin").exists()
 
 
 @pytest.mark.parametrize(

@@ -101,6 +101,7 @@ def test_bad_json_and_missing_file(tmp_path):
         {"solver": {"snapshot_budget": -5}},
         {"sampler": {"delta": 1e-5}},  # stores more cells than the memory guard
         {"sampler": {"placement": "jittered", "seed": -1}},
+        {"sampler": {"placement": "jittered", "seed": 2**64}},  # wider than the jitter's key
         # leaf types
         {"grid": {"length": "1"}},
         {"eos": {"gamma": "1.4"}},
