@@ -38,7 +38,7 @@ from .dynamics import (
 )
 from .eos import EquationOfState
 from .errors import BlowUpError, ConfigError, VacuumError
-from .field import FluidState, Grid1D, Trajectory, data_norm
+from .field import FluidState, Grid1D, Trajectory
 from .harness import (
     run_observed,
     run_sweep,

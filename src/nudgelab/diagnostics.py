@@ -369,8 +369,6 @@ class EnvelopeReport:
 
     calibration_required: float
     holds: bool
-    start_value: float
-    end_value: float
     max_ratio: float
     chi_integral: float
 
@@ -403,8 +401,6 @@ def forecast_envelope(
         return EnvelopeReport(
             calibration_required=0.0,
             holds=True,
-            start_value=start,
-            end_value=float(y[-1]),
             max_ratio=math.inf if np.any(y[1:] > 0.0) else 1.0,
             chi_integral=float(chi_int[-1]),
         )
@@ -416,8 +412,6 @@ def forecast_envelope(
     return EnvelopeReport(
         calibration_required=required,
         holds=required <= calibration,
-        start_value=start,
-        end_value=float(y[-1]),
         max_ratio=float(np.max(ratio)),
         chi_integral=float(chi_int[-1]),
     )

@@ -22,8 +22,6 @@ __all__ = [
     "Trajectory",
     "ghost_pad",
     "noslip_seminorm_sq",
-    "initial_regularity_norm",
-    "data_norm",
     "save_series",
     "load_series",
     "save_trajectory",
@@ -159,8 +157,8 @@ class Trajectory:
     interpolation and sampling.  Float arrays are taken as they are, not
     copied, and marked read-only: the caller hands them over and must not
     write to them through another reference.  Lists of rows are stacked.
-    Observed (truth) runs carry their recorded sup bounds; they are what
-    the data norm is assembled from.
+    Observed (truth) runs carry their recorded sup bounds, which
+    ``observe`` writes with the trajectory.
     """
 
     def __init__(self, grid: Grid1D, times, rho, mom, sup_bounds: SupBounds):
@@ -239,38 +237,6 @@ class Trajectory:
         rho = (1.0 - w) * self.rho[lo, cells] + w * self.rho[hi, cells]
         mom = (1.0 - w) * self.mom[lo, cells] + w * self.mom[hi, cells]
         return rho, mom / rho
-
-
-def initial_regularity_norm(traj: Trajectory) -> float:
-    """Discrete W^{1,inf}-style surrogate of the first snapshot's regularity:
-    sup |r| + sup |dr/dx| + sup 1/r + sup |u| + sup |du/dx|.
-
-    The continuous theory uses fractional Sobolev norms here; this surrogate
-    is what the reports record, labelled as such.
-    """
-    grid = traj.grid
-    r = traj.rho[0]
-    u = traj.mom[0] / r
-    dr = np.diff(r) / grid.dx
-    du = np.diff(u) / grid.dx
-    return float(
-        np.max(np.abs(r))
-        + (np.max(np.abs(dr)) if dr.size else 0.0)
-        + np.max(1.0 / r)
-        + np.max(np.abs(u))
-        + (np.max(np.abs(du)) if du.size else 0.0)
-    )
-
-
-def data_norm(traj: Trajectory, last: Trajectory | None = None) -> float:
-    """Aggregate size of the observed data: initial regularity surrogate plus
-    the recorded sup bounds plus the observation span.  A run read in
-    blocks gives its first block and, as ``last``, its last, which carries
-    the sup bounds over the whole run."""
-    last = traj if last is None else last
-    b = last.sup_bounds
-    span = float(last.times[-1] - traj.times[0])
-    return initial_regularity_norm(traj) + b.rho_max + b.speed_max + b.forcing_max + span
 
 
 # -- tables ----------------------------------------------------------------

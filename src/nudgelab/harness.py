@@ -57,7 +57,7 @@ from .dynamics import (
 from .eos import EquationOfState
 from .errors import BlowUpError, ConfigError, VacuumError
 from .field import (
-    FluidState, Grid1D, SupBounds, Trajectory, data_norm, load_series, row_blocks, save_series,
+    FluidState, Grid1D, SupBounds, Trajectory, load_series, row_blocks, save_series,
 )
 from .sampler import (
     InterpolationError,
@@ -297,10 +297,6 @@ def _derive_diagnostics(cfg: ExperimentConfig, times, re_series, chi_base) -> di
         "re_forecast_end": re_plus,
         "sync_ratio": sync_ratio,
         "growth_ratio": growth_ratio,
-        "envelope_required": envelope.calibration_required,
-        "decay_rate": decay.rate if decay else None,
-        "decay_floor": decay.floor if decay else None,
-        "decay_r_squared": decay.r_squared if decay else None,
     }
     verdicts = {
         "gain_ratio": gains.gain_ratio_ok,
@@ -335,14 +331,14 @@ def run_twin(cfg: ExperimentConfig, out_dir=None, truths: dict | None = None) ->
     reads.  As soon as a block returns, one ``make_energy_report`` pass over
     its rows gives its report columns and its budget residual,
     ``forecast_chi_base`` is read at its forecast rows, and the
-    interpolation error and the data norm fold in as maxima and running
-    bounds.  The truth rows and the slabs behind the next block are then
-    dropped, so the twin holds a few blocks of each run and the slabs
-    between them, whatever the window lengths and the placement; with
-    ``outputs.write_measurements`` it keeps every slab, for the file.  In
-    ``stats`` each run's step count and integration wall time are the sums
-    over its blocks and its dt range the extremes over them;
-    ``diagnostics_wall_time`` includes each block's diagnostics.
+    interpolation error folds in as a running maximum.  The truth rows and
+    the slabs behind the next block are then dropped, so the twin holds a
+    few blocks of each run and the slabs between them, whatever the window
+    lengths and the placement; with ``outputs.write_measurements`` it keeps
+    every slab, for the file.  In ``stats`` each run's step count and
+    integration wall time are the sums over its blocks and its dt range the
+    extremes over them; ``diagnostics_wall_time`` includes each block's
+    diagnostics.
 
     When either run fails, ``config.json`` and ``error.json`` (naming the
     failed run) are written before the error propagates, and for the nudged
@@ -418,8 +414,6 @@ def run_twin(cfg: ExperimentConfig, out_dir=None, truths: dict | None = None) ->
     forecast_times = energy.time[_forecast_rows(cfg, energy.time)]
     chi_base = np.concatenate(chi)
     derived = _derive_diagnostics(cfg, energy.time, energy.rel_energy, chi_base)
-    derived["values"].update(interp_sup_err_r=interp_r, interp_sup_err_U=interp_u,
-                             data_norm=data_norm(truth.first, truth.traj))
     diagnostics_wall_time += _time.perf_counter() - diagnostics_start
 
     observed_stats, nudged = _summed(truth.stats), _summed(nudged_stats)
@@ -556,8 +550,7 @@ def persist_twin(report: TwinReport, out_dir, measurements: MeasurementSet | Non
 
 # stored entries the audit does not recompute: they need the truth or the
 # nudged trajectory, which an output directory does not hold
-AUDIT_UNCHECKED = ("interp_error", "values.interp_sup_err_r", "values.interp_sup_err_U",
-                   "values.data_norm", "budget_residual_max")
+AUDIT_UNCHECKED = ("interp_error", "budget_residual_max")
 
 
 @dataclass(frozen=True)
@@ -598,9 +591,7 @@ def audit_twin(out_dir) -> AuditResult:
         want, got = _jsonable(block), stored.get(name)
         if isinstance(want, dict) and isinstance(got, dict):
             noun = {"verdicts": "verdict", "values": "value"}.get(name, name)
-            keys = list(want) + [
-                k for k in got if k not in want and f"{name}.{k}" not in AUDIT_UNCHECKED
-            ]
+            keys = list(want) + [k for k in got if k not in want]
             mismatches += [
                 f"{noun} {k!r}: stored {got.get(k, 'missing')} recomputed {want.get(k, 'missing')}"
                 for k in keys

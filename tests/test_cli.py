@@ -160,6 +160,20 @@ def test_audit_rejects_a_tampered_time_column(tmp_path, capsys, lite_twin):
     assert "stored verdicts reproduced" not in captured.out
 
 
+def test_audit_of_a_report_with_a_removed_key_is_a_mismatch(tmp_path, capsys, lite_twin):
+    # a report.json written before values.data_norm was removed replays as
+    # a mismatch on that key, not as a pass
+    out = harness.persist_twin(lite_twin, tmp_path / "twin")
+    body = json.loads((out / "report.json").read_text())
+    body["values"]["data_norm"] = 7.738485798820634
+    (out / "report.json").write_text(json.dumps(body))
+    assert main(["audit", "--out", str(out)]) == 4
+    printed = capsys.readouterr().out.splitlines()
+    assert [line for line in printed if line.startswith("MISMATCH")] == [
+        "MISMATCH  value 'data_norm': stored 7.738485798820634 recomputed missing"
+    ]
+
+
 def _cut_series(out):
     path = out / "energy_series.csv"
     path.write_text("".join(path.read_text().splitlines(keepends=True)[:-5]))

@@ -7,9 +7,7 @@ from nudgelab.field import (
     Grid1D,
     SupBounds,
     Trajectory,
-    data_norm,
     ghost_pad,
-    initial_regularity_norm,
     load_trajectory,
     noslip_seminorm_sq,
     save_trajectory,
@@ -185,14 +183,6 @@ def test_trajectory_point_values():
             traj.point_values(np.array(ts), np.array([0, 3]))
 
 
-def test_data_norm_components():
-    traj = make_traj()
-    # first snapshot is uniform with zero velocity: W1inf surrogate is
-    # |r| + 1/r + 0 + 0 + 0 = 2
-    assert initial_regularity_norm(traj) == pytest.approx(2.0)
-    assert data_norm(traj) == pytest.approx(2.0 + 1.2 + 0.4 + 0.0 + 1.0)
-
-
 def test_trajectory_round_trip(tmp_path):
     # the run's sup bounds cover every step, not only the stored snapshots,
     # so they exceed the snapshot maxima (1.2 and 1/3) and must be stored
@@ -206,4 +196,3 @@ def test_trajectory_round_trip(tmp_path):
     assert np.array_equal(loaded.mom, traj.mom)
     assert loaded.grid == traj.grid
     assert loaded.sup_bounds == traj.sup_bounds
-    assert data_norm(loaded) == data_norm(traj)

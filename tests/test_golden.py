@@ -1,15 +1,16 @@
 """Golden behaviour lock.
 
-``data/golden.json`` freezes the twin ``values`` of the baseline and lite
-configs, the SHA-256 of the baseline run's persisted ``energy_series.csv``
-and ``forecast_chi.csv``, and the host class that produced them: the numpy
-version and the SIMD extensions numpy found (the "found" list of
-``np.show_runtime()``).  float64 ``power``, ``exp`` and ``log`` run on
-different kernels on different extensions, so the last bits depend on the
-class.  The lite run's two series are committed whole, as
-``data/lite_energy_series.csv`` and ``data/lite_forecast_chi.csv`` (no golden
-value reads chi: ``envelope_required`` is 0 on both configs, so only the
-series locks it).
+``data/golden.json`` freezes eleven numbers of the baseline and lite twins,
+each under its home block of ``report.json`` (``FROZEN``), the SHA-256 of
+the baseline run's persisted ``energy_series.csv`` and ``forecast_chi.csv``,
+and the host class that produced them: the numpy version and the SIMD
+extensions numpy found (the "found" list of ``np.show_runtime()``).  float64
+``power``, ``exp`` and ``log`` run on different kernels on different
+extensions, so the last bits depend on the class.  The lite run's two series
+are committed whole, as ``data/lite_energy_series.csv`` and
+``data/lite_forecast_chi.csv`` (no frozen number reads chi:
+``envelope.calibration_required`` is 0 on both configs, so only the series
+locks it).
 
 On the recording class every check is bit for bit: a pure refactor must
 reproduce the record exactly.  On any other class each value is compared to
@@ -32,7 +33,7 @@ import pytest
 
 from nudgelab.diagnostics import CHI_SERIES_COLUMNS, ENERGY_SERIES_COLUMNS
 from nudgelab.field import load_series
-from nudgelab.harness import persist_twin
+from nudgelab.harness import _jsonable, persist_twin
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_PATH = DATA / "golden.json"
@@ -42,6 +43,13 @@ GOLDEN = json.loads(GOLDEN_PATH.read_text())
 # of a column's largest magnitude on the lite series
 CROSS_HOST_RTOL = 1e-9
 SERIES = {"energy_series": ENERGY_SERIES_COLUMNS, "forecast_chi": CHI_SERIES_COLUMNS}
+# the frozen numbers, by their block of report.json
+FROZEN = {
+    "values": ("re_initial", "re_assim_end", "re_forecast_end", "sync_ratio", "growth_ratio"),
+    "decay": ("rate", "floor", "r_squared"),
+    "envelope": ("calibration_required",),
+    "interp_error": ("sup_err_r", "sup_err_U"),
+}
 
 
 def host_class() -> dict:
@@ -66,19 +74,26 @@ def _assert_close(got, want, what):
     assert not off.any(), f"{what}: {got[off][:3]} against {want[off][:3]}"
 
 
+def frozen_numbers(report) -> dict:
+    """The FROZEN numbers of a twin, as its ``report.json`` holds them."""
+    body = _jsonable({block: getattr(report, block) for block in FROZEN})
+    return {block: {k: body[block][k] for k in keys} for block, keys in FROZEN.items()}
+
+
 @pytest.mark.parametrize("name", ["baseline", "lite"])
 def test_twin_values_match_golden(request, name):
-    got = request.getfixturevalue(f"{name}_twin").values
-    want = GOLDEN[name]["values"]
+    got = frozen_numbers(request.getfixturevalue(f"{name}_twin"))
+    want = {block: GOLDEN[name][block] for block in FROZEN}
     if RECORDING_HOST:
         assert got == want
         return
-    assert got.keys() == want.keys()
-    for key, value in want.items():
-        if value is None:
-            assert got[key] is None, key
-        else:
-            _assert_close(got[key], value, key)
+    for block, numbers in want.items():
+        assert got[block].keys() == numbers.keys(), block
+        for key, value in numbers.items():
+            if value is None:
+                assert got[block][key] is None, f"{block}.{key}"
+            else:
+                _assert_close(got[block][key], value, f"{block}.{key}")
 
 
 def _persisted(tmp_path, report, name) -> Path:
@@ -123,7 +138,7 @@ def freeze() -> None:
         for name, cfg in (("baseline", ExperimentConfig()), ("lite", lite_experiment())):
             report = run_twin(cfg)
             out = persist_twin(report, Path(tmp) / name)
-            record[name] = {"values": report.values}
+            record[name] = frozen_numbers(report)
             for series in SERIES:
                 if name == "lite":
                     shutil.copyfile(out / f"{series}.csv", DATA / f"lite_{series}.csv")

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ from nudgelab.config import (
     build_nudging, build_tiling, report_times,
 )
 from nudgelab.diagnostics import (
-    load_energy_series, make_energy_report, save_energy_series,
+    CHI_SERIES_COLUMNS, load_energy_series, make_energy_report, save_energy_series,
 )
 from nudgelab.dynamics import IntegrationStats, make_synchronized_initial
 from nudgelab.errors import BlowUpError, ConfigError, VacuumError
-from nudgelab.field import ROW_BLOCK, FluidState, SupBounds, Trajectory
+from nudgelab.field import ROW_BLOCK, FluidState, SupBounds, Trajectory, load_series
 from nudgelab.harness import (
     audit_twin,
     build_initial_state,
@@ -642,35 +643,74 @@ def test_audit_reports_a_value_one_ulp_off(tmp_path, lite_twin):
     assert [m.split(":")[0] for m in result.mismatches] == ["value 're_assim_end'"]
 
 
-def _ulp_up(v):
-    return float(np.nextafter(v, np.inf))
+def _leaves(node, path=()):
+    """The key path of every leaf under ``node``; a list's entries are
+    leaves."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return [leaf for key, child in items for leaf in _leaves(child, (*path, key))]
+    return [path]
 
 
-@pytest.mark.parametrize(
-    "block, key, tamper",
-    [
-        ("decay", "window_used", lambda w: [w[0], _ulp_up(w[1])]),
-        ("envelope", "max_ratio", _ulp_up),
-        ("gains", "floor_estimate", _ulp_up),
-        ("passed", None, lambda passed: not passed),
-    ],
-    ids=["decay", "envelope", "gains", "passed"],
-)
-def test_audit_replays_every_derived_block(tmp_path, lite_twin, block, key, tamper):
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def _lite_derived_leaves():
+    """Every leaf of the ``DERIVED`` blocks of the lite twin's report.json,
+    recomputed from the committed lite series as the audit recomputes
+    them."""
+    from conftest import lite_experiment
+
+    data = Path(__file__).parent / "data"
+    energy = load_energy_series(data / "lite_energy_series.csv")
+    _, (_, chi_base) = load_series(data / "lite_forecast_chi.csv", CHI_SERIES_COLUMNS)
+    derived = harness._derive_diagnostics(
+        lite_experiment(), energy.time, energy.rel_energy, chi_base
+    )
+    return _leaves(harness._jsonable(derived))
+
+
+LITE_DERIVED_LEAVES = _lite_derived_leaves()
+
+
+def test_report_states_each_number_once(tmp_path, lite_twin):
+    # values holds the readings that no block owns, and the envelope does
+    # not repeat RE(T) and RE(t_plus)
+    body = json.loads((persist_twin(lite_twin, tmp_path / "twin") / "report.json").read_text())
+    assert set(body) == {*harness.DERIVED, "budget_residual_max", "interp_error", "stats"}
+    assert set(body["values"]) == {
+        "re_initial", "re_assim_end", "re_forecast_end", "sync_ratio", "growth_ratio",
+    }
+    assert set(body["envelope"]) == {"calibration_required", "holds", "max_ratio", "chi_integral"}
+    # the audit test below is parametrized over exactly these leaves
+    derived = {name: body[name] for name in harness.DERIVED}
+    assert set(_leaves(derived)) == set(LITE_DERIVED_LEAVES)
+
+
+@pytest.mark.parametrize("path", LITE_DERIVED_LEAVES, ids=lambda p: ".".join(map(str, p)))
+def test_audit_replays_every_derived_block(tmp_path, lite_twin, path):
+    # one leaf bumped one ulp, or flipped: the audit names its entry alone
     out = persist_twin(lite_twin, tmp_path / "twin")
     body = json.loads((out / "report.json").read_text())
-    if key is None:
-        body[block] = tamper(body[block])
-    else:
-        body[block][key] = tamper(body[block][key])
+    *parent, key = path
+    node = _at(body, parent)
+    value = node[key]
+    node[key] = (not value) if isinstance(value, bool) else float(np.nextafter(value, np.inf))
     (out / "report.json").write_text(json.dumps(body))
     result = audit_twin(out)
     assert not result.ok
-    label = block if key is None else f"{block} {key!r}"
+    block = path[0]
+    noun = {"verdicts": "verdict", "values": "value"}.get(block, block)
+    label = block if len(path) == 1 else f"{noun} {path[1]!r}"
     assert [m.split(":")[0] for m in result.mismatches] == [label]
-    # what needs the trajectories is named, not silently passed over
-    assert "interp_error" in result.unchecked
-    assert "values.data_norm" in result.unchecked
+    # what needs the trajectories is named, not silently passed over, and
+    # each name is a key of report.json: a stale one raises KeyError here
+    assert result.unchecked == harness.AUDIT_UNCHECKED
+    for name in result.unchecked:
+        _at(body, name.split("."))
 
 
 def test_partial_series_persisted_on_nudged_failure(tmp_path, lite_config, monkeypatch):
