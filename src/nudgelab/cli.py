@@ -19,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ExperimentConfig, SWEEP_AXES, load_config, save_config
+from .config import ExperimentConfig, SWEEP_AXES, build_forcing, load_config, save_config
 from .errors import BlowUpError, ConfigError, VacuumError
 from .field import save_trajectory
 from .harness import MASS_DRIFT_MAX, MMS_ORDER_RANGE
@@ -85,16 +85,16 @@ def _cmd_observe(args) -> int:
     cfg = _load(args)
     out = _out_dir(args, "observe")
     with _recording_failure(cfg, "truth", out):
-        traj, _ = run_observed(cfg)
+        traj, stats = run_observed(cfg)
     out.mkdir(parents=True, exist_ok=True)
     save_trajectory(out / "trajectory.csv", traj)
     meta = {
         "n_snapshots": traj.n_snapshots,
         "t_first": float(traj.times[0]),
         "t_last": float(traj.times[-1]),
-        "rho_max": traj.sup_bounds.rho_max,
-        "speed_max": traj.sup_bounds.speed_max,
-        "forcing_max": traj.sup_bounds.forcing_max,
+        "rho_max": stats.rho_max,
+        "speed_max": stats.speed_max,
+        "forcing_max": build_forcing(cfg).bound,
         "mass": float(traj.grid.dx * traj.rho[0].sum()),
     }
     (out / "observed_meta.json").write_text(json.dumps(meta, indent=2) + "\n")

@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import BlowUpError, VacuumError
 from .eos import EquationOfState
-from .field import FluidState, Grid1D, SupBounds, Trajectory
+from .field import FluidState, Grid1D, Trajectory
 from .sampler import MeasurementSet
 
 __all__ = [
@@ -365,10 +365,16 @@ def step(
 
 @dataclass(frozen=True)
 class IntegrationStats:
+    """Step counts and timing of one run, and its running sup bounds: the
+    largest density and speed over the initial state and every accepted
+    step, recorded or not."""
+
     n_steps: int
     dt_min: float
     dt_max: float
     wall_time: float
+    rho_max: float
+    speed_max: float
 
 
 def _breakpoints(t0: float, t_end: float, landings: np.ndarray, nudging):
@@ -416,8 +422,9 @@ def integrate(
     velocity mom / rho of each accepted state is divided out once and
     serves the running sup bound and the next ``stable_dt``.  The recorded
     rows are written in place into (rows, n_cells) arrays allocated once,
-    which the Trajectory holds, not a copy.  It carries the running sup
-    bounds over every accepted step.
+    which the Trajectory holds, not a copy.  The stats carry the running
+    sup bounds over the initial state and every accepted step; a call of
+    zero span reports the initial state's.
     The density floor and the step limit are the constants ``RHO_FLOOR``
     and ``MAX_STEPS``; a run that needs more than ``MAX_STEPS`` steps
     raises BlowUpError.  On a vacuum or blow-up failure the trajectory of
@@ -445,16 +452,10 @@ def integrate(
     speed_max = float(np.abs(u).max())
 
     def trajectory():
-        return Trajectory(
-            grid,
-            times[:filled],
-            rhos[:filled],
-            moms[:filled],
-            SupBounds(rho_max, speed_max, forcing.bound),
-        )
+        return Trajectory(grid, times[:filled], rhos[:filled], moms[:filled])
 
     if not targets:
-        return trajectory(), IntegrationStats(0, 0.0, 0.0, 0.0)
+        return trajectory(), IntegrationStats(0, 0.0, 0.0, 0.0, rho_max, speed_max)
 
     forcing_at = forcing.on_grid(grid)
 
@@ -495,7 +496,8 @@ def integrate(
         err.partial = trajectory()
         raise
     wall = _time.perf_counter() - start
-    return trajectory(), IntegrationStats(n_steps, float(dt_min), float(dt_max), wall)
+    stats = IntegrationStats(n_steps, float(dt_min), float(dt_max), wall, rho_max, speed_max)
+    return trajectory(), stats
 
 
 def make_synchronized_initial(traj: Trajectory) -> FluidState:

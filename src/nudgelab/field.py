@@ -18,7 +18,6 @@ from .errors import VacuumError
 __all__ = [
     "Grid1D",
     "FluidState",
-    "SupBounds",
     "Trajectory",
     "ghost_pad",
     "noslip_seminorm_sq",
@@ -135,21 +134,6 @@ def noslip_seminorm_sq(grid: Grid1D, u: np.ndarray):
     return dx * (np.sum(interior**2, axis=-1) + left**2 + right**2)
 
 
-@dataclass(frozen=True)
-class SupBounds:
-    """Running sup bounds recorded over a run: max density, max speed, and
-    the declared bound on the driving force."""
-
-    rho_max: float
-    speed_max: float
-    forcing_max: float
-
-    def __post_init__(self):
-        for name in ("rho_max", "speed_max", "forcing_max"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-
-
 class Trajectory:
     """Time-ordered snapshots of one run, immutable once constructed.
 
@@ -157,11 +141,11 @@ class Trajectory:
     interpolation and sampling.  Float arrays are taken as they are, not
     copied, and marked read-only: the caller hands them over and must not
     write to them through another reference.  Lists of rows are stacked.
-    Observed (truth) runs carry their recorded sup bounds, which
-    ``observe`` writes with the trajectory.
+    A run's sup bounds cover its unrecorded steps too, so they are not
+    read from the rows: ``integrate`` returns them in its statistics.
     """
 
-    def __init__(self, grid: Grid1D, times, rho, mom, sup_bounds: SupBounds):
+    def __init__(self, grid: Grid1D, times, rho, mom):
         times = np.asarray(times, dtype=float)
         rho = np.asarray(rho, dtype=float)
         mom = np.asarray(mom, dtype=float)
@@ -183,7 +167,6 @@ class Trajectory:
         self.times = times
         self.rho = rho
         self.mom = mom
-        self.sup_bounds = sup_bounds
 
     @property
     def n_snapshots(self) -> int:
@@ -277,14 +260,13 @@ def load_series(path, header, meta=()) -> tuple[dict, np.ndarray]:
 
 
 TRAJECTORY_COLUMNS = ("t", "x", "rho", "mom")
-_TRAJECTORY_META = ("length", "forcing_max", "rho_max", "speed_max")
 
 
 def save_trajectory(path, traj: Trajectory) -> None:
     """CSV in long format (t, x, rho, mom), one row per snapshot and cell,
-    under a comment line with the grid length and the run's sup bounds;
-    written ROW_BLOCK snapshots at a time."""
-    n, x, b = traj.grid.n_cells, traj.grid.cell_centers(), traj.sup_bounds
+    under a comment line with the grid length; written ROW_BLOCK snapshots
+    at a time."""
+    n, x = traj.grid.n_cells, traj.grid.cell_centers()
     blocks = (
         np.column_stack((
             np.repeat(traj.times[rows], n), np.tile(x, traj.times[rows].size),
@@ -292,14 +274,13 @@ def save_trajectory(path, traj: Trajectory) -> None:
         ))
         for rows in row_blocks(traj.n_snapshots)
     )
-    meta = (traj.grid.length, b.forcing_max, b.rho_max, b.speed_max)
-    save_series(path, TRAJECTORY_COLUMNS, blocks, dict(zip(_TRAJECTORY_META, meta)))
+    save_series(path, TRAJECTORY_COLUMNS, blocks, {"length": traj.grid.length})
 
 
 def load_trajectory(path) -> Trajectory:
-    """The trajectory ``save_trajectory`` wrote, with its recorded sup
-    bounds."""
-    meta, (t, _, rho, mom) = load_series(path, TRAJECTORY_COLUMNS, _TRAJECTORY_META)
+    """The trajectory ``save_trajectory`` wrote.  Other keys of the comment
+    line, such as the sup bounds that older files carry, are ignored."""
+    meta, (t, _, rho, mom) = load_series(path, TRAJECTORY_COLUMNS, ("length",))
     times = np.unique(t)
     n = t.size // times.size
     return Trajectory(
@@ -307,5 +288,4 @@ def load_trajectory(path) -> Trajectory:
         times,
         rho.reshape(times.size, n),
         mom.reshape(times.size, n),
-        SupBounds(meta["rho_max"], meta["speed_max"], meta["forcing_max"]),
     )

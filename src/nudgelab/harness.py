@@ -56,9 +56,7 @@ from .dynamics import (
 )
 from .eos import EquationOfState
 from .errors import BlowUpError, ConfigError, VacuumError
-from .field import (
-    FluidState, Grid1D, SupBounds, Trajectory, load_series, row_blocks, save_series,
-)
+from .field import FluidState, Grid1D, Trajectory, load_series, row_blocks, save_series
 from .sampler import (
     InterpolationError,
     MeasurementSet,
@@ -108,8 +106,8 @@ def run_observed(
     landings: tuple | None = None,
 ) -> tuple[Trajectory, IntegrationStats]:
     """Integrate the truth run over the whole observation window with the
-    relaxation terms off, recording sup bounds; returns the trajectory and
-    the run's step statistics.
+    relaxation terms off; returns the trajectory and the run's statistics,
+    its sup bounds among them.
 
     The truth lands on, and records, t = 0 and the nudged run's own
     landings (``report_times``: the report grid and the window end), so
@@ -120,7 +118,8 @@ def run_observed(
 
     ``truths`` is a memo that the caller owns, keyed by
     ``observed_signature``.  A hit returns the stored trajectory with the
-    statistics of the call, which integrated nothing: 0 steps in 0 s.  A
+    statistics of the call, which integrated nothing: 0 steps in 0 s, and
+    0.0 for its dt range and its sup bounds.  A
     miss replaces the memo's content, so a sweep that varies the observed
     run holds one trajectory at a time.  Without a memo every call
     integrates.
@@ -138,7 +137,7 @@ def run_observed(
         )
     key = observed_signature(cfg)
     if truths is not None and key in truths:
-        return truths[key], IntegrationStats(0, 0.0, 0.0, 0.0)
+        return truths[key], IntegrationStats(0, 0.0, 0.0, 0.0, 0.0, 0.0)
     traj, stats = integrate(
         cfg.grid,
         build_initial_state(cfg, cfg.grid),
@@ -179,9 +178,9 @@ class _TruthWindow:
     the rows from the one before the first row at or after ``keep_from``:
     a read at a row's time then takes the bracket that
     ``Trajectory._weights`` takes on the whole truth, so it is bit for bit
-    the same, signed zeros included.  The window carries the running sup
-    bounds.  ``first`` is the first block, from t_minus, ``stats`` the
-    blocks' step statistics and ``n_rows`` the truth's rows so far."""
+    the same, signed zeros included.  ``first`` is the first block, from
+    t_minus, ``stats`` the blocks' statistics and ``n_rows`` the truth's
+    rows so far."""
 
     def __init__(self, cfg: ExperimentConfig, truths: dict | None):
         self._blocks = _truth_blocks(cfg) if truths is None else iter([run_observed(cfg, truths)])
@@ -193,13 +192,10 @@ class _TruthWindow:
             block, stats = next(self._blocks)
             old = self.traj
             keep = max(int(np.searchsorted(old.times, keep_from)) - 1, 0)
-            a, b = old.sup_bounds, block.sup_bounds
-            self.traj = Trajectory(
-                old.grid,
-                *(np.concatenate((getattr(old, f)[keep:], getattr(block, f)[1:]))
-                  for f in ("times", "rho", "mom")),
-                SupBounds(max(a.rho_max, b.rho_max), max(a.speed_max, b.speed_max), b.forcing_max),
-            )
+            self.traj = Trajectory(old.grid, *(
+                np.concatenate((getattr(old, f)[keep:], getattr(block, f)[1:]))
+                for f in ("times", "rho", "mom")
+            ))
             self.stats.append(stats)
             self.n_rows += block.n_snapshots - 1
 
@@ -325,17 +321,17 @@ def run_twin(cfg: ExperimentConfig, out_dir=None, truths: dict | None = None) ->
     its steps are those of a single call; ``MAX_STEPS`` bounds each call.
     Before a block ending at t_e, the truth (``_TruthWindow``, integrated in
     the same blocks) is advanced until it covers t_e and, inside the window,
-    the end break of t_e's slab.  Each slab whose end break it covers is
-    then sampled (``sample`` over a slab range, which draws the jittered
-    control points of those slabs only) into the slab window the nudged run
-    reads.  As soon as a block returns, one ``make_energy_report`` pass over
-    its rows gives its report columns and its budget residual,
-    ``forecast_chi_base`` is read at its forecast rows, and the
-    interpolation error folds in as a running maximum.  The truth rows and
-    the slabs behind the next block are then dropped, so the twin holds a
-    few blocks of each run and the slabs between them, whatever the window
-    lengths and the placement; with ``outputs.write_measurements`` it keeps
-    every slab, for the file.  In ``stats`` each run's step count and
+    the end break of t_e's slab.  The slabs through t_e's that are not yet
+    sampled are then sampled (``sample`` over a slab range, which draws the
+    jittered control points of those slabs only) into the slab window the
+    nudged run reads, which so holds the slabs of one block.  As soon as a
+    block returns, one ``make_energy_report`` pass over its rows gives its
+    report columns and its budget residual, ``forecast_chi_base`` is read
+    at its forecast rows, and the interpolation error folds in as a running
+    maximum.  The truth rows and the slabs behind the next block are then
+    dropped, so the twin holds a few blocks of each run and one block of
+    slabs, whatever the window lengths and the placement; with
+    ``outputs.write_measurements`` it keeps every slab, for the file.  In ``stats`` each run's step count and
     integration wall time are the sums over its blocks and its dt range the
     extremes over them; ``diagnostics_wall_time`` includes each block's
     diagnostics.
@@ -357,7 +353,6 @@ def run_twin(cfg: ExperimentConfig, out_dir=None, truths: dict | None = None) ->
     nudging = build_nudging(cfg)
     t_assim_end = cfg.timeline.t_assim_end
     dec = build_tiling(cfg)
-    breaks = dec.time_breaks
     keep_every_slab = cfg.outputs.write_measurements
 
     with _recording_failure(cfg, "truth", out_dir):
@@ -372,10 +367,10 @@ def run_twin(cfg: ExperimentConfig, out_dir=None, truths: dict | None = None) ->
     for rows in row_blocks(n_landings):
         block = landings[rows]
         t_e = block[-1]
-        reach = t_e if t_e >= t_assim_end else breaks[dec.time_slab_index(t_e) + 1]
+        # the slabs through t_e's, and the truth through their end break
+        covered = int(dec.time_slab_index(min(t_e, t_assim_end))) + 1
         with _recording_failure(cfg, "truth", out_dir):
-            truth.cover(reach, keep_from=start.time)
-        covered = int(np.searchsorted(breaks[1:], truth.traj.times[-1], side="right"))
+            truth.cover(max(t_e, dec.time_breaks[covered]), keep_from=start.time)
         if covered > n_sampled:
             sample_start = _time.perf_counter()
             new = sample(truth.traj, dec, slice(n_sampled, covered))
@@ -468,6 +463,8 @@ def _summed(stats: list) -> IntegrationStats:
         min(s.dt_min for s in stats),
         max(s.dt_max for s in stats),
         sum(s.wall_time for s in stats),
+        max(s.rho_max for s in stats),
+        max(s.speed_max for s in stats),
     )
 
 
@@ -659,10 +656,10 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, out_dir=None) -> SweepRe
     is integrated once while the axis does not touch it (``lambda_rho``,
     ``lambda_u``, ``delta``) and once per point when it does (``T``,
     ``n_cells``).  The memo holds that truth whole (``run_observed``) and
-    each point reads it so, with every slab sampled at once: a sweep holds
-    one truth and one point's samples, where a twin without a memo holds a
-    few row blocks of each.  Per-point failures are recorded and the sweep
-    continues.
+    each point reads it so: a sweep holds one truth, where a twin without a
+    memo holds a few row blocks of it.  Each point samples its slabs one
+    block at a time, as a twin does.  Per-point failures are recorded and
+    the sweep continues.
     With ``out_dir``, point i writes its twin output to ``point_{i:03d}``
     and ``sweep_summary.json`` holds the report's fields but ``points``,
     plus each point's ``sync_ratio``.

@@ -10,7 +10,7 @@ import pytest
 import nudgelab
 from nudgelab import dynamics, harness
 from nudgelab.cli import main
-from nudgelab.config import save_config
+from nudgelab.config import build_forcing, save_config
 from nudgelab.field import load_trajectory
 
 
@@ -105,6 +105,20 @@ def test_observe_writes_trajectory(tmp_path, determinism_config):
     meta = json.loads((out / "observed_meta.json").read_text())
     assert meta["t_first"] == determinism_config.timeline.t_minus
     assert meta["rho_max"] > 0
+
+
+def test_observe_writes_the_runs_bounds_once(tmp_path, determinism_config):
+    # the sup bounds are the truth run's statistics, written to
+    # observed_meta.json alone; the trajectory's comment line keeps the length
+    cfg_path = write_config(tmp_path, determinism_config)
+    out = tmp_path / "obs"
+    assert main(["observe", "--config", str(cfg_path), "--out", str(out)]) == 0
+    stats = harness.run_observed(determinism_config)[1]
+    meta = json.loads((out / "observed_meta.json").read_text())
+    assert (meta["rho_max"], meta["speed_max"]) == (stats.rho_max, stats.speed_max)
+    assert meta["forcing_max"] == build_forcing(determinism_config).bound > 0
+    with open(out / "trajectory.csv") as fh:
+        assert fh.readline() == "# length=1\n"
 
 
 def test_failed_observe_writes_the_error_record(tmp_path, monkeypatch, determinism_config):

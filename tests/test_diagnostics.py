@@ -33,7 +33,7 @@ from nudgelab.dynamics import (
 from nudgelab.eos import EquationOfState
 from nudgelab.errors import VacuumError
 from nudgelab.field import (
-    ROW_BLOCK, FluidState, Grid1D, SupBounds, Trajectory, noslip_seminorm_sq, save_series,
+    ROW_BLOCK, FluidState, Grid1D, Trajectory, noslip_seminorm_sq, save_series,
 )
 from nudgelab.sampler import MeasurementSet, build_decomposition, sample
 
@@ -99,9 +99,7 @@ def test_relative_energy_positive_definite():
 
 def rest_trajectory(g, times):
     n_t = len(times)
-    return Trajectory(
-        g, times, np.ones((n_t, g.n_cells)), np.zeros((n_t, g.n_cells)), SupBounds(1.0, 0.0, 0.0)
-    )
+    return Trajectory(g, times, np.ones((n_t, g.n_cells)), np.zeros((n_t, g.n_cells)))
 
 
 def decaying_run(n=48, t_end=0.2, fixed_dt=None):
@@ -160,7 +158,6 @@ def test_energy_budget_inequality_on_nudged_run():
     obs_rho = 1.0 + 0.25 * np.cos(2 * np.pi * x)
     obs = Trajectory(
         g, [0.0, 1.0], np.stack([obs_rho] * 2), np.zeros((2, 48)),
-        SupBounds(1.25, 0.0, 0.0),
     )
     ms = sample(obs, build_decomposition(0.2, 1.0, 1.0))
     cfg = NudgingConfig(15.0, 60.0, (0.0, 1.0))
@@ -210,7 +207,6 @@ def test_budget_residual_matches_the_seven_term_form():
     obs_mom = 0.2 * np.sin(2 * np.pi * x)
     obs = Trajectory(
         g, [0.0, 1.0], np.stack([obs_rho] * 2), np.stack([obs_mom] * 2),
-        SupBounds(1.25, float(np.max(np.abs(obs_mom / obs_rho))), 0.0),
     )
     ms = sample(obs, build_decomposition(0.2, 1.0, 1.0))
     cfg = NudgingConfig(15.0, 60.0, (0.0, 0.1))
@@ -392,9 +388,7 @@ def test_forecast_chi_base_rest_state():
     from nudgelab.diagnostics import forecast_chi_base
 
     g = Grid1D(16, 1.0)
-    traj = Trajectory(
-        g, [0.0, 1.0], np.ones((2, 16)), np.zeros((2, 16)), SupBounds(1.0, 0.0, 0.0)
-    )
+    traj = Trajectory(g, [0.0, 1.0], np.ones((2, 16)), np.zeros((2, 16)))
     chi = forecast_chi_base(VISC, traj, Forcing.zero(), [0.0, 0.5, 1.0])
     assert np.allclose(chi, 1.0)  # no gradients, no drive: only the constant
 
@@ -408,7 +402,7 @@ def test_total_energy_matches_density_sum():
 
 
 def one_snapshot(g, rho, mom, t=0.0):
-    return Trajectory(g, [t], np.array([rho]), np.array([mom]), SupBounds(1.0, 0.0, 0.0))
+    return Trajectory(g, [t], np.array([rho]), np.array([mom]))
 
 
 def test_series_norms_zero_and_mass():
@@ -482,7 +476,6 @@ def random_trajectory(rng, g, times):
     shape = (len(times), g.n_cells)
     return Trajectory(
         g, times, rng.uniform(0.5, 2.0, shape), rng.normal(0.0, 1.0, shape),
-        SupBounds(2.0, 1.0, 0.0),
     )
 
 
@@ -579,7 +572,6 @@ def test_later_block_failure_series_covers_every_row_reached(tmp_path, lite_conf
         np.concatenate([first.times] + [t.times[1:] for t in later]),
         np.concatenate([first.rho] + [t.rho[1:] for t in later]),
         np.concatenate([first.mom] + [t.mom[1:] for t in later]),
-        first.sup_bounds,
     )
     assert reached.times.tolist() == [0.0, *landings[: 2 * ROW_BLOCK + 21]]
     cfg = lite_config

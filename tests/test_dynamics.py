@@ -23,7 +23,7 @@ from nudgelab.dynamics import (
 )
 from nudgelab.eos import EquationOfState
 from nudgelab.errors import BlowUpError, VacuumError
-from nudgelab.field import FluidState, Grid1D, SupBounds, Trajectory, ghost_pad
+from nudgelab.field import FluidState, Grid1D, Trajectory, ghost_pad
 from nudgelab.harness import manufactured_case
 from nudgelab.sampler import MeasurementSet, SpaceTimeDecomposition, build_decomposition, sample
 
@@ -321,6 +321,33 @@ def test_integrate_calls_step_once_per_step(monkeypatch):
     assert landings == list(traj.times[1:])
 
 
+def test_integrate_stats_bound_every_accepted_state(monkeypatch):
+    # landings=() records the initial and the end state alone; the stats'
+    # bounds are the maxima over every state the run accepted, which the
+    # wrapped step records, and the recorded rows fall short of them
+    states = []
+    real_step = dynamics.step
+
+    def recording_step(*args, **kwargs):
+        states.append(real_step(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(dynamics, "step", recording_step)
+    g = Grid1D(64, 1.0)
+    x = g.cell_centers()
+    s = FluidState(0.0, 1.0 + 0.1 * np.cos(2 * np.pi * x), np.zeros(64))
+    traj, stats = integrate(g, s, 0.3, EOS, VISC, Forcing.zero(), landings=())
+    assert traj.n_snapshots == 2 and len(states) == stats.n_steps > 10
+    states.append((s.rho, s.mom))
+    assert stats.rho_max == max(float(rho.max()) for rho, _ in states)
+    assert stats.speed_max == max(float(np.abs(mom / rho).max()) for rho, mom in states)
+    rows_speed = float(np.abs(traj.mom / traj.rho).max())
+    assert stats.rho_max >= traj.rho.max() and stats.speed_max > rows_speed
+    # a call of zero span reports the initial state's bounds
+    _, idle = integrate(g, s, 0.0, EOS, VISC, Forcing.zero(), landings=())
+    assert (idle.n_steps, idle.rho_max, idle.speed_max) == (0, float(s.rho.max()), 0.0)
+
+
 @pytest.mark.parametrize("fixed_dt", [None, 1e-3])
 def test_integrate_takes_no_sliver_step(monkeypatch, fixed_dt):
     # landings at least a dt apart (the acoustic dt is about 5e-3) and no
@@ -488,7 +515,6 @@ def test_integrate_nudged_mass_relaxation_identity():
         [0.0, 1.0],
         np.stack([np.full(32, 1.1)] * 2),
         np.zeros((2, 32)),
-        SupBounds(1.1, 0.0, 0.0),
     )
     ms = sample(obs, dec)
     # each equal step of the initial acoustic dt is landed on and recorded
@@ -567,16 +593,12 @@ def test_integrate_max_steps_guard(monkeypatch):
 def test_make_synchronized_initial():
     g = Grid1D(64, 1.0)
     x = g.cell_centers()
-    uniform = Trajectory(
-        g, [0.0], np.ones((1, 64)), np.zeros((1, 64)), SupBounds(1.0, 0.0, 0.0)
-    )
+    uniform = Trajectory(g, [0.0], np.ones((1, 64)), np.zeros((1, 64)))
     s = make_synchronized_initial(uniform)
     assert np.all(s.rho == 1.0) and np.all(s.mom == 0.0) and s.time == 0.0
 
     wavy = 1.0 + 0.5 * np.sin(2 * np.pi * x)  # zero discrete mean perturbation
-    traj = Trajectory(
-        g, [0.0], wavy[None, :], np.zeros((1, 64)), SupBounds(1.5, 0.0, 0.0)
-    )
+    traj = Trajectory(g, [0.0], wavy[None, :], np.zeros((1, 64)))
     s2 = make_synchronized_initial(traj)
     assert np.all(np.abs(s2.rho - 1.0) <= 1e-14)
     # total mass matches the observed snapshot
@@ -722,7 +744,6 @@ def test_steps_match_the_reference_kernel(n, kind, nudged):
             g, [0.0, 1.0],
             np.stack([1.0 + 0.2 * np.sin(2 * np.pi * x), 1.0 - 0.1 * np.cos(2 * np.pi * x)]),
             np.stack([0.1 * np.sin(np.pi * x), np.zeros(n)]),
-            SupBounds(1.2, 0.2, 0.0),
         )
         ms = sample(obs, build_decomposition(0.05, 1.0, g.length, "jittered", 3))
         nudging = NudgingConfig(20.0, 80.0, (0.0, 0.5))

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from nudgelab import harness
 from nudgelab.eos import EquationOfState
 from nudgelab.errors import VacuumError
-from nudgelab.field import FluidState, Grid1D, SupBounds, Trajectory
+from nudgelab.field import FluidState, Grid1D, Trajectory
 from nudgelab.sampler import MeasurementSet, build_decomposition
 
 densities = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
@@ -180,7 +180,6 @@ DENSITY_HOLDERS = {
     "Trajectory": (
         lambda bad: Trajectory(
             Grid1D(8, 1.0), [0.0, 1.0], _with_bad_cell((2, 8), bad), np.zeros((2, 8)),
-            SupBounds(1.0, 0.0, 0.0),
         ),
         (ValueError, "trajectory fields must be finite"),
         (VacuumError, "trajectory contains nonpositive density"),

@@ -5,7 +5,6 @@ from nudgelab.errors import VacuumError
 from nudgelab.field import (
     FluidState,
     Grid1D,
-    SupBounds,
     Trajectory,
     ghost_pad,
     load_trajectory,
@@ -86,26 +85,26 @@ def make_traj():
     times = [0.0, 0.5, 1.0]
     rho = np.stack([np.full(8, 1.0 + 0.1 * i) for i in range(3)])
     mom = np.stack([np.full(8, 0.2 * i) for i in range(3)])
-    return Trajectory(g, times, rho, mom, SupBounds(1.2, 0.4, 0.0))
+    return Trajectory(g, times, rho, mom)
 
 
 def test_trajectory_validation():
     g = Grid1D(8, 1.0)
     with pytest.raises(ValueError):
-        Trajectory(g, [0.0, 0.0], np.ones((2, 8)), np.zeros((2, 8)), SupBounds(1, 0, 0))
+        Trajectory(g, [0.0, 0.0], np.ones((2, 8)), np.zeros((2, 8)))
     with pytest.raises(VacuumError):
-        Trajectory(g, [0.0], np.zeros((1, 8)), np.zeros((1, 8)), SupBounds(1, 0, 0))
+        Trajectory(g, [0.0], np.zeros((1, 8)), np.zeros((1, 8)))
 
 
 def test_trajectory_holds_float_arrays_without_a_copy():
     g = Grid1D(8, 1.0)
     times, rho, mom = np.array([0.0, 1.0]), np.ones((2, 8)), np.zeros((2, 8))
-    traj = Trajectory(g, times, rho, mom, SupBounds(1, 0, 0))
+    traj = Trajectory(g, times, rho, mom)
     assert traj.times is times and traj.rho is rho and traj.mom is mom
     assert not (times.flags.writeable or rho.flags.writeable or mom.flags.writeable)
     # lists of rows are stacked
     rows = [np.ones(8), 2.0 * np.ones(8)]
-    stacked = Trajectory(g, [0.0, 1.0], rows, [np.zeros(8)] * 2, SupBounds(2, 0, 0))
+    stacked = Trajectory(g, [0.0, 1.0], rows, [np.zeros(8)] * 2)
     assert stacked.rho.shape == (2, 8) and not stacked.rho.flags.writeable
     assert rows[0].flags.writeable
 
@@ -114,7 +113,7 @@ def test_trajectory_holds_float_arrays_without_a_copy():
 def test_trajectory_rejects_non_finite_times(times):
     g = Grid1D(8, 1.0)
     with pytest.raises(ValueError, match="snapshot times must be finite"):
-        Trajectory(g, times, np.ones((2, 8)), np.zeros((2, 8)), SupBounds(1, 0, 0))
+        Trajectory(g, times, np.ones((2, 8)), np.zeros((2, 8)))
 
 
 def test_load_trajectory_rejects_a_nan_time_row(tmp_path):
@@ -139,7 +138,7 @@ def test_trajectory_state_at():
     with pytest.raises(ValueError):
         traj.state_at(1.5)
     # NaN is outside the range, not a non-finite state, with one snapshot or many
-    one = Trajectory(traj.grid, [0.5], traj.rho[1:2], traj.mom[1:2], traj.sup_bounds)
+    one = Trajectory(traj.grid, [0.5], traj.rho[1:2], traj.mom[1:2])
     for t in (traj, one):
         with pytest.raises(ValueError, match="outside trajectory range"):
             t.state_at(np.nan)
@@ -184,15 +183,23 @@ def test_trajectory_point_values():
 
 
 def test_trajectory_round_trip(tmp_path):
-    # the run's sup bounds cover every step, not only the stored snapshots,
-    # so they exceed the snapshot maxima (1.2 and 1/3) and must be stored
-    base = make_traj()
-    traj = Trajectory(base.grid, base.times, base.rho, base.mom, SupBounds(1.25, 0.4, 0.3))
+    # the file holds the rows and the grid length; the run's sup bounds are
+    # statistics of the run, which observe writes to observed_meta.json
+    traj = make_traj()
     path = tmp_path / "traj.csv"
     save_trajectory(path, traj)
+    assert path.read_text().splitlines()[:2] == ["# length=1", "t,x,rho,mom"]
     loaded = load_trajectory(path)
     assert np.array_equal(loaded.times, traj.times)
     assert np.array_equal(loaded.rho, traj.rho)
     assert np.array_equal(loaded.mom, traj.mom)
     assert loaded.grid == traj.grid
-    assert loaded.sup_bounds == traj.sup_bounds
+    # a file whose comment line also carries the bounds, as earlier versions
+    # wrote it, loads the same trajectory
+    lines = path.read_text().splitlines(keepends=True)
+    old = tmp_path / "old.csv"
+    old.write_text("# length=1 forcing_max=0.3 rho_max=1.25 speed_max=0.4\n" + "".join(lines[1:]))
+    legacy = load_trajectory(old)
+    assert legacy.grid == traj.grid
+    for f in ("times", "rho", "mom"):
+        assert np.array_equal(getattr(legacy, f), getattr(traj, f))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from nudgelab.diagnostics import (
 )
 from nudgelab.dynamics import IntegrationStats, make_synchronized_initial
 from nudgelab.errors import BlowUpError, ConfigError, VacuumError
-from nudgelab.field import ROW_BLOCK, FluidState, SupBounds, Trajectory, load_series
+from nudgelab.field import ROW_BLOCK, FluidState, Trajectory, load_series
 from nudgelab.harness import (
     audit_twin,
     build_initial_state,
@@ -49,8 +50,6 @@ def test_run_observed_baseline_lite(lite_observed, lite_config):
     assert traj.times[-1] == lite_config.timeline.t_plus
     assert 0.0 in traj.times  # forced landing for the twin restart
     assert np.min(traj.rho) > 0.0
-    b = traj.sup_bounds
-    assert np.isfinite(b.rho_max) and np.isfinite(b.speed_max)
     masses = traj.grid.dx * traj.rho.sum(axis=1)
     assert np.max(np.abs(masses - masses[0])) <= 1e-10 * masses[0]
 
@@ -60,9 +59,11 @@ def test_run_observed_memo(lite_config):
     a, a_stats = run_observed(lite_config, truths)
     b, b_stats = run_observed(lite_config, truths)
     assert b is a and truths == {observed_signature(lite_config): a}
+    # the run's sup bounds cover every step, the recorded rows among them
+    assert a_stats.rho_max >= a.rho.max() and a_stats.speed_max >= np.abs(a.mom / a.rho).max()
     # a hit integrated nothing, and says so
     assert a_stats.n_steps > 0
-    assert b_stats == IntegrationStats(0, 0.0, 0.0, 0.0)
+    assert b_stats == IntegrationStats(0, 0.0, 0.0, 0.0, 0.0, 0.0)
     # the signature tracks only observed-relevant fields
     changed = dataclasses.replace(lite_config, nudging=NudgingGains(1.0, 2.0))
     assert observed_signature(changed) == observed_signature(lite_config)
@@ -231,12 +232,11 @@ def test_truth_window_reads_row_times_through_the_whole_truths_bracket(monkeypat
     times = np.arange(-1.0, 14.0)
     mom = np.random.default_rng(4).choice([-1.0, -0.0, 0.0, 1.0], size=(times.size, grid.n_cells))
     rho = np.ones_like(mom)
-    bounds = SupBounds(1.0, 1.0, 0.0)
-    whole = Trajectory(grid, times, rho, mom, bounds)
+    whole = Trajectory(grid, times, rho, mom)
     edges = [0, 1, 4, 7, 10, 13, 14]
     blocks = [
-        (Trajectory(grid, times[a:b + 1], rho[a:b + 1], mom[a:b + 1], bounds),
-         IntegrationStats(b - a, 1.0, 1.0, 0.0))
+        (Trajectory(grid, times[a:b + 1], rho[a:b + 1], mom[a:b + 1]),
+         IntegrationStats(b - a, 1.0, 1.0, 0.0, 1.0, 1.0))
         for a, b in zip(edges, edges[1:])
     ]
     monkeypatch.setattr(harness, "_truth_blocks", lambda cfg: iter(blocks))
@@ -374,9 +374,7 @@ def test_observed_data_firewall(lite_config):
     untouched = next(j for j in range(grid.n_cells) if j not in used_cells)
     rho = traj.rho.copy()
     rho[:, untouched] += 0.5  # corrupt an unsampled cell at every time
-    corrupted = Trajectory(
-        grid, traj.times.copy(), rho, traj.mom.copy(), traj.sup_bounds
-    )
+    corrupted = Trajectory(grid, traj.times.copy(), rho, traj.mom.copy())
     ms2 = sample(corrupted, dec)
     assert not np.array_equal(corrupted.rho, traj.rho)
     assert np.array_equal(ms2.r_sample, ms.r_sample)
@@ -806,6 +804,30 @@ def test_twin_memory_does_not_grow_with_the_windows(lite_config, placement, delt
     run_twin(cfg)  # first-call allocations outside the measurement
     base = traced_peak(cfg)
     assert traced_peak(longer) <= 1.1 * base
+
+
+@pytest.mark.parametrize("placement, delta", [("center", 0.02), ("jittered", 5e-3)])
+def test_twin_slab_window_holds_one_block(monkeypatch, lite_config, placement, delta):
+    # each nudged block reads the slabs from its start's through its end's,
+    # and the twin samples no further: the window holds the slabs that one
+    # ROW_BLOCK of report intervals spans, plus one where an end lands on a
+    # break (sampling every slab the truth covers held about two blocks)
+    cfg = dataclasses.replace(
+        lite_config,
+        sampler=dataclasses.replace(lite_config.sampler, delta=delta, placement=placement),
+    )
+    held = []
+
+    def recording_report(*args):
+        held.append(len(args[5].r_sample))
+        return make_energy_report(*args)
+
+    monkeypatch.setattr(harness, "make_energy_report", recording_report)
+    run_twin(cfg)
+    tb = build_tiling(cfg).time_breaks
+    spanned = math.ceil(ROW_BLOCK * cfg.solver.report_interval / (tb[1] - tb[0]))
+    assert len(held) == -(-len(report_times(cfg)) // ROW_BLOCK)
+    assert max(held) <= spanned + 1
 
 
 def test_jittered_default_twins_share_one_truth_and_synchronize(baseline_config):

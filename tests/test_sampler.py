@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nudgelab.field import ROW_BLOCK, Grid1D, SupBounds, Trajectory
+from nudgelab.field import ROW_BLOCK, Grid1D, Trajectory
 from nudgelab.sampler import (
     MAX_STORED_CELLS,
     MeasurementSet,
@@ -24,7 +24,7 @@ def constant_trajectory(n=72, length=1.0, rho_fn=None, u=0.0, times=(0.0, 1.0)):
     rho = rho_fn(x) if rho_fn else np.ones(n)
     rows = np.stack([rho for _ in times])
     mom = np.stack([rho * u for _ in times])
-    return Trajectory(g, list(times), rows, mom, SupBounds(float(rho.max()), abs(u), 0.0))
+    return Trajectory(g, list(times), rows, mom)
 
 
 def test_single_cell_when_delta_covers_cylinder():
@@ -118,7 +118,6 @@ def test_sample_exact_hit():
     rho = np.linspace(1.0, 2.0, 9)
     traj = Trajectory(
         g, [0.0, 0.5, 1.0], np.stack([rho, rho + 1.0, rho]), np.zeros((3, 9)),
-        SupBounds(3.0, 0.0, 0.0),
     )
     dec = SpaceTimeDecomposition(math.hypot(1, 1), 1.0, 1.0, 1, 1)
     assert dec.t_star[0, 0] == 0.5 and dec.x_star[0, 0] == g.cell_centers()[4]
@@ -197,7 +196,7 @@ def test_interpolant_monotone_and_sup_bound():
     dec = build_decomposition(0.25, 1.0, 1.0)
     ms_lo, ms_hi = sample(lo, dec), sample(hi, dec)
     assert np.all(ms_lo.r_sample <= ms_hi.r_sample)
-    assert np.max(np.abs(ms_lo.r_sample)) <= lo.sup_bounds.rho_max
+    assert np.max(np.abs(ms_lo.r_sample)) <= lo.rho.max()
 
 
 def test_interpolation_error_constant_field():
@@ -236,7 +235,7 @@ def test_interpolation_error_matches_dense_reference(placement):
     rho = 1.0 + 0.2 * np.sin(2 * np.pi * (x[None, :] + times[:, None]))
     rho += 0.05 * np.random.default_rng(3).random(rho.shape)
     mom = rho * np.cos(3.0 * x[None, :] - times[:, None])
-    traj = Trajectory(g, times, rho, mom, SupBounds(float(rho.max()), 1.0, 0.0))
+    traj = Trajectory(g, times, rho, mom)
     dec = build_decomposition(0.08, 0.5, 1.0, placement=placement, seed=11)
     ms = sample(traj, dec)
     err = interpolation_error(ms, traj)
@@ -265,7 +264,7 @@ def test_interpolation_error_checks_a_slab_between_snapshots():
     g = Grid1D(8, 1.0)
     x = g.cell_centers()
     rho = np.stack([np.full(8, 1.0), np.full(8, 2.0)])
-    traj = Trajectory(g, [0.0, 1.0], rho, np.zeros((2, 8)), SupBounds(2.0, 0.0, 0.0))
+    traj = Trajectory(g, [0.0, 1.0], rho, np.zeros((2, 8)))
     dec = build_decomposition(0.15, 1.0, 1.0)
     ms = sample(traj, dec)
     r_bad = ms.r_sample.copy()
@@ -441,7 +440,7 @@ def test_values_at_time_rows_are_the_scalar_reads():
     x = g.cell_centers()
     times = np.linspace(0.0, 1.0, 9)
     rho = 1.0 + 0.3 * np.cos(2 * np.pi * (x[None, :] - times[:, None]))
-    traj = Trajectory(g, times, rho, 0.1 * rho, SupBounds(float(rho.max()), 0.1, 0.0))
+    traj = Trajectory(g, times, rho, 0.1 * rho)
     dec = build_decomposition(0.07, 1.0, 1.0, placement="jittered", seed=9)
     ms = sample(traj, dec)
     ts = np.concatenate([dec.time_breaks, np.random.default_rng(1).uniform(0.0, 1.0, 50)])
@@ -461,7 +460,7 @@ def random_truth(n=256, rows=1201):
     rho = 1.0 + 0.1 * rng.random((rows, n))
     mom = 0.1 * rng.standard_normal((rows, n))
     times = np.linspace(-0.2, 1.0, rows)
-    return Trajectory(Grid1D(n, 1.0), times, rho, mom, SupBounds(1.1, 1.0, 0.0))
+    return Trajectory(Grid1D(n, 1.0), times, rho, mom)
 
 
 @pytest.mark.parametrize("placement", ["center", "jittered"])
