@@ -333,6 +333,8 @@ def load_config(path) -> ExperimentConfig:
         data = json.loads(path.read_text())
     except FileNotFoundError as err:
         raise ConfigError(f"config file not found: {path}") from err
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"{path}: cannot read ({type(err).__name__}: {err})") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}: invalid JSON ({err})") from err
     cfg = ExperimentConfig.from_dict(data)

@@ -140,7 +140,7 @@ def make_energy_report(
     of the rate.  The budget inequality predicts residual <= tol(dx, dt),
     vanishing under refinement on smooth runs.  When ``report_interval *
     lambda_u`` is not small, the first intervals do not resolve the
-    relaxation transient and dominate the maximum: 1.398 on the lite twin,
+    relaxation transient and dominate the maximum: 1.399 on the lite twin,
     on [0, 0.002], against a relaxation time 1/lambda_u = 0.005.  So the
     maximum over a run's report grid is a diagnostic, not a test of the
     inequality, which ``test_energy_budget_inequality_on_nudged_run`` checks
@@ -427,30 +427,29 @@ def forecast_chi_base(
 
         1 + sup |dU/dx| + (discrete L3 norm of div(S)/r + g) squared.
 
-    The envelope multiplies this by a calibration constant.  The truth is
-    read ``ROW_BLOCK`` times at a time, which bounds the temporaries.
+    The envelope multiplies this by a calibration constant.  One pass, as
+    in ``make_energy_report``: every temporary spans all of ``times``, and
+    each row is computed on its own, so a split of the rows gives the same
+    bits.  ``run_twin``, the one run caller, hands it at most
+    ``ROW_BLOCK + 1`` forecast rows at a time.
     """
     grid = traj.grid
     dx = grid.dx
     forcing_at = forcing.on_grid(grid)
     times = np.asarray(times, dtype=float)
-    out = np.empty(times.size)
-    for rows in row_blocks(times.size):
-        ts = times[rows]
-        rho, mom = traj.fields_at(ts)
-        rp, mp = ghost_pad(rho, mom)
-        up = mp / rp
-        # the odd ghosts make the wall differences 2u, as in noslip_seminorm_sq
-        sup_grad = np.max(np.abs(np.diff(up)), axis=-1) / dx
-        div_stress = visc.nu_eff * (up[:, 2:] - 2.0 * up[:, 1:-1] + up[:, :-2]) / dx**2
-        drive = div_stress / rho
-        if forcing_at is not None:
-            drive += forcing_at(ts[:, None])
-        cube = _integral(grid, np.abs(drive) ** 3)
-        # the cube root and the square stay scalar: their array forms can
-        # differ from the scalar ones in the last bit
-        out[rows] = [1.0 + g + (c ** (1.0 / 3.0)) ** 2 for g, c in zip(sup_grad, cube)]
-    return out
+    rho, mom = traj.fields_at(times)
+    rp, mp = ghost_pad(rho, mom)
+    up = mp / rp
+    # the odd ghosts make the wall differences 2u, as in noslip_seminorm_sq
+    sup_grad = np.max(np.abs(np.diff(up)), axis=-1) / dx
+    div_stress = visc.nu_eff * (up[:, 2:] - 2.0 * up[:, 1:-1] + up[:, :-2]) / dx**2
+    drive = div_stress / rho
+    if forcing_at is not None:
+        drive += forcing_at(times[:, None])
+    cube = _integral(grid, np.abs(drive) ** 3)
+    # the cube root and the square stay scalar: their array forms can
+    # differ from the scalar ones in the last bit
+    return np.array([1.0 + g + (c ** (1.0 / 3.0)) ** 2 for g, c in zip(sup_grad, cube)])
 
 
 # -- series persistence ------------------------------------------------------

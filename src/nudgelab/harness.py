@@ -109,12 +109,13 @@ def run_observed(
     relaxation terms off; returns the trajectory and the run's statistics,
     its sup bounds among them.
 
-    The truth lands on, and records, t = 0 and the nudged run's own
-    landings (``report_times``: the report grid and the window end), so
-    its snapshot times are t_minus followed by the nudged run's.  Every
-    read of the truth falls on these times or between them: the report
-    grid, t = 0 and the first snapshot exactly, the slab control times by
-    linear interpolation.
+    The truth starts from ``build_initial_state`` at t_minus and lands on,
+    and records, t = 0 and the nudged run's own landings
+    (``report_times``: the report grid and the window end, the last of
+    them t_plus), so its snapshot times are t_minus followed by the nudged
+    run's.  Every read of the truth falls on these times or between them:
+    the report grid, t = 0 and the first snapshot exactly, the slab
+    control times by linear interpolation.
 
     ``truths`` is a memo that the caller owns, keyed by
     ``observed_signature``.  A hit returns the stored trajectory with the
@@ -130,26 +131,20 @@ def run_observed(
     integrates its truth so, in row blocks (``_truth_blocks``), and holds a
     few of them.
     """
-    if start is not None:
-        return integrate(
-            cfg.grid, start, landings[-1], cfg.eos, cfg.viscosity, build_forcing(cfg),
-            landings=landings,
-        )
-    key = observed_signature(cfg)
-    if truths is not None and key in truths:
-        return truths[key], IntegrationStats(0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    memo = truths if start is None else None
+    if memo is not None:
+        key = observed_signature(cfg)
+        if key in memo:
+            return memo[key], IntegrationStats(0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    if start is None:
+        start, landings = build_initial_state(cfg, cfg.grid), (0.0, *report_times(cfg))
     traj, stats = integrate(
-        cfg.grid,
-        build_initial_state(cfg, cfg.grid),
-        cfg.timeline.t_plus,
-        cfg.eos,
-        cfg.viscosity,
-        build_forcing(cfg),
-        landings=(0.0, *report_times(cfg)),
+        cfg.grid, start, landings[-1], cfg.eos, cfg.viscosity, build_forcing(cfg),
+        landings=landings,
     )
-    if truths is not None:
-        truths.clear()
-        truths[key] = traj
+    if memo is not None:
+        memo.clear()
+        memo[key] = traj
     return traj, stats
 
 
@@ -178,14 +173,14 @@ class _TruthWindow:
     the rows from the one before the first row at or after ``keep_from``:
     a read at a row's time then takes the bracket that
     ``Trajectory._weights`` takes on the whole truth, so it is bit for bit
-    the same, signed zeros included.  ``first`` is the first block, from
-    t_minus, ``stats`` the blocks' statistics and ``n_rows`` the truth's
-    rows so far."""
+    the same, signed zeros included.  Before the first ``cover``, ``traj``
+    is the first block, from t_minus.  ``stats`` holds the blocks'
+    statistics and ``n_rows`` counts the truth's rows so far."""
 
     def __init__(self, cfg: ExperimentConfig, truths: dict | None):
         self._blocks = _truth_blocks(cfg) if truths is None else iter([run_observed(cfg, truths)])
         self.traj, stats = next(self._blocks)
-        self.first, self.stats, self.n_rows = self.traj, [stats], self.traj.n_snapshots
+        self.stats, self.n_rows = [stats], self.traj.n_snapshots
 
     def cover(self, t: float, keep_from: float) -> None:
         while self.traj.times[-1] < t:
@@ -229,12 +224,13 @@ DERIVED = ("decay", "gains", "envelope", "values", "verdicts", "passed")
 @dataclass(frozen=True)
 class TwinReport:
     """Everything a twin run produced; verdicts are derivable from the
-    persisted series plus the config echo."""
+    persisted series plus the config echo.  ``chi_base`` holds one entry
+    per forecast row of ``energy`` (``_forecast_rows``), which give its
+    times."""
 
     config: ExperimentConfig
     energy: EnergyReport
     budget_residual_max: float
-    forecast_times: np.ndarray
     chi_base: np.ndarray
     interp_error: InterpolationError
     stats: dict
@@ -331,14 +327,17 @@ def run_twin(cfg: ExperimentConfig, out_dir=None, truths: dict | None = None) ->
     maximum.  The truth rows and the slabs behind the next block are then
     dropped, so the twin holds a few blocks of each run and one block of
     slabs, whatever the window lengths and the placement; with
-    ``outputs.write_measurements`` it keeps every slab, for the file.  In ``stats`` each run's step count and
+    ``outputs.write_measurements`` it keeps every slab, for the file.  The
+    synchronized start is built from the truth's first row, at t_minus,
+    before the first ``cover``.  In ``stats`` each run's step count and
     integration wall time are the sums over its blocks and its dt range the
     extremes over them; ``diagnostics_wall_time`` includes each block's
     diagnostics.
 
-    When either run fails, ``config.json`` and ``error.json`` (naming the
-    failed run) are written before the error propagates, and for the nudged
-    run also the energy series of every row it reached.  A truth that fails
+    When either run fails, ``_recording_failure`` writes ``config.json`` and
+    ``error.json`` (naming the failed run) before the error propagates, and
+    for the nudged run also the energy series of every row it reached: the
+    finished blocks, then the failed block's partial rows.  A truth that fails
     after nudged blocks have run writes nothing more.  The ``.partial`` of
     an error holds the failing block only, from its start row.
 
@@ -357,13 +356,19 @@ def run_twin(cfg: ExperimentConfig, out_dir=None, truths: dict | None = None) ->
 
     with _recording_failure(cfg, "truth", out_dir):
         truth = _TruthWindow(cfg, truths)
-    start = make_synchronized_initial(truth.first)
+    start = make_synchronized_initial(truth.traj)
     landings = report_times(cfg)
     n_landings = len(landings)
     ms, n_sampled = None, 0
     parts, chi, nudged_stats = [], [], []
     budget_max, interp_r, interp_u = -np.inf, 0.0, 0.0
     sample_wall_time = diagnostics_wall_time = 0.0
+
+    def reached(partial):
+        # the finished blocks, then the failed block's rows up to the failure
+        part = make_energy_report(eos, visc, forcing, partial, truth.traj, ms, nudging)[0]
+        return _joined_report([*parts, part])
+
     for rows in row_blocks(n_landings):
         block = landings[rows]
         t_e = block[-1]
@@ -381,18 +386,10 @@ def run_twin(cfg: ExperimentConfig, out_dir=None, truths: dict | None = None) ->
             diagnostics_wall_time += _time.perf_counter() - diagnostics_start
             keep = 0 if keep_every_slab else int(dec.time_slab_index(start.time))
             ms, n_sampled = _slab_window(ms, new, keep), covered
-        try:
+        with _recording_failure(cfg, "nudged", out_dir, reached):
             traj, block_stats = integrate(
                 grid, start, t_e, eos, visc, forcing, ms, nudging, landings=block
             )
-        except (VacuumError, BlowUpError) as err:
-            if out_dir is not None:
-                out = _persist_failure(cfg, err, "nudged", out_dir)
-                parts.append(
-                    make_energy_report(eos, visc, forcing, err.partial, truth.traj, ms, nudging)[0]
-                )
-                save_energy_series(out / "energy_series.csv", _joined_report(parts))
-            raise
         nudged_stats.append(block_stats)
         diagnostics_start = _time.perf_counter()
         part, residual = make_energy_report(eos, visc, forcing, traj, truth.traj, ms, nudging)
@@ -406,7 +403,6 @@ def run_twin(cfg: ExperimentConfig, out_dir=None, truths: dict | None = None) ->
 
     diagnostics_start = _time.perf_counter()
     energy = _joined_report(parts)
-    forecast_times = energy.time[_forecast_rows(cfg, energy.time)]
     chi_base = np.concatenate(chi)
     derived = _derive_diagnostics(cfg, energy.time, energy.rel_energy, chi_base)
     diagnostics_wall_time += _time.perf_counter() - diagnostics_start
@@ -430,7 +426,6 @@ def run_twin(cfg: ExperimentConfig, out_dir=None, truths: dict | None = None) ->
         config=cfg,
         energy=energy,
         budget_residual_max=budget_max,
-        forecast_times=forecast_times,
         chi_base=chi_base,
         interp_error=InterpolationError(interp_r, interp_u),
         stats=stats,
@@ -478,26 +473,24 @@ def _joined_report(parts: list) -> EnergyReport:
     ))
 
 
-def _persist_failure(cfg, err, run: str, out_dir) -> Path:
-    """Write the config echo and ``error.json`` of a failed run."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_config(out / "config.json", cfg)
-    info = {"run": run, "error": type(err).__name__, "message": str(err),
-            "time": err.time, "cell": getattr(err, "cell", None)}
-    (out / "error.json").write_text(json.dumps(info, indent=2) + "\n")
-    return out
-
-
 @contextlib.contextmanager
-def _recording_failure(cfg, run: str, out_dir):
-    """Let a VacuumError or BlowUpError of ``run`` propagate after
-    ``_persist_failure`` wrote its files, when there is an ``out_dir``."""
+def _recording_failure(cfg, run: str, out_dir, series=None):
+    """Let a VacuumError or BlowUpError of ``run`` propagate after writing,
+    when there is an ``out_dir``, the config echo and ``error.json`` naming
+    ``run``, and given ``series`` the energy series ``series(err.partial)``
+    of the rows the run reached."""
     try:
         yield
     except (VacuumError, BlowUpError) as err:
         if out_dir is not None:
-            _persist_failure(cfg, err, run, out_dir)
+            out = Path(out_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            save_config(out / "config.json", cfg)
+            info = {"run": run, "error": type(err).__name__, "message": str(err),
+                    "time": err.time, "cell": getattr(err, "cell", None)}
+            (out / "error.json").write_text(json.dumps(info, indent=2) + "\n")
+            if series is not None:
+                save_energy_series(out / "energy_series.csv", series(err.partial))
         raise
 
 
@@ -537,7 +530,8 @@ def persist_twin(report: TwinReport, out_dir, measurements: MeasurementSet | Non
     keys = (*DERIVED, "budget_residual_max", "interp_error", "stats")
     body = _jsonable({k: getattr(report, k) for k in keys})
     save_energy_series(out / "energy_series.csv", report.energy)
-    chi = np.column_stack((report.forecast_times, report.chi_base))
+    times = report.energy.time
+    chi = np.column_stack((times[_forecast_rows(report.config, times)], report.chi_base))
     save_series(out / "forecast_chi.csv", CHI_SERIES_COLUMNS, [chi])
     (out / "report.json").write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
     if measurements is not None:

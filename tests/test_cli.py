@@ -25,6 +25,35 @@ def test_missing_config_file_exits_3(tmp_path):
     assert code == 3
 
 
+def _config_directory(tmp_path):
+    path = tmp_path / "config_dir"
+    path.mkdir()
+    return path
+
+
+def _non_utf8_config(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"grid": {"n_cells": 64}} é'.encode("latin-1"))
+    return path
+
+
+@pytest.mark.parametrize(
+    "unreadable", [_config_directory, _non_utf8_config], ids=["directory", "not_utf8"]
+)
+def test_unreadable_config_exits_3_before_any_run(tmp_path, capsys, unreadable):
+    out = tmp_path / "twin"
+    code = main(["twin", "--config", str(unreadable(tmp_path)), "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
+def test_audit_of_an_unreadable_config_echo_exits_3(tmp_path, capsys):
+    (tmp_path / "config.json").write_bytes(b"\xff\xfe{}")
+    assert main(["audit", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_bad_flags_exit_3():
     assert main(["sweep", "--axis", "nonsense", "--values", "1"]) == 3
     assert main(["twin", "--frobnicate"]) == 3

@@ -393,6 +393,25 @@ def test_forecast_chi_base_rest_state():
     assert np.allclose(chi, 1.0)  # no gradients, no drive: only the constant
 
 
+def test_forecast_chi_base_rows_are_independent(lite_config, lite_observed):
+    # one pass over every forecast row of the truth is, bit for bit, the
+    # concatenation of its calls over row blocks; no rows give no entries,
+    # as for the twin's blocks before the window end
+    from nudgelab.diagnostics import forecast_chi_base
+    from nudgelab.field import row_blocks
+
+    visc, forcing = lite_config.viscosity, build_forcing(lite_config)
+    times = lite_observed.times[harness._forecast_rows(lite_config, lite_observed.times)]
+    assert times.size > ROW_BLOCK + 1
+    whole = forecast_chi_base(visc, lite_observed, forcing, times)
+    blocked = np.concatenate([
+        forecast_chi_base(visc, lite_observed, forcing, times[rows])
+        for rows in row_blocks(times.size)
+    ])
+    assert whole.shape == times.shape and np.array_equal(whole, blocked)
+    assert forecast_chi_base(visc, lite_observed, forcing, times[:0]).shape == (0,)
+
+
 def test_total_energy_matches_density_sum():
     g = Grid1D(16, 2.0)
     rng = np.random.default_rng(12)
