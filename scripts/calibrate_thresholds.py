@@ -17,7 +17,8 @@ frozen, so a solver that misses them is what needs work.
 
 import dataclasses
 
-from nudgelab.config import ExperimentConfig, NudgingGains
+from nudgelab.config import ExperimentConfig
+from nudgelab.dynamics import NudgingConfig
 from nudgelab.harness import (
     ENVELOPE_GAMMA_MAX,
     FORECAST_GROWTH_MAX,
@@ -33,7 +34,7 @@ def main():
     cfg = ExperimentConfig()
     baseline = run_twin(cfg)
     control = run_twin(
-        dataclasses.replace(cfg, nudging=NudgingGains(lambda_rho=0.0, lambda_u=0.0))
+        dataclasses.replace(cfg, nudging=NudgingConfig(lambda_rho=0.0, lambda_u=0.0))
     )
     print("baseline sync ratio   : %.3e  (frozen threshold %.0e)" % (
         baseline.values["sync_ratio"], SYNC_RATIO_MAX))

@@ -1,9 +1,11 @@
 """Experiment configuration: nested dataclasses with a strict JSON file form,
 and the ``build_*`` constructors that turn a config into the run's objects.
 
-The ``grid``, ``eos`` and ``viscosity`` sections are the run's own
-``Grid1D``, ``EquationOfState`` and ``Viscosity``, so their constructors are
-their rules.
+The ``grid``, ``eos``, ``viscosity`` and ``nudging`` sections are the run's
+own ``Grid1D``, ``EquationOfState``, ``Viscosity`` and ``NudgingConfig``, so
+their constructors are their rules.  The gains act on the window of the
+observations they pull toward, the tiling's [0, t_assim_end)
+(``build_tiling``), which no section restates.
 
 The file form is plain JSON mirroring the dataclass tree.  Unknown keys are
 rejected, every leaf's type is checked as the file form is read, every float
@@ -38,16 +40,13 @@ __all__ = [
     "ForcingConfig",
     "InitialConfig",
     "SamplerConfig",
-    "NudgingGains",
     "SolverConfig",
     "CalibrationConfig",
-    "OutputConfig",
     "ExperimentConfig",
     "load_config",
     "save_config",
     "build_forcing",
     "build_initial_state",
-    "build_nudging",
     "build_tiling",
     "report_times",
     "SWEEP_AXES",
@@ -91,12 +90,6 @@ class SamplerConfig:
 
 
 @dataclass(frozen=True)
-class NudgingGains:
-    lambda_rho: float = 50.0
-    lambda_u: float = 200.0
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     report_interval: float = 1e-3
     # inert: validated (>= 1) but read by no run, which records the report
@@ -114,11 +107,6 @@ class CalibrationConfig:
 
 
 @dataclass(frozen=True)
-class OutputConfig:
-    write_measurements: bool = False
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     grid: Grid1D = Grid1D(256, 1.0)
     eos: EquationOfState = EquationOfState(1.4)
@@ -127,10 +115,9 @@ class ExperimentConfig:
     forcing: ForcingConfig = field(default_factory=ForcingConfig)
     initial: InitialConfig = field(default_factory=InitialConfig)
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
-    nudging: NudgingGains = field(default_factory=NudgingGains)
+    nudging: NudgingConfig = NudgingConfig(50.0, 200.0)
     solver: SolverConfig = field(default_factory=SolverConfig)
     calibration: CalibrationConfig = field(default_factory=CalibrationConfig)
-    outputs: OutputConfig = field(default_factory=OutputConfig)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -146,11 +133,11 @@ class ExperimentConfig:
         """Raise ConfigError unless every phase of a run accepts this config.
 
         Only the rules that no constructor owns are spelled out here.  The
-        grid, equation of state and viscosity are the run's own objects,
-        checked by their constructors when the config was made.  Leaf types
-        are checked where a config enters from outside the program, in
-        ``from_dict``; a config built in Python is checked by its
-        constructors, as every other API object is.
+        grid, equation of state, viscosity and gains are the run's own
+        objects, checked by their constructors when the config was made.
+        Leaf types are checked where a config enters from outside the
+        program, in ``from_dict``; a config built in Python is checked by
+        its constructors, as every other API object is.
         """
         problems = []
 
@@ -178,11 +165,9 @@ class ExperimentConfig:
             # leaves the forecast window a single row
             problems.append("timeline: t_assim_end must lie more than 4 ulps below t_plus")
         else:
-            nudging = attempt("nudging", lambda: build_nudging(self))
-            if nudging is not None:
-                attempt("calibration", lambda: check_gain_conditions(
-                    nudging, sampler.delta, cal.gamma_cal, cal.epsilon_target
-                ))
+            attempt("calibration", lambda: check_gain_conditions(
+                self.nudging, tl.t_assim_end, sampler.delta, cal.gamma_cal, cal.epsilon_target
+            ))
             attempt("sampler", lambda: sampled_blocks(build_tiling(self), self.grid))
         if solver.snapshot_budget < 1:
             problems.append("solver.snapshot_budget must be >= 1")
@@ -192,7 +177,7 @@ class ExperimentConfig:
 
 # -- the file form -----------------------------------------------------------------
 
-_EXPECTED = {float: "a finite number", int: "an integer", bool: "true or false", str: "a string"}
+_EXPECTED = {float: "a finite number", int: "an integer", str: "a string"}
 
 
 @functools.cache
@@ -224,8 +209,8 @@ def _leaf(value, hint, where: str, problems: list):
             return value
     elif hint is int and isinstance(value, float) and value.is_integer():
         value = int(value)
-    if isinstance(value, bool) or hint is bool:
-        ok = isinstance(value, bool) and hint is bool
+    if isinstance(value, bool):  # no leaf is a bool, and a bool is no number
+        ok = False
     elif hint is float:
         ok = isinstance(value, numbers.Real) and math.isfinite(value)
     elif hint is int:
@@ -298,17 +283,10 @@ def build_initial_state(cfg: ExperimentConfig, grid: Grid1D) -> FluidState:
     return FluidState(cfg.timeline.t_minus, rho, np.zeros(grid.n_cells))
 
 
-def build_nudging(cfg: ExperimentConfig) -> NudgingConfig:
-    return NudgingConfig(
-        lambda_rho=cfg.nudging.lambda_rho,
-        lambda_u=cfg.nudging.lambda_u,
-        window=(0.0, cfg.timeline.t_assim_end),
-    )
-
-
 def build_tiling(cfg: ExperimentConfig) -> SpaceTimeDecomposition:
     """Space-time decomposition of the assimilation window [0, t_assim_end]:
-    the one tiling, which ``validate()`` sizes and ``run_twin`` samples."""
+    the one tiling, which ``validate()`` sizes and ``run_twin`` samples.
+    Its span is the window of the samples, on which the gains act."""
     s = cfg.sampler
     return build_decomposition(
         s.delta, cfg.timeline.t_assim_end, cfg.grid.length, s.placement, s.seed

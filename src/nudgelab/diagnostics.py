@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dynamics import Forcing, NudgingConfig, Viscosity
+from .dynamics import Forcing, NudgingConfig, Viscosity, active
 from .eos import EquationOfState
 from .field import (
     FluidState, Grid1D, Trajectory, ghost_pad, noslip_seminorm_sq,
@@ -133,7 +133,8 @@ def make_energy_report(
 
     Dissipation is nu_eff times the squared no-slip seminorm of the velocity
     mismatch; the nudging powers are the energy sources of the relaxation
-    terms (negative values are sinks), zero where it is off.  The budget
+    terms (negative values are sinks), zero outside the window of the
+    observations ``ms`` (``active``), where the relaxation is off.  The budget
     rate is nu_eff |u|^2_H1, minus the forcing work, minus lambda_rho times
     the Fenchel-Young slack of the density mismatch, minus the nudging
     powers, and residual_k = (E_{k+1} - E_k) / dt + the trapezoidal average
@@ -170,7 +171,7 @@ def make_energy_report(
     if forcing_at is not None:
         rate -= dx * np.sum(rho * forcing_at(t[:, None]) * u, axis=-1)
     if ms is not None and nudging is not None:
-        on = np.flatnonzero(nudging.active(t))
+        on = np.flatnonzero(active(ms, t))
         if on.size:
             r_obs, u_obs = ms.values_at_time(t[on], grid)
             rho_on, u_on = rho[on], u[on]
@@ -328,20 +329,22 @@ class GainConditionReport:
 
 def check_gain_conditions(
     nudging: NudgingConfig,
+    horizon: float,
     delta: float,
     gamma_cal: float,
     epsilon: float,
 ) -> GainConditionReport:
-    """Evaluate the gain/resolution conditions for a nudging configuration.
+    """Evaluate the gain/resolution conditions for the gains ``nudging``
+    acting over a window of length ``horizon`` (the assimilation window's
+    T, which the caller passes).
 
     gamma_cal plays the role of the data-dependent constant (calibrated
     once from baseline runs, at least 1); the floor estimate uses the
-    window length T of the nudging config.
+    window length T.
     """
     if gamma_cal < 1.0:
         raise ValueError("gamma_cal must be at least 1")
     lr, lu = nudging.lambda_rho, nudging.lambda_u
-    horizon = nudging.window[1] - nudging.window[0]
     floor = (
         (1.0 / lr + math.exp(-lr * horizon)) * gamma_cal if lr > 0.0 else math.inf
     )

@@ -15,8 +15,8 @@ The run lands exactly on its breakpoints in equal steps: the steps to the
 next one are (target - t) / n with n = ceil((target - t) / dt), so no
 sliver step is left before a landing.
 
-Inside the nudging window the IMEX step is wrapped in a Strang splitting
-(Strang 1968) with the pointwise relaxation for the nudging sources
+Inside the observations' window the IMEX step is wrapped in a Strang
+splitting (Strang 1968) with the pointwise relaxation for the nudging sources
 -lambda_rho (rho - Ir) on the density and -lambda_u (1 + rho) (u - IU) on
 the momentum, m' = -lambda_u (1 + rho) (m / rho - IU): a half step h = dt/2
 of relaxation toward the samples at t + dt/4, the IMEX step, and a second
@@ -53,6 +53,7 @@ from .sampler import MeasurementSet
 __all__ = [
     "Viscosity",
     "NudgingConfig",
+    "active",
     "Forcing",
     "IntegrationStats",
     "RHO_FLOOR",
@@ -97,29 +98,28 @@ class Viscosity:
 
 @dataclass(frozen=True)
 class NudgingConfig:
-    """Relaxation gains and the window on which they act.
+    """Relaxation gains of the nudged run: the config's ``nudging`` section.
 
     Gains are nonnegative; the synchronization guarantees additionally need
     lambda_u >= 2 * lambda_rho, which is reported by the gain-condition
     check rather than enforced here (control runs legitimately violate it).
+    The gains act where the observations they pull toward hold data, on
+    the observations' window (``active``).
     """
 
     lambda_rho: float
     lambda_u: float
-    window: tuple[float, float]
 
     def __post_init__(self):
         if not (self.lambda_rho >= 0.0 and self.lambda_u >= 0.0):
             raise ValueError("gains must be nonnegative")
-        w0, w1 = self.window
-        if not (np.isfinite(w0) and np.isfinite(w1) and w0 < w1):
-            raise ValueError("window must be an increasing pair")
-        object.__setattr__(self, "window", (float(w0), float(w1)))
 
-    def active(self, t):
-        """Whether the relaxation acts at t (elementwise for an array)."""
-        w0, w1 = self.window
-        return (w0 <= t) & (t < w1)
+
+def active(obs, t):
+    """Whether the relaxation toward the observations ``obs`` acts at t:
+    t in their window [w0, w1) (elementwise for an array)."""
+    w0, w1 = obs.window
+    return (w0 <= t) & (t < w1)
 
 
 @dataclass(frozen=True)
@@ -292,8 +292,9 @@ def step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance ``state = (t, rho, mom)`` by dt and return the new (rho, mom):
     one IMEX midpoint step ARS(1,2,2), explicit in transport, pressure and
-    forcing and implicit in the viscous term.  When the step lies inside
-    the nudging window it is Strang split with the closed-form relaxation
+    forcing and implicit in the viscous term.  When a gain of ``nudging``
+    is positive and the step starts inside the window of the observations
+    ``ms`` (``active``), it is Strang split with the closed-form relaxation
     of the module docstring: half a step of relaxation toward the samples
     at t + dt/4 before it, and half a step toward the samples at t + 3dt/4
     after it.
@@ -337,7 +338,7 @@ def step(
     nudge = (
         nudging is not None
         and ms is not None
-        and nudging.active(t)
+        and active(ms, t)
         and (nudging.lambda_rho > 0.0 or nudging.lambda_u > 0.0)
     )
     if nudge:
@@ -377,13 +378,14 @@ class IntegrationStats:
     speed_max: float
 
 
-def _breakpoints(t0: float, t_end: float, landings: np.ndarray, nudging):
+def _breakpoints(t0: float, t_end: float, landings: np.ndarray, ms, nudging):
     """The times a run from t0 lands on, in order: t_end, the landings in
-    (t0, t_end] and the nudging window ends inside (t0, t_end)."""
+    (t0, t_end] and, for a nudged run, the ends of its observations'
+    window inside (t0, t_end)."""
     points = {t_end}
     points.update(landings[(t0 < landings) & (landings <= t_end)].tolist())
-    if nudging is not None:
-        points.update(w for w in nudging.window if t0 < w < t_end)
+    if ms is not None and nudging is not None:
+        points.update(w for w in ms.window if t0 < w < t_end)
     return sorted(points)
 
 
@@ -402,17 +404,18 @@ def integrate(
 ):
     """Integrate from ``initial`` to ``t_end``; returns (Trajectory, stats).
 
-    The run lands exactly on its breakpoints, the end time, the nudging
-    window ends and the ``landings`` inside (t0, t_end], and records the
+    The run lands exactly on its breakpoints, the end time, the ends of
+    the window of ``ms`` when it is nudged (the gains act on that window,
+    ``active``) and the ``landings`` inside (t0, t_end], and records the
     initial state and one row per breakpoint, nothing else.  ``landings``
     may be empty.  A non-finite landing, or a ``fixed_dt`` that is not
     finite and positive, raises ValueError before anything else, on a call
     of zero span too.
 
-    Steps use the acoustic dt of ``stable_dt``, inside the nudging window
-    too: the Strang split relaxation of ``step`` is stable at any dt and
-    second order in it, so no gain sets a step size.  ``fixed_dt`` replaces
-    the acoustic dt.  Each step to the next
+    Steps use the acoustic dt of ``stable_dt``, inside the window too: the
+    Strang split relaxation of ``step`` is stable at any dt and second
+    order in it, so no gain sets a step size.  ``fixed_dt`` replaces the
+    acoustic dt.  Each step to the next
     breakpoint is ``(target - t) / n`` with ``n = ceil((target - t) / dt)``,
     the ceiling forgiving a gap a millionth of a step above a multiple of
     dt (rounding of the time), so the steps before a landing are equal and
@@ -440,7 +443,7 @@ def integrate(
     if t_end < t:
         raise ValueError("t_end must not precede the initial time")
     rho, mom = initial.rho, initial.mom
-    targets = _breakpoints(t, t_end, landings, nudging) if t_end > t else []
+    targets = _breakpoints(t, t_end, landings, ms, nudging) if t_end > t else []
     rows = 1 + len(targets)
     times = np.empty(rows)
     rhos = np.empty((rows, grid.n_cells))

@@ -243,7 +243,8 @@ def save_series(path, header, blocks, meta=None) -> None:
 def load_series(path, header, meta=()) -> tuple[dict, np.ndarray]:
     """The table ``save_series`` wrote: the comment line's values of the
     keys ``meta`` names, as floats, and the columns as the rows of one
-    array.  The header must match and every named key must be present."""
+    array.  The header must match, every named key must be present, and a
+    row must follow the header (no run writes an empty table)."""
     with open(path) as fh:
         line = fh.readline()
         found = {}
@@ -255,6 +256,10 @@ def load_series(path, header, meta=()) -> tuple[dict, np.ndarray]:
             raise ValueError(f"{path}: missing metadata {missing}")
         if line.strip() != ",".join(header):
             raise ValueError(f"{path}: unexpected header {line.strip()!r}")
+        start = fh.tell()
+        if not fh.readline():
+            raise ValueError(f"{path}: no rows")
+        fh.seek(start)
         columns = np.loadtxt(fh, delimiter=",", ndmin=2).T
     return {k: float(found[k]) for k in meta}, columns
 

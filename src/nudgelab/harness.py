@@ -25,7 +25,6 @@ from .config import (
     SWEEP_AXES,
     build_forcing,
     build_initial_state,
-    build_nudging,
     build_tiling,
     load_config,
     report_times,
@@ -63,7 +62,6 @@ from .sampler import (
     build_decomposition,
     interpolation_error,
     sample,
-    save_measurements,
 )
 
 __all__ = [
@@ -206,11 +204,12 @@ MMS_ORDER_RANGE = (1.8, 2.2)  # manufactured-solution orders, free and nudged
 MASS_DRIFT_MAX = 1e-10  # relative mass drift over 1e4 fixed steps
 MONOTONE_BAND = 0.10  # acceptance 7: tolerance of the floor/rate monotonicity
 # the manufactured-solution studies of validate_solver: their resolutions,
-# the free run's end time, and the nudged run's gains and window (it starts
+# the free run's end time, and the nudged run's gains and span (it starts
 # at t = 1, where sin t is not small, and runs as long as the free one)
 MMS_N_VALUES = (64, 128, 256)
 MMS_T_FINAL = 0.1
-MMS_NUDGING = NudgingConfig(20.0, 80.0, (1.0, 1.0 + MMS_T_FINAL))
+MMS_NUDGING = NudgingConfig(20.0, 80.0)
+MMS_NUDGED_WINDOW = (1.0, 1.0 + MMS_T_FINAL)
 
 
 # -- twin experiment ----------------------------------------------------------
@@ -275,7 +274,8 @@ def _derive_diagnostics(cfg: ExperimentConfig, times, re_series, chi_base) -> di
         decay = fit_decay(times[mask], re_series[mask])
 
     gains = check_gain_conditions(
-        build_nudging(cfg),
+        cfg.nudging,
+        cfg.timeline.t_assim_end,
         cfg.sampler.delta,
         cfg.calibration.gamma_cal,
         cfg.calibration.epsilon_target,
@@ -326,8 +326,11 @@ def run_twin(cfg: ExperimentConfig, out_dir=None, truths: dict | None = None) ->
     at its forecast rows, and the interpolation error folds in as a running
     maximum.  The truth rows and the slabs behind the next block are then
     dropped, so the twin holds a few blocks of each run and one block of
-    slabs, whatever the window lengths and the placement; with
-    ``outputs.write_measurements`` it keeps every slab, for the file.  The
+    slabs, whatever the window lengths and the placement.  The gains
+    ``cfg.nudging`` act on the slab windows' own window, the tiling's
+    [0, T) (``MeasurementSet.window``).  The samples are not written:
+    ``sample`` recomputes them, bit for bit, from the truth that
+    ``observe`` writes and the config's tiling (``build_tiling``).  The
     synchronized start is built from the truth's first row, at t_minus,
     before the first ``cover``.  In ``stats`` each run's step count and
     integration wall time are the sums over its blocks and its dt range the
@@ -349,10 +352,9 @@ def run_twin(cfg: ExperimentConfig, out_dir=None, truths: dict | None = None) ->
     wall_start = _time.perf_counter()
     grid, eos, visc = cfg.grid, cfg.eos, cfg.viscosity
     forcing = build_forcing(cfg)
-    nudging = build_nudging(cfg)
+    nudging = cfg.nudging
     t_assim_end = cfg.timeline.t_assim_end
     dec = build_tiling(cfg)
-    keep_every_slab = cfg.outputs.write_measurements
 
     with _recording_failure(cfg, "truth", out_dir):
         truth = _TruthWindow(cfg, truths)
@@ -384,8 +386,8 @@ def run_twin(cfg: ExperimentConfig, out_dir=None, truths: dict | None = None) ->
             gap = interpolation_error(new, truth.traj)
             interp_r, interp_u = max(interp_r, gap.sup_err_r), max(interp_u, gap.sup_err_U)
             diagnostics_wall_time += _time.perf_counter() - diagnostics_start
-            keep = 0 if keep_every_slab else int(dec.time_slab_index(start.time))
-            ms, n_sampled = _slab_window(ms, new, keep), covered
+            ms = _slab_window(ms, new, int(dec.time_slab_index(start.time)))
+            n_sampled = covered
         with _recording_failure(cfg, "nudged", out_dir, reached):
             traj, block_stats = integrate(
                 grid, start, t_e, eos, visc, forcing, ms, nudging, landings=block
@@ -432,7 +434,7 @@ def run_twin(cfg: ExperimentConfig, out_dir=None, truths: dict | None = None) ->
         **derived,
     )
     if out_dir is not None:
-        persist_twin(report, out_dir, measurements=ms if keep_every_slab else None)
+        persist_twin(report, out_dir)
     return report
 
 
@@ -519,11 +521,10 @@ def _jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def persist_twin(report: TwinReport, out_dir, measurements: MeasurementSet | None = None) -> Path:
-    """Write the config echo, the energy and forecast chi series as CSV,
-    ``report.json`` and optionally the measurements.  ``report.json`` holds
-    the ``DERIVED`` blocks with ``budget_residual_max``, ``interp_error`` and
-    ``stats``, sorted by key."""
+def persist_twin(report: TwinReport, out_dir) -> Path:
+    """Write the config echo, the energy and forecast chi series as CSV and
+    ``report.json``, which holds the ``DERIVED`` blocks with
+    ``budget_residual_max``, ``interp_error`` and ``stats``, sorted by key."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_config(out / "config.json", report.config)
@@ -534,8 +535,6 @@ def persist_twin(report: TwinReport, out_dir, measurements: MeasurementSet | Non
     chi = np.column_stack((times[_forecast_rows(report.config, times)], report.chi_base))
     save_series(out / "forecast_chi.csv", CHI_SERIES_COLUMNS, [chi])
     (out / "report.json").write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
-    if measurements is not None:
-        save_measurements(out / "measurements.csv", measurements)
     return out
 
 
@@ -704,10 +703,13 @@ class ClosedFormObservations:
     """Observation fields I[r](t, x) and I[U](t, x) in closed form, read as
     ``step`` reads samples: ``values_at_time(t, grid)`` gives their values
     on ``grid``'s cell centers, one row for a scalar time t and one row per
-    time for an array.  They have no time slabs."""
+    time for an array.  They have no time slabs and hold at every time, so
+    their window is the whole line: the gains act over the whole of any
+    run toward them."""
 
     r_obs: callable
     u_obs: callable
+    window = (-np.inf, np.inf)
 
     def values_at_time(self, t, grid: Grid1D):
         t, x = np.asarray(t, dtype=float)[..., None], grid.cell_centers()
@@ -866,7 +868,7 @@ def _in_mms_range(orders) -> bool:
 def validate_solver(cfg: ExperimentConfig | None = None) -> ValidationReport:
     """Manufactured-solution convergence studies at the resolutions
     MMS_N_VALUES, free (from 0 to MMS_T_FINAL) and nudged (the case of
-    ``manufactured_case`` with MMS_NUDGING, over its window), plus a
+    ``manufactured_case`` with MMS_NUDGING, over MMS_NUDGED_WINDOW), plus a
     mass-conservation check, each against its frozen range
     (MMS_ORDER_RANGE for both studies, MASS_DRIFT_MAX).
 
@@ -878,7 +880,7 @@ def validate_solver(cfg: ExperimentConfig | None = None) -> ValidationReport:
     eos, visc = cfg.eos, cfg.viscosity
     errors, orders = _mms_study(cfg, manufactured_case(eos, visc, cfg.grid.length), 0.0, MMS_T_FINAL)
     nudged = manufactured_case(eos, visc, cfg.grid.length, nudging=MMS_NUDGING)
-    nudged_errors, nudged_orders = _mms_study(cfg, nudged, *MMS_NUDGING.window)
+    nudged_errors, nudged_orders = _mms_study(cfg, nudged, *MMS_NUDGED_WINDOW)
 
     # mass conservation over 1e4 fixed steps on a forced smooth run
     grid = Grid1D(64, cfg.grid.length)

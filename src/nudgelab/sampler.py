@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .field import Grid1D, Trajectory, row_blocks, save_series
+from .field import Grid1D, Trajectory, row_blocks
 
 __all__ = [
     "SpaceTimeDecomposition",
@@ -36,11 +36,12 @@ __all__ = [
     "sampled_blocks",
     "sample",
     "interpolation_error",
-    "save_measurements",
 ]
 
 PLACEMENTS = ("center", "jittered")
-# Memory guard: the most (slab, block) cells one measurement set may store.
+# Size guard: the most (slab, block) cells sampled over the whole tiling,
+# whether one set stores them (``sample`` over every slab) or a run reads
+# them one block of slabs at a time.
 MAX_STORED_CELLS = 5_000_000
 
 
@@ -311,6 +312,12 @@ class MeasurementSet:
         object.__setattr__(self, "first_slab", first)
         object.__setattr__(self, "_grid_columns", {})
 
+    @property
+    def window(self) -> tuple[float, float]:
+        """The span of the tiling, (0, duration), on which the gains act
+        (``dynamics.active``), whichever slabs the set holds."""
+        return 0.0, self.decomposition.duration
+
     def _columns(self, x):
         """Stored column of the space block that holds each position."""
         block = self.decomposition.space_block_index(x)
@@ -395,22 +402,3 @@ def interpolation_error(ms: MeasurementSet, traj: Trajectory) -> InterpolationEr
         err_u = max(err_u, float(np.abs(u_obs - mom / rho).max()))
     return InterpolationError(sup_err_r=err_r, sup_err_U=err_u)
 
-
-def save_measurements(path, ms: MeasurementSet) -> None:
-    """CSV export, one row per stored cell in (slab, block) row-major order:
-    len(ms.r_sample) x len(ms.blocks) rows, under a ``# delta=`` comment
-    line; written one slab at a time, its control points drawn as it is."""
-    dec, blocks, first = ms.decomposition, ms.blocks, ms.first_slab
-    tb, xb = dec.time_breaks, dec.space_breaks
-
-    def rows(k):
-        (t_star,), (x_star,) = dec.control_points(blocks, slice(k, k + 1))
-        return np.column_stack((
-            np.full(blocks.size, tb[k]), np.full(blocks.size, tb[k + 1]),
-            xb[blocks], xb[blocks + 1], t_star, x_star,
-            ms.r_sample[k - first], ms.U_sample[k - first],
-        ))
-
-    slabs = (rows(k) for k in range(first, first + len(ms.r_sample)))
-    header = ("t_lo", "t_hi", "x_lo", "x_hi", "t_star", "x_star", "r_sample", "U_sample")
-    save_series(path, header, slabs, {"delta": dec.delta})

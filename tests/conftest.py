@@ -28,11 +28,11 @@ def _timed(name, fn):
 from nudgelab.config import (
     CalibrationConfig,
     ExperimentConfig,
-    NudgingGains,
     SamplerConfig,
     SolverConfig,
     TimelineConfig,
 )
+from nudgelab.dynamics import NudgingConfig
 from nudgelab.field import Grid1D
 
 
@@ -64,7 +64,7 @@ def determinism_config():
         grid=Grid1D(64, 1.0),
         timeline=TimelineConfig(t_minus=-0.2, t_assim_end=0.5, t_plus=0.8),
         sampler=SamplerConfig(delta=3e-3, placement="jittered", seed=7),
-        nudging=NudgingGains(lambda_rho=20.0, lambda_u=80.0),
+        nudging=NudgingConfig(lambda_rho=20.0, lambda_u=80.0),
         solver=SolverConfig(report_interval=2e-3),
         calibration=CalibrationConfig(epsilon_target=0.25),
     )
@@ -88,6 +88,6 @@ def baseline_twin(baseline_config):
 @pytest.fixture(scope="session")
 def control_twin(baseline_config):
     cfg = dataclasses.replace(
-        baseline_config, nudging=NudgingGains(lambda_rho=0.0, lambda_u=0.0)
+        baseline_config, nudging=NudgingConfig(lambda_rho=0.0, lambda_u=0.0)
     )
     return _timed("control_twin", lambda: harness.run_twin(cfg))

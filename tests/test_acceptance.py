@@ -260,14 +260,14 @@ def test_acceptance_9_gain_condition_gate():
         ((4.0, 8.0, 1e-3, 3.0), (True, False, True)),
     ]
     for (lr, lu, delta, gamma), expected in cases:
-        rep = check_gain_conditions(NudgingConfig(lr, lu, (0.0, 1.0)), delta, gamma, epsilon=0.1)
+        rep = check_gain_conditions(NudgingConfig(lr, lu), 1.0, delta, gamma, epsilon=0.1)
         got = (rep.gain_ratio_ok, rep.gain_ordering_ok, rep.delta_smallness_ok)
         assert got == expected, f"case {(lr, lu, delta, gamma)}: {got} != {expected}"
     # floor estimate arithmetic at the baseline gains
-    rep = check_gain_conditions(NudgingConfig(50.0, 200.0, (0.0, 1.0)), 1e-3, 4.0, epsilon=0.1)
+    rep = check_gain_conditions(NudgingConfig(50.0, 200.0), 1.0, 1e-3, 4.0, epsilon=0.1)
     assert rep.floor_estimate == pytest.approx(4.0 * (0.02 + math.exp(-50.0)), rel=1e-12)
     assert rep.floor_ok is True
-    rep = check_gain_conditions(NudgingConfig(0.0, 0.0, (0.0, 1.0)), 1e-3, 1.0, epsilon=0.1)
+    rep = check_gain_conditions(NudgingConfig(0.0, 0.0), 1.0, 1e-3, 1.0, epsilon=0.1)
     assert rep.floor_estimate == math.inf and rep.floor_ok is False
     report(9, "gain-condition verdicts match hand arithmetic on 10 cases", start, 1.0)
 

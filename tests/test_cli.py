@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -10,8 +11,9 @@ import pytest
 import nudgelab
 from nudgelab import dynamics, harness
 from nudgelab.cli import main
-from nudgelab.config import build_forcing, save_config
+from nudgelab.config import build_forcing, build_tiling, save_config
 from nudgelab.field import load_trajectory
+from nudgelab.sampler import sample
 
 
 def write_config(tmp_path, cfg):
@@ -115,6 +117,8 @@ def test_invalid_config_exits_3_before_any_run(tmp_path, monkeypatch, capsys, mu
         {"eos": {"a": 0.4}}, {"forcing": {"kind": "none"}}, {"initial": {"kind": "uniform"}},
         {"solver": {"safety": 0.4}}, {"solver": {"rho_floor": 1e-8}},
         {"solver": {"max_steps": 100}}, {"sync_init": "truth_at_start"},
+        # the measurements file and its switch are gone with the section
+        {"outputs": {"write_measurements": False}},
     ],
 )
 def test_removed_model_keys_exit_3_as_unknown(tmp_path, capsys, mutation):
@@ -122,6 +126,17 @@ def test_removed_model_keys_exit_3_as_unknown(tmp_path, capsys, mutation):
     path.write_text(json.dumps(mutation))
     assert main(["validate", "--config", str(path)]) == 3
     assert "unknown keys" in capsys.readouterr().err
+
+
+def test_negative_gain_exits_3_naming_the_nudging_section(tmp_path, capsys):
+    # the nudging section is the run's NudgingConfig: its constructor
+    # rejects the gain as the file form is read, before any run
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"nudging": {"lambda_rho": -1}}))
+    out = tmp_path / "twin"
+    assert main(["twin", "--config", str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "config error: nudging: gains must be nonnegative\n"
+    assert not out.exists()
 
 
 def test_observe_writes_trajectory(tmp_path, determinism_config):
@@ -134,6 +149,36 @@ def test_observe_writes_trajectory(tmp_path, determinism_config):
     meta = json.loads((out / "observed_meta.json").read_text())
     assert meta["t_first"] == determinism_config.timeline.t_minus
     assert meta["rho_max"] > 0
+
+
+@pytest.mark.parametrize("placement", ["center", "jittered"])
+def test_twin_samples_are_the_observed_files_samples(tmp_path, monkeypatch, lite_config, placement):
+    # a twin writes no samples: each slab window that its nudged blocks
+    # read is, bit for bit, those slabs of the truth that observe writes,
+    # sampled on the config's tiling
+    cfg = dataclasses.replace(
+        lite_config, sampler=dataclasses.replace(lite_config.sampler, placement=placement, seed=5)
+    )
+    obs = tmp_path / "obs"
+    assert main(["observe", "--config", str(write_config(tmp_path, cfg)), "--out", str(obs)]) == 0
+    whole = sample(load_trajectory(obs / "trajectory.csv"), build_tiling(cfg))
+    read, real_integrate = [], harness.integrate
+
+    def recording_integrate(grid, initial, t_end, eos, visc, forcing, ms=None, nudging=None, **kw):
+        if nudging is not None:  # a nudged block, not a truth block
+            read.append(ms)
+        return real_integrate(grid, initial, t_end, eos, visc, forcing, ms, nudging, **kw)
+
+    monkeypatch.setattr(harness, "integrate", recording_integrate)
+    harness.run_twin(cfg)
+    slabs = set()
+    for ms in read:
+        rows = slice(ms.first_slab, ms.first_slab + len(ms.r_sample))
+        assert ms.blocks.tolist() == whole.blocks.tolist()
+        assert ms.r_sample.tobytes() == whole.r_sample[rows].tobytes()
+        assert ms.U_sample.tobytes() == whole.U_sample[rows].tobytes()
+        slabs.update(range(rows.start, rows.stop))
+    assert len(read) > 2 and slabs == set(range(whole.decomposition.n_time_slabs))
 
 
 def test_observe_writes_the_runs_bounds_once(tmp_path, determinism_config):
@@ -228,6 +273,21 @@ def _move_one_chi_time(out):
     t, rest = rows[10].split(",", 1)
     rows[10] = f"{float(t) + 1e-4!r},{rest}"
     path.write_text("".join([header, *rows]))
+
+
+@pytest.mark.parametrize("name", ["energy_series.csv", "forecast_chi.csv"])
+def test_audit_of_a_table_with_no_rows_exits_1(tmp_path, capsys, lite_twin, name):
+    # a table cut to its header is no series a run writes: one line naming
+    # the file, with no numpy warning and no traceback
+    out = harness.persist_twin(lite_twin, tmp_path / "twin")
+    path = out / name
+    path.write_text(path.read_text().splitlines(keepends=True)[0])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["audit", "--out", str(out)]) == 1
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err == f"run failure: ValueError: {path}: no rows\n"
 
 
 @pytest.mark.parametrize("damage", [_cut_series, _move_one_chi_time], ids=["cut", "moved"])
@@ -352,15 +412,10 @@ def test_twin_loads_no_numpy_ma(tmp_path, lite_config):
 
 
 def test_jittered_twin_and_its_measurements_load_no_numpy_random(tmp_path, determinism_config):
-    # the jitter is counter-based: a jittered twin that writes every slab's
-    # control points, and its audit, never import numpy.random
-    cfg = dataclasses.replace(
-        determinism_config,
-        outputs=dataclasses.replace(determinism_config.outputs, write_measurements=True),
-    )
-    assert cfg.sampler.placement == "jittered"
-    assert _twin_and_audit_modules(tmp_path, cfg, "numpy.random") == "[0, 0] []"
-    assert (tmp_path / "twin" / "measurements.csv").exists()
+    # the jitter is counter-based: a jittered twin, which draws the control
+    # points of every slab it samples, and its audit never import numpy.random
+    assert determinism_config.sampler.placement == "jittered"
+    assert _twin_and_audit_modules(tmp_path, determinism_config, "numpy.random") == "[0, 0] []"
 
 
 def test_seed_beyond_64_bits_exits_3(tmp_path, capsys):

@@ -8,7 +8,6 @@ import pytest
 from nudgelab.config import (
     ExperimentConfig,
     build_forcing,
-    NudgingGains,
     SamplerConfig,
     SolverConfig,
     TimelineConfig,
@@ -16,7 +15,7 @@ from nudgelab.config import (
     report_times,
     save_config,
 )
-from nudgelab.dynamics import MAX_STEPS
+from nudgelab.dynamics import MAX_STEPS, NudgingConfig
 from nudgelab.errors import ConfigError
 from nudgelab.sampler import build_decomposition, sampled_blocks
 
@@ -27,7 +26,7 @@ INF = float("inf")
 def test_round_trip_is_bit_exact(tmp_path):
     cfg = ExperimentConfig(
         sampler=SamplerConfig(delta=0.1 + 1e-17, placement="jittered", seed=123),
-        nudging=NudgingGains(lambda_rho=1.0 / 3.0, lambda_u=2.0 / 7.0 * 7.0),
+        nudging=NudgingConfig(lambda_rho=1.0 / 3.0, lambda_u=2.0 / 7.0 * 7.0),
     )
     path = tmp_path / "config.json"
     save_config(path, cfg)
@@ -81,7 +80,7 @@ def test_bad_json_and_missing_file(tmp_path):
         {"sampler": {"placement": "grid"}},
         {"nudging": {"lambda_rho": -1.0}},
         {"solver": {"safety": 1.5}},  # no longer a key
-        {"outputs": {"format": "xml"}},
+        {"outputs": {"format": "xml"}},  # no longer a section
         {"sync_init": "random"},
         # constraints only a domain constructor knew about
         {"eos": {"gamma": 4, "a": 0.45}},
@@ -108,7 +107,7 @@ def test_bad_json_and_missing_file(tmp_path):
         {"sampler": {"delta": [1]}},
         {"viscosity": {"mu": None}},
         {"sampler": {"delta": True}},
-        {"outputs": {"write_measurements": "yes"}},
+        {"sampler": {"placement": 1}},
         # timeline ordering
         {"timeline": {"t_minus": 0.1}},
         {"timeline": {"t_assim_end": 2.0, "t_plus": 1.0}},
@@ -136,7 +135,8 @@ def test_semantic_validation(tmp_path, mutation):
         ({"grid": {"length": "1"}}, "grid.length: expected a finite number"),
         ({"sampler": {"cell_cap": 1000}}, "sampler: unknown keys ['cell_cap']"),
         ({"forcing": {"kind": "gusts"}}, "forcing: unknown keys ['kind']"),
-        ({"outputs": {"format": "csv"}}, "outputs: unknown keys ['format']"),
+        # the measurements file and its switch are gone
+        ({"outputs": {"write_measurements": False}}, "config: unknown keys ['outputs']"),
         ({"initial": {"kind": "sine"}}, "initial: unknown keys ['kind']"),
         # the acceptance gate is not config (it lives in nudgelab.harness)
         ({"calibration": {"sync_ratio_max": 1.0}}, "calibration: unknown keys ['sync_ratio_max']"),
@@ -144,7 +144,8 @@ def test_semantic_validation(tmp_path, mutation):
          "calibration: unknown keys ['forecast_growth_max']"),
         ({"calibration": {"envelope_gamma_max": 1e3}},
          "calibration: unknown keys ['envelope_gamma_max']"),
-        ({"outputs": {"directory": "out"}}, "outputs: unknown keys ['directory']"),
+        # the nudging section is the run's gains, whose constructor checks them
+        ({"nudging": {"lambda_rho": -1}}, "nudging: gains must be nonnegative"),
         # the tiling owns the seed rule
         ({"sampler": {"seed": -1}}, "sampler: seed must be >= 0, got -1"),
         # every run-object constructor runs, and one message names each error
@@ -167,7 +168,7 @@ def test_ints_widen_to_floats_and_null_is_rejected(tmp_path):
     assert '"length": 2.0' in cfg.to_json()
     # no leaf is optional: null fails like any other wrong type, everywhere
     leaves = [(section, key) for section, block in cfg.to_dict().items() for key in block]
-    assert len(leaves) == 22
+    assert len(leaves) == 21
     for section, key in leaves:
         path.write_text(json.dumps({section: {key: None}}))
         with pytest.raises(ConfigError, match=re.escape(f"{section}.{key}: expected")):
@@ -219,7 +220,7 @@ def test_high_gain_config_is_valid():
     # 128,006,596 cells, of which the 256 grid cells read 2,896,384
     cfg = ExperimentConfig(
         sampler=SamplerConfig(delta=1.25e-4),
-        nudging=NudgingGains(lambda_rho=500.0, lambda_u=2000.0),
+        nudging=NudgingConfig(lambda_rho=500.0, lambda_u=2000.0),
     )
     cfg.validate()
     dec = build_decomposition(1.25e-4, 1.0, 1.0)

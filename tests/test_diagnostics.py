@@ -7,7 +7,7 @@ import pytest
 from conftest import equal_steps
 from nudgelab import dynamics, harness
 from nudgelab.config import (
-    build_forcing, build_nudging, build_tiling, report_times,
+    build_forcing, build_tiling, report_times,
 )
 from nudgelab.diagnostics import (
     ENERGY_SERIES_COLUMNS,
@@ -26,6 +26,7 @@ from nudgelab.dynamics import (
     Forcing,
     NudgingConfig,
     Viscosity,
+    active,
     integrate,
     make_synchronized_initial,
     stable_dt,
@@ -160,7 +161,7 @@ def test_energy_budget_inequality_on_nudged_run():
         g, [0.0, 1.0], np.stack([obs_rho] * 2), np.zeros((2, 48)),
     )
     ms = sample(obs, build_decomposition(0.2, 1.0, 1.0))
-    cfg = NudgingConfig(15.0, 60.0, (0.0, 1.0))
+    cfg = NudgingConfig(15.0, 60.0)
     initial = FluidState(0.0, np.full(48, float(np.mean(obs_rho))), np.zeros(48))
     # 30 equal steps of about the acoustic dt, each one landed on
     dt = 0.2 / 30
@@ -181,7 +182,8 @@ def seven_term_budget_rate(eos, visc, grid, ts, rho, mom, forcing, ms, nudging):
     rate = visc.nu_eff * noslip_seminorm_sq(grid, u)
     if forcing.at is not None:
         rate -= dx * np.sum(rho * forcing.at(grid.cell_centers())(ts[:, None]) * u, axis=-1)
-    on = nudging.active(ts)
+    w0, w1 = ms.window
+    on = (w0 <= ts) & (ts < w1)
     if on.any():
         lr, lu = nudging.lambda_rho, nudging.lambda_u
         r_obs, u_obs = ms.values_at_time(ts[on], grid)
@@ -199,8 +201,8 @@ def seven_term_budget_rate(eos, visc, grid, ts, rho, mom, forcing, ms, nudging):
 
 
 def test_budget_residual_matches_the_seven_term_form():
-    # a moving truth, so the velocity observations enter, and a nudging
-    # window that closes inside the run
+    # a moving truth, so the velocity observations enter, and a tiling
+    # whose window, where the gains act, closes inside the run
     g = Grid1D(48, 1.0)
     x = g.cell_centers()
     obs_rho = 1.0 + 0.25 * np.cos(2 * np.pi * x)
@@ -208,8 +210,8 @@ def test_budget_residual_matches_the_seven_term_form():
     obs = Trajectory(
         g, [0.0, 1.0], np.stack([obs_rho] * 2), np.stack([obs_mom] * 2),
     )
-    ms = sample(obs, build_decomposition(0.2, 1.0, 1.0))
-    cfg = NudgingConfig(15.0, 60.0, (0.0, 0.1))
+    ms = sample(obs, build_decomposition(0.2, 0.1, 1.0))
+    cfg = NudgingConfig(15.0, 60.0)
     initial = FluidState(0.0, np.full(48, float(np.mean(obs_rho))), np.zeros(48))
     traj, _ = integrate(
         g, initial, 0.2, EOS, VISC, Forcing.zero(), ms, cfg, landings=np.linspace(0.0, 0.2, 41)
@@ -228,16 +230,14 @@ def test_energy_report_reads_the_observations_once_per_block(monkeypatch, lite_c
     # start row, every row inside the window, so the report and the budget
     # read the observations of all 65 rows, and do so in one call
     cfg = lite_config
-    eos, visc, forcing, nudging = (
-        cfg.eos, cfg.viscosity, build_forcing(cfg), build_nudging(cfg)
-    )
+    eos, visc, forcing, nudging = cfg.eos, cfg.viscosity, build_forcing(cfg), cfg.nudging
     ms = sample(lite_observed, build_tiling(cfg))
     block = report_times(cfg)[:ROW_BLOCK]
     traj, _ = integrate(
         cfg.grid, make_synchronized_initial(lite_observed), block[-1],
         eos, visc, forcing, ms, nudging, landings=block,
     )
-    assert traj.n_snapshots == ROW_BLOCK + 1 and nudging.active(traj.times).all()
+    assert traj.n_snapshots == ROW_BLOCK + 1 and active(ms, traj.times).all()
     calls = []
     real_values_at_time = MeasurementSet.values_at_time
 
@@ -309,17 +309,17 @@ def test_fit_decay_non_decaying_series_reports_quality():
 
 
 def test_check_gain_conditions_examples():
-    rep = check_gain_conditions(NudgingConfig(1.0, 1.0, (0.0, 1.0)), 0.1, 2.0, 0.1)
+    rep = check_gain_conditions(NudgingConfig(1.0, 1.0), 1.0, 0.1, 2.0, 0.1)
     assert not rep.gain_ratio_ok
-    rep = check_gain_conditions(NudgingConfig(50.0, 200.0, (0.0, 1.0)), 1e-3, 4.0, 0.1)
+    rep = check_gain_conditions(NudgingConfig(50.0, 200.0), 1.0, 1e-3, 4.0, 0.1)
     assert rep.gain_ratio_ok and rep.gain_ordering_ok
     assert rep.delta_smallness_ok  # 1e-3 * 200 * 4 = 0.8 <= 1
     assert rep.floor_estimate == pytest.approx(4.0 * (0.02 + np.exp(-50.0)), rel=1e-12)
     # exact boundary of the gain-ratio condition passes
-    rep = check_gain_conditions(NudgingConfig(10.0, 20.0, (0.0, 1.0)), 1e-3, 1.0, 0.1)
+    rep = check_gain_conditions(NudgingConfig(10.0, 20.0), 1.0, 1e-3, 1.0, 0.1)
     assert rep.gain_ratio_ok
     with pytest.raises(ValueError):
-        check_gain_conditions(NudgingConfig(1.0, 2.0, (0.0, 1.0)), 0.1, 0.5, 0.1)
+        check_gain_conditions(NudgingConfig(1.0, 2.0), 1.0, 0.1, 0.5, 0.1)
 
 
 def test_forecast_envelope_constant_series():
@@ -481,7 +481,7 @@ def assert_series_is_per_snapshot(report, traj, observed, eos, visc, ms=None, nu
         assert report.l2_u_diff[i] == np.sqrt(g.dx * np.sum(du**2))
         assert report.mass[i] == g.dx * np.sum(s.rho)
         npr = npu = 0.0
-        if ms is not None and nudging.active(float(t)):
+        if ms is not None and ms.window[0] <= t < ms.window[1]:
             r_obs, u_obs = ms.values_at_time(float(t), g)
             u = s.velocity()
             npr = -nudging.lambda_rho * g.dx * float(
@@ -499,13 +499,14 @@ def random_trajectory(rng, g, times):
 
 
 def test_series_columns_equal_the_per_snapshot_functions():
-    # 300 rows span several row blocks; the relaxation is on for part of them
+    # 300 rows span several row blocks; the relaxation is on for part of
+    # them, those in the tiling's window [0, 0.7)
     rng = np.random.default_rng(21)
     g = Grid1D(32, 1.0)
     traj = random_trajectory(rng, g, np.sort(rng.uniform(0.0, 1.0, 300)))
     observed = random_trajectory(rng, g, np.linspace(-0.1, 1.0, 57))
     ms = sample(observed, build_decomposition(0.1, 0.7, 1.0))
-    nudging = NudgingConfig(15.0, 60.0, (0.2, 0.7))
+    nudging = NudgingConfig(15.0, 60.0)
     report, _ = make_energy_report(EOS, VISC, Forcing.zero(), traj, observed, ms, nudging)
     assert 0 < np.count_nonzero(report.nudge_power_u) < 300
     assert_series_is_per_snapshot(report, traj, observed, EOS, VISC, ms, nudging)
@@ -551,7 +552,7 @@ def test_partial_series_equals_the_per_snapshot_functions(tmp_path, lite_config,
     ms = sample(observed, dec)
     report = load_energy_series(tmp_path / "energy_series.csv")
     assert_series_is_per_snapshot(
-        report, partial, observed, cfg.eos, cfg.viscosity, ms, build_nudging(cfg)
+        report, partial, observed, cfg.eos, cfg.viscosity, ms, cfg.nudging
     )
 
 
@@ -597,5 +598,5 @@ def test_later_block_failure_series_covers_every_row_reached(tmp_path, lite_conf
     ms = sample(observed, build_tiling(cfg))
     report = load_energy_series(tmp_path / "energy_series.csv")
     assert_series_is_per_snapshot(
-        report, reached, observed, cfg.eos, cfg.viscosity, ms, build_nudging(cfg)
+        report, reached, observed, cfg.eos, cfg.viscosity, ms, cfg.nudging
     )

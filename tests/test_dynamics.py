@@ -14,6 +14,7 @@ from nudgelab.dynamics import (
     Forcing,
     NudgingConfig,
     Viscosity,
+    active,
     integrate,
     make_synchronized_initial,
     _viscous_solve,
@@ -50,13 +51,15 @@ def test_viscosity_invariants():
 
 
 def test_nudging_config():
-    cfg = NudgingConfig(1.0, 2.0, (0.0, 1.0))
-    assert cfg.active(0.0) and cfg.active(0.999)
-    assert not cfg.active(1.0) and not cfg.active(-0.1)
-    with pytest.raises(ValueError):
-        NudgingConfig(-1.0, 0.0, (0.0, 1.0))
-    with pytest.raises(ValueError):
-        NudgingConfig(1.0, 1.0, (1.0, 0.0))
+    # the gains act on the window of the samples, the tiling's [0, T)
+    ms = constant_measurements(duration=1.0)
+    assert ms.window == (0.0, 1.0)
+    assert active(ms, 0.0) and active(ms, math.nextafter(1.0, 0.0))
+    assert not active(ms, 1.0) and not active(ms, -0.1)
+    assert NudgingConfig(1.0, 2.0) == NudgingConfig(lambda_rho=1.0, lambda_u=2.0)
+    for gains in ((-1.0, 0.0), (0.0, -1.0), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="gains must be nonnegative"):
+            NudgingConfig(*gains)
 
 
 def test_rest_state_zero_tendency():
@@ -164,7 +167,7 @@ def test_step_relaxes_only_inside_the_window():
     g = Grid1D(8, 1.0)
     s = uniform_state(8, rho=2.0, u=0.5)
     ms = constant_measurements(r=1.0, u=0.0)
-    cfg = NudgingConfig(10.0, 40.0, (0.0, 1.0))
+    cfg = NudgingConfig(10.0, 40.0)
     for t in (0.5, 1.0, 1.5):
         free = step(g, (t, s.rho, s.mom), 1e-3, EOS, VISC, None)
         nudged = step(g, (t, s.rho, s.mom), 1e-3, EOS, VISC, None, ms, cfg)
@@ -188,7 +191,7 @@ def test_step_relaxation_halfway_example():
     g = Grid1D(16, 1.0)
     s = uniform_state(16, rho=2.0)
     ms = constant_measurements(r=1.0, u=0.0)
-    cfg = NudgingConfig(10.0, 0.0, (0.0, 1.0))
+    cfg = NudgingConfig(10.0, 0.0)
     rho, _ = step(g, (s.time, s.rho, s.mom), math.log(2.0) / 10.0, EOS, VISC, None, ms, cfg)
     assert np.allclose(rho, 1.5, rtol=1e-14)
 
@@ -201,7 +204,7 @@ def test_step_density_relaxation_leaves_the_momentum():
     g = Grid1D(16, 1.0)
     s = uniform_state(16, rho=2.0, u=0.5)
     ms = constant_measurements(r=1.0, u=0.5)
-    cfg = NudgingConfig(10.0, 0.0, (0.0, 1.0))
+    cfg = NudgingConfig(10.0, 0.0)
     free = step(g, (s.time, s.rho, s.mom), 1e-2, EOS, VISC, None)
     rho, mom = step(g, (s.time, s.rho, s.mom), 1e-2, EOS, VISC, None, ms, cfg)
     assert np.allclose(rho[6:10], 1.0 + math.exp(-0.1), rtol=1e-12)
@@ -218,7 +221,7 @@ def test_step_relaxation_contraction_factor(dt_lambda):
     lam = 10.0
     dt = dt_lambda / lam
     ms = constant_measurements(r=1.0, u=0.0, duration=2.0 * dt + 1.0)
-    cfg = NudgingConfig(lam, 0.0, (0.0, 2 * dt + 1.0))
+    cfg = NudgingConfig(lam, 0.0)
     rho, _ = step(g, (s.time, s.rho, s.mom), dt, EOS, VISC, None, ms, cfg)
     # checked on the density, to a few of its ulps: the gap left can be far
     # smaller than the density
@@ -230,7 +233,7 @@ def test_step_synchronized_fixed_point():
     g = Grid1D(16, 1.0)
     s = uniform_state(16, rho=1.0)
     ms = constant_measurements(r=1.0, u=0.0)
-    cfg = NudgingConfig(50.0, 200.0, (0.0, 1.0))
+    cfg = NudgingConfig(50.0, 200.0)
     rho, mom = step(g, (s.time, s.rho, s.mom), 1e-3, EOS, VISC, None, ms, cfg)
     assert np.array_equal(rho, s.rho)
     assert np.array_equal(mom, s.mom)
@@ -508,7 +511,7 @@ def test_integrate_nudged_mass_relaxation_identity():
     x = g.cell_centers()
     s = FluidState(0.0, 1.0 + 0.2 * np.cos(2 * np.pi * x), np.zeros(32))
     lam = 25.0
-    cfg = NudgingConfig(lam, 4 * lam, (0.0, 1.0))
+    cfg = NudgingConfig(lam, 4 * lam)
     dec = build_decomposition(0.3, 1.0, 1.0)
     obs = Trajectory(
         g,
@@ -657,7 +660,7 @@ _A = 0.5
 
 def _reference_step(grid, state, dt, eos, visc, forcing, ms=None, nudging=None, *, end_time=None):
     t, rho0, mom0 = state
-    nudge = ms is not None and nudging.active(t)
+    nudge = ms is not None and ms.window[0] <= t < ms.window[1]
     if nudge:
         r_obs, u_obs = ms.values_at_time(t + 0.25 * dt, grid)
         rho0, mom0 = _reference_relax(rho0, mom0, 0.5 * dt, r_obs, u_obs, nudging)
@@ -746,7 +749,7 @@ def test_steps_match_the_reference_kernel(n, kind, nudged):
             np.stack([0.1 * np.sin(np.pi * x), np.zeros(n)]),
         )
         ms = sample(obs, build_decomposition(0.05, 1.0, g.length, "jittered", 3))
-        nudging = NudgingConfig(20.0, 80.0, (0.0, 0.5))
+        nudging = NudgingConfig(20.0, 80.0)
     new = ref = (rho, mom)
     t = 0.0
     for i in range(40):
@@ -764,7 +767,7 @@ def _lie_step(grid, state, dt, eos, visc, forcing_at, ms=None, nudging=None, *, 
     # relaxation over the whole dt toward the samples at t + dt/2
     t = state[0]
     rho, mom = step(grid, state, dt, eos, visc, forcing_at, end_time=end_time)
-    if ms is not None and nudging.active(t):
+    if ms is not None and active(ms, t):
         r_obs, u_obs = ms.values_at_time(t + 0.5 * dt, grid)
         rho, mom = _reference_relax(rho, mom, dt, r_obs, u_obs, nudging)
     return rho, mom
@@ -814,7 +817,7 @@ def test_one_viscous_solve_per_step(monkeypatch, nudged):
     ms = nudging = None
     if nudged:
         ms = constant_measurements(r=1.0, u=0.0, duration=0.2)
-        nudging = NudgingConfig(20.0, 80.0, (0.0, 0.2))
+        nudging = NudgingConfig(20.0, 80.0)
     s = FluidState(0.0, 1.0 + 0.1 * np.cos(2 * np.pi * x), np.zeros(64))
     _, stats = integrate(g, s, 0.1, EOS, VISC, Forcing.zero(), ms, nudging, landings=(0.05,))
     assert stats.n_steps > 10 and calls == [64] * stats.n_steps
@@ -847,7 +850,7 @@ def test_nudged_self_convergence_order_in_dt(monkeypatch, kernel, lo, hi):
     t_end = 0.25
     dec = SpaceTimeDecomposition(np.hypot(t_end, g.dx), t_end, g.length, 1, g.n_cells)
     ms = MeasurementSet(dec, (1.0 + 0.1 * np.sin(2 * np.pi * x))[None], (0.1 * np.sin(np.pi * x))[None])
-    nudging = NudgingConfig(20.0, 80.0, (0.0, t_end))
+    nudging = NudgingConfig(20.0, 80.0)
     initial = FluidState(0.0, 1.0 + 0.2 * np.cos(2 * np.pi * x), np.zeros(g.n_cells))
     dt0 = stable_dt(g, initial.rho, initial.velocity(), EOS)
     monkeypatch.setattr(dynamics, "step", kernel)

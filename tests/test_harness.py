@@ -9,13 +9,13 @@ import pytest
 
 from nudgelab import dynamics, harness
 from nudgelab.config import (
-    ExperimentConfig, InitialConfig, ForcingConfig, NudgingGains, build_forcing,
-    build_nudging, build_tiling, report_times,
+    ExperimentConfig, InitialConfig, ForcingConfig, build_forcing, build_tiling,
+    report_times,
 )
 from nudgelab.diagnostics import (
     CHI_SERIES_COLUMNS, load_energy_series, make_energy_report, save_energy_series,
 )
-from nudgelab.dynamics import IntegrationStats, make_synchronized_initial
+from nudgelab.dynamics import IntegrationStats, NudgingConfig, make_synchronized_initial
 from nudgelab.errors import BlowUpError, ConfigError, VacuumError
 from nudgelab.field import ROW_BLOCK, FluidState, Trajectory, load_series
 from nudgelab.harness import (
@@ -65,7 +65,7 @@ def test_run_observed_memo(lite_config):
     assert a_stats.n_steps > 0
     assert b_stats == IntegrationStats(0, 0.0, 0.0, 0.0, 0.0, 0.0)
     # the signature tracks only observed-relevant fields
-    changed = dataclasses.replace(lite_config, nudging=NudgingGains(1.0, 2.0))
+    changed = dataclasses.replace(lite_config, nudging=NudgingConfig(1.0, 2.0))
     assert observed_signature(changed) == observed_signature(lite_config)
     regrid = dataclasses.replace(
         lite_config, grid=dataclasses.replace(lite_config.grid, n_cells=72)
@@ -201,11 +201,10 @@ def test_streamed_twin_is_the_whole_truths_twin(tmp_path, lite_config, delta, pl
     # reads the whole truth, as one integrate call records it.  Slabs two
     # report intervals wide put most slab midpoints on truth rows; slabs
     # wider than a row block need the truth more than one block ahead.
-    # Every output file is the same, the measurements included
+    # Every output file is the same
     cfg = dataclasses.replace(
         lite_config,
         sampler=dataclasses.replace(lite_config.sampler, delta=delta, placement=placement),
-        outputs=dataclasses.replace(lite_config.outputs, write_measurements=True),
     )
     dec = build_tiling(cfg)
     if placement == "center":
@@ -259,9 +258,7 @@ def test_blocked_nudged_run_is_the_single_call_bit_for_bit(lite_config, lite_obs
     cfg = lite_config
     truths = {observed_signature(cfg): lite_observed}
     report = run_twin(cfg, truths=truths)
-    eos, visc, forcing, nudging = (
-        cfg.eos, cfg.viscosity, build_forcing(cfg), build_nudging(cfg)
-    )
+    eos, visc, forcing, nudging = cfg.eos, cfg.viscosity, build_forcing(cfg), cfg.nudging
     ms = sample(lite_observed, build_tiling(cfg))
     traj, stats = dynamics.integrate(
         cfg.grid, make_synchronized_initial(lite_observed), cfg.timeline.t_plus,
@@ -329,7 +326,7 @@ def test_twin_identical_initial_data_stays_synchronized(lite_config, monkeypatch
     # a zero-gain twin restarted from the truth itself
     monkeypatch.setattr(harness, "make_synchronized_initial", lambda obs: obs.state_at(0.0))
     cfg = dataclasses.replace(
-        lite_config, nudging=NudgingGains(lambda_rho=0.0, lambda_u=0.0)
+        lite_config, nudging=NudgingConfig(lambda_rho=0.0, lambda_u=0.0)
     )
     rep = run_twin(cfg)
     # the truth lands on the restarted run's own times, so from t = 0 the
@@ -340,7 +337,7 @@ def test_twin_identical_initial_data_stays_synchronized(lite_config, monkeypatch
 
 def test_twin_uninformed_control_fails_without_nudging(lite_config):
     cfg = dataclasses.replace(
-        lite_config, nudging=NudgingGains(lambda_rho=0.0, lambda_u=0.0)
+        lite_config, nudging=NudgingConfig(lambda_rho=0.0, lambda_u=0.0)
     )
     rep = run_twin(cfg)
     assert rep.values["re_initial"] > 0.0
@@ -358,7 +355,7 @@ def test_observed_data_firewall(lite_config):
     """The nudged path depends on the trajectory only through the samples:
     corrupting unsampled regions leaves the measurement set, and hence the
     nudged run, unchanged."""
-    from nudgelab.dynamics import NudgingConfig, integrate
+    from nudgelab.dynamics import integrate
     from nudgelab.harness import build_forcing
 
     traj, _ = run_observed(lite_config)
@@ -383,7 +380,7 @@ def test_observed_data_firewall(lite_config):
     # and the nudged integration sees no difference end to end
     from nudgelab.dynamics import make_synchronized_initial
 
-    nudging = NudgingConfig(20.0, 80.0, (0.0, lite_config.timeline.t_assim_end))
+    nudging = NudgingConfig(20.0, 80.0)
     landings = (0.1, 0.2, 0.3, 0.4)
     args = (
         grid,
@@ -588,22 +585,6 @@ def test_audit_detects_tampered_verdicts(tmp_path, determinism_config):
     result = audit_twin(out)
     assert not result.ok
     assert any("synchronized" in m for m in result.mismatches)
-
-
-def test_twin_writes_the_stored_measurements(tmp_path, lite_config):
-    cfg = dataclasses.replace(
-        lite_config, outputs=dataclasses.replace(lite_config.outputs, write_measurements=True)
-    )
-    out = tmp_path / "twin"
-    run_twin(cfg, out_dir=out)
-    with open(out / "measurements.csv") as fh:
-        assert fh.readline().startswith("# delta=")
-        assert fh.readline() == "t_lo,t_hi,x_lo,x_hi,t_star,x_star,r_sample,U_sample\n"
-        rows = fh.read().splitlines()
-    dec = build_decomposition(cfg.sampler.delta, cfg.timeline.t_assim_end, cfg.grid.length)
-    n_ref = np.unique(dec.space_block_index(cfg.grid.cell_centers())).size
-    assert n_ref == 64 < dec.n_space_blocks
-    assert len(rows) == dec.n_time_slabs * n_ref
 
 
 def test_audit_accepts_non_finite_values(tmp_path, lite_twin):

@@ -14,7 +14,6 @@ from nudgelab.sampler import (
     interpolation_error,
     sample,
     sampled_blocks,
-    save_measurements,
 )
 
 
@@ -274,30 +273,6 @@ def test_interpolation_error_checks_a_slab_between_snapshots():
     assert interpolation_error(ms, traj).sup_err_r <= 0.5 / dec.n_time_slabs + 1e-12
 
 
-def test_measurements_round_trip(tmp_path):
-    # 8 cells read 8 of the 15 blocks; the export holds exactly their cells
-    traj = constant_trajectory(n=8, rho_fn=lambda x: 1.0 + 0.3 * np.cos(2 * np.pi * x))
-    dec = build_decomposition(0.1, 1.0, 1.0, placement="jittered", seed=42)
-    ms = sample(traj, dec)
-    assert ms.blocks.size == 8 and dec.n_space_blocks == 15
-    path = tmp_path / "measurements.csv"
-    save_measurements(path, ms)
-    with open(path) as fh:
-        assert fh.readline() == f"# delta={dec.delta:.17g}\n"
-        assert fh.readline() == "t_lo,t_hi,x_lo,x_hi,t_star,x_star,r_sample,U_sample\n"
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    shape = (dec.n_time_slabs, ms.blocks.size)
-    assert data.shape == (dec.n_time_slabs * ms.blocks.size, 8)
-    t_lo, t_hi, x_lo, x_hi, t_star, x_star, r, u = (c.reshape(shape) for c in data.T)
-    assert np.array_equal(t_lo[:, 0], dec.time_breaks[:-1])
-    assert np.array_equal(t_hi[:, 0], dec.time_breaks[1:])
-    assert np.array_equal(x_lo[0], dec.space_breaks[ms.blocks])
-    assert np.array_equal(x_hi[0], dec.space_breaks[ms.blocks + 1])
-    assert np.array_equal(t_star, dec.t_star[:, ms.blocks])
-    assert np.array_equal(x_star, dec.x_star[:, ms.blocks])
-    assert np.array_equal(r, ms.r_sample) and np.array_equal(u, ms.U_sample)
-
-
 def test_stored_columns_are_the_blocks_holding_grid_centers():
     dec = build_decomposition(0.1, 1.0, 1.0)  # 15 blocks of width 1/15
     for n, expected in [
@@ -480,11 +455,11 @@ def test_sample_matches_the_one_shot_read_across_row_blocks(placement):
 
 
 @pytest.mark.parametrize("placement", ["center", "jittered"])
-def test_slab_ranges_are_the_whole_sets_slabs(tmp_path, placement):
+def test_slab_ranges_are_the_whole_sets_slabs(placement):
     # the tiling sampled one slab range after another, each range drawing
     # its own control points: each range is the whole set's rows, bit for
-    # bit, reads outside a range raise, and the interpolation error folds
-    # as a maximum over the ranges
+    # bit, with the whole set's window, reads outside a range raise, and
+    # the interpolation error folds as a maximum over the ranges
     traj = random_truth(n=32, rows=301)
     dec = build_decomposition(1e-2, 1.0, 1.0, placement=placement, seed=5)
     whole = sample(traj, dec)
@@ -493,6 +468,7 @@ def test_slab_ranges_are_the_whole_sets_slabs(tmp_path, placement):
     grid = traj.grid
     for (a, b), part in zip(zip(edges, edges[1:]), parts):
         assert part.first_slab == a and part.blocks.tolist() == whole.blocks.tolist()
+        assert part.window == whole.window == (0.0, dec.duration)
         assert np.array_equal(part.r_sample, whole.r_sample[a:b])
         assert np.array_equal(part.U_sample, whole.U_sample[a:b])
         inner = dec.time_breaks[a:b]
@@ -506,13 +482,6 @@ def test_slab_ranges_are_the_whole_sets_slabs(tmp_path, placement):
     errors = [interpolation_error(part, traj) for part in parts]
     assert max(e.sup_err_r for e in errors) == interpolation_error(whole, traj).sup_err_r
     assert max(e.sup_err_U for e in errors) == interpolation_error(whole, traj).sup_err_U
-    # a slab range exports its own rows of the whole set's file
-    save_measurements(tmp_path / "whole.csv", whole)
-    save_measurements(tmp_path / "part.csv", parts[2])
-    whole_rows = (tmp_path / "whole.csv").read_text().splitlines()
-    part_rows = (tmp_path / "part.csv").read_text().splitlines()
-    n = whole.blocks.size
-    assert part_rows[2:] == whole_rows[2 + edges[2] * n:2 + edges[3] * n]
     with pytest.raises(ValueError, match="sample arrays must have shape"):
         MeasurementSet(dec, whole.r_sample[:3], whole.U_sample[:3], whole.blocks, edges[-2])
 
