@@ -24,7 +24,7 @@ from .dynamics import Forcing, NudgingConfig, Viscosity, active
 from .eos import EquationOfState
 from .field import (
     FluidState, Grid1D, Trajectory, ghost_pad, noslip_seminorm_sq,
-    load_series, row_blocks, save_series,
+    load_series, row_blocks, row_chunks, save_series,
 )
 from .sampler import MeasurementSet
 
@@ -147,41 +147,53 @@ def make_energy_report(
     inequality, which ``test_energy_budget_inequality_on_nudged_run`` checks
     at step resolution.
 
-    One pass: u, the active rows, the observations and the forcing are read
-    once for both results, and every temporary spans all rows of ``traj``.
-    ``run_twin``, the one run caller, hands it one nudged block of at most
+    One pass, a chunk of rows at a time (``row_chunks`` over the grid's
+    cells), so no temporary spans more than ``CHUNK_CELLS`` cells: each
+    chunk fills its rows of the eight per-row columns (the seven report
+    quantities and the budget rate), reading u and its active rows'
+    observations (one ``values_at_time`` call) once for both results.  The
+    forcing is bound once per call, and the residual is formed once from
+    the full columns.  Every quantity is a reduction over each row alone,
+    so the chunks give the bits of one pass over all rows.  ``run_twin``,
+    the one run caller, hands it one nudged block of at most
     ``ROW_BLOCK + 1`` rows and the truth rows around it.
     """
     grid = traj.grid
     if observed.grid != grid:
         raise ValueError("trajectories do not share a grid")
     dx = grid.dx
-    t, rho, mom = traj.times, traj.rho, traj.mom
-    r, m = observed.fields_at(t)
-    u = mom / rho
-    du = u - m / r
-    energy = _integral(grid, total_energy_density(eos, rho, mom))
-    rel = _integral(grid, _relative_energy_density(eos, rho, du, r))
-    dissipation = visc.nu_eff * noslip_seminorm_sq(grid, du)
-    l2 = np.sqrt(_integral(grid, du**2))
-    mass = _integral(grid, rho)
-    power_rho, power_u = np.zeros((2, t.size))
-    rate = visc.nu_eff * noslip_seminorm_sq(grid, u)
+    t = traj.times
+    energy, rel, dissipation, l2, mass, power_rho, power_u, rate = np.zeros((8, t.size))
     forcing_at = forcing.on_grid(grid)
-    if forcing_at is not None:
-        rate -= dx * np.sum(rho * forcing_at(t[:, None]) * u, axis=-1)
     if ms is not None and nudging is not None:
-        on = np.flatnonzero(active(ms, t))
-        if on.size:
-            r_obs, u_obs = ms.values_at_time(t[on], grid)
-            rho_on, u_on = rho[on], u[on]
-            power_rho[on] = -nudging.lambda_rho * dx * np.sum(
+        on = active(ms, t)
+    else:
+        on = np.zeros(t.size, dtype=bool)
+    for rows in row_chunks(t.size, grid.n_cells):
+        ts, rho, mom = t[rows], traj.rho[rows], traj.mom[rows]
+        r, m = observed.fields_at(ts)
+        u = mom / rho
+        du = u - m / r
+        energy[rows] = _integral(grid, total_energy_density(eos, rho, mom))
+        rel[rows] = _integral(grid, _relative_energy_density(eos, rho, du, r))
+        dissipation[rows] = visc.nu_eff * noslip_seminorm_sq(grid, du)
+        l2[rows] = np.sqrt(_integral(grid, du**2))
+        mass[rows] = _integral(grid, rho)
+        rate[rows] = visc.nu_eff * noslip_seminorm_sq(grid, u)
+        if forcing_at is not None:
+            rate[rows] -= dx * np.sum(rho * forcing_at(ts[:, None]) * u, axis=-1)
+        k = np.flatnonzero(on[rows])
+        if k.size:
+            r_obs, u_obs = ms.values_at_time(ts[k], grid)
+            rho_on, u_on = rho[k], u[k]
+            at = rows.start + k
+            power_rho[at] = -nudging.lambda_rho * dx * np.sum(
                 (eos.dpotential(rho_on) - 0.5 * u_on**2) * (rho_on - r_obs), axis=-1
             )
-            power_u[on] = -nudging.lambda_u * dx * np.sum(
+            power_u[at] = -nudging.lambda_u * dx * np.sum(
                 (1.0 + rho_on) * u_on * (u_on - u_obs), axis=-1
             )
-            rate[on] -= nudging.lambda_rho * dx * np.sum(
+            rate[at] -= nudging.lambda_rho * dx * np.sum(
                 eos.fenchel_young_gap(rho_on, r_obs), axis=-1
             )
     rate -= power_rho + power_u
@@ -212,18 +224,26 @@ def _log_linear_fit(t: np.ndarray, y: np.ndarray, floor: float, min_keep: int):
     Samples at or below twice the floor are excluded: they carry plateau
     noise (real series dip arbitrarily close to the truth), which would
     otherwise swamp the residual and bias the rate low.  Candidates
-    retaining fewer than min_keep samples are rejected with an infinite
-    error.
+    retaining fewer than min_keep samples, or samples at one time only, are
+    rejected with an infinite error.
+
+    The line is the least-squares fit in closed form about the means,
+    slope = sum(dt dz) / sum(dt^2), from ufunc products and sums, so no
+    run calls LAPACK or BLAS: a first line fit through LAPACK raises the
+    peak RSS by 1.2 MiB, its workspace.
     """
     excess = y - floor
     keep = (excess > 0.0) & (excess >= floor)
     if int(np.sum(keep)) < min_keep:
         return math.inf, 0.0, None, None
     tk, zk = t[keep], np.log(excess[keep])
+    # the centered sum of squares of equal times need not be 0 after the
+    # rounding of their mean, so equal times are caught here
     if np.ptp(tk) == 0.0:
         return math.inf, 0.0, None, None
-    slope, intercept = np.polyfit(tk, zk, 1)
-    resid = zk - (slope * tk + intercept)
+    dt, dz = tk - np.mean(tk), zk - np.mean(zk)
+    slope = np.sum(dt * dz) / np.sum(dt * dt)
+    resid = dz - slope * dt
     return float(np.mean(resid**2)), slope, tk, zk
 
 
@@ -430,9 +450,11 @@ def forecast_chi_base(
 
         1 + sup |dU/dx| + (discrete L3 norm of div(S)/r + g) squared.
 
-    The envelope multiplies this by a calibration constant.  One pass, as
-    in ``make_energy_report``: every temporary spans all of ``times``, and
-    each row is computed on its own, so a split of the rows gives the same
+    The envelope multiplies this by a calibration constant.  As in
+    ``make_energy_report``, the rows are read a chunk at a time
+    (``row_chunks`` over the ghost-padded rows), so no temporary spans
+    more than ``CHUNK_CELLS`` cells, and the forcing is bound once.  Each
+    row is computed on its own, so any split of the rows gives the same
     bits.  ``run_twin``, the one run caller, hands it at most
     ``ROW_BLOCK + 1`` forecast rows at a time.
     """
@@ -440,19 +462,23 @@ def forecast_chi_base(
     dx = grid.dx
     forcing_at = forcing.on_grid(grid)
     times = np.asarray(times, dtype=float)
-    rho, mom = traj.fields_at(times)
-    rp, mp = ghost_pad(rho, mom)
-    up = mp / rp
-    # the odd ghosts make the wall differences 2u, as in noslip_seminorm_sq
-    sup_grad = np.max(np.abs(np.diff(up)), axis=-1) / dx
-    div_stress = visc.nu_eff * (up[:, 2:] - 2.0 * up[:, 1:-1] + up[:, :-2]) / dx**2
-    drive = div_stress / rho
-    if forcing_at is not None:
-        drive += forcing_at(times[:, None])
-    cube = _integral(grid, np.abs(drive) ** 3)
-    # the cube root and the square stay scalar: their array forms can
-    # differ from the scalar ones in the last bit
-    return np.array([1.0 + g + (c ** (1.0 / 3.0)) ** 2 for g, c in zip(sup_grad, cube)])
+    chi = np.empty(times.size)
+    for rows in row_chunks(times.size, grid.n_cells + 2):
+        ts = times[rows]
+        rho, mom = traj.fields_at(ts)
+        rp, mp = ghost_pad(rho, mom)
+        up = mp / rp
+        # the odd ghosts make the wall differences 2u, as in noslip_seminorm_sq
+        sup_grad = np.max(np.abs(np.diff(up)), axis=-1) / dx
+        div_stress = visc.nu_eff * (up[:, 2:] - 2.0 * up[:, 1:-1] + up[:, :-2]) / dx**2
+        drive = div_stress / rho
+        if forcing_at is not None:
+            drive += forcing_at(ts[:, None])
+        cube = _integral(grid, np.abs(drive) ** 3)
+        # the cube root and the square stay scalar: their array forms can
+        # differ from the scalar ones in the last bit
+        chi[rows] = [1.0 + g + (c ** (1.0 / 3.0)) ** 2 for g, c in zip(sup_grad, cube)]
+    return chi
 
 
 # -- series persistence ------------------------------------------------------

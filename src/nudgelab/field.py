@@ -27,15 +27,26 @@ __all__ = [
     "load_trajectory",
 ]
 
-# trajectory rows evaluated or written together, which bounds the
-# (rows, n_cells) temporaries: with 128 rows the gain sweep's peak RSS rose
-# by 0.5 MiB
+# the run's blocks: report times integrated together, and rows written to
+# a table together.  At 128 the gain sweep's peak RSS rose by 0.5 MiB; at
+# 16 it fell by 1.8 MiB but quadrupled the calls per run
 ROW_BLOCK = 64
+# the most cells that one temporary of a reader (sampling, the diagnostics)
+# spans: 32 KiB of float64.  8,192 raised the gain sweep's peak RSS by
+# 0.6 MiB, 16,384 by 1.8
+CHUNK_CELLS = 4096
 
 
-def row_blocks(n: int) -> list[slice]:
-    """Consecutive slices of at most ROW_BLOCK rows that cover range(n)."""
-    return [slice(lo, min(lo + ROW_BLOCK, n)) for lo in range(0, n, ROW_BLOCK)]
+def row_blocks(n: int, size: int = ROW_BLOCK) -> list[slice]:
+    """Consecutive slices of at most ``size`` rows that cover range(n)."""
+    return [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
+
+
+def row_chunks(n: int, width: int) -> list[slice]:
+    """``row_blocks`` of at most max(1, CHUNK_CELLS // width) rows: rows of
+    ``width`` cells whose temporaries span at most CHUNK_CELLS cells (one
+    row if a row is wider)."""
+    return row_blocks(n, max(1, CHUNK_CELLS // width))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .field import Grid1D, Trajectory, row_blocks
+from .field import Grid1D, Trajectory, row_chunks
 
 __all__ = [
     "SpaceTimeDecomposition",
@@ -359,18 +359,20 @@ def sample(traj: Trajectory, dec: SpaceTimeDecomposition, slabs: slice = slice(N
     set of those slabs.
 
     Space is resolved to the nearest grid cell, time by linear interpolation
-    between adjacent snapshots.  The truth is read ``ROW_BLOCK`` slabs at a
-    time, each block's control points drawn then (``control_points`` over
+    between adjacent snapshots.  The truth is read a chunk of slabs at a
+    time (``row_chunks`` over the stored blocks: at most ``CHUNK_CELLS``
+    cells), each chunk's control points drawn then (``control_points`` over
     its slabs), into sample arrays allocated once, so no temporary of the
-    read spans the slabs.  The truth must cover the slabs' control times:
-    one outside its snapshots raises ValueError (``Trajectory.point_values``).
+    read grows with the slabs.  The truth must cover the slabs' control
+    times: one outside its snapshots raises ValueError
+    (``Trajectory.point_values``).
     """
     grid = traj.grid
     blocks = sampled_blocks(dec, grid)
     first, stop, _ = slabs.indices(dec.n_time_slabs)
     shape = (stop - first, blocks.size)
     r, u = np.empty(shape), np.empty(shape)
-    for rows in row_blocks(shape[0]):
+    for rows in row_chunks(*shape):
         t_star, x_star = dec.control_points(blocks, slice(first + rows.start, first + rows.stop))
         cells = np.clip(np.round(x_star / grid.dx - 0.5).astype(int), 0, grid.n_cells - 1)
         r[rows], u[rows] = traj.point_values(t_star, cells)
@@ -386,7 +388,8 @@ def interpolation_error(ms: MeasurementSet, traj: Trajectory) -> InterpolationEr
     exactly over consecutive slab windows, whose snapshots and midpoints the
     trajectory must cover.  The trajectory is read through
     ``Trajectory.fields_at``, the field through ``values_at_time``, the
-    nudged run's own reader."""
+    nudged run's own reader, a chunk of times at a time (``row_chunks``
+    over the grid's cells), so no temporary grows with the times."""
     dec = ms.decomposition
     tb = dec.time_breaks
     first, stop = ms.first_slab, ms.first_slab + len(ms.r_sample)
@@ -395,7 +398,7 @@ def interpolation_error(ms: MeasurementSet, traj: Trajectory) -> InterpolationEr
     inside = times[(slab >= first) & (slab < stop)]
     ts = np.concatenate((inside, 0.5 * (tb[first:stop] + tb[first + 1:stop + 1])))
     err_r = err_u = 0.0
-    for rows in row_blocks(ts.size):
+    for rows in row_chunks(ts.size, traj.grid.n_cells):
         rho, mom = traj.fields_at(ts[rows])
         r_obs, u_obs = ms.values_at_time(ts[rows], traj.grid)
         err_r = max(err_r, float(np.abs(r_obs - rho).max()))

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import fields
 
@@ -14,6 +15,7 @@ from nudgelab.diagnostics import (
     EnergyReport,
     check_gain_conditions,
     fit_decay,
+    forecast_chi_base,
     forecast_envelope,
     load_energy_series,
     make_energy_report,
@@ -34,9 +36,12 @@ from nudgelab.dynamics import (
 from nudgelab.eos import EquationOfState
 from nudgelab.errors import VacuumError
 from nudgelab.field import (
-    ROW_BLOCK, FluidState, Grid1D, Trajectory, noslip_seminorm_sq, save_series,
+    CHUNK_CELLS, ROW_BLOCK, FluidState, Grid1D, Trajectory, noslip_seminorm_sq, row_chunks,
+    save_series,
 )
-from nudgelab.sampler import MeasurementSet, build_decomposition, sample
+from nudgelab.sampler import (
+    MeasurementSet, SpaceTimeDecomposition, build_decomposition, interpolation_error, sample,
+)
 
 EOS = EquationOfState(1.4, 1.0)
 KEOS = EquationOfState(2.0, 1.0)
@@ -225,10 +230,11 @@ def test_budget_residual_matches_the_seven_term_form():
     assert np.max(np.abs(res - reference)) <= 1e-12 * np.max(np.abs(rate))
 
 
-def test_energy_report_reads_the_observations_once_per_block(monkeypatch, lite_config, lite_observed):
+def test_energy_report_reads_each_rows_observations_once(monkeypatch, lite_config, lite_observed):
     # the first nudged block of the lite twin: ROW_BLOCK landings after its
     # start row, every row inside the window, so the report and the budget
-    # read the observations of all 65 rows, and do so in one call
+    # read the observations of all 65 rows, each row once: one call per
+    # chunk of rows (row_chunks over the 64 cells: 64 rows, then 1)
     cfg = lite_config
     eos, visc, forcing, nudging = cfg.eos, cfg.viscosity, build_forcing(cfg), cfg.nudging
     ms = sample(lite_observed, build_tiling(cfg))
@@ -247,8 +253,64 @@ def test_energy_report_reads_the_observations_once_per_block(monkeypatch, lite_c
 
     monkeypatch.setattr(MeasurementSet, "values_at_time", counting_values_at_time)
     report, residual = make_energy_report(eos, visc, forcing, traj, lite_observed, ms, nudging)
-    assert calls == [ROW_BLOCK + 1]
+    chunks = row_chunks(ROW_BLOCK + 1, cfg.grid.n_cells)
+    assert calls == [rows.stop - rows.start for rows in chunks] == [64, 1]
+    assert sum(calls) == ROW_BLOCK + 1
     assert report.time.size == ROW_BLOCK + 1 and residual.size == ROW_BLOCK
+
+
+def _random_truth(rows, seed=0):
+    """A truth on 256 cells over [0, 1], its fields drawn at random."""
+    rng = np.random.default_rng(seed)
+    rho = 1.0 + 0.1 * rng.random((rows, 256))
+    mom = 0.1 * rng.standard_normal((rows, 256))
+    return Trajectory(Grid1D(256, 1.0), np.linspace(0.0, 1.0, rows), rho, mom)
+
+
+def _tiling(slabs):
+    """slabs x 256 cells on [0, 1]^2: one block per cell center."""
+    return SpaceTimeDecomposition(math.hypot(1.0 / slabs, 1.0 / 256), 1.0, 1.0, slabs, 256)
+
+
+def _reader(name, rows, forcing):
+    """A call of reader ``name`` over ``rows`` rows (slabs for sample), its
+    inputs made beforehand."""
+    if name == "sample":
+        truth, dec = _random_truth(8), _tiling(rows)
+        return lambda: sample(truth, dec)
+    observed = _random_truth(rows)
+    if name == "interpolation_error":
+        ms = sample(observed, _tiling(1))
+        return lambda: interpolation_error(ms, observed)
+    if name == "forecast_chi_base":
+        return lambda: forecast_chi_base(VISC, observed, forcing, observed.times)
+    traj, ms = _random_truth(rows, 1), sample(observed, _tiling(4))
+    return lambda: make_energy_report(
+        EOS, VISC, forcing, traj, observed, ms, NudgingConfig(20.0, 80.0)
+    )
+
+
+@pytest.mark.parametrize(
+    "name", ["make_energy_report", "forecast_chi_base", "interpolation_error", "sample"]
+)
+def test_readers_temporaries_do_not_grow_with_their_rows(lite_config, name):
+    # traced peak of each reader less what its result keeps: the chunks of
+    # row_chunks span CHUNK_CELLS cells whatever the rows, so 260 rows peak
+    # as 65 do, at under 24 chunk-sized arrays (temporaries of 64-row
+    # blocks of 256 cells come to 32 or more, whatever the rows beyond 64)
+    forcing = build_forcing(lite_config)
+    peaks = []
+    for rows in (65, 260):
+        read = _reader(name, rows, forcing)
+        tracemalloc.start()
+        try:
+            result = read()  # held, so that it counts as kept
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak - kept)
+    assert peaks[1] <= 1.1 * peaks[0]
+    assert max(peaks) <= 24 * CHUNK_CELLS * 8
 
 
 def test_fit_decay_oracles():
@@ -280,6 +342,58 @@ def test_fit_decay_is_stable_under_last_bit_perturbations():
         fit = fit_decay(t, re * (1.0 + noise))
         assert fit.rate == pytest.approx(base.rate, rel=1e-9)
         assert fit.r_squared == pytest.approx(base.r_squared, rel=1e-9)
+
+
+def _decay_series():
+    """The oracle series of test_fit_decay_oracles, and the plateau series
+    of the last-bit test."""
+    t = np.linspace(0.0, 2.0, 200)
+    fine = np.linspace(0.0, 1.0, 1001)
+    plateau = 0.02 * np.exp(-50.0 * fine) + 3.7e-9 * (1.0 + 0.3 * np.sin(40.0 * fine))
+    return [
+        (t, np.exp(-5.0 * t)), (t, 0.01 + np.exp(-5.0 * t)), (t, np.full_like(t, 0.3)),
+        (fine, plateau),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_log_linear_fit_is_the_polyfit_line(case):
+    # the closed-form line about the means is numpy's least-squares line:
+    # the slope within 1e-12 relative of np.polyfit's, and the error within
+    # 1e-12 of the variance of the log series (so r^2 to 1e-12) or of
+    # fit_decay's perfect-fit error, 1e-28 (on an exact exponential or a
+    # constant, both errors are roundoff), at the fitted floor and at floors
+    # across the series' range
+    from nudgelab.diagnostics import _log_linear_fit
+
+    t, series = _decay_series()[case]
+    y = np.maximum.accumulate(series[::-1])[::-1]
+    min_keep = max(8, int(0.05 * t.size))
+    fitted = fit_decay(t, series).floor
+    for floor in (0.0, fitted, *np.geomspace(1e-9, 0.5, 12) * y.min()):
+        mse, slope, tk, zk = _log_linear_fit(t, y, floor, min_keep)
+        if tk is None:
+            continue
+        ref_slope, ref_intercept = np.polyfit(tk, zk, 1)
+        ref_mse = float(np.mean((zk - (ref_slope * tk + ref_intercept)) ** 2))
+        assert slope == pytest.approx(ref_slope, rel=1e-12, abs=1e-12)
+        assert mse == pytest.approx(ref_mse, rel=1e-12, abs=1e-12 * np.var(zk) + 1e-28)
+
+
+def test_lite_twin_and_audit_call_no_lapack(monkeypatch, tmp_path, lite_config):
+    # a run calls neither LAPACK's least squares nor its line fit: with both
+    # made to raise, a lite twin fits its decay and its audit reproduces
+    # every stored entry (the lite config fails delta_smallness alone)
+    def raising(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    monkeypatch.setattr(np, "polyfit", raising)
+    monkeypatch.setattr(np.linalg, "lstsq", raising)
+    report = harness.run_twin(lite_config, tmp_path)
+    assert report.decay.r_squared > 0.0
+    assert [k for k, ok in report.verdicts.items() if not ok] == ["delta_smallness"]
+    audit = harness.audit_twin(tmp_path)
+    assert audit.ok and audit.verdicts == report.verdicts
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 9, 10, 199, 200, 399])

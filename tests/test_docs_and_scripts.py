@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from nudgelab import dynamics, harness, sampler
+from nudgelab import dynamics, field, harness, sampler
 from nudgelab.config import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -23,6 +23,7 @@ STATED_CONSTANTS = {
         "MASS_DRIFT_MAX", "MONOTONE_BAND",
     )},
     "MAX_STORED_CELLS": sampler,
+    "CHUNK_CELLS": field,
     "MAX_STEPS": dynamics,
     "RHO_FLOOR": dynamics,
 }
