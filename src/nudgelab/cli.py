@@ -134,7 +134,8 @@ def _cmd_sweep(args) -> int:
     )
     if any(err is not None for err in report.errors):
         return EXIT_RUN_FAILURE
-    return EXIT_PASS
+    monotone = report.floor_non_increasing and report.rate_non_decreasing
+    return EXIT_PASS if monotone else EXIT_ACCEPTANCE_FAILURE
 
 
 def _cmd_validate(args) -> int:

@@ -59,7 +59,7 @@ from .field import FluidState, Grid1D, Trajectory, load_series, row_blocks, save
 from .sampler import (
     InterpolationError,
     MeasurementSet,
-    build_decomposition,
+    build_decomposition,  # unused here: perfbench/spans.py wraps harness.build_decomposition
     interpolation_error,
     sample,
 )
@@ -82,18 +82,12 @@ __all__ = [
 # -- observed (truth) runs ----------------------------------------------------
 
 
-def observed_signature(cfg: ExperimentConfig) -> str:
-    """Key over exactly the config subset the observed run depends on."""
-    payload = {
-        "grid": dataclasses.asdict(cfg.grid),
-        "eos": dataclasses.asdict(cfg.eos),
-        "viscosity": dataclasses.asdict(cfg.viscosity),
-        "timeline": dataclasses.asdict(cfg.timeline),
-        "forcing": dataclasses.asdict(cfg.forcing),
-        "initial": dataclasses.asdict(cfg.initial),
-        "solver": {"report_interval": cfg.solver.report_interval},
-    }
-    return json.dumps(payload, sort_keys=True)
+def observed_signature(cfg: ExperimentConfig) -> tuple:
+    """Key over exactly the config subset the observed run depends on: its
+    frozen sections, whose leaves compare as numbers (so +0.0 and -0.0,
+    which give the same truth bit for bit, are one key)."""
+    return (cfg.grid, cfg.eos, cfg.viscosity, cfg.timeline, cfg.forcing, cfg.initial,
+            cfg.solver.report_interval)
 
 
 def run_observed(
@@ -126,8 +120,8 @@ def run_observed(
     With ``start`` and ``landings`` the call integrates one block of that
     truth instead: from ``start`` to the last of ``landings``, landing on
     each, without reading or filling the memo.  A twin without a memo
-    integrates its truth so, in row blocks (``_truth_blocks``), and holds a
-    few of them.
+    integrates its truth so, in row blocks (``_TruthWindow.blocks``), and
+    holds a few of them.
     """
     memo = truths if start is None else None
     if memo is not None:
@@ -146,41 +140,61 @@ def run_observed(
     return traj, stats
 
 
-def _truth_blocks(cfg: ExperimentConfig):
-    """The truth of ``run_observed`` in the nudged run's row blocks, each
-    with its step statistics: the spin-up over [t_minus, 0], then
-    ``ROW_BLOCK`` of ``report_times`` at a time, each block a
-    ``run_observed`` call from the last row of the one before.  Every
-    block ends on a landing of the single call, so the blocks take its
-    steps bit for bit.  ``MAX_STEPS`` bounds each block's call."""
-    landings = report_times(cfg)
-    start = build_initial_state(cfg, cfg.grid)
-    for block in ((0.0,), *(landings[rows] for rows in row_blocks(len(landings)))):
-        traj, stats = run_observed(cfg, start=start, landings=block)
-        yield traj, stats
-        start = traj.snapshot(-1)
-
-
 class _TruthWindow:
-    """The rows of the truth that a twin still reads, as one Trajectory
-    (``traj``).
+    """The truth side of a twin, its one reader, a function of the config
+    alone: the rows of the truth that the twin still reads (``traj``), the
+    slab window of their samples that the nudged run reads (``ms``), the
+    running ``interp_error``, and the wall times of sampling and of the
+    truth's diagnostics.  Its blocks come from ``blocks``, or, with a
+    memo, from ``run_observed`` as one block holding the whole truth.
+    Before the first ``advance``, ``traj`` is the first block, from
+    t_minus, and ``ms`` is None.
 
-    Its blocks come from ``_truth_blocks``, or, with a memo, from
-    ``run_observed`` as one block holding the whole truth.  ``cover(t,
-    keep_from)`` joins blocks until the window reaches t, each join keeping
-    the rows from the one before the first row at or after ``keep_from``:
-    a read at a row's time then takes the bracket that
-    ``Trajectory._weights`` takes on the whole truth, so it is bit for bit
-    the same, signed zeros included.  Before the first ``cover``, ``traj``
-    is the first block, from t_minus.  ``stats`` holds the blocks'
-    statistics and ``n_rows`` counts the truth's rows so far."""
+    ``advance(block)`` takes a nudged block of landings ending at t_e,
+    starting on the previous block's last landing (0.0 for the first).  It
+
+    1. covers t_e and, inside the tiling, the end break of t_e's slab
+       (``cover``, keeping the rows from the block's start);
+    2. samples the slabs through t_e's that are not yet sampled (``sample``
+       over a slab range draws the jittered control points of those slabs
+       only) into ``ms``, which keeps the slabs from that of the block's
+       start on, so it holds the slabs of one block;
+    3. folds those slabs' ``interpolation_error`` into ``interp_error``;
+    4. returns ``forecast_chi_base`` at the block's landings at or after
+       T, the nudged block's forecast rows.
+
+    ``stats`` holds the blocks' statistics and ``n_rows`` counts the
+    truth's rows so far."""
 
     def __init__(self, cfg: ExperimentConfig, truths: dict | None):
-        self._blocks = _truth_blocks(cfg) if truths is None else iter([run_observed(cfg, truths)])
+        self.cfg, self.dec, self.forcing = cfg, build_tiling(cfg), build_forcing(cfg)
+        self._blocks = self.blocks(cfg) if truths is None else iter([run_observed(cfg, truths)])
         self.traj, stats = next(self._blocks)
         self.stats, self.n_rows = [stats], self.traj.n_snapshots
+        self.ms, self.start, self.interp_error = None, 0.0, InterpolationError(0.0, 0.0)
+        self.sample_wall_time = self.diagnostics_wall_time = 0.0
+
+    @staticmethod
+    def blocks(cfg: ExperimentConfig):
+        """The truth of ``run_observed`` in the nudged run's row blocks, each
+        with its step statistics: the spin-up over [t_minus, 0], then
+        ``ROW_BLOCK`` of ``report_times`` at a time, each block a
+        ``run_observed`` call from the last row of the one before.  Every
+        block ends on a landing of the single call, so the blocks take its
+        steps bit for bit.  ``MAX_STEPS`` bounds each block's call."""
+        landings = report_times(cfg)
+        start = build_initial_state(cfg, cfg.grid)
+        for block in ((0.0,), *(landings[rows] for rows in row_blocks(len(landings)))):
+            traj, stats = run_observed(cfg, start=start, landings=block)
+            yield traj, stats
+            start = traj.snapshot(-1)
 
     def cover(self, t: float, keep_from: float) -> None:
+        """Join blocks until ``traj`` reaches t, each join keeping the rows
+        from the one before the first row at or after ``keep_from``: a read
+        at a row's time then takes the bracket that ``Trajectory._weights``
+        takes on the whole truth, so it is bit for bit the same, signed
+        zeros included."""
         while self.traj.times[-1] < t:
             block, stats = next(self._blocks)
             old = self.traj
@@ -191,6 +205,34 @@ class _TruthWindow:
             ))
             self.stats.append(stats)
             self.n_rows += block.n_snapshots - 1
+
+    def advance(self, block) -> np.ndarray:
+        """Steps 1 to 4 above for the nudged block of landings ``block``."""
+        cfg, dec, ms, t_e = self.cfg, self.dec, self.ms, block[-1]
+        covered = int(dec.time_slab_index(min(t_e, cfg.timeline.t_assim_end))) + 1
+        n_sampled = 0 if ms is None else ms.first_slab + len(ms.r_sample)
+        self.cover(max(t_e, dec.time_breaks[covered]), keep_from=self.start)
+        clock = _time.perf_counter()
+        if covered > n_sampled:
+            new = sample(self.traj, dec, slice(n_sampled, covered))
+            self.sample_wall_time += _time.perf_counter() - clock
+            clock = _time.perf_counter()
+            gap, prior = interpolation_error(new, self.traj), self.interp_error
+            self.interp_error = InterpolationError(
+                max(prior.sup_err_r, gap.sup_err_r), max(prior.sup_err_U, gap.sup_err_U)
+            )
+            if ms is not None:
+                keep = int(dec.time_slab_index(self.start))
+                new = MeasurementSet(dec, *(
+                    np.concatenate((getattr(ms, f)[keep - ms.first_slab:], getattr(new, f)))
+                    for f in ("r_sample", "U_sample")
+                ), new.blocks, keep)
+            self.ms = new
+        times = np.asarray(block)[_forecast_rows(cfg, block)]
+        chi = forecast_chi_base(cfg.viscosity, self.traj, self.forcing, times)
+        self.diagnostics_wall_time += _time.perf_counter() - clock
+        self.start = t_e
+        return chi
 
 
 # -- the acceptance gate ------------------------------------------------------
@@ -303,39 +345,27 @@ def _derive_diagnostics(cfg: ExperimentConfig, times, re_series, chi_base) -> di
 
 
 def run_twin(cfg: ExperimentConfig, out_dir=None, truths: dict | None = None) -> TwinReport:
-    """Full twin experiment.
-
-    Pipeline: truth run, decomposition + sampling on the assimilation
-    window, synchronized restart from the mean-density rest state
-    (``make_synchronized_initial``), nudged integration to the assimilation
-    end then free integration to the forecast end, diagnostics, verdicts,
-    optional persistence.
+    """Full twin experiment: the truth run, sampled on the tiling of the
+    assimilation window, and a run restarted from the mean-density rest
+    state (``make_synchronized_initial`` of the truth's first row, at
+    t_minus), nudged to the window end T and free to the forecast end;
+    then diagnostics, verdicts and optional persistence.
 
     The twin is one pass over time.  The nudged run is integrated one
     ``ROW_BLOCK`` of ``report_times`` at a time, each ``integrate`` call
     starting from the previous one's last row and ending on a landing, so
     its steps are those of a single call; ``MAX_STEPS`` bounds each call.
-    Before a block ending at t_e, the truth (``_TruthWindow``, integrated in
-    the same blocks) is advanced until it covers t_e and, inside the window,
-    the end break of t_e's slab.  The slabs through t_e's that are not yet
-    sampled are then sampled (``sample`` over a slab range, which draws the
-    jittered control points of those slabs only) into the slab window the
-    nudged run reads, which so holds the slabs of one block.  As soon as a
-    block returns, one ``make_energy_report`` pass over its rows gives its
-    report columns and its budget residual, ``forecast_chi_base`` is read
-    at its forecast rows, and the interpolation error folds in as a running
-    maximum.  The truth rows and the slabs behind the next block are then
-    dropped, so the twin holds a few blocks of each run and one block of
-    slabs, whatever the window lengths and the placement.  The gains
-    ``cfg.nudging`` act on the slab windows' own window, the tiling's
-    [0, T) (``MeasurementSet.window``).  The samples are not written:
-    ``sample`` recomputes them, bit for bit, from the truth that
-    ``observe`` writes and the config's tiling (``build_tiling``).  The
-    synchronized start is built from the truth's first row, at t_minus,
-    before the first ``cover``.  In ``stats`` each run's step count and
-    integration wall time are the sums over its blocks and its dt range the
-    extremes over them; ``diagnostics_wall_time`` includes each block's
-    diagnostics.
+    Before each block, ``_TruthWindow.advance`` does the truth side of it.
+    The block reads the window's slabs, whose gains act on the tiling's
+    [0, T) (``MeasurementSet.window``), and one ``make_energy_report``
+    pass over its rows gives its report columns and budget residual.  The
+    twin so holds a few blocks of each run and one block of slabs,
+    whatever the window lengths and the placement.  The samples are not
+    written: ``sample`` recomputes them, bit for bit, from the truth that
+    ``observe`` writes and the config's tiling (``build_tiling``).  In
+    ``stats`` each run's step count and integration wall time are the sums
+    over its blocks and its dt range the extremes over them;
+    ``diagnostics_wall_time`` includes the window's.
 
     When either run fails, ``_recording_failure`` writes ``config.json`` and
     ``error.json`` (naming the failed run) before the error propagates, and
@@ -350,57 +380,34 @@ def run_twin(cfg: ExperimentConfig, out_dir=None, truths: dict | None = None) ->
     """
     cfg.validate()
     wall_start = _time.perf_counter()
-    grid, eos, visc = cfg.grid, cfg.eos, cfg.viscosity
-    forcing = build_forcing(cfg)
-    nudging = cfg.nudging
-    t_assim_end = cfg.timeline.t_assim_end
-    dec = build_tiling(cfg)
-
+    eos, visc, forcing, nudging = cfg.eos, cfg.viscosity, build_forcing(cfg), cfg.nudging
     with _recording_failure(cfg, "truth", out_dir):
         truth = _TruthWindow(cfg, truths)
     start = make_synchronized_initial(truth.traj)
     landings = report_times(cfg)
-    n_landings = len(landings)
-    ms, n_sampled = None, 0
     parts, chi, nudged_stats = [], [], []
-    budget_max, interp_r, interp_u = -np.inf, 0.0, 0.0
-    sample_wall_time = diagnostics_wall_time = 0.0
+    budget_max, diagnostics_wall_time = -np.inf, 0.0
 
     def reached(partial):
         # the finished blocks, then the failed block's rows up to the failure
-        part = make_energy_report(eos, visc, forcing, partial, truth.traj, ms, nudging)[0]
+        part = make_energy_report(eos, visc, forcing, partial, truth.traj, truth.ms, nudging)[0]
         return _joined_report([*parts, part])
 
-    for rows in row_blocks(n_landings):
+    for rows in row_blocks(len(landings)):
         block = landings[rows]
-        t_e = block[-1]
-        # the slabs through t_e's, and the truth through their end break
-        covered = int(dec.time_slab_index(min(t_e, t_assim_end))) + 1
         with _recording_failure(cfg, "truth", out_dir):
-            truth.cover(max(t_e, dec.time_breaks[covered]), keep_from=start.time)
-        if covered > n_sampled:
-            sample_start = _time.perf_counter()
-            new = sample(truth.traj, dec, slice(n_sampled, covered))
-            sample_wall_time += _time.perf_counter() - sample_start
-            diagnostics_start = _time.perf_counter()
-            gap = interpolation_error(new, truth.traj)
-            interp_r, interp_u = max(interp_r, gap.sup_err_r), max(interp_u, gap.sup_err_U)
-            diagnostics_wall_time += _time.perf_counter() - diagnostics_start
-            ms = _slab_window(ms, new, int(dec.time_slab_index(start.time)))
-            n_sampled = covered
+            chi.append(truth.advance(block))
         with _recording_failure(cfg, "nudged", out_dir, reached):
             traj, block_stats = integrate(
-                grid, start, t_e, eos, visc, forcing, ms, nudging, landings=block
+                cfg.grid, start, block[-1], eos, visc, forcing, truth.ms, nudging, landings=block
             )
         nudged_stats.append(block_stats)
         diagnostics_start = _time.perf_counter()
-        part, residual = make_energy_report(eos, visc, forcing, traj, truth.traj, ms, nudging)
-        times = part.time[1:] if parts else part.time
+        part, residual = make_energy_report(eos, visc, forcing, traj, truth.traj, truth.ms, nudging)
         parts.append(part)
         budget_max = max(budget_max, float(np.max(residual)))
-        chi.append(forecast_chi_base(visc, truth.traj, forcing, times[_forecast_rows(cfg, times)]))
         diagnostics_wall_time += _time.perf_counter() - diagnostics_start
-        if rows.stop < n_landings:
+        if rows.stop < len(landings):
             start = traj.snapshot(-1)
 
     diagnostics_start = _time.perf_counter()
@@ -419,8 +426,8 @@ def run_twin(cfg: ExperimentConfig, out_dir=None, truths: dict | None = None) ->
         "observed_dt_max": observed_stats.dt_max,
         "observed_wall_time": observed_stats.wall_time,
         "nudged_wall_time": nudged.wall_time,
-        "sample_wall_time": sample_wall_time,
-        "diagnostics_wall_time": diagnostics_wall_time,
+        "sample_wall_time": truth.sample_wall_time,
+        "diagnostics_wall_time": diagnostics_wall_time + truth.diagnostics_wall_time,
         "observed_snapshots": truth.n_rows,
         "wall_time": _time.perf_counter() - wall_start,
     }
@@ -429,28 +436,13 @@ def run_twin(cfg: ExperimentConfig, out_dir=None, truths: dict | None = None) ->
         energy=energy,
         budget_residual_max=budget_max,
         chi_base=chi_base,
-        interp_error=InterpolationError(interp_r, interp_u),
+        interp_error=truth.interp_error,
         stats=stats,
         **derived,
     )
     if out_dir is not None:
         persist_twin(report, out_dir)
     return report
-
-
-def _slab_window(ms: MeasurementSet | None, new: MeasurementSet, keep: int) -> MeasurementSet:
-    """The slabs of ``ms`` from slab ``keep`` on, then those of ``new``,
-    which follow them; ``new`` alone when there is no ``ms``."""
-    if ms is None:
-        return new
-    i = keep - ms.first_slab
-    return MeasurementSet(
-        ms.decomposition,
-        np.concatenate((ms.r_sample[i:], new.r_sample)),
-        np.concatenate((ms.U_sample[i:], new.U_sample)),
-        ms.blocks,
-        keep,
-    )
 
 
 def _summed(stats: list) -> IntegrationStats:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import nudgelab
-from nudgelab import dynamics, harness
+from nudgelab import cli, dynamics, harness
 from nudgelab.cli import main
 from nudgelab.config import build_forcing, build_tiling, save_config
 from nudgelab.field import load_trajectory
@@ -370,6 +370,28 @@ def test_sweep_cli(tmp_path, determinism_config):
     assert summary["axis"] == "delta"
     assert summary["interp_non_increasing"] is True
     assert (out / "point_000" / "energy_series.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "errors, floor, rate, code",
+    [
+        ([None, None], True, True, 0),
+        ([None, None], True, False, 2),
+        ([None, None], False, True, 2),
+        ([None, "BlowUpError: x"], False, False, 1),
+    ],
+)
+def test_sweep_exit_code_follows_its_verdicts(tmp_path, monkeypatch, errors, floor, rate, code):
+    # a failed point exits 1, else a false monotone verdict exits 2
+    none = [None, None]
+    report = harness.SweepReport(
+        axis="lambda_rho", values=[10.0, 20.0], points=none, errors=errors, floors=none,
+        rates=none, interp_errors=none, floor_non_increasing=floor,
+        rate_non_decreasing=rate, interp_non_increasing=True,
+    )
+    monkeypatch.setattr(cli, "run_sweep", lambda *args, **kwargs: report)
+    argv = ["sweep", "--axis", "lambda_rho", "--values", "10,20", "--out", str(tmp_path)]
+    assert main(argv) == code
 
 
 def test_default_output_root_env(tmp_path, determinism_config, monkeypatch):

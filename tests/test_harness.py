@@ -17,7 +17,7 @@ from nudgelab.diagnostics import (
 )
 from nudgelab.dynamics import IntegrationStats, NudgingConfig, make_synchronized_initial
 from nudgelab.errors import BlowUpError, ConfigError, VacuumError
-from nudgelab.field import ROW_BLOCK, FluidState, Trajectory, load_series
+from nudgelab.field import ROW_BLOCK, FluidState, Trajectory, load_series, row_blocks
 from nudgelab.harness import (
     audit_twin,
     build_initial_state,
@@ -238,7 +238,7 @@ def test_truth_window_reads_row_times_through_the_whole_truths_bracket(monkeypat
          IntegrationStats(b - a, 1.0, 1.0, 0.0, 1.0, 1.0))
         for a, b in zip(edges, edges[1:])
     ]
-    monkeypatch.setattr(harness, "_truth_blocks", lambda cfg: iter(blocks))
+    monkeypatch.setattr(harness._TruthWindow, "blocks", staticmethod(lambda cfg: iter(blocks)))
     window = harness._TruthWindow(lite_config, None)
     for keep_from in (0.0, 2.0, 5.0, 8.0, 11.0):
         window.cover(keep_from + 2.0, keep_from)
@@ -250,6 +250,23 @@ def test_truth_window_reads_row_times_through_the_whole_truths_bracket(monkeypat
         assert np.array_equal(np.signbit(got), np.signbit(want)) and np.array_equal(got, want)
     # joins drop the rows behind the row before keep_from
     assert window.traj.times[0] >= 7.0 and window.n_rows == times.size
+
+
+@pytest.mark.parametrize("memo", [False, True], ids=["streamed", "memo"])
+def test_truth_window_alone_measures_the_twins_truth_side(determinism_config, memo):
+    # the truth side is a function of the config alone: a window advanced
+    # over the nudged run's row blocks, with no nudged run, reads the
+    # twin's chi_base and interpolation error bit for bit, streamed or
+    # from the whole truth of a memo
+    cfg = determinism_config
+    twin = run_twin(cfg)
+    truths = {observed_signature(cfg): run_observed(cfg)[0]} if memo else None
+    window = harness._TruthWindow(cfg, truths)
+    landings = report_times(cfg)
+    chi = np.concatenate([window.advance(landings[rows]) for rows in row_blocks(len(landings))])
+    assert chi.tobytes() == twin.chi_base.tobytes()
+    assert window.interp_error == twin.interp_error
+    assert window.n_rows == twin.stats["observed_snapshots"]
 
 
 def test_blocked_nudged_run_is_the_single_call_bit_for_bit(lite_config, lite_observed):
