@@ -23,7 +23,7 @@ from .config import ExperimentConfig, SWEEP_AXES, build_forcing, load_config, sa
 from .errors import BlowUpError, ConfigError, VacuumError
 from .field import save_trajectory
 from .harness import MASS_DRIFT_MAX, MMS_ORDER_RANGE
-from .harness import _jsonable, _recording_failure
+from .harness import _jsonable, _recording_failure, _run_dir
 from .harness import audit_twin, run_observed, run_sweep, run_twin, validate_solver
 
 EXIT_PASS = 0
@@ -86,7 +86,7 @@ def _cmd_observe(args) -> int:
     out = _out_dir(args, "observe")
     with _recording_failure(cfg, "truth", out):
         traj, stats = run_observed(cfg)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _run_dir(out, ("trajectory.csv", "observed_meta.json", "config.json"))
     save_trajectory(out / "trajectory.csv", traj)
     meta = {
         "n_snapshots": traj.n_snapshots,

@@ -35,6 +35,9 @@ ROW_BLOCK = 64
 # spans: 32 KiB of float64.  8,192 raised the gain sweep's peak RSS by
 # 0.6 MiB, 16,384 by 1.8
 CHUNK_CELLS = 4096
+# the most cells of a grid, checked before any array of it exists: one
+# ROW_BLOCK + 1 rows of both fields then take about 65 MiB
+MAX_GRID_CELLS = 2**16
 
 
 def row_blocks(n: int, size: int = ROW_BLOCK) -> list[slice]:
@@ -60,6 +63,8 @@ class Grid1D:
     def __post_init__(self):
         if int(self.n_cells) != self.n_cells or self.n_cells < 8:
             raise ValueError("n_cells must be an integer >= 8")
+        if self.n_cells > MAX_GRID_CELLS:
+            raise ValueError(f"n_cells must be at most MAX_GRID_CELLS={MAX_GRID_CELLS}")
         object.__setattr__(self, "n_cells", int(self.n_cells))
         if not (np.isfinite(self.length) and self.length > 0.0):
             raise ValueError("length must be finite and > 0")

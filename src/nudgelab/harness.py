@@ -58,7 +58,6 @@ from .errors import BlowUpError, ConfigError, VacuumError
 from .field import FluidState, Grid1D, Trajectory, load_series, row_blocks, save_series
 from .sampler import (
     InterpolationError,
-    MeasurementSet,
     build_decomposition,  # unused here: perfbench/spans.py wraps harness.build_decomposition
     interpolation_error,
     sample,
@@ -154,17 +153,20 @@ class _TruthWindow:
     starting on the previous block's last landing (0.0 for the first).  It
 
     1. covers t_e and, inside the tiling, the end break of t_e's slab
-       (``cover``, keeping the rows from the block's start);
-    2. samples the slabs through t_e's that are not yet sampled (``sample``
-       over a slab range draws the jittered control points of those slabs
-       only) into ``ms``, which keeps the slabs from that of the block's
-       start on, so it holds the slabs of one block;
-    3. folds those slabs' ``interpolation_error`` into ``interp_error``;
+       (``cover``, keeping the rows from the start break of the slab of
+       the block's start);
+    2. samples the slabs from that of the block's start through t_e's into
+       a fresh ``ms`` (``sample`` over a slab range draws the jittered
+       control points of those slabs only), so it holds the slabs of one
+       block, whatever the blocks before it sampled;
+    3. folds that set's ``interpolation_error`` into ``interp_error``;
     4. returns ``forecast_chi_base`` at the block's landings at or after
        T, the nudged block's forecast rows.
 
-    ``stats`` holds the blocks' statistics and ``n_rows`` counts the
-    truth's rows so far."""
+    A block that starts at or after T, which reads no samples, skips steps
+    2 and 3 and covers t_e keeping the rows from its start.  ``stats``
+    holds the blocks' statistics and ``n_rows`` counts the truth's rows so
+    far."""
 
     def __init__(self, cfg: ExperimentConfig, truths: dict | None):
         self.cfg, self.dec, self.forcing = cfg, build_tiling(cfg), build_forcing(cfg)
@@ -208,26 +210,22 @@ class _TruthWindow:
 
     def advance(self, block) -> np.ndarray:
         """Steps 1 to 4 above for the nudged block of landings ``block``."""
-        cfg, dec, ms, t_e = self.cfg, self.dec, self.ms, block[-1]
-        covered = int(dec.time_slab_index(min(t_e, cfg.timeline.t_assim_end))) + 1
-        n_sampled = 0 if ms is None else ms.first_slab + len(ms.r_sample)
-        self.cover(max(t_e, dec.time_breaks[covered]), keep_from=self.start)
-        clock = _time.perf_counter()
-        if covered > n_sampled:
-            new = sample(self.traj, dec, slice(n_sampled, covered))
+        cfg, dec, start, t_e = self.cfg, self.dec, self.start, block[-1]
+        T = cfg.timeline.t_assim_end
+        if start < T:
+            slabs = slice(int(dec.time_slab_index(start)), int(dec.time_slab_index(min(t_e, T))) + 1)
+            self.cover(max(t_e, dec.time_breaks[slabs.stop]), keep_from=dec.time_breaks[slabs.start])
+            clock = _time.perf_counter()
+            self.ms = sample(self.traj, dec, slabs)
             self.sample_wall_time += _time.perf_counter() - clock
             clock = _time.perf_counter()
-            gap, prior = interpolation_error(new, self.traj), self.interp_error
+            gap, prior = interpolation_error(self.ms, self.traj), self.interp_error
             self.interp_error = InterpolationError(
                 max(prior.sup_err_r, gap.sup_err_r), max(prior.sup_err_U, gap.sup_err_U)
             )
-            if ms is not None:
-                keep = int(dec.time_slab_index(self.start))
-                new = MeasurementSet(dec, *(
-                    np.concatenate((getattr(ms, f)[keep - ms.first_slab:], getattr(new, f)))
-                    for f in ("r_sample", "U_sample")
-                ), new.blocks, keep)
-            self.ms = new
+        else:
+            self.cover(t_e, keep_from=start)
+            clock = _time.perf_counter()
         times = np.asarray(block)[_forecast_rows(cfg, block)]
         chi = forecast_chi_base(cfg.viscosity, self.traj, self.forcing, times)
         self.diagnostics_wall_time += _time.perf_counter() - clock
@@ -356,11 +354,13 @@ def run_twin(cfg: ExperimentConfig, out_dir=None, truths: dict | None = None) ->
     starting from the previous one's last row and ending on a landing, so
     its steps are those of a single call; ``MAX_STEPS`` bounds each call.
     Before each block, ``_TruthWindow.advance`` does the truth side of it.
-    The block reads the window's slabs, whose gains act on the tiling's
-    [0, T) (``MeasurementSet.window``), and one ``make_energy_report``
-    pass over its rows gives its report columns and budget residual.  The
-    twin so holds a few blocks of each run and one block of slabs,
-    whatever the window lengths and the placement.  The samples are not
+    The block reads the slabs that ``advance`` sampled afresh for it, from
+    that of its start through that of its end, whose gains act on the
+    tiling's [0, T) (``MeasurementSet.window``), and one
+    ``make_energy_report`` pass over its rows gives its report columns and
+    budget residual.  The twin so holds a few blocks of each run and one
+    block of slabs, whatever the window lengths and the placement; a slab
+    that spans several blocks is sampled once for each.  The samples are not
     written: ``sample`` recomputes them, bit for bit, from the truth that
     ``observe`` writes and the config's tiling (``build_tiling``).  In
     ``stats`` each run's step count and integration wall time are the sums
@@ -467,18 +467,35 @@ def _joined_report(parts: list) -> EnergyReport:
     ))
 
 
+# the files that observe and twin runs write to their output directory.  A
+# writer removes those it does not write, and nothing else, so that the
+# directory describes its last run alone
+RUN_FILES = ("config.json", "error.json", "report.json", "energy_series.csv",
+             "forecast_chi.csv", "trajectory.csv", "observed_meta.json")
+
+
+def _run_dir(out_dir, written: tuple) -> Path:
+    """``out_dir``, made if missing, without the ``RUN_FILES`` outside
+    ``written``."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name in set(RUN_FILES) - set(written):
+        (out / name).unlink(missing_ok=True)
+    return out
+
+
 @contextlib.contextmanager
 def _recording_failure(cfg, run: str, out_dir, series=None):
     """Let a VacuumError or BlowUpError of ``run`` propagate after writing,
     when there is an ``out_dir``, the config echo and ``error.json`` naming
     ``run``, and given ``series`` the energy series ``series(err.partial)``
-    of the rows the run reached."""
+    of the rows the run reached, in place of every other of ``RUN_FILES``."""
     try:
         yield
     except (VacuumError, BlowUpError) as err:
         if out_dir is not None:
-            out = Path(out_dir)
-            out.mkdir(parents=True, exist_ok=True)
+            written = ("config.json", "error.json", *(() if series is None else ("energy_series.csv",)))
+            out = _run_dir(out_dir, written)
             save_config(out / "config.json", cfg)
             info = {"run": run, "error": type(err).__name__, "message": str(err),
                     "time": err.time, "cell": getattr(err, "cell", None)}
@@ -516,9 +533,9 @@ def _jsonable(obj):
 def persist_twin(report: TwinReport, out_dir) -> Path:
     """Write the config echo, the energy and forecast chi series as CSV and
     ``report.json``, which holds the ``DERIVED`` blocks with
-    ``budget_residual_max``, ``interp_error`` and ``stats``, sorted by key."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    ``budget_residual_max``, ``interp_error`` and ``stats``, sorted by key,
+    in place of every other of ``RUN_FILES``."""
+    out = _run_dir(out_dir, ("config.json", "energy_series.csv", "forecast_chi.csv", "report.json"))
     save_config(out / "config.json", report.config)
     keys = (*DERIVED, "budget_residual_max", "interp_error", "stats")
     body = _jsonable({k: getattr(report, k) for k in keys})

@@ -12,7 +12,7 @@ import nudgelab
 from nudgelab import cli, dynamics, harness
 from nudgelab.cli import main
 from nudgelab.config import build_forcing, build_tiling, save_config
-from nudgelab.field import load_trajectory
+from nudgelab.field import MAX_GRID_CELLS, Grid1D, load_trajectory
 from nudgelab.sampler import sample
 
 
@@ -151,34 +151,61 @@ def test_observe_writes_trajectory(tmp_path, determinism_config):
     assert meta["rho_max"] > 0
 
 
-@pytest.mark.parametrize("placement", ["center", "jittered"])
-def test_twin_samples_are_the_observed_files_samples(tmp_path, monkeypatch, lite_config, placement):
+@pytest.mark.parametrize(
+    "delta, placement",
+    [(0.02, "center"), (0.02, "jittered"), (0.3, "jittered")],
+    ids=["center", "jittered", "slab_wider_than_a_block"],
+)
+def test_twin_samples_are_the_observed_files_samples(tmp_path, monkeypatch, lite_config, delta, placement):
     # a twin writes no samples: each slab window that its nudged blocks
     # read is, bit for bit, those slabs of the truth that observe writes,
-    # sampled on the config's tiling
-    cfg = dataclasses.replace(
-        lite_config, sampler=dataclasses.replace(lite_config.sampler, placement=placement, seed=5)
-    )
+    # sampled on the config's tiling.  Each block that starts before T
+    # samples its window afresh, from the slab of its start (0.0 for the
+    # first block, which starts at t_minus) through that of its end; later
+    # blocks sample nothing.  At delta 0.3 a slab spans several blocks,
+    # and each of them reads it
+    cfg = dataclasses.replace(lite_config, sampler=dataclasses.replace(
+        lite_config.sampler, delta=delta, placement=placement, seed=5
+    ))
     obs = tmp_path / "obs"
     assert main(["observe", "--config", str(write_config(tmp_path, cfg)), "--out", str(obs)]) == 0
     whole = sample(load_trajectory(obs / "trajectory.csv"), build_tiling(cfg))
-    read, real_integrate = [], harness.integrate
+    dec, T = whole.decomposition, cfg.timeline.t_assim_end
+    read, sampled = [], []
+    real_integrate, real_sample = harness.integrate, harness.sample
 
     def recording_integrate(grid, initial, t_end, eos, visc, forcing, ms=None, nudging=None, **kw):
         if nudging is not None:  # a nudged block, not a truth block
-            read.append(ms)
+            read.append((max(initial.time, 0.0), t_end, ms))
         return real_integrate(grid, initial, t_end, eos, visc, forcing, ms, nudging, **kw)
 
+    def recording_sample(traj, dec, slabs=slice(None)):
+        sampled.append(real_sample(traj, dec, slabs))
+        return sampled[-1]
+
     monkeypatch.setattr(harness, "integrate", recording_integrate)
+    monkeypatch.setattr(harness, "sample", recording_sample)
     harness.run_twin(cfg)
+    starts = [start for start, _, _ in read]
+    assert len(sampled) == sum(start < T for start in starts) < len(read)
     slabs = set()
-    for ms in read:
+    for i, (start, t_end, ms) in enumerate(read):
         rows = slice(ms.first_slab, ms.first_slab + len(ms.r_sample))
         assert ms.blocks.tolist() == whole.blocks.tolist()
         assert ms.r_sample.tobytes() == whole.r_sample[rows].tobytes()
         assert ms.U_sample.tobytes() == whole.U_sample[rows].tobytes()
+        if start < T:
+            assert ms is sampled[i]
+            assert (rows.start, rows.stop) == (
+                dec.time_slab_index(start), dec.time_slab_index(min(t_end, T)) + 1
+            )
         slabs.update(range(rows.start, rows.stop))
-    assert len(read) > 2 and slabs == set(range(whole.decomposition.n_time_slabs))
+    assert len(read) > 2 and slabs == set(range(dec.n_time_slabs))
+    if delta == 0.3:
+        # (first slab, slabs) of each block's window: slabs 0 and 1 are
+        # each read by two blocks, and the forecast blocks read the last set
+        windows = [(ms.first_slab, len(ms.r_sample)) for _, _, ms in read]
+        assert windows == [(0, 1), (0, 2), (1, 2), *[(2, 1)] * 4]
 
 
 def test_observe_writes_the_runs_bounds_once(tmp_path, determinism_config):
@@ -205,6 +232,61 @@ def test_failed_observe_writes_the_error_record(tmp_path, monkeypatch, determini
     error = json.loads((out / "error.json").read_text())
     assert (error["run"], error["error"]) == ("truth", "BlowUpError")
     assert sorted(p.name for p in out.iterdir()) == ["config.json", "error.json"]
+
+
+# the vacuum config of CI's "Invalid and failed runs": its truth fails
+VACUUM_CONFIG = {"grid": {"n_cells": 32}, "forcing": {"amplitude": 1e4},
+                 "timeline": {"t_minus": -0.1, "t_assim_end": 0.1, "t_plus": 0.2}}
+
+
+@pytest.mark.parametrize(
+    "first, then",
+    [
+        (("twin", "vacuum"), ("twin", "passing")),
+        (("twin", "passing"), ("twin", "vacuum")),
+        (("observe", "passing"), ("observe", "vacuum")),
+        (("observe", "vacuum"), ("observe", "passing")),
+    ],
+    ids=["twin_after_failed_twin", "failed_twin_after_twin",
+         "failed_observe_after_observe", "observe_after_failed_observe"],
+)
+def test_a_runs_output_directory_describes_that_run(tmp_path, determinism_config, first, then):
+    # each writer removes the run files that it does not write: a run into
+    # the directory of an earlier one leaves the files that it leaves in an
+    # empty directory, whichever of the two failed
+    configs = {"passing": write_config(tmp_path, determinism_config),
+               "vacuum": tmp_path / "vacuum.json"}
+    configs["vacuum"].write_text(json.dumps(VACUUM_CONFIG))
+
+    def run(step, out):
+        command, config = step
+        return main([command, "--config", str(configs[config]), "--out", str(out)])
+
+    out, alone = tmp_path / "out", tmp_path / "alone"
+    codes = [run(first, out), run(then, out)]
+    assert codes == [1 if step[1] == "vacuum" else 0 for step in (first, then)]
+    assert run(then, alone) == codes[1]
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in alone.iterdir())
+    if then == ("twin", "vacuum"):
+        # the failed run has no report to replay: a run failure, not a mismatch
+        assert not (out / "report.json").exists()
+        assert main(["audit", "--out", str(out)]) == 1
+
+
+def test_an_unallocatable_grid_is_a_config_error(tmp_path, capsys):
+    # the cell bound is checked before any array of the grid exists, so a
+    # grid of 1e12 cells (7.28 TiB of centers) allocates nothing
+    assert Grid1D(MAX_GRID_CELLS, 1.0).n_cells == MAX_GRID_CELLS
+    with pytest.raises(ValueError, match=f"MAX_GRID_CELLS={MAX_GRID_CELLS}"):
+        Grid1D(MAX_GRID_CELLS + 1, 1.0)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"grid": {"n_cells": 10**12}}))
+    out = tmp_path / "twin"
+    assert main(["twin", "--config", str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"config error: grid: n_cells must be at most MAX_GRID_CELLS={MAX_GRID_CELLS}\n"
+    )
+    assert not out.exists()
 
 
 def test_twin_and_audit_exit_codes(tmp_path, determinism_config):

@@ -24,6 +24,7 @@ STATED_CONSTANTS = {
     )},
     "MAX_STORED_CELLS": sampler,
     "CHUNK_CELLS": field,
+    "MAX_GRID_CELLS": field,
     "MAX_STEPS": dynamics,
     "RHO_FLOOR": dynamics,
 }
